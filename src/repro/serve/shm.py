@@ -19,12 +19,14 @@ The protocol per rendered frame:
    slot offset, a generation stamp, per-plane ``(offset, shape, dtype)``
    specs, a CRC-32 of the plane bytes, and the result "skeleton" (the
    dataclass tree with each array swapped for a plane index);
-2. the **parent** maps each plane as a read-only zero-copy numpy view over
-   the same segment, verifies the checksum, rebuilds the result tree
-   around the views, and ties the lease to the rebuilt result with
-   ``weakref.finalize`` — the slot returns to the free list when the last
-   consumer (frame cache entry, response, follower) drops the frame, which
-   is reference counting by the host language instead of a second ledger.
+2. the **parent** maps the slot as one lease buffer, carves each plane
+   out of it as a read-only zero-copy numpy view, verifies the checksum,
+   rebuilds the result tree around the views, and ties the lease to the
+   buffer with ``weakref.finalize`` — every plane view pins the buffer, so
+   the slot returns to the free list when the last consumer (frame cache
+   entry, response, follower, or a caller that kept only ``.image``) drops
+   its last plane, which is reference counting by the host language
+   instead of a second ledger.
 
 Generation stamps make release safe against every unwind path: a slot is
 owned by the generation that leased it, ``release`` with a stale
@@ -505,23 +507,36 @@ def export_result(arena: SlabArena, result) -> FrameHandle:
         raise
 
 
+class _LeaseBuffer(np.ndarray):
+    """The bytes of one materialized lease, owner of its plane views.
+
+    Plane views are sliced out of this buffer, and numpy stops collapsing a
+    view's ``base`` chain at a change of array type, so every plane keeps
+    the buffer alive — whichever of them outlives the rebuilt result tree.
+    """
+
+
 def materialize_handle(arena: SlabArena, handle: FrameHandle):
     """Rebuild a result around zero-copy views of ``handle``'s slot (parent).
 
     The plane checksum is verified before any view escapes.  The lease is
-    tied to the rebuilt result object: when the last reference to it drops
-    (cache eviction + response teardown), ``weakref.finalize`` returns the
-    slot to the free list — host-language reference counting is the
-    arena's refcount.
+    tied to the slot's :class:`_LeaseBuffer`, which every plane view pins:
+    when the last plane drops (cache eviction + response teardown, or a
+    caller that kept only ``result.image`` releasing it), ``weakref.finalize``
+    returns the slot to the free list — host-language reference counting
+    is the arena's refcount.
     """
     if handle.segment != arena.name:
         raise ShmTransportError(
             f"handle for segment {handle.segment!r} offered to {arena.name!r}"
         )
+    lease = arena.ndarray((handle.nbytes,), np.uint8, handle.offset).view(_LeaseBuffer)
     views: list[np.ndarray] = []
     checksum = 0
     for spec in handle.planes:
-        view = arena.ndarray(spec.shape, spec.dtype, handle.offset + spec.offset)
+        dtype = np.dtype(spec.dtype)
+        end = spec.offset + int(np.prod(spec.shape, dtype=np.int64)) * dtype.itemsize
+        view = lease[spec.offset : end].view(dtype).reshape(spec.shape).view(np.ndarray)
         checksum = zlib.crc32(view, checksum)
         view.flags.writeable = False
         views.append(view)
@@ -531,10 +546,5 @@ def materialize_handle(arena: SlabArena, handle: FrameHandle):
             f"plane checksum mismatch materializing {handle.segment!r} "
             f"@{handle.offset} (gen {handle.generation})"
         )
-    result = _map_leaves(handle.skeleton, _PlaneRef, lambda ref: views[ref.index])
-    try:
-        weakref.finalize(result, arena.release, handle.offset, handle.generation)
-    except TypeError:  # pragma: no cover - result trees are dataclasses
-        # Non-weakrefable result root: hold the lease until arena close.
-        pass
-    return result
+    weakref.finalize(lease, arena.release, handle.offset, handle.generation)
+    return _map_leaves(handle.skeleton, _PlaneRef, lambda ref: views[ref.index])

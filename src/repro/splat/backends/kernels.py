@@ -775,21 +775,19 @@ def span_alphas(nsx: ArrayNamespace, projected: ProjectedGaussians, spans: RowSp
     return nsx.to_numpy(a), quad
 
 
-def foveated_level_alphas(nsx: ArrayNamespace, base_exp, span_opacities, span_mask):
+def foveated_level_alphas(nsx: ArrayNamespace, base_exp, span_opacities):
     """One quality level's span alphas from the shared Gaussian-exp table.
 
-    The foveated pipeline evaluates ``exp(-q/2)`` once per frame (the spans
-    are shared across levels thanks to subsetting) and re-scales it per
-    level: ``base_exp`` is the ``(ts, R_sub)`` slice of the frame's exp
-    table covering the level's span subset, ``span_opacities`` the per-span
-    level opacity ``(R_sub,)``, and ``span_mask`` the level-filtering
-    bound mask ``(R_sub,)`` — spans whose pair fails the quality bound
-    contribute exactly zero.  Operation order matches the historical
+    The foveated pipeline evaluates ``exp(-q/2)`` once per frame over the
+    union of its composite passes' spans and re-scales it per pass:
+    ``base_exp`` is the ``(ts, R_sub)`` gather of that table covering the
+    pass's span list, and ``span_opacities`` the per-span level opacity
+    ``(R_sub,)``.  Level filtering already happened in the span list
+    itself (spans whose pair fails the quality bound were compacted away),
+    so every span here contributes.  Operation order matches the historical
     monolithic foveated path bit for bit on the numpy namespace.
     """
-    alphas = clamp_alphas(nsx, span_opacities[None, :] * base_exp)
-    alphas *= span_mask[None, :]
-    return alphas
+    return clamp_alphas(nsx, span_opacities[None, :] * base_exp)
 
 
 def weights_final(

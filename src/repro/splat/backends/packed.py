@@ -352,7 +352,8 @@ def _batch_pair_tables(
 #
 # The foveated frame is composed from the same span machinery as the
 # standard forward instead of a one-shot routine: a host-side *plan* (level
-# filtering as RowSpans subsets + blend-band tile selection), per-level
+# filtering compacts each composite pass to the spans whose pair passes its
+# level's quality bound, plus the blend-band tile selection), per-pass
 # alpha/colour *segments* against the array namespace, one shared batch
 # scan, and a final per-frame blend.  ``foveated_frame_batch`` concatenates
 # many frames' segments into a single scan; ``foveated_frame`` is a batch
@@ -364,29 +365,42 @@ def _batch_pair_tables(
 class _FoveatedPlan:
     """Host-side stage decomposition of one foveated frame.
 
-    Built before any pixel math runs: the filtering-stage masks with their
-    workload statistics, the blend-band tile selection with its extra
-    second-level span subset, and the per-level filtered span lists that
-    feed the accelerator model.  ``seg``/``spans`` are ``None`` for frames
-    without intersections (they render as pure background).
+    Built before any pixel math runs: the filtering-stage workload
+    statistics, the blend-band pixel selection, and the *compacted* span
+    lists of both composite passes.  ``primary`` keeps only the spans whose
+    pair passes its own tile's level bound; ``blend`` only the blend-band
+    tiles' spans whose pair passes the second level's bound — filtered
+    points never reach the scan.  ``union`` is the span list of the frame's
+    one Gaussian-exp table (every span either pass scans), and
+    ``primary_cols``/``blend_cols`` index each pass's spans into it
+    (``None``: the pass *is* the union).  ``level_spans`` are the per-level
+    tile subsets of ``primary`` that feed the accelerator model.  ``seg``
+    and the span lists are ``None`` for frames without intersections (they
+    render as pure background).
     """
 
     maps: Any
     seg: PackedSegments | None
-    spans: RowSpans | None
     pair_pids: np.ndarray | None  # (K,) model point id per pair
     pair_tl: np.ndarray | None  # (K,) primary level per pair
     pair_second: np.ndarray | None  # (K,) second (blend) level per pair
-    mask_primary: np.ndarray | None  # (K,) bound >= primary level
-    mask_second: np.ndarray | None  # (K,) bound >= second level
+    union: RowSpans | None
+    primary: RowSpans | None
+    primary_cols: np.ndarray | None  # (R_p,) columns of ``primary`` in ``union``
+    blend: RowSpans | None  # second-level pass, ``None`` without band pixels
+    blend_cols: np.ndarray | None  # (R_b,) columns of ``blend`` in ``union``
+    built: int  # spans built for the frame before level filtering
     sort_ints: np.ndarray  # (T,)
     raster_ints: np.ndarray  # (T,)
     mix_full: np.ndarray | None  # (H, W) pixels blending two levels
     lo_t: np.ndarray | None  # (T,) inner level of each tile's blend pair
     blend_pixels: int
-    sub_spans: RowSpans | None  # blend-band tile subset of ``spans``
-    keep_second: np.ndarray | None  # (R,) span-row mask behind ``sub_spans``
     level_spans: dict[int, RowSpans]
+
+    @property
+    def scanned(self) -> int:
+        """Spans the composite passes scan (after level filtering)."""
+        return sum(s.num_spans for s in (self.primary, self.blend) if s is not None)
 
 
 def _foveated_plan(
@@ -399,9 +413,11 @@ def _foveated_plan(
 ) -> _FoveatedPlan:
     """Filtering + blend-band planning of one frame (no pixel math).
 
-    Level filtering is expressed as span structure: per-pair bound masks
-    over the shared depth-sorted segments, plus the per-level filtered
-    :class:`RowSpans` subsets surfaced for accelerator alignment.
+    Level filtering is expressed as span structure: each pass's span list
+    is compacted (:meth:`RowSpans.subset_spans`) to the spans whose pair
+    passes that pass's quality bound, so the alpha scan only ever sees
+    fragments that contribute.  The per-level filtered span lists surfaced
+    for accelerator alignment are tile subsets of the compacted primary.
 
     ``view_memo`` shares the gaze-independent span structure across frames
     of one batch: a trajectory's samples repeat the same prepared view
@@ -412,12 +428,12 @@ def _foveated_plan(
     num_tiles = grid.num_tiles
     if assignment.num_intersections == 0:
         return _FoveatedPlan(
-            maps=maps, seg=None, spans=None, pair_pids=None, pair_tl=None,
-            pair_second=None, mask_primary=None, mask_second=None,
+            maps=maps, seg=None, pair_pids=None, pair_tl=None, pair_second=None,
+            union=None, primary=None, primary_cols=None, blend=None,
+            blend_cols=None, built=0,
             sort_ints=np.zeros(num_tiles, dtype=np.int64),
             raster_ints=np.zeros(num_tiles, dtype=np.float64),
-            mix_full=None, lo_t=None, blend_pixels=0, sub_spans=None,
-            keep_second=None, level_spans={},
+            mix_full=None, lo_t=None, blend_pixels=0, level_spans={},
         )
 
     cached = view_memo.get(id(assignment)) if view_memo is not None else None
@@ -445,6 +461,8 @@ def _foveated_plan(
     raster_ints = np.bincount(
         seg.pair_tiles[mask_primary], minlength=num_tiles
     ).astype(np.float64)
+    keep_primary = mask_primary[spans.span_pair]
+    primary = spans.subset_spans(keep_primary)
 
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
@@ -458,39 +476,41 @@ def _foveated_plan(
     )
     blend_pixels = int(mix_full.sum())
     pair_second = second[seg.pair_tiles]
-    mask_second = pair_bounds >= pair_second
-    sub_spans = None
-    keep_second = None
+    union, primary_cols = primary, None
+    blend = blend_cols = None
     if blend_pixels:
         mix_count = np.bincount(tile_map[mix_full], minlength=num_tiles)
         sel_tiles = mix_count > 0  # implies second > 0 and non-empty
-        sub_spans, keep_second = spans.subset(sel_tiles)
+        mask_second = pair_bounds >= pair_second
         # Second-level pass touches only the band pixels.
         msec = np.bincount(seg.pair_tiles[mask_second], minlength=num_tiles)
         raster_ints[sel_tiles] += (
             msec[sel_tiles] * mix_count[sel_tiles] / grid.tile_size**2
         )
+        keep_second = sel_tiles[spans.span_tile] & mask_second[spans.span_pair]
+        blend = spans.subset_spans(keep_second)
+        keep_union = keep_primary | keep_second
+        union = spans.subset_spans(keep_union)
+        primary_cols = np.flatnonzero(keep_primary[keep_union])
+        blend_cols = np.flatnonzero(keep_second[keep_union])
 
-    # Per-level filtered span subsets: level t owns the spans of its
-    # non-empty tiles whose pair passes the bound — exactly the fragments
-    # the primary composite rasterizes there.  This is the real foveated
-    # workload the accelerator model consumes (accel.spans_to_tile_counts).
+    # Per-level filtered span subsets: level t owns the primary spans of
+    # its non-empty tiles — exactly the fragments the primary composite
+    # rasterizes there.  This is the real foveated workload the accelerator
+    # model consumes (accel.spans_to_tile_counts).
     level_spans: dict[int, RowSpans] = {}
     for t in range(1, n_levels + 1):
         tiles_t = (tl == t) & nonempty
-        if not tiles_t.any():
-            continue
-        sub, _ = spans.subset(tiles_t)
-        if sub.num_spans:
-            sub = sub.subset_spans(mask_primary[sub.span_pair])
-        level_spans[t] = sub
+        if tiles_t.any():
+            level_spans[t] = primary.subset(tiles_t)
 
     return _FoveatedPlan(
-        maps=maps, seg=seg, spans=spans, pair_pids=pair_pids, pair_tl=pair_tl,
-        pair_second=pair_second, mask_primary=mask_primary,
-        mask_second=mask_second, sort_ints=sort_ints, raster_ints=raster_ints,
+        maps=maps, seg=seg, pair_pids=pair_pids, pair_tl=pair_tl,
+        pair_second=pair_second, union=union, primary=primary,
+        primary_cols=primary_cols, blend=blend, blend_cols=blend_cols,
+        built=spans.num_spans, sort_ints=sort_ints, raster_ints=raster_ints,
         mix_full=mix_full, lo_t=lo_t, blend_pixels=blend_pixels,
-        sub_spans=sub_spans, keep_second=keep_second, level_spans=level_spans,
+        level_spans=level_spans,
     )
 
 
@@ -512,49 +532,37 @@ def _foveated_segments(
     op_mat: np.ndarray,
     de_mat: np.ndarray,
     frame: int,
-    exp_memo: dict[int, np.ndarray] | None = None,
 ) -> list[_FoveatedSegment]:
     """One frame's composite passes as batch segments.
 
-    The primary pass covers the full span list (each tile at its own
-    level); when blend-band pixels exist, the second-level pass over the
-    band tiles' span subset becomes an extra segment of the same scan.
-    The shared ``exp(-q/2)`` table is evaluated once per *view* (keyed by
-    the span list's identity in ``exp_memo``, so a trajectory's gaze
-    samples reuse it) and sliced per pass, preserving the subsetting
-    compute saving.
+    The primary pass covers the compacted primary span list (each tile at
+    its own level); when blend-band spans survive their bound, the
+    second-level pass becomes an extra segment of the same scan.  The
+    ``exp(-q/2)`` table is evaluated once per frame over the union of the
+    two passes' spans and gathered per pass by column index, so a span
+    both passes keep pays for one exp.
     """
-    if plan.spans is None or plan.spans.num_spans == 0:
+    if plan.primary is None or plan.union.num_spans == 0:
         return []
     seg = plan.seg
-    base_exp = exp_memo.get(id(plan.spans)) if exp_memo is not None else None
-    if base_exp is None:
-        base_exp = exp_neg_half(nsx, span_quad(nsx, projected, plan.spans))
-        if exp_memo is not None:
-            exp_memo[id(plan.spans)] = base_exp
+    base_exp = exp_neg_half(nsx, span_quad(nsx, projected, plan.union))
 
-    def level_pass(pair_levels, pair_mask, sub_spans, keep):
-        sp = sub_spans.span_pair
+    def level_pass(pair_levels, spans, cols):
+        sp = spans.span_pair
         pids = plan.pair_pids[sp]
-        levels = pair_levels[sp]  # subset first: never indexes level 0
-        alphas = foveated_level_alphas(
-            nsx, base_exp[:, keep], op_mat[levels - 1, pids], pair_mask[sp]
-        )
+        levels = pair_levels[sp]  # kept spans never index level 0
+        exp = base_exp if cols is None else base_exp[:, cols]
+        alphas = foveated_level_alphas(nsx, exp, op_mat[levels - 1, pids])
         colors = projected.colors[seg.pair_splats[sp]] + de_mat[levels - 1, pids]
         return alphas, colors
 
-    alphas, colors = level_pass(
-        plan.pair_tl, plan.mask_primary, plan.spans,
-        np.ones(plan.spans.num_spans, dtype=bool),
-    )
-    segments = [_FoveatedSegment(frame, False, plan.spans, alphas, colors)]
-    if plan.sub_spans is not None and plan.sub_spans.num_spans:
-        alphas, colors = level_pass(
-            plan.pair_second, plan.mask_second, plan.sub_spans, plan.keep_second
-        )
-        segments.append(
-            _FoveatedSegment(frame, True, plan.sub_spans, alphas, colors)
-        )
+    segments = []
+    if plan.primary.num_spans:
+        alphas, colors = level_pass(plan.pair_tl, plan.primary, plan.primary_cols)
+        segments.append(_FoveatedSegment(frame, False, plan.primary, alphas, colors))
+    if plan.blend is not None and plan.blend.num_spans:
+        alphas, colors = level_pass(plan.pair_second, plan.blend, plan.blend_cols)
+        segments.append(_FoveatedSegment(frame, True, plan.blend, alphas, colors))
     return segments
 
 
@@ -817,14 +825,16 @@ class PackedBackend:
 
         Each frame decomposes into span-kernel stages (see
         :func:`_foveated_plan` / :func:`_foveated_segments`): level filtering
-        becomes :class:`RowSpans` subsets with per-pair bound masks, and the
-        blend-band second-level pass becomes an *extra batch segment* riding
-        the same scan as the primary composite.  All frames' passes then
-        share one alpha-eval / transmittance / compositing pipeline — only
-        the per-frame span construction, the scatter into each frame and the
-        blend interpolation remain per frame.  On CPU namespaces, frames are
-        chunked to :func:`span_chunk_budget` spans so the shared scan
-        matrices stay cache-resident, exactly like :meth:`forward_batch`.
+        compacts each composite pass's :class:`RowSpans` to the spans whose
+        pair passes its quality bound, and the blend-band second-level pass
+        becomes an *extra batch segment* riding the same scan as the primary
+        composite.  All frames' passes then share one transmittance /
+        compositing pipeline — only the per-frame span construction and
+        exp table, the scatter into each frame and the blend interpolation
+        remain per frame.  On CPU namespaces, frames are chunked to
+        :func:`span_chunk_budget` *scanned* (post-filter) spans so the
+        shared scan matrices stay cache-resident, exactly like
+        :meth:`forward_batch`.
         """
         if not views:
             return []
@@ -846,15 +856,14 @@ class PackedBackend:
         total = 0
 
         # Gaze samples of one pose repeat the same prepared view: their
-        # segments/spans and exp table are built once per call, surviving
-        # chunk flushes (a big foveated frame easily fills a whole chunk by
-        # itself, so per-chunk sharing alone would never hit).  Entries are
-        # evicted once the last frame referencing a view has flushed, so a
+        # segments/spans are built once per call, surviving chunk flushes
+        # (a big foveated frame easily fills a whole chunk by itself, so
+        # per-chunk sharing alone would never hit).  Entries are evicted
+        # once the last frame referencing a view has flushed, so a
         # multi-pose batch keeps the chunk-residency bound of
         # ``forward_batch`` instead of accumulating every pose's span
-        # structure and exp table for the whole call.
+        # structure for the whole call.
         view_memo: dict[int, tuple[PackedSegments, RowSpans]] = {}
-        exp_memo: dict[int, np.ndarray] = {}
         remaining: dict[int, int] = {}
         for _, assignment in views:
             key = id(assignment)
@@ -863,30 +872,21 @@ class PackedBackend:
         def flush():
             nonlocal chunk, total
             if chunk:
-                results.extend(
-                    self._foveated_chunk(
-                        chunk, op_mat, de_mat, background, exp_memo
-                    )
-                )
+                results.extend(self._foveated_chunk(chunk, op_mat, de_mat, background))
                 for (_, assignment), _plan in chunk:
                     key = id(assignment)
                     remaining[key] -= 1
                     if remaining[key] == 0:
-                        cached = view_memo.pop(key, None)
-                        if cached is not None:
-                            exp_memo.pop(id(cached[1]), None)
+                        view_memo.pop(key, None)
             chunk, total = [], 0
         for view, maps in zip(views, maps_list):
             plan = _foveated_plan(
                 view[0], view[1], maps, bounds, n_levels, view_memo=view_memo
             )
-            n_spans = plan.spans.num_spans if plan.spans is not None else 0
-            if plan.sub_spans is not None:
-                n_spans += plan.sub_spans.num_spans
-            if chunk and budget is not None and total + n_spans > budget:
+            if chunk and budget is not None and total + plan.scanned > budget:
                 flush()
             chunk.append((view, plan))
-            total += n_spans
+            total += plan.scanned
         flush()
         return results
 
@@ -896,22 +896,26 @@ class PackedBackend:
         op_mat: np.ndarray,
         de_mat: np.ndarray,
         background: np.ndarray,
-        exp_memo: dict[int, np.ndarray] | None = None,
     ) -> list[FoveatedFrame]:
         """One concatenated scan over a chunk of frames' composite passes."""
         nsx = self.nsx
         prim: list[np.ndarray] = []
         sec: dict[int, np.ndarray] = {}
         segments: list[_FoveatedSegment] = []
-        with backend_span("alpha-scan", args={"frames": len(chunk)}):
+        # Work counters: spans the passes scan vs. spans built before level
+        # filtering (the compaction saving).
+        work = {
+            "frames": len(chunk),
+            "spans": sum(plan.scanned for _, plan in chunk),
+            "built": sum(plan.built for _, plan in chunk),
+        }
+        with backend_span("alpha-scan", args=work):
             for f, ((projected, assignment), plan) in enumerate(chunk):
                 prim.append(_background_frame(assignment.grid, background))
                 if plan.blend_pixels:
                     sec[f] = _background_frame(assignment.grid, background)
                 segments.extend(
-                    _foveated_segments(
-                        nsx, projected, plan, op_mat, de_mat, f, exp_memo=exp_memo
-                    )
+                    _foveated_segments(nsx, projected, plan, op_mat, de_mat, f)
                 )
 
             if segments:
@@ -930,8 +934,6 @@ class PackedBackend:
                     nsx, weights, final, colors, batch.groups, ts, background
                 )
                 for v, s in enumerate(segments):
-                    if s.spans.num_groups == 0:
-                        continue
                     idx, ok = _group_pixel_index(s.spans)
                     target = sec[s.frame] if s.second else prim[s.frame]
                     target.reshape(-1, 3)[idx[ok]] = pixels[batch.view_groups(v)][ok]
@@ -995,7 +997,7 @@ class PackedBackend:
             projected_v, assignment_v = views[level - 1]
             if not need.any() or assignment_v.num_intersections == 0:
                 continue
-            sub_spans, _ = build_row_spans(
+            sub_spans = build_row_spans(
                 projected_v, build_segments(assignment_v)
             ).subset(need)
             if sub_spans.num_spans == 0:

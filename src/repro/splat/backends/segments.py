@@ -197,22 +197,19 @@ class RowSpans:
     def num_groups(self) -> int:
         return self.groups.num_segments
 
-    def subset(self, tile_mask: np.ndarray) -> tuple["RowSpans", np.ndarray]:
-        """Restrict to selected tiles; also returns the kept-span row mask."""
+    def subset(self, tile_mask: np.ndarray) -> "RowSpans":
+        """Restrict to the spans and groups of selected tiles."""
         keep_spans = tile_mask[self.span_tile]
         keep_groups = tile_mask[self.group_tile]
-        return (
-            RowSpans(
-                seg=self.seg,
-                span_pair=self.span_pair[keep_spans],
-                span_tile=self.span_tile[keep_spans],
-                span_y=self.span_y[keep_spans],
-                groups=SegmentIndex.from_lengths(self.groups.lens[keep_groups]),
-                group_tile=self.group_tile[keep_groups],
-                group_y=self.group_y[keep_groups],
-                group_has_tile_last=self.group_has_tile_last[keep_groups],
-            ),
-            keep_spans,
+        return RowSpans(
+            seg=self.seg,
+            span_pair=self.span_pair[keep_spans],
+            span_tile=self.span_tile[keep_spans],
+            span_y=self.span_y[keep_spans],
+            groups=SegmentIndex.from_lengths(self.groups.lens[keep_groups]),
+            group_tile=self.group_tile[keep_groups],
+            group_y=self.group_y[keep_groups],
+            group_has_tile_last=self.group_has_tile_last[keep_groups],
         )
 
     def subset_spans(self, span_mask: np.ndarray) -> "RowSpans":

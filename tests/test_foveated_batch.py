@@ -6,8 +6,10 @@ path: a batch of one frame is **bit-identical** to :func:`render_foveated`
 multi-camera batches match the per-frame ``reference`` oracle within 1e-10
 — including mixed gazes, off-screen gazes, zero-splat quality levels and
 frames without any intersections.  The registry's ``has_foveated_batch``
-capability flag and the dispatcher's per-frame fallback for backends
-without the batched entry point are pinned here too.
+capability flag, the dispatcher's per-frame fallback for backends
+without the batched entry point, and the packed engine's scanned-span work
+counter (level filtering compacts spans before the scan) are pinned here
+too.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from repro.foveation import (
     uniform_foveated_model,
 )
 from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
+from repro.obs import Tracer, set_active_tracer
 from repro.scenes import gaze_trajectory
-from repro.splat import Camera, RenderConfig, ViewCache
+from repro.splat import Camera, RenderConfig, ViewCache, prepare_view
 from repro.splat.backends import (
     ReferenceBackend,
     backend_info,
@@ -28,6 +31,7 @@ from repro.splat.backends import (
     register_backend,
     supports_foveated_batch,
 )
+from repro.splat.backends.segments import build_row_spans, build_segments
 
 TOL = 1e-10
 ALL_BACKENDS = ("packed", "packed-xp", "reference")
@@ -79,6 +83,37 @@ def assert_frames_equal(ref, got, atol=None):
         got.stats.sort_intersections_per_tile,
     )
     assert ref.stats.blend_pixels == got.stats.blend_pixels
+
+
+def _blend_spans_kept(fmodel, camera, maps):
+    """(blend-pass spans kept, spans built) of one frame, from first principles.
+
+    The blend pass scans the built spans of every tile holding a band pixel
+    whose pair's quality bound reaches the tile's second level.
+    """
+    projected, assignment = prepare_view(fmodel.base, camera)
+    seg = build_segments(assignment)
+    spans = build_row_spans(projected, seg)
+    grid = assignment.grid
+    ts = grid.tile_size
+    tile_map = (
+        (np.arange(grid.height) // ts)[:, None] * grid.tiles_x
+        + (np.arange(grid.width) // ts)[None, :]
+    )
+    tl, second = maps.tile_level, maps.tile_second_level
+    inner = np.where(second > 0, np.minimum(tl, second), 0)
+    nonempty = np.diff(assignment.tile_offsets) > 0
+    band = (
+        (maps.band_level == inner[tile_map])
+        & maps.needs_blend
+        & ((second > 0) & nonempty)[tile_map]
+    )
+    in_band = np.isin(spans.span_tile, np.unique(tile_map[band]))
+    span_bound = fmodel.quality_bounds[projected.point_ids[seg.pair_splats]][
+        spans.span_pair
+    ]
+    passes = span_bound >= second[spans.span_tile]
+    return int((in_band & passes).sum()), spans.num_spans
 
 
 class TestBatchOfOne:
@@ -362,8 +397,38 @@ class TestLevelSpans:
         total = sum(got.values())
         assert total > 0
 
+    @pytest.mark.parametrize(
+        "gaze", [None, (20.0, 16.0), (-50.0, 500.0)],
+        ids=["centre", "mid-periphery", "off-screen"],
+    )
+    def test_alpha_scan_counts_scanned_spans(self, fmodel, train_cameras, gaze):
+        # The foveated alpha-scan span reports the spans its composite
+        # passes scan: the primary pass's kept spans (= the surfaced level
+        # spans) plus the blend pass's kept spans — fewer than were built.
+        camera = train_cameras[0]
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            result = render_foveated(
+                fmodel, camera, gaze=gaze, config=RenderConfig(backend="packed")
+            )
+        finally:
+            set_active_tracer(prev)
+        (work,) = [
+            args for name, _, _, _, _, _, args in tracer.spans()
+            if name == "alpha-scan" and "frames" in args
+        ]
+        blend_kept, built = _blend_spans_kept(fmodel, camera, result.maps)
+        primary_kept = sum(s.num_spans for s in result.level_spans.values())
+        assert work["built"] == built
+        assert work["spans"] == primary_kept + blend_kept
+        assert work["spans"] < work["built"]
+        if gaze == (20.0, 16.0):
+            assert result.stats.blend_pixels > 0 and blend_kept > 0
+
     def test_reference_reports_none(self, fmodel, train_cameras):
         result = render_foveated(
             fmodel, train_cameras[0], config=RenderConfig(backend="reference")
         )
         assert result.level_spans is None
+

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,21 @@ from repro.splat.gaussians import (
     random_model,
     sigmoid,
 )
+from repro.splat.backends.kernels import (
+    composite_groups,
+    get_array_namespace,
+    weights_final,
+)
 from repro.splat.backends.segments import (
     SegmentIndex,
+    build_row_spans,
+    build_segments,
     segment_transmittance_exclusive,
     segmented_cumsum_exclusive,
 )
+from repro.splat.camera import Camera
 from repro.splat.rasterizer import composite
+from repro.splat.renderer import prepare_view
 from repro.splat.sh import sh_basis
 from repro.splat.tiling import TileGrid
 
@@ -64,6 +75,90 @@ class TestCompositingProperties:
         out, _, _ = composite(alphas, colors, np.zeros(3))
         assert np.all(out <= 1.0 + 1e-9)
         assert np.all(out >= 0.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_row_spans(seed: int):
+    """Row spans of a small, dense random view: many multi-span groups."""
+    model = random_model(120, np.random.default_rng(seed), extent=1.5)
+    camera = Camera.from_fov(
+        width=40,
+        height=24,
+        fov_x_deg=60.0,
+        position=np.array([0.0, 0.0, -4.0]),
+        look_at=np.array([0.0, 0.0, 0.0]),
+    )
+    projected, assignment = prepare_view(model, camera)
+    return build_row_spans(projected, build_segments(assignment))
+
+
+class TestSpanSubsetProperties:
+    """Compacting spans away equals compositing them with zero alpha.
+
+    This is the identity the foveated engine's level filtering rests on:
+    :meth:`RowSpans.subset_spans` drops spans (and emptied groups) instead
+    of zeroing their alphas, so the transmittance scan and composite over
+    the subset must reproduce the full list's pixels — including the
+    early-termination gate, which reads ``group_has_tile_last`` and must be
+    recomputed when a group's tile-last span is dropped.
+    """
+
+    @given(
+        seed=st.integers(0, 3),
+        mask_seed=st.integers(0, 2**16),
+        keep=st.floats(0.0, 1.0),
+        drop_tile_last=st.booleans(),
+        empty_groups=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subset_composite_matches_zeroed_alphas(
+        self, seed, mask_seed, keep, drop_tile_last, empty_groups
+    ):
+        nsx = get_array_namespace("numpy")
+        spans = _dense_row_spans(seed)
+        ts = spans.seg.grid.tile_size
+        rng = np.random.default_rng(mask_seed)
+        # Opaque-leaning alphas so transmittance crosses the termination
+        # threshold inside groups; some slots fail the intersect test.
+        alphas = rng.uniform(0.0, 0.99, size=(ts, spans.num_spans))
+        alphas[rng.random(alphas.shape) < 0.2] = 0.0
+        colors = rng.uniform(size=(spans.num_spans, 3))
+        background = rng.uniform(size=3)
+
+        mask = rng.random(spans.num_spans) < keep
+        last = spans.groups.last
+        if drop_tile_last:
+            mask[last[spans.group_has_tile_last]] = False
+        emptied = rng.random(spans.num_groups) < empty_groups
+        mask[emptied[spans.groups.of_item]] = False
+
+        _, w_full, f_full = weights_final(nsx, alphas * mask[None, :], spans)
+        full = composite_groups(
+            nsx, w_full, f_full, colors, spans.groups, ts, background
+        )
+
+        sub = spans.subset_spans(mask)
+        kept_groups = np.add.reduceat(mask.astype(np.int64), spans.groups.starts) > 0
+        assert sub.num_spans == int(mask.sum())
+        assert sub.num_groups == int(kept_groups.sum())
+        # The gate flag follows each group's last *surviving* span.
+        sub_last = sub.span_pair[sub.groups.last]
+        assert np.array_equal(
+            sub.group_has_tile_last,
+            sub_last == spans.seg.tile_last_pair[sub.group_tile],
+        )
+        if drop_tile_last:
+            assert not sub.group_has_tile_last.any()
+
+        if sub.num_spans:
+            _, w_sub, f_sub = weights_final(nsx, alphas[:, mask], sub)
+            got = composite_groups(
+                nsx, w_sub, f_sub, colors[mask], sub.groups, ts, background
+            )
+            assert np.abs(got - full[kept_groups]).max() <= 1e-12
+        # Groups with no surviving span composite to pure background.
+        dropped = full[~kept_groups]
+        assert np.abs(dropped - background).max(initial=0.0) <= 1e-12
 
 
 class TestQuaternionProperties:

@@ -237,6 +237,34 @@ class TestExportMaterialize:
         finally:
             arena.close()
 
+    def test_kept_plane_pins_the_lease(self):
+        # A caller that keeps only ``result.image`` and drops the result
+        # must keep the slot leased: the next export may not reuse the
+        # offset under the kept pixels.
+        rng = np.random.default_rng(4)
+        arena = make_arena()
+        try:
+            first = fake_result(rng)
+            first.image[:] = 0.25
+            rebuilt = materialize_handle(arena, export_result(arena, first))
+            kept = rebuilt.image
+            del rebuilt
+            gc.collect()
+            assert arena.stats()["leases_active"] == 1
+            second = fake_result(rng)
+            second.image[:] = 0.75
+            other = materialize_handle(arena, export_result(arena, second))
+            assert np.all(kept == np.float32(0.25))
+            assert np.all(other.image == np.float32(0.75))
+            del kept
+            gc.collect()
+            assert arena.stats()["leases_active"] == 1
+            del other
+            gc.collect()
+            assert arena.stats()["leases_active"] == 0
+        finally:
+            arena.close()
+
     def test_checksum_mismatch_raises_and_releases(self):
         arena = make_arena()
         try:
