@@ -39,9 +39,7 @@ from repro.foveation import (
 )
 from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
 from repro.scenes import gaze_trajectory, generate_scene, trace_cameras
-from repro.splat import RenderConfig, ViewCache, prepare_view, render, render_batch
-from repro.splat.backends import get_backend
-from repro.splat.backends.packed import forward_unpooled
+from repro.splat import RenderConfig, ViewCache, render, render_batch
 
 from _report import report
 
@@ -92,96 +90,6 @@ def scale(request):
     if request.config.getoption("--quick"):
         return dict(**QUICK_SCALE, tag=" [quick]")
     return dict(size=WIDTH, points=N_POINTS, reps=REPS, tag="")
-
-
-# The pooled comparison runs FIRST in the module: the later workloads'
-# allocation churn leaves the process allocator holding warm pages, which
-# hands the unpooled path fault-free buffers and erases the very effect
-# (first-touch page faults on fresh multi-MB span matrices) being measured.
-@pytest.fixture(scope="module")
-def pooled_rows(scale):
-    """Pooled vs unpooled single-view forward on repeated renders.
-
-    ``PackedBackend.forward`` routes through the pooled batch-of-one
-    kernels, reusing the namespace-owned workspace arena across calls;
-    ``forward_unpooled`` is the historical path that allocates fresh span
-    matrices every call.  Both run on one cached ``PreparedView`` so the
-    comparison isolates exactly what pooling buys on a render loop that
-    revisits the same pose (the steady state of trajectory evaluation and
-    the serving path).
-    """
-    scene = _scene(0.15, scale["points"], scale["size"])
-    camera = _cameras(scale["size"])[0]
-    projected, assignment = prepare_view(scene, camera)
-    background = np.zeros(3)
-    engine = get_backend("packed")
-
-    def pooled():
-        return engine.forward(
-            projected, assignment, scene.num_points, background, False, False
-        )
-
-    def unpooled():
-        return forward_unpooled(
-            projected, assignment, scene.num_points, background, False, False
-        )
-
-    def block_ms(fn):
-        """Steady-state block: consecutive same-path reps, min wall-clock.
-
-        Pooling's win is warm workspace pages across *consecutive* renders
-        (the render-loop steady state), so each path is measured in its own
-        run of reps — interleaving the paths would let the unpooled path's
-        fresh multi-MB allocations churn the pooled arena's cache residency
-        and measure a workload nobody runs.
-        """
-        fn(), fn()  # warm-up (incl. the pooled workspace)
-        times = []
-        for _ in range(2 * scale["reps"]):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times) * 1e3
-
-    # Alternating rounds of blocks: both paths see early and late machine
-    # state, cancelling the slow drift of shared runners.
-    pooled_times, unpooled_times = [], []
-    for _ in range(3):
-        pooled_times.append(block_ms(pooled))
-        unpooled_times.append(block_ms(unpooled))
-    pooled_ms = min(pooled_times)
-    unpooled_ms = min(unpooled_times)
-    bitwise = np.array_equal(pooled()[0], unpooled()[0])
-    return dict(
-        pooled_ms=pooled_ms,
-        unpooled_ms=unpooled_ms,
-        bitwise=bitwise,
-        size=scale["size"],
-        tag=scale["tag"],
-    )
-
-
-def test_pooled_single_view_speedup(pooled_rows):
-    r = pooled_rows
-    speedup = r["unpooled_ms"] / r["pooled_ms"]
-    report(
-        f"Pooled single-view fast path{r['tag']}",
-        [
-            f"repeated single-view renders at {r['size']}x{r['size']}, "
-            "packed backend, cached PreparedView",
-            f"{'path':<28} {'per frame':>10}",
-            f"{'unpooled (fresh buffers)':<28} {r['unpooled_ms']:8.1f}ms",
-            f"{'pooled (warm workspace)':<28} {r['pooled_ms']:8.1f}ms",
-            f"speedup: {speedup:.2f}x",
-        ],
-    )
-    # The pooled batch-of-one path must stay bit-identical to the
-    # historical unpooled forward.
-    assert r["bitwise"]
-    # Wall-clock stays report-only on shared runners; REPRO_BENCH_STRICT=1
-    # enforces the acceptance target (>= 1.1x on repeated renders).
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        assert speedup >= 1.1, f"pooled: {speedup:.2f}x"
 
 
 @pytest.fixture(scope="module")
@@ -406,10 +314,9 @@ def test_batched_speedup(batch_rows):
     # test_backend_speedup); REPRO_BENCH_STRICT=1 enforces the acceptance
     # targets on a quiet machine: the consumer-visible pipeline comparison
     # wins clearly, and the raster-only scan does not badly regress.  The
-    # sequential baseline of the raster-only comparison routes through the
-    # pooled single-view fast path since PR 3 (~1.2x faster than the old
-    # per-call-allocating forward), so parity for the batched scan now sits
-    # around 0.9 of it rather than the pre-pooling 1.1x.
+    # sequential baseline of the raster-only comparison runs each view as a
+    # batch of one on the warm workspace, so parity for the batched scan
+    # sits around 0.9 of it.
     if os.environ.get("REPRO_BENCH_STRICT") == "1":
         assert pipeline_speedup >= 1.15, f"pipeline: {pipeline_speedup:.2f}x"
         assert raster_speedup >= 0.85, f"raster only: {raster_speedup:.2f}x"

@@ -36,6 +36,8 @@ import math
 import threading
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -201,9 +203,20 @@ class Histogram:
     ``merge`` adds bucket counts, which is exactly the histogram of the
     concatenated samples; percentiles computed after a merge are
     therefore correct across shards/processes up to bucket width.
+
+    ``observe`` only appends to a pending list, which is folded into the
+    buckets before every read, merge and snapshot, and whenever it reaches
+    :attr:`FOLD_AT` values.  Folding visits values in observation order,
+    so every statistic equals observing them one at a time; the hot path
+    pays one list append.
     """
 
-    __slots__ = ("v0", "growth", "_log_growth", "_buckets", "_count", "_sum", "_min", "_max")
+    __slots__ = (
+        "v0", "growth", "_log_growth", "_buckets", "_count", "_sum", "_min",
+        "_max", "_pending",
+    )
+
+    FOLD_AT = 4096
 
     def __init__(self, *, v0: float = 1e-6, growth: float = 1.2) -> None:
         if not v0 > 0.0:
@@ -218,47 +231,67 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
+        self._pending: list[float] = []
 
     # -- recording ---------------------------------------------------------
-    def _bucket_index(self, value: float) -> int:
-        if value <= self.v0:
-            return -1
-        return int(math.log(value / self.v0) / self._log_growth)
-
     def observe(self, value: float) -> None:
-        idx = self._bucket_index(value)
-        self._buckets[idx] = self._buckets.get(idx, 0) + 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= self.FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the pending values into the buckets, in one vector pass.
+
+        The running sum is a sequential ``add.accumulate`` seeded with the
+        current sum, so it rounds exactly like one ``+=`` per value.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        values = np.asarray(pending, dtype=np.float64)
+        idx = np.full(values.shape, -1, dtype=np.int64)
+        over = values > self.v0
+        idx[over] = np.log(values[over] / self.v0) / self._log_growth
+        buckets = self._buckets
+        for i, n in zip(*np.unique(idx, return_counts=True)):
+            buckets[int(i)] = buckets.get(int(i), 0) + int(n)
+        seeded = np.empty(values.shape[0] + 1)
+        seeded[0], seeded[1:] = self._sum, values
+        self._sum = float(np.add.accumulate(seeded)[-1])
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
+        self._count += len(pending)
 
     # -- introspection -----------------------------------------------------
     @property
     def count(self) -> int:
-        return self._count
+        return self._count + len(self._pending)
 
     @property
     def sum(self) -> float:
+        self._fold()
         return self._sum
 
     @property
     def min(self) -> float:
+        self._fold()
         return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
+        self._fold()
         return self._max if self._count else 0.0
 
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        count = self.count
+        return self.sum / count if count else 0.0
 
     def bucket_upper(self, idx: int) -> float:
         return self.v0 * self.growth ** (idx + 1)
 
     def buckets(self) -> dict[int, int]:
+        self._fold()
         return dict(self._buckets)
 
     def percentile(self, q: float) -> float:
@@ -270,6 +303,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
+        self._fold()
         if self._count == 0:
             return 0.0
         rank = q / 100.0 * self._count
@@ -293,6 +327,8 @@ class Histogram:
                 "cannot merge histograms with different bucket geometry: "
                 f"({self.v0}, {self.growth}) vs ({other.v0}, {other.growth})"
             )
+        self._fold()
+        other._fold()
         for idx, n in other._buckets.items():
             self._buckets[idx] = self._buckets.get(idx, 0) + n
         self._count += other._count
@@ -313,7 +349,7 @@ class Histogram:
         return out
 
     def __repr__(self) -> str:
-        return f"Histogram(count={self._count}, sum={self._sum:.6g})"
+        return f"Histogram(count={self.count}, sum={self.sum:.6g})"
 
 
 class MetricsRegistry:

@@ -43,6 +43,8 @@ from .kernels import (
     available_array_apis,
     get_array_namespace,
     resolve_array_api_name,
+    segment_transmittance_exclusive,
+    segmented_cumsum_exclusive,
 )
 from .kernels import set_default_array_api as _set_default_array_api
 from .packed import (
@@ -63,8 +65,6 @@ from .segments import (
     build_row_spans,
     build_segments,
     concat_spans,
-    segment_transmittance_exclusive,
-    segmented_cumsum_exclusive,
     tile_lane_geometry,
 )
 

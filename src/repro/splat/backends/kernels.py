@@ -20,10 +20,12 @@ The contract (see also ``backends/README.md``):
   boundary once (:meth:`ArrayNamespace.asarray` /
   :class:`BatchTables`) and run the rate-matched scans on whatever the
   namespace owns.  Images are scattered back on the host.
-- **Pooled kernels own their scratch.**  :class:`Workspace` is a
+- **One kernel family, pooled scratch.**  The standard, batched,
+  foveated, multi-model and backward passes all run on the ``batch_*``
+  kernels below.  Their scratch lives in a :class:`Workspace`, a
   namespace-owned arena: named slots are grown with headroom and sliced to
-  shape, so steady-state batched rendering touches only warm pages (CPU)
-  or reuses device allocations without allocator churn (GPU namespaces).
+  shape, so steady-state rendering touches only warm pages (CPU) or reuses
+  device allocations without allocator churn (GPU namespaces).
 - **Segment primitives are the only non-elementwise surface.**  A
   namespace must provide ``segment_sum`` / ``segment_max`` /
   ``segment_min`` over CSR-style segments of the last axis plus a stable
@@ -42,13 +44,13 @@ import dataclasses
 import importlib.util
 import os
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..projection import ALPHA_EPS, ProjectedGaussians
+from ..projection import ALPHA_EPS
 from ..rasterizer import ALPHA_CLAMP, TRANSMITTANCE_EPS, RasterGradients
-from .segments import RowSpans, SegmentIndex, SpanBatch
+from .segments import SegmentIndex, SpanBatch
 
 ENV_ARRAY_API = "REPRO_ARRAY_API"
 DEFAULT_ARRAY_API = "numpy"
@@ -571,20 +573,20 @@ def get_array_namespace(name: str | None = None) -> ArrayNamespace:
 
 
 class Workspace:
-    """Persistent scratch buffers for the pooled span kernels.
+    """Persistent scratch buffers for the span kernels.
 
     A batch's ``(tile_size, R)`` temporaries run to several MB each; fresh
     allocations of that size pay page faults on every first touch, which
     measured ~2x on the whole batched pass.  Named slots are grown (with
     headroom) when a batch outsizes them and sliced to shape otherwise, so
-    steady-state pooled rendering touches only warm pages.  The arena is
+    steady-state rendering touches only warm pages.  The arena is
     owned by an :class:`ArrayNamespace`, so on a device namespace the slots
     are device allocations and refilling them never round-trips the host.
     Call :meth:`trim` to drop every slot.
 
     Slots are **thread-local**: the backends holding a workspace are
-    process-wide singletons, and the pooled single-view ``forward`` runs
-    through the arena on every render, so two threads rendering
+    process-wide singletons, and every pass (forward, foveated,
+    multi-model, backward) runs through the arena, so two threads rendering
     concurrently must not scribble over one another's scan buffers.  Each
     thread warms its own slot set instead.
     """
@@ -617,7 +619,11 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Segmented scans (shared by unbatched and backward paths)
+# Segmented scans
+#
+# The one exclusive scan behind the transmittance of every pass and the
+# backward suffix sums.  Given a workspace it writes into named slots, so a
+# steady-state render allocates nothing here.
 # ---------------------------------------------------------------------------
 
 
@@ -626,6 +632,8 @@ def segmented_cumsum_exclusive(
     index: SegmentIndex,
     consume: bool = False,
     nsx: ArrayNamespace | None = None,
+    ws: Workspace | None = None,
+    slot: str = "scan",
 ):
     """Per-segment exclusive cumulative sum of ``values`` along the last axis.
 
@@ -639,7 +647,10 @@ def segmented_cumsum_exclusive(
     Length-0 segments are allowed (they own no items and report a zero
     total), as is an entirely empty index/value pair.
 
-    ``consume=True`` lets the scan scribble over ``values``.
+    ``consume=True`` lets the scan scribble over ``values``.  With ``ws``
+    the outputs (and the copy of ``values`` unless ``consume``) live in the
+    workspace slots named after ``slot``; they stay valid until the next
+    scan with the same ``slot`` on the same thread.
     """
     nsx = nsx or _numpy_singleton
     totals_shape = values.shape[:-1] + (index.num_segments,)
@@ -656,17 +667,29 @@ def segmented_cumsum_exclusive(
             lens=sub_lens,
             of_item=np.repeat(np.arange(sub_lens.shape[0], dtype=np.int64), sub_lens),
         )
-        excl, sub_totals = segmented_cumsum_exclusive(values, sub, consume=consume, nsx=nsx)
+        excl, sub_totals = segmented_cumsum_exclusive(
+            values, sub, consume=consume, nsx=nsx, ws=ws, slot=slot
+        )
         totals = nsx.zeros(totals_shape)
         totals[..., nsx.asarray(~empty)] = sub_totals
         return excl, totals
+
+    def buffer(name, shape, dtype):
+        if ws is None:
+            return nsx.empty(shape, dtype=dtype)
+        return ws.take(f"{slot}.{name}", shape, dtype)
+
+    dtype = nsx.dtype_of(values)
     seg = nsx.segments(index)
-    totals = nsx.segment_sum(values, seg)
-    adj = values if consume else nsx.copy(values)
+    totals = nsx.segment_sum(values, seg, out=buffer("totals", totals_shape, dtype))
+    adj = values
+    if not consume:
+        adj = buffer("adj", values.shape, dtype)
+        adj[...] = values
     if index.starts.size > 1:
         adj[..., seg.starts[1:]] -= totals[..., :-1]
     adj = nsx.cumsum_last(adj, out=adj)
-    excl = nsx.empty(adj.shape, dtype=nsx.dtype_of(adj))
+    excl = buffer("excl", adj.shape, dtype)
     excl[..., 0] = 0.0
     excl[..., 1:] = adj[..., :-1]
     # The shifted scan leaks the previous segment's (re-centred) running
@@ -676,7 +699,10 @@ def segmented_cumsum_exclusive(
 
 
 def segment_transmittance_exclusive(
-    alphas, index: SegmentIndex, nsx: ArrayNamespace | None = None
+    alphas,
+    index: SegmentIndex,
+    nsx: ArrayNamespace | None = None,
+    ws: Workspace | None = None,
 ):
     """Front-to-back exclusive transmittance ``T_i = Π_{j<i} (1 − α_j)``.
 
@@ -685,331 +711,40 @@ def segment_transmittance_exclusive(
     alphas out of the scan), and every segment starts at an exact 1.0.
     """
     nsx = nsx or _numpy_singleton
-    log_one_minus = nsx.negative(alphas)
+    logt = None if ws is None else ws.take("logt", alphas.shape)
+    log_one_minus = nsx.negative(alphas, out=logt)
     nsx.log1p(log_one_minus, out=log_one_minus)
-    log_excl, _ = segmented_cumsum_exclusive(log_one_minus, index, consume=True, nsx=nsx)
+    log_excl, _ = segmented_cumsum_exclusive(
+        log_one_minus, index, consume=True, nsx=nsx, ws=ws, slot="trans"
+    )
     nsx.minimum(log_excl, 0.0, out=log_excl)
     return nsx.exp(log_excl, out=log_excl)
 
 
 # ---------------------------------------------------------------------------
-# Unpooled span kernels (single view; foveated / backward / oracle paths)
+# Span kernels
 #
-# These take host-resident spans and return host-resident results; the
-# namespace round-trip happens inside each kernel.  On the numpy namespace
-# every call below is the exact expression the engine always ran.
-# ---------------------------------------------------------------------------
-
-
-def span_quad(nsx: ArrayNamespace, projected: ProjectedGaussians, spans: RowSpans):
-    """Mahalanobis quadratic form per (lane, span), ``(ts, R)``, host array.
-
-    The x offsets are shared by all rows of a pair (one gather from a
-    per-pair table); the y offsets are scalars per span.  Evaluation order
-    matches :func:`repro.splat.rasterizer.splat_alphas` bit for bit.
-    """
-    seg = spans.seg
-    geom = seg.geometry
-    means = projected.means2d[seg.pair_splats]
-    conics = projected.conics[seg.pair_splats]
-
-    # (ts, K) pixel-centre x minus mean; both terms exactly representable.
-    dx_pair = geom.lane_x[:, None] + geom.origin_x[seg.pair_tiles][None, :]
-    dx_pair -= means[None, :, 0]
-
-    sp = spans.span_pair
-    dx_host = dx_pair[:, sp]  # (ts, R)
-    dy_host = (spans.span_y + 0.5) - means[sp, 1]  # (R,)
-
-    dx = nsx.asarray(dx_host)
-    dy = nsx.asarray(dy_host)
-    quad = nsx.multiply(nsx.asarray((2.0 * conics[sp, 1]))[None, :], dx)
-    quad = nsx.multiply(quad, dy[None, :], out=quad)
-    dx = nsx.multiply(dx, dx, out=dx)
-    dx = nsx.multiply(dx, nsx.asarray(conics[sp, 0])[None, :], out=dx)
-    quad = nsx.add(quad, dx, out=quad)
-    quad = nsx.add(quad, nsx.asarray(conics[sp, 2] * (dy_host * dy_host))[None, :], out=quad)
-    return nsx.to_numpy(nsx.maximum(quad, 0.0, out=quad))
-
-
-def exp_neg_half(nsx: ArrayNamespace, quad):
-    """``exp(-quad/2)`` (off-ellipse slots underflow toward zero)."""
-    out = nsx.multiply(nsx.asarray(quad), -0.5)
-    return nsx.to_numpy(nsx.exp(out, out=out))
-
-
-def clamp_alphas(nsx: ArrayNamespace, raw):
-    """The rasterizer's intersect test: zero below 1/255, clamp near 1.
-
-    Multiplying by the boolean keep-mask zeroes sub-threshold slots
-    exactly, matching the reference ``np.where``.  On the numpy namespace
-    this runs in place over ``raw``.
-    """
-    a = nsx.asarray(raw)
-    keep = nsx.greater_equal(a, ALPHA_EPS)
-    a = nsx.minimum(a, ALPHA_CLAMP, out=a)
-    a = nsx.multiply(a, keep, out=a)
-    return nsx.to_numpy(a)
-
-
-def span_alphas(nsx: ArrayNamespace, projected: ProjectedGaussians, spans: RowSpans):
-    """Per-(lane, span) alphas and the quadratic form, ``(ts, R)``.
-
-    Off-image lanes of edge tiles are evaluated like any other slot; they
-    form lane columns that are never scattered into the frame, and the
-    statistics/gradient reductions mask them out explicitly.
-
-    The exp/opacity/intersect-test chain runs namespace-resident in one
-    pass (the op-for-op fusion of :func:`exp_neg_half` +
-    :func:`clamp_alphas`), so device namespaces cross the host boundary
-    once instead of per step.
-    """
-    quad = span_quad(nsx, projected, spans)
-    opac = projected.opacities[spans.seg.pair_splats][spans.span_pair]
-    a = nsx.multiply(nsx.asarray(quad), -0.5)
-    a = nsx.exp(a, out=a)
-    a = nsx.multiply(a, nsx.asarray(opac)[None, :], out=a)
-    keep = nsx.greater_equal(a, ALPHA_EPS)
-    a = nsx.minimum(a, ALPHA_CLAMP, out=a)
-    a = nsx.multiply(a, keep, out=a)
-    return nsx.to_numpy(a), quad
-
-
-def foveated_level_alphas(nsx: ArrayNamespace, base_exp, span_opacities):
-    """One quality level's span alphas from the shared Gaussian-exp table.
-
-    The foveated pipeline evaluates ``exp(-q/2)`` once per frame over the
-    union of its composite passes' spans and re-scales it per pass:
-    ``base_exp`` is the ``(ts, R_sub)`` gather of that table covering the
-    pass's span list, and ``span_opacities`` the per-span level opacity
-    ``(R_sub,)``.  Level filtering already happened in the span list
-    itself (spans whose pair fails the quality bound were compacted away),
-    so every span here contributes.  Operation order matches the historical
-    monolithic foveated path bit for bit on the numpy namespace.
-    """
-    return clamp_alphas(nsx, span_opacities[None, :] * base_exp)
-
-
-def weights_final(
-    nsx: ArrayNamespace, alphas, spans: RowSpans, keep_trans: bool = False
-):
-    """Transmittance scan: ``(trans_excl, weights, final_trans (ts, Q))``.
-
-    ``final_trans`` replicates the reference early-termination rule exactly:
-    the reference evaluates ``active`` at the *tile's* last splat, which for
-    a pixel whose trailing splats carry no span is the group's final
-    transmittance itself rather than the transmittance before the last
-    contribution.
-
-    Unless ``keep_trans``, the weights are computed in the scan's buffer and
-    the first element of the returned tuple is ``None``.
-    """
-    a = nsx.asarray(alphas)
-    trans = segment_transmittance_exclusive(a, spans.groups, nsx=nsx)
-    seg = nsx.segments(spans.groups)
-    trans_last = nsx.copy(trans[:, seg.last])
-    tau = trans_last * (1.0 - a[:, seg.last])
-    gate = nsx.where(nsx.asarray(spans.group_has_tile_last)[None, :], trans_last, tau)
-    final = nsx.where(nsx.greater_equal(gate, TRANSMITTANCE_EPS), tau, 0.0)
-
-    active = nsx.greater_equal(trans, TRANSMITTANCE_EPS)
-    weights = trans * a if keep_trans else nsx.multiply(trans, a, out=trans)
-    weights = nsx.multiply(weights, active, out=weights)
-    return (
-        nsx.to_numpy(trans) if keep_trans else None,
-        nsx.to_numpy(weights),
-        nsx.to_numpy(final),
-    )
-
-
-def composite_groups(
-    nsx: ArrayNamespace,
-    weights,
-    final,
-    span_colors,
-    groups: SegmentIndex,
-    tile_size: int,
-    background: np.ndarray,
-    color_perm=None,
-):
-    """Per-group composited colours, ``(Q, ts, 3)`` host array.
-
-    The per-channel reduction ``Σ w_i c_i`` over every pixel-row group,
-    plus the final-transmittance background term; the caller scatters the
-    result into its frame(s).
-    """
-    seg = nsx.segments(groups)
-    w = nsx.asarray(weights)
-    f = nsx.asarray(final)
-    colors = nsx.asarray(span_colors)
-    perm = None if color_perm is None else nsx.index(color_perm)
-    scratch = nsx.empty(w.shape, dtype=nsx.dtype_of(w))
-    pixels = nsx.empty((groups.num_segments, tile_size, 3))
-    for c in range(3):
-        channel = colors[:, c]
-        slot = channel[None, :] if perm is None else channel[perm]
-        nsx.multiply(w, slot, out=scratch)
-        pixel = nsx.segment_sum(scratch, seg)  # (ts, Q)
-        pixel = nsx.add(pixel, f * background[c], out=pixel)
-        pixels[:, :, c] = pixel.T
-    return nsx.to_numpy(pixels)
-
-
-def per_pixel_permutation(
-    nsx: ArrayNamespace, pair_depths, span_pair, quad, groups: SegmentIndex
-):
-    """StopThePop ordering: per-pixel depth permutation within each group.
-
-    Matches the reference backend exactly (including ties): a stable sort by
-    per-pixel depth followed by a stable sort by group id keeps groups
-    contiguous while ordering each lane by depth with original-order
-    tie-breaking.
-    """
-    base = nsx.asarray(pair_depths[span_pair])
-    depths = base[None, :] * (1.0 + 0.01 * nsx.asarray(quad))
-    by_depth = nsx.argsort_stable_last(depths)
-    of_item = nsx.segments(groups).of_item
-    groups_sorted = of_item[by_depth]
-    by_group = nsx.argsort_stable_last(groups_sorted)
-    return nsx.to_numpy(nsx.take_along_last(by_depth, by_group))
-
-
-def dominated_counts(
-    nsx: ArrayNamespace,
-    projected: ProjectedGaussians,
-    spans: RowSpans,
-    weights,
-    num_points: int,
-    lane_ok: np.ndarray,
-    orig_cols=None,
-):
-    """Val_i: per-point count of pixels it dominates (max ``T_i α_i``).
-
-    Ties resolve to the earliest pair in depth order, matching the
-    reference ``argmax``; ``orig_cols`` maps permuted slots back to their
-    original spans on the per-pixel-sorted path.  ``lane_ok`` is the host
-    ``(Q, ts)`` on-image lane mask.
-    """
-    dominated = np.zeros(num_points, dtype=np.int64)
-    seg = nsx.segments(spans.groups)
-    w = nsx.asarray(weights)
-    wmax = nsx.segment_max(w, seg)  # (ts, Q)
-    has_any = nsx.to_numpy(nsx.greater(wmax, 0.0)) & lane_ok.T
-    if orig_cols is None:
-        cols = nsx.index(np.arange(spans.num_spans, dtype=np.int64))[None, :]
-    else:
-        cols = nsx.index(orig_cols)
-    # cand = where(weights == per-group max and > 0, span column, R): the
-    # winners minimum then resolves ties to the earliest span in depth order.
-    is_max = nsx.equal(w, nsx.take(wmax, seg.of_item, axis=w.ndim - 1))
-    is_max = is_max & nsx.greater(w, 0.0)
-    cand = nsx.where(is_max, cols, spans.num_spans)
-    winners = nsx.to_numpy(nsx.segment_min(cand, seg))  # (ts, Q)
-    winner_pairs = spans.span_pair[winners[has_any]]
-    pids = projected.point_ids[spans.seg.pair_splats[winner_pairs]]
-    np.add.at(dominated, pids, 1)
-    return dominated
-
-
-def backward_grads(
-    nsx: ArrayNamespace,
-    projected: ProjectedGaussians,
-    spans: RowSpans,
-    grad_image: np.ndarray,
-    background: np.ndarray,
-    num_points: int,
-    lane_index: np.ndarray,
-    lane_ok: np.ndarray,
-) -> RasterGradients:
-    """Analytic backward over one view's spans (see ``rasterize_backward``).
-
-    ``lane_index`` / ``lane_ok`` are the host ``(Q, ts)`` flat-image index
-    and on-image mask of every group lane.
-    """
-    seg = spans.seg
-    alphas_h, quad = span_alphas(nsx, projected, spans)
-    trans_h, weights_h, final_h = weights_final(nsx, alphas_h, spans, keep_trans=True)
-
-    # dL/dimage per group lane (zero on off-image lanes), lanes-first.
-    ts = seg.grid.tile_size
-    g_group = np.zeros((spans.num_groups, ts, 3))
-    g_group[lane_ok] = grad_image.reshape(-1, 3)[lane_index[lane_ok]]
-    g_lanes_h = np.ascontiguousarray(g_group.transpose(1, 0, 2))  # (ts, Q, 3)
-
-    span_colors = projected.colors[seg.pair_splats][spans.span_pair]  # (R, 3)
-    g_lanes = nsx.asarray(g_lanes_h)
-    weights = nsx.asarray(weights_h)
-    trans = nsx.asarray(trans_h)
-    alphas = nsx.asarray(alphas_h)
-    of_item = nsx.segments(spans.groups).of_item
-    gc = nsx.zeros(weights.shape, dtype=nsx.dtype_of(weights))  # (ts, R): g·c_i
-    span_grad_color = np.empty((spans.num_spans, 3))
-    for c in range(3):
-        g_c = nsx.take(g_lanes[:, :, c], of_item, axis=1)
-        gc = nsx.add(gc, nsx.asarray(span_colors[:, c])[None, :] * g_c, out=gc)
-        span_grad_color[:, c] = nsx.to_numpy(nsx.sum_axis0(weights * g_c))
-
-    # Suffix sums S_i = Σ_{j>i} contrib_j + T_N (g·bg), per pixel.
-    contrib = weights * gc
-    excl, totals = segmented_cumsum_exclusive(contrib, spans.groups, nsx=nsx)
-    bg_term = nsx.matvec(g_lanes, nsx.asarray(background))  # (ts, Q)
-    bg_term = nsx.multiply(nsx.asarray(final_h), bg_term, out=bg_term)
-    suffix_after = nsx.take(totals, of_item, axis=totals.ndim - 1) - (excl + contrib)
-    suffix_after = nsx.add(
-        suffix_after, nsx.take(bg_term, of_item, axis=bg_term.ndim - 1),
-        out=suffix_after,
-    )
-
-    grad_alpha = trans * gc
-    grad_alpha = nsx.add(
-        grad_alpha, -(suffix_after / nsx.maximum(1.0 - alphas, 1e-6)), out=grad_alpha
-    )
-    live = (
-        nsx.greater_equal(trans, TRANSMITTANCE_EPS)
-        & nsx.greater(alphas, 0.0)
-        & nsx.greater(ALPHA_CLAMP, alphas)
-    )
-    grad_alpha = nsx.multiply(grad_alpha, live, out=grad_alpha)
-
-    # dα/do = e^{-q/2}; dα/du = α·q (since dq/du = -2q, dα/dq = -α/2).
-    exp_term = nsx.asarray(exp_neg_half(nsx, quad))
-    pids = projected.point_ids[seg.pair_splats][spans.span_pair]
-    grad_color = np.zeros((num_points, 3))
-    grad_opacity = np.zeros(num_points)
-    grad_log_scale = np.zeros(num_points)
-    np.add.at(grad_color, pids, span_grad_color)
-    np.add.at(grad_opacity, pids, nsx.to_numpy(nsx.sum_axis0(grad_alpha * exp_term)))
-    np.add.at(
-        grad_log_scale,
-        pids,
-        nsx.to_numpy(nsx.sum_axis0(grad_alpha * alphas * nsx.asarray(quad))),
-    )
-    return RasterGradients(
-        color=grad_color, opacity=grad_opacity, log_scale=grad_log_scale
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pooled batch kernels (forward / forward_batch fast path)
-#
-# These keep intermediates namespace-resident between kernels: the caller
-# builds a BatchTables once per chunk and every scan below reads/writes
-# workspace slots, so a batch of one view is bit-identical to the PR 1
-# unbatched forward pass on the numpy namespace.
+# Every pass of the packed engine runs on these: the standard and batched
+# forward, the foveated and multi-model frames, and the backward pass.  The
+# caller builds one BatchTables per chunk; intermediates stay
+# namespace-resident in workspace slots between kernels, so repeated
+# renders touch only warm pages.  All span matrices are lanes-first,
+# ``(tile_size, R)``.
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class BatchTables:
-    """Namespace-resident gather tables and span indexes of one batch chunk."""
+    """Namespace-resident span rows and per-pair gather tables of one chunk.
+
+    ``span_pair`` indexes the pair tables, which concatenate every view of
+    the chunk, so one flat gather serves spans from any frame.
+    """
 
     tile_size: int
     num_spans: int
-    num_groups: int
     span_pair: Any  # (R,) int64 rows into the pair tables
     span_y: Any  # (R,) float64 pixel rows (exact integers)
-    groups: SegmentArrays
-    group_has_tile_last: Any  # (Q,) bool
     means: Any  # (K, 2)
     conics: Any  # (K, 3)
     opacities: Any  # (K,)
@@ -1019,39 +754,34 @@ class BatchTables:
 
     @staticmethod
     def build(
-        nsx: ArrayNamespace,
-        batch: SpanBatch,
-        tile_size: int,
-        pair_means: np.ndarray,
-        pair_conics: np.ndarray,
-        pair_opacities: np.ndarray,
-        pair_colors: np.ndarray,
-        pair_origin_x: np.ndarray,
-        pair_depths: np.ndarray,
+        nsx: ArrayNamespace, batch: SpanBatch, pairs: Mapping[str, np.ndarray]
     ) -> "BatchTables":
+        """Move a batch's span rows and its host pair tables to ``nsx``.
+
+        ``pairs`` holds the host tables by name (``means``, ``conics``,
+        ``opacities``, ``colors``, ``origin_x``, ``depths``); other entries
+        are ignored.
+        """
         return BatchTables(
-            tile_size=tile_size,
+            tile_size=batch.views[0].seg.grid.tile_size,
             num_spans=batch.num_spans,
-            num_groups=batch.num_groups,
             span_pair=nsx.index(batch.span_pair),
             span_y=nsx.asarray(np.asarray(batch.span_y, dtype=np.float64)),
-            groups=nsx.segments(batch.groups),
-            group_has_tile_last=nsx.asarray(batch.group_has_tile_last),
-            means=nsx.asarray(pair_means),
-            conics=nsx.asarray(pair_conics),
-            opacities=nsx.asarray(pair_opacities),
-            colors=nsx.asarray(pair_colors),
-            origin_x=nsx.asarray(pair_origin_x),
-            depths=nsx.asarray(pair_depths),
+            means=nsx.asarray(pairs["means"]),
+            conics=nsx.asarray(pairs["conics"]),
+            opacities=nsx.asarray(pairs["opacities"]),
+            colors=nsx.asarray(pairs["colors"]),
+            origin_x=nsx.asarray(pairs["origin_x"]),
+            depths=nsx.asarray(pairs["depths"]),
         )
 
 
 def batch_span_quad(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables):
-    """Mahalanobis quadratic form over a whole batch, ``(ts, R)``.
+    """Mahalanobis quadratic form per (lane, span), ``(ts, R)``.
 
-    Same evaluation order as :func:`span_quad` (every rewrite into a
-    workspace buffer commutes bitwise), so a batch of one view is
-    bit-identical to the unbatched forward pass.
+    The x offsets are shared by all rows of a pair (one gather from a
+    per-pair table); the y offsets are scalars per span.  Evaluation order
+    matches :func:`repro.splat.rasterizer.splat_alphas` bit for bit.
     """
     sp = bt.span_pair
     ts, k, r = bt.tile_size, bt.means.shape[0], bt.num_spans
@@ -1085,67 +815,115 @@ def batch_span_quad(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables):
     return nsx.maximum(quad, 0.0, out=quad)
 
 
-def batch_span_alphas(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables, quad):
-    """Alphas over a whole batch (cf. :func:`span_alphas`), ``quad`` kept."""
-    alphas = ws.take("alphas", quad.shape)
-    nsx.multiply(quad, -0.5, out=alphas)
-    nsx.exp(alphas, out=alphas)
-    alphas = nsx.multiply(alphas, bt.opacities[bt.span_pair][None, :], out=alphas)
+def exp_neg_half(nsx: ArrayNamespace, quad, out=None):
+    """``exp(-quad/2)`` (off-ellipse slots underflow toward zero).
+
+    ``out`` may be ``quad`` itself when the quadratic form is not needed
+    afterwards.
+    """
+    out = nsx.multiply(quad, -0.5, out=out)
+    return nsx.exp(out, out=out)
+
+
+def batch_intersect_test(nsx: ArrayNamespace, ws: Workspace, alphas):
+    """The rasterizer's intersect test, in place: zero below 1/255, clamp near 1.
+
+    Multiplying by the boolean keep-mask zeroes sub-threshold slots
+    exactly, matching the reference ``np.where``.
+    """
     keep = ws.take("keep", alphas.shape, nsx.bool_)
     nsx.greater_equal(alphas, ALPHA_EPS, out=keep)
     nsx.minimum(alphas, ALPHA_CLAMP, out=alphas)
-    alphas = nsx.multiply(alphas, keep, out=alphas)
-    return alphas
+    return nsx.multiply(alphas, keep, out=alphas)
 
 
-def batch_weights_final(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables, alphas):
-    """Transmittance scan over a whole batch: ``(weights, final)``.
+def batch_span_alphas(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables, quad):
+    """Per-(lane, span) alphas, ``(ts, R)``, with ``quad`` left intact.
 
-    Inlines :func:`weights_final` / :func:`segment_transmittance_exclusive`
-    with workspace buffers, in the exact same operation order.  Batch groups
-    are never empty (each view contributes only its non-empty ``(tile,
-    row)`` runs), so the scan needs no empty-segment widening.
+    Off-image lanes of edge tiles are evaluated like any other slot; they
+    form lane columns that are never scattered into the frame, and the
+    statistics/gradient reductions mask them out explicitly.
     """
-    seg = bt.groups
+    alphas = exp_neg_half(nsx, quad, out=ws.take("alphas", quad.shape))
+    alphas = nsx.multiply(alphas, bt.opacities[bt.span_pair][None, :], out=alphas)
+    return batch_intersect_test(nsx, ws, alphas)
 
-    logt = ws.take("logt", alphas.shape)
-    nsx.negative(alphas, out=logt)
-    nsx.log1p(logt, out=logt)
-    totals = ws.take("totals", alphas.shape[:-1] + (seg.num_segments,))
-    nsx.segment_sum(logt, seg, out=totals)
-    if seg.num_segments > 1:
-        logt[..., seg.starts[1:]] -= totals[..., :-1]
-    logt = nsx.cumsum_last(logt, out=logt)
-    excl = ws.take("excl", alphas.shape)
-    excl[..., 0] = 0.0
-    excl[..., 1:] = logt[..., :-1]
-    excl[..., seg.starts] = 0.0
-    nsx.minimum(excl, 0.0, out=excl)
-    trans = nsx.exp(excl, out=excl)
 
-    trans_last = nsx.copy(trans[:, seg.last])
-    tau = trans_last * (1.0 - alphas[:, seg.last])
-    gate = nsx.where(bt.group_has_tile_last[None, :], trans_last, tau)
+def batch_level_alphas(nsx: ArrayNamespace, ws: Workspace, base_exp, cols, span_opacities):
+    """Alphas of quality-level passes from one shared ``exp(-q/2)`` table.
+
+    The foveated pipeline evaluates the Gaussian exp once per chunk over
+    the union of its passes' spans; ``cols`` (host, ``(R_scan,)``) picks
+    each scanned span's column of ``base_exp`` and ``span_opacities``
+    (host, ``(R_scan,)``) is that span's level opacity.  Level filtering
+    already happened in the span lists themselves, so every span here
+    contributes.
+    """
+    alphas = ws.take("alphas", (base_exp.shape[0], len(cols)))
+    nsx.take(base_exp, nsx.index(cols), axis=1, out=alphas)
+    alphas = nsx.multiply(alphas, nsx.asarray(span_opacities)[None, :], out=alphas)
+    return batch_intersect_test(nsx, ws, alphas)
+
+
+def batch_transmittance(
+    nsx: ArrayNamespace,
+    ws: Workspace,
+    alphas,
+    groups: SegmentIndex,
+    group_has_tile_last: np.ndarray,
+):
+    """Transmittance scan: ``(trans (ts, R), final (ts, Q))``.
+
+    ``final`` replicates the reference early-termination rule exactly: the
+    reference evaluates ``active`` at the *tile's* last splat, which for a
+    pixel whose trailing splats carry no span is the group's final
+    transmittance itself rather than the transmittance before the last
+    contribution.  ``group_has_tile_last`` (host, ``(Q,)``) marks groups
+    whose last span is the tile's last pair.
+    """
+    trans = segment_transmittance_exclusive(alphas, groups, nsx=nsx, ws=ws)
+    last = nsx.index(groups.last)
+    trans_last = trans[:, last]
+    tau = trans_last * (1.0 - alphas[:, last])
+    gate = nsx.where(nsx.asarray(group_has_tile_last)[None, :], trans_last, tau)
     final = nsx.where(nsx.greater_equal(gate, TRANSMITTANCE_EPS), tau, 0.0)
+    return trans, final
 
+
+def batch_weights(nsx: ArrayNamespace, ws: Workspace, trans, alphas, keep_trans: bool = False):
+    """Blend weights ``T·α``, zeroed where early termination fired.
+
+    Computed in ``trans``'s buffer unless ``keep_trans`` (the backward pass
+    reads ``T`` afterwards).
+    """
     active = ws.take("active", alphas.shape, nsx.bool_)
     nsx.greater_equal(trans, TRANSMITTANCE_EPS, out=active)
-    weights = nsx.multiply(trans, alphas, out=trans)
-    weights = nsx.multiply(weights, active, out=weights)
-    return weights, final
+    weights = ws.take("weights", alphas.shape) if keep_trans else trans
+    weights = nsx.multiply(trans, alphas, out=weights)
+    return nsx.multiply(weights, active, out=weights)
 
 
-def batch_per_pixel_permutation(nsx: ArrayNamespace, bt: BatchTables, quad):
-    """StopThePop ordering across a batch (cf. :func:`per_pixel_permutation`).
+def batch_span_colors(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables):
+    """Per-span colours ``(R, 3)`` gathered from the pair table."""
+    span_colors = ws.take("span_colors", (bt.num_spans, 3))
+    return nsx.take(bt.colors, bt.span_pair, axis=0, out=span_colors)
 
-    The stable depth-then-group double sort permutes only within groups, and
-    group ids are strictly increasing across views, so each view's pixels get
-    exactly the ordering the unbatched path would produce.
+
+def batch_per_pixel_permutation(
+    nsx: ArrayNamespace, bt: BatchTables, quad, groups: SegmentIndex
+):
+    """StopThePop ordering: per-pixel depth permutation within each group.
+
+    Matches the reference backend exactly (including ties): a stable sort by
+    per-pixel depth followed by a stable sort by group id keeps groups
+    contiguous while ordering each lane by depth with original-order
+    tie-breaking.  Group ids increase across views, so each view of a batch
+    gets exactly the ordering it would get alone.
     """
     base = bt.depths[bt.span_pair]
     depths = base[None, :] * (1.0 + 0.01 * quad)
     by_depth = nsx.argsort_stable_last(depths)
-    groups_sorted = bt.groups.of_item[by_depth]
+    groups_sorted = nsx.index(groups.of_item)[by_depth]
     by_group = nsx.argsort_stable_last(groups_sorted)
     return nsx.take_along_last(by_depth, by_group)
 
@@ -1153,16 +931,23 @@ def batch_per_pixel_permutation(nsx: ArrayNamespace, bt: BatchTables, quad):
 def batch_composite(
     nsx: ArrayNamespace,
     ws: Workspace,
-    bt: BatchTables,
     weights,
     final,
+    span_colors,
+    groups: SegmentIndex,
     background: np.ndarray,
     perm=None,
 ) -> np.ndarray:
-    """One compositing reduction over the whole batch → host ``(Q, ts, 3)``."""
-    ts, r, q = bt.tile_size, bt.num_spans, bt.num_groups
-    span_colors = ws.take("span_colors", (r, 3))
-    nsx.take(bt.colors, bt.span_pair, axis=0, out=span_colors)
+    """Per-group composited colours, host ``(Q, ts, 3)``.
+
+    The per-channel reduction ``Σ w_i c_i`` over every pixel-row group plus
+    the final-transmittance background term; ``span_colors`` is the
+    namespace ``(R, 3)`` colour of each span and ``perm`` the per-pixel
+    ordering, if any.  The caller scatters the result into its frame(s)
+    before the next kernel call reuses the buffer.
+    """
+    ts, q = weights.shape[0], groups.num_segments
+    seg = nsx.segments(groups)
     scratch = ws.take("scratch", weights.shape)
     pixel = ws.take("pixel", (ts, q))
     pixels = ws.take("pixels", (q, ts, 3))
@@ -1170,7 +955,7 @@ def batch_composite(
         channel = span_colors[:, c]
         slot = channel[None, :] if perm is None else channel[perm]
         nsx.multiply(weights, slot, out=scratch)
-        nsx.segment_sum(scratch, bt.groups, out=pixel)  # (ts, Q)
+        nsx.segment_sum(scratch, seg, out=pixel)  # (ts, Q)
         pixel = nsx.add(pixel, final * background[c], out=pixel)
         pixels[:, :, c] = pixel.T
     return nsx.to_numpy(pixels)
@@ -1179,26 +964,28 @@ def batch_composite(
 def batch_dominated_winners(
     nsx: ArrayNamespace,
     ws: Workspace,
-    bt: BatchTables,
     weights,
+    groups: SegmentIndex,
     lane_ok: np.ndarray,
     perm=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Val_i winner selection over a whole batch → host ``(winners, has_any)``.
+    """Val_i winner selection → host ``(winners, has_any)``.
 
     ``winners`` is the ``(ts, Q)`` span column dominating each pixel (or
     ``R`` where no span contributes), ``has_any`` the ``(ts, Q)`` mask of
-    pixels with a positive, on-image dominating weight.  The caller maps
-    winners through the batch pair tables and accumulates per view.
+    pixels with a positive, on-image dominating weight (``lane_ok`` is the
+    host ``(Q, ts)`` on-image lane mask).  Ties resolve to the earliest
+    span in depth order, matching the reference ``argmax``; ``perm`` maps
+    permuted slots back to their spans on the per-pixel-sorted path.  The
+    caller maps winners through the pair tables and accumulates per view.
     """
-    ts, r, q = bt.tile_size, bt.num_spans, bt.num_groups
-    seg = bt.groups
-    wmax = ws.take("wmax", (ts, q))
+    ts, r = weights.shape
+    seg = nsx.segments(groups)
+    wmax = ws.take("wmax", (ts, groups.num_segments))
     nsx.segment_max(weights, seg, out=wmax)
     has_any = nsx.to_numpy(nsx.greater(wmax, 0.0)) & lane_ok.T
     # cand = where(weights == per-group max and > 0, span column, R): the
-    # winners minimum then resolves ties to the earliest span in depth
-    # order, exactly like the unbatched path.
+    # winners minimum then resolves ties to the earliest span in depth order.
     is_max = ws.take("is_max", weights.shape, nsx.bool_)
     gather = ws.take("wmax_gather", weights.shape)
     nsx.take(wmax, seg.of_item, axis=weights.ndim - 1, out=gather)
@@ -1212,9 +999,88 @@ def batch_dominated_winners(
         nsx.index(np.arange(r, dtype=np.int64))[None, :] if perm is None else perm
     )
     nsx.masked_assign(cand, orig_cols, is_max)
-    winners = ws.take("winners", (ts, q), nsx.int64)
+    winners = ws.take("winners", (ts, groups.num_segments), nsx.int64)
     nsx.segment_min(cand, seg, out=winners)
     return nsx.to_numpy(winners), has_any
+
+
+def backward_grads(
+    nsx: ArrayNamespace,
+    ws: Workspace,
+    bt: BatchTables,
+    groups: SegmentIndex,
+    group_has_tile_last: np.ndarray,
+    span_pids: np.ndarray,
+    grad_image: np.ndarray,
+    background: np.ndarray,
+    num_points: int,
+    lane_index: np.ndarray,
+    lane_ok: np.ndarray,
+) -> RasterGradients:
+    """Analytic backward over one view's spans (see ``rasterize_backward``).
+
+    ``span_pids`` is the host model point id of every span; ``lane_index``
+    / ``lane_ok`` are the host ``(Q, ts)`` flat-image index and on-image
+    mask of every group lane.
+    """
+    quad = batch_span_quad(nsx, ws, bt)
+    alphas = batch_span_alphas(nsx, ws, bt, quad)
+    trans, final = batch_transmittance(nsx, ws, alphas, groups, group_has_tile_last)
+    weights = batch_weights(nsx, ws, trans, alphas, keep_trans=True)
+
+    # dL/dimage per group lane (zero on off-image lanes), lanes-first.
+    g_group = np.zeros((groups.num_segments, bt.tile_size, 3))
+    g_group[lane_ok] = grad_image.reshape(-1, 3)[lane_index[lane_ok]]
+    g_lanes = nsx.asarray(np.ascontiguousarray(g_group.transpose(1, 0, 2)))  # (ts, Q, 3)
+
+    span_colors = batch_span_colors(nsx, ws, bt)  # (R, 3)
+    of_item = nsx.index(groups.of_item)
+    gc = nsx.zeros(weights.shape, dtype=nsx.dtype_of(weights))  # (ts, R): g·c_i
+    span_grad_color = np.empty((bt.num_spans, 3))
+    for c in range(3):
+        g_c = nsx.take(g_lanes[:, :, c], of_item, axis=1)
+        gc = nsx.add(gc, span_colors[:, c][None, :] * g_c, out=gc)
+        span_grad_color[:, c] = nsx.to_numpy(nsx.sum_axis0(weights * g_c))
+
+    # Suffix sums S_i = Σ_{j>i} contrib_j + T_N (g·bg), per pixel.
+    contrib = weights * gc
+    excl, totals = segmented_cumsum_exclusive(
+        contrib, groups, nsx=nsx, ws=ws, slot="suffix"
+    )
+    bg_term = nsx.matvec(g_lanes, nsx.asarray(background))  # (ts, Q)
+    bg_term = nsx.multiply(final, bg_term, out=bg_term)
+    suffix_after = nsx.take(totals, of_item, axis=totals.ndim - 1) - (excl + contrib)
+    suffix_after = nsx.add(
+        suffix_after, nsx.take(bg_term, of_item, axis=bg_term.ndim - 1),
+        out=suffix_after,
+    )
+
+    grad_alpha = trans * gc
+    grad_alpha = nsx.add(
+        grad_alpha, -(suffix_after / nsx.maximum(1.0 - alphas, 1e-6)), out=grad_alpha
+    )
+    live = (
+        nsx.greater_equal(trans, TRANSMITTANCE_EPS)
+        & nsx.greater(alphas, 0.0)
+        & nsx.greater(ALPHA_CLAMP, alphas)
+    )
+    grad_alpha = nsx.multiply(grad_alpha, live, out=grad_alpha)
+
+    # dα/do = e^{-q/2}; dα/du = α·q (since dq/du = -2q, dα/dq = -α/2).
+    exp_term = exp_neg_half(nsx, quad)
+    grad_color = np.zeros((num_points, 3))
+    grad_opacity = np.zeros(num_points)
+    grad_log_scale = np.zeros(num_points)
+    np.add.at(grad_color, span_pids, span_grad_color)
+    np.add.at(grad_opacity, span_pids, nsx.to_numpy(nsx.sum_axis0(grad_alpha * exp_term)))
+    np.add.at(
+        grad_log_scale,
+        span_pids,
+        nsx.to_numpy(nsx.sum_axis0(grad_alpha * alphas * quad)),
+    )
+    return RasterGradients(
+        color=grad_color, opacity=grad_opacity, log_scale=grad_log_scale
+    )
 
 
 def batch_scan_bytes_per_span(tile_size: int = 16) -> int:

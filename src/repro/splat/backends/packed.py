@@ -16,11 +16,12 @@ The numeric core lives in :mod:`repro.splat.backends.kernels`,
 parameterized by an array namespace: this module orchestrates span
 construction, chunking and the scatter back into frames, while every scan
 and reduction runs through the backend's ``nsx`` (numpy by default; the
-``packed-xp`` registry entry resolves torch/cupy at runtime).  The
-single-view ``forward`` routes through the same pooled batch kernels as a
-batch of one — bit-identical to the historical unpooled pass, but reusing
-the warm :class:`~repro.splat.backends.kernels.Workspace` arena across
-calls (~1.15x on repeated renders).
+``packed-xp`` registry entry resolves torch/cupy at runtime).  There is one
+kernel family: the standard forward (a batch of one view), the batched
+forward, the foveated and multi-model frames and the backward pass all run
+on the same span kernels, with their scratch in the backend's
+thread-local :class:`~repro.splat.backends.kernels.Workspace`, so repeated
+renders touch only warm pages.
 
 Work scales with the rasterized splat area rather than
 ``intersections × tile area`` (the reference loop's cost), which is where
@@ -57,24 +58,21 @@ from .kernels import (
     backward_grads,
     batch_composite,
     batch_dominated_winners,
+    batch_level_alphas,
     batch_per_pixel_permutation,
     batch_span_alphas,
+    batch_span_colors,
     batch_span_quad,
-    batch_weights_final,
-    composite_groups,
-    dominated_counts,
+    batch_transmittance,
+    batch_weights,
     exp_neg_half,
-    foveated_level_alphas,
     get_array_namespace,
-    per_pixel_permutation,
-    span_alphas,
-    span_quad,
-    weights_final,
 )
 from .segments import (
     PackedSegments,
     RowSpans,
     SegmentIndex,
+    SpanBatch,
     build_row_spans,
     build_segments,
     concat_spans,
@@ -103,25 +101,6 @@ def _group_pixel_index(spans: RowSpans) -> tuple[np.ndarray, np.ndarray]:
     base = spans.group_y * grid.width + geom.origin_x[spans.group_tile].astype(np.int64)
     idx = base[:, None] + np.arange(grid.tile_size, dtype=np.int64)[None, :]
     return idx, geom.lane_valid[spans.group_tile]
-
-
-def _scatter_composite(
-    nsx: ArrayNamespace,
-    image: np.ndarray,
-    weights: np.ndarray,
-    final: np.ndarray,
-    span_colors: np.ndarray,
-    spans: RowSpans,
-    background: np.ndarray,
-    color_perm: np.ndarray | None = None,
-) -> None:
-    """Accumulate composited colours into ``image`` (pre-filled with bg)."""
-    idx, ok = _group_pixel_index(spans)
-    pixels = composite_groups(
-        nsx, weights, final, span_colors, spans.groups,
-        spans.seg.grid.tile_size, background, color_perm,
-    )
-    image.reshape(-1, 3)[idx[ok]] = pixels[ok]
 
 
 # Cache-residency budget of one batched scan, in spans.  A batch scan's
@@ -260,104 +239,45 @@ def split_spans(spans: RowSpans, max_spans: int) -> list[RowSpans]:
     return pieces
 
 
-def forward_unpooled(
-    projected: ProjectedGaussians,
-    assignment: TileAssignment,
-    num_points: int,
-    background: np.ndarray,
-    collect_stats: bool = False,
-    per_pixel_sort: bool = False,
-    nsx: ArrayNamespace | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The historical single-view forward: fresh span temporaries per call.
-
-    This is the pre-pooling composition of the unpooled kernels, kept as
-    the bitwise oracle for :meth:`PackedBackend.forward` (which routes
-    through the pooled batch-of-one kernels instead) and as the baseline
-    of the repeated-render benchmark in ``bench_backend_speedup.py``.
-    """
-    nsx = nsx or get_array_namespace("numpy")
-    grid = assignment.grid
-    dominated = np.zeros(num_points, dtype=np.int64) if collect_stats else None
-    image = _background_frame(grid, background)
-    if assignment.num_intersections == 0:
-        return image, dominated
-
-    seg = build_segments(assignment)
-    spans = build_row_spans(projected, seg, full_rows=per_pixel_sort)
-    if spans.num_spans == 0:
-        return image, dominated
-    alphas, quad = span_alphas(nsx, projected, spans)
-
-    perm = None
-    if per_pixel_sort:
-        perm = per_pixel_permutation(
-            nsx, projected.depths[seg.pair_splats], spans.span_pair, quad,
-            spans.groups,
-        )
-        alphas = np.take_along_axis(alphas, perm, axis=-1)
-    del quad
-
-    _, weights, final = weights_final(nsx, alphas, spans)
-    span_colors = projected.colors[seg.pair_splats][spans.span_pair]
-    _scatter_composite(
-        nsx, image, weights, final, span_colors, spans, background,
-        color_perm=perm,
-    )
-
-    if collect_stats:
-        _, lane_ok = _group_pixel_index(spans)
-        dominated = dominated_counts(
-            nsx, projected, spans, weights, num_points, lane_ok, perm
-        )
-    return image, dominated
-
-
 def _batch_pair_tables(
     views: list[tuple[ProjectedGaussians, TileAssignment]],
     spans_list: list[RowSpans],
-) -> tuple[np.ndarray, ...]:
+) -> dict[str, np.ndarray]:
     """Concatenated per-pair gather tables aligned with a batch's pair rows.
 
     One gather per view, so every later batch-wide lookup (means, conics,
     colours, opacities, depths, point ids, tile x-origins) is a single flat
-    index into these tables regardless of which frame a span came from.
+    index into these host tables regardless of which frame a span came
+    from.  :meth:`BatchTables.build` moves them to the namespace.
     """
-    means, conics, opacities, colors, pids, origin_x, depths = (
-        [], [], [], [], [], [], []
-    )
+    tables: dict[str, list[np.ndarray]] = {
+        name: []
+        for name in ("means", "conics", "opacities", "colors", "pids", "origin_x", "depths")
+    }
     for (projected, _), spans in zip(views, spans_list):
         seg = spans.seg
         sel = seg.pair_splats
-        means.append(projected.means2d[sel])
-        conics.append(projected.conics[sel])
-        opacities.append(projected.opacities[sel])
-        colors.append(projected.colors[sel])
-        pids.append(projected.point_ids[sel])
-        origin_x.append(seg.geometry.origin_x[seg.pair_tiles])
-        depths.append(projected.depths[sel])
-    return (
-        np.concatenate(means),
-        np.concatenate(conics),
-        np.concatenate(opacities),
-        np.concatenate(colors),
-        np.concatenate(pids),
-        np.concatenate(origin_x),
-        np.concatenate(depths),
-    )
+        tables["means"].append(projected.means2d[sel])
+        tables["conics"].append(projected.conics[sel])
+        tables["opacities"].append(projected.opacities[sel])
+        tables["colors"].append(projected.colors[sel])
+        tables["pids"].append(projected.point_ids[sel])
+        tables["origin_x"].append(seg.geometry.origin_x[seg.pair_tiles])
+        tables["depths"].append(projected.depths[sel])
+    return {name: np.concatenate(parts) for name, parts in tables.items()}
 
 
 # ----------------------------------------------------------------------
 # Foveated span-stage decomposition
 #
-# The foveated frame is composed from the same span machinery as the
-# standard forward instead of a one-shot routine: a host-side *plan* (level
-# filtering compacts each composite pass to the spans whose pair passes its
-# level's quality bound, plus the blend-band tile selection), per-pass
-# alpha/colour *segments* against the array namespace, one shared batch
-# scan, and a final per-frame blend.  ``foveated_frame_batch`` concatenates
-# many frames' segments into a single scan; ``foveated_frame`` is a batch
-# of one through the identical code path.
+# The foveated frame is composed from the same span kernels as the
+# standard forward: a host-side *plan* (level filtering compacts each
+# composite pass to the spans whose pair passes its level's quality bound,
+# plus the blend-band tile selection), one chunk-wide exp table that every
+# pass gathers its alphas from, one shared transmittance scan and
+# composite, and a final per-frame blend.  ``foveated_frame_batch`` puts
+# many frames' passes into one scan; ``foveated_frame`` is a batch of one
+# through the identical code path.
 # ----------------------------------------------------------------------
 
 
@@ -370,18 +290,16 @@ class _FoveatedPlan:
     lists of both composite passes.  ``primary`` keeps only the spans whose
     pair passes its own tile's level bound; ``blend`` only the blend-band
     tiles' spans whose pair passes the second level's bound — filtered
-    points never reach the scan.  ``union`` is the span list of the frame's
-    one Gaussian-exp table (every span either pass scans), and
+    points never reach the scan.  ``union`` is the frame's share of the
+    chunk's Gaussian-exp table (every span either pass scans), and
     ``primary_cols``/``blend_cols`` index each pass's spans into it
     (``None``: the pass *is* the union).  ``level_spans`` are the per-level
-    tile subsets of ``primary`` that feed the accelerator model.  ``seg``
-    and the span lists are ``None`` for frames without intersections (they
-    render as pure background).
+    tile subsets of ``primary`` that feed the accelerator model.  The span
+    lists are ``None`` for frames without intersections (they render as
+    pure background).
     """
 
     maps: Any
-    seg: PackedSegments | None
-    pair_pids: np.ndarray | None  # (K,) model point id per pair
     pair_tl: np.ndarray | None  # (K,) primary level per pair
     pair_second: np.ndarray | None  # (K,) second (blend) level per pair
     union: RowSpans | None
@@ -428,7 +346,7 @@ def _foveated_plan(
     num_tiles = grid.num_tiles
     if assignment.num_intersections == 0:
         return _FoveatedPlan(
-            maps=maps, seg=None, pair_pids=None, pair_tl=None, pair_second=None,
+            maps=maps, pair_tl=None, pair_second=None,
             union=None, primary=None, primary_cols=None, blend=None,
             blend_cols=None, built=0,
             sort_ints=np.zeros(num_tiles, dtype=np.int64),
@@ -446,8 +364,7 @@ def _foveated_plan(
         seg, spans = cached
     tl = maps.tile_level
     second = maps.tile_second_level
-    pair_pids = projected.point_ids[seg.pair_splats]
-    pair_bounds = bounds[pair_pids]
+    pair_bounds = bounds[projected.point_ids[seg.pair_splats]]
     pair_tl = tl[seg.pair_tiles]
 
     # Filtering stage: points with quality bound below a level never reach
@@ -505,65 +422,13 @@ def _foveated_plan(
             level_spans[t] = primary.subset(tiles_t)
 
     return _FoveatedPlan(
-        maps=maps, seg=seg, pair_pids=pair_pids, pair_tl=pair_tl,
+        maps=maps, pair_tl=pair_tl,
         pair_second=pair_second, union=union, primary=primary,
         primary_cols=primary_cols, blend=blend, blend_cols=blend_cols,
         built=spans.num_spans, sort_ints=sort_ints, raster_ints=raster_ints,
         mix_full=mix_full, lo_t=lo_t, blend_pixels=blend_pixels,
         level_spans=level_spans,
     )
-
-
-@dataclasses.dataclass
-class _FoveatedSegment:
-    """One composite pass of one frame, riding the shared batch scan."""
-
-    frame: int  # chunk-local frame index
-    second: bool  # blend-band second-level pass (scatters into ``sec``)
-    spans: RowSpans
-    alphas: np.ndarray  # (ts, R)
-    colors: np.ndarray  # (R, 3)
-
-
-def _foveated_segments(
-    nsx: ArrayNamespace,
-    projected: ProjectedGaussians,
-    plan: _FoveatedPlan,
-    op_mat: np.ndarray,
-    de_mat: np.ndarray,
-    frame: int,
-) -> list[_FoveatedSegment]:
-    """One frame's composite passes as batch segments.
-
-    The primary pass covers the compacted primary span list (each tile at
-    its own level); when blend-band spans survive their bound, the
-    second-level pass becomes an extra segment of the same scan.  The
-    ``exp(-q/2)`` table is evaluated once per frame over the union of the
-    two passes' spans and gathered per pass by column index, so a span
-    both passes keep pays for one exp.
-    """
-    if plan.primary is None or plan.union.num_spans == 0:
-        return []
-    seg = plan.seg
-    base_exp = exp_neg_half(nsx, span_quad(nsx, projected, plan.union))
-
-    def level_pass(pair_levels, spans, cols):
-        sp = spans.span_pair
-        pids = plan.pair_pids[sp]
-        levels = pair_levels[sp]  # kept spans never index level 0
-        exp = base_exp if cols is None else base_exp[:, cols]
-        alphas = foveated_level_alphas(nsx, exp, op_mat[levels - 1, pids])
-        colors = projected.colors[seg.pair_splats[sp]] + de_mat[levels - 1, pids]
-        return alphas, colors
-
-    segments = []
-    if plan.primary.num_spans:
-        alphas, colors = level_pass(plan.pair_tl, plan.primary, plan.primary_cols)
-        segments.append(_FoveatedSegment(frame, False, plan.primary, alphas, colors))
-    if plan.blend is not None and plan.blend.num_spans:
-        alphas, colors = level_pass(plan.pair_second, plan.blend, plan.blend_cols)
-        segments.append(_FoveatedSegment(frame, True, plan.blend, alphas, colors))
-    return segments
 
 
 def _foveated_blend(
@@ -598,7 +463,7 @@ class PackedBackend:
         self.nsx = array_namespace or get_array_namespace("numpy")
         if name is not None:
             self.name = name
-        # Scratch arena of the pooled kernels, reused across calls (the
+        # Scratch arena of the span kernels, reused across calls (the
         # backend is a process-wide singleton) and owned by the namespace.
         self._ws = Workspace(self.nsx)
 
@@ -624,9 +489,7 @@ class PackedBackend:
         spans = build_row_spans(projected, seg, full_rows=per_pixel_sort)
         if spans.num_spans == 0:
             return _background_frame(grid, background), dominated
-        # Pooled single-view fast path: a batch of one through the same
-        # kernels as ``forward_batch`` — bit-identical to the historical
-        # unpooled pass, but on the warm workspace arena.
+        # A batch of one through the same kernels as ``forward_batch``.
         return self._forward_chunk(
             [(projected, assignment)], [spans], num_points, background,
             collect_stats, per_pixel_sort,
@@ -715,36 +578,18 @@ class PackedBackend:
         if batch.num_spans == 0:
             return list(zip(images, dominated))
 
-        ts = views[0][1].grid.tile_size
         nsx, ws = self.nsx, self._ws
         with backend_span("alpha-scan", args={"views": len(views), "spans": int(batch.num_spans)}):
-            (
-                pair_means,
-                pair_conics,
-                pair_opacities,
-                pair_colors,
-                pair_pids,
-                pair_origin_x,
-                pair_depths,
-            ) = _batch_pair_tables(views, spans_list)
-            bt = BatchTables.build(
-                nsx, batch, ts, pair_means, pair_conics, pair_opacities,
-                pair_colors, pair_origin_x, pair_depths,
-            )
-
-            quad = batch_span_quad(nsx, ws, bt)
-            alphas = batch_span_alphas(nsx, ws, bt, quad)
-
-            perm = None
-            if per_pixel_sort:
-                perm = batch_per_pixel_permutation(nsx, bt, quad)
-                alphas = nsx.take_along_last(alphas, perm)
-
-            weights, final = batch_weights_final(nsx, ws, bt, alphas)
+            pairs = _batch_pair_tables(views, spans_list)
+            bt = BatchTables.build(nsx, batch, pairs)
+            weights, final, perm = self._scan(bt, batch, per_pixel_sort)
 
         with backend_span("composite", args={"views": len(views)}):
             # One compositing reduction over the whole batch, scattered per view.
-            pixels = batch_composite(nsx, ws, bt, weights, final, background, perm)
+            pixels = batch_composite(
+                nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
+                batch.groups, background, perm,
+            )
             for v, spans in enumerate(spans_list):
                 if spans.num_groups == 0:
                     continue
@@ -756,7 +601,7 @@ class PackedBackend:
                 [s.seg.geometry.lane_valid[s.group_tile] for s in spans_list]
             )  # (Q, ts)
             winners, has_any = batch_dominated_winners(
-                nsx, ws, bt, weights, ok_all, perm
+                nsx, ws, weights, batch.groups, ok_all, perm
             )
             for v in range(len(views)):
                 gsl = batch.view_groups(v)
@@ -764,8 +609,24 @@ class PackedBackend:
                 if not sel.any():
                     continue
                 winner_pairs = batch.span_pair[winners[:, gsl][sel]]
-                np.add.at(dominated[v], pair_pids[winner_pairs], 1)
+                np.add.at(dominated[v], pairs["pids"][winner_pairs], 1)
         return list(zip(images, dominated))
+
+    def _scan(
+        self, bt: BatchTables, batch: SpanBatch, per_pixel_sort: bool
+    ) -> tuple[Any, Any, Any]:
+        """Alphas and transmittance of one batch: ``(weights, final, perm)``."""
+        nsx, ws = self.nsx, self._ws
+        quad = batch_span_quad(nsx, ws, bt)
+        alphas = batch_span_alphas(nsx, ws, bt, quad)
+        perm = None
+        if per_pixel_sort:
+            perm = batch_per_pixel_permutation(nsx, bt, quad, batch.groups)
+            alphas = nsx.take_along_last(alphas, perm)
+        trans, final = batch_transmittance(
+            nsx, ws, alphas, batch.groups, batch.group_has_tile_last
+        )
+        return batch_weights(nsx, ws, trans, alphas), final, perm
 
     def backward(
         self,
@@ -783,14 +644,17 @@ class PackedBackend:
         if assignment.num_intersections == 0:
             return result
 
-        seg = build_segments(assignment)
-        spans = build_row_spans(projected, seg)
+        spans = build_row_spans(projected, build_segments(assignment))
         if spans.num_spans == 0:
             return result
+        batch = concat_spans([spans])
+        pairs = _batch_pair_tables([(projected, assignment)], [spans])
         lane_index, lane_ok = _group_pixel_index(spans)
         return backward_grads(
-            self.nsx, projected, spans, grad_image, background, num_points,
-            lane_index, lane_ok,
+            self.nsx, self._ws, BatchTables.build(self.nsx, batch, pairs),
+            batch.groups, batch.group_has_tile_last,
+            pairs["pids"][batch.span_pair], grad_image, background,
+            num_points, lane_index, lane_ok,
         )
 
     def foveated_frame(
@@ -804,9 +668,9 @@ class PackedBackend:
         background: np.ndarray,
     ) -> FoveatedFrame:
         # A batch of one frame through the staged batch path (cf. ``forward``
-        # routing through the pooled batch-of-one kernels): the single-frame
-        # and batched entry points run the exact same code, so a batch of one
-        # is bit-identical to ``render_foveated`` by construction.
+        # running as a batch of one view): the single-frame and batched
+        # entry points run the exact same code, so a batch of one is
+        # bit-identical to ``render_foveated`` by construction.
         return self.foveated_frame_batch(
             [(projected, assignment)], [maps], bounds, level_opacity,
             level_delta, background,
@@ -824,14 +688,14 @@ class PackedBackend:
         """Render several foveated frames in one concatenated batch scan.
 
         Each frame decomposes into span-kernel stages (see
-        :func:`_foveated_plan` / :func:`_foveated_segments`): level filtering
+        :func:`_foveated_plan` / :meth:`_foveated_chunk`): level filtering
         compacts each composite pass's :class:`RowSpans` to the spans whose
         pair passes its quality bound, and the blend-band second-level pass
         becomes an *extra batch segment* riding the same scan as the primary
-        composite.  All frames' passes then share one transmittance /
-        compositing pipeline — only the per-frame span construction and
-        exp table, the scatter into each frame and the blend interpolation
-        remain per frame.  On CPU namespaces, frames are chunked to
+        composite.  All frames' passes then share one exp table,
+        transmittance scan and compositing reduction — only the per-frame
+        span construction, the scatter into each frame and the blend
+        interpolation remain per frame.  On CPU namespaces, frames are chunked to
         :func:`span_chunk_budget` *scanned* (post-filter) spans so the
         shared scan matrices stay cache-resident, exactly like
         :meth:`forward_batch`.
@@ -897,11 +761,24 @@ class PackedBackend:
         de_mat: np.ndarray,
         background: np.ndarray,
     ) -> list[FoveatedFrame]:
-        """One concatenated scan over a chunk of frames' composite passes."""
-        nsx = self.nsx
-        prim: list[np.ndarray] = []
-        sec: dict[int, np.ndarray] = {}
-        segments: list[_FoveatedSegment] = []
+        """One concatenated scan over a chunk of frames' composite passes.
+
+        The frames' union span lists share one quadratic form and one
+        ``exp(-q/2)`` table.  Each pass — a frame's primary pass, then its
+        blend-band pass — gathers its columns from that table and scales
+        them by the per-span level opacity, so a span both passes keep pays
+        for one exp.  Every pass then rides one transmittance scan and one
+        compositing reduction, in frame order.
+        """
+        nsx, ws = self.nsx, self._ws
+        prim = [_background_frame(a.grid, background) for (_, a), _ in chunk]
+        sec = {
+            f: _background_frame(a.grid, background)
+            for f, ((_, a), plan) in enumerate(chunk)
+            if plan.blend_pixels
+        }
+        live = [f for f, (_, plan) in enumerate(chunk) if plan.scanned]
+        passes: list[tuple[np.ndarray, RowSpans]] = []  # (target image, spans)
         # Work counters: spans the passes scan vs. spans built before level
         # filtering (the compaction saving).
         work = {
@@ -910,32 +787,48 @@ class PackedBackend:
             "built": sum(plan.built for _, plan in chunk),
         }
         with backend_span("alpha-scan", args=work):
-            for f, ((projected, assignment), plan) in enumerate(chunk):
-                prim.append(_background_frame(assignment.grid, background))
-                if plan.blend_pixels:
-                    sec[f] = _background_frame(assignment.grid, background)
-                segments.extend(
-                    _foveated_segments(nsx, projected, plan, op_mat, de_mat, f)
+            if live:
+                unions = concat_spans([chunk[f][1].union for f in live])
+                pairs = _batch_pair_tables([chunk[f][0] for f in live], unions.views)
+                base_exp = batch_span_quad(nsx, ws, BatchTables.build(nsx, unions, pairs))
+                base_exp = exp_neg_half(nsx, base_exp, out=base_exp)
+                cols, span_pair, levels = [], [], []
+                for i, f in enumerate(live):
+                    plan = chunk[f][1]
+                    for target, spans, pass_cols, pair_levels in (
+                        (prim[f], plan.primary, plan.primary_cols, plan.pair_tl),
+                        (sec.get(f), plan.blend, plan.blend_cols, plan.pair_second),
+                    ):
+                        if spans is None or spans.num_spans == 0:
+                            continue
+                        if pass_cols is None:  # the pass is the whole union
+                            pass_cols = np.arange(spans.num_spans, dtype=np.int64)
+                        passes.append((target, spans))
+                        cols.append(pass_cols + unions.span_offsets[i])
+                        span_pair.append(spans.span_pair + unions.pair_offsets[i])
+                        # Kept spans never index level 0.
+                        levels.append(pair_levels[spans.span_pair] - 1)
+                batch = concat_spans([spans for _, spans in passes])
+                span_pair = np.concatenate(span_pair)
+                levels = np.concatenate(levels)
+                pids = pairs["pids"][span_pair]
+                alphas = batch_level_alphas(
+                    nsx, ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
                 )
-
-            if segments:
-                ts = chunk[0][0][1].grid.tile_size
-                batch = concat_spans([s.spans for s in segments])
-                if len(segments) > 1:
-                    alphas = np.concatenate([s.alphas for s in segments], axis=1)
-                    colors = np.concatenate([s.colors for s in segments], axis=0)
-                else:
-                    alphas, colors = segments[0].alphas, segments[0].colors
-                _, weights, final = weights_final(nsx, alphas, batch)
+                colors = pairs["colors"][span_pair] + de_mat[levels, pids]
+                trans, final = batch_transmittance(
+                    nsx, ws, alphas, batch.groups, batch.group_has_tile_last
+                )
+                weights = batch_weights(nsx, ws, trans, alphas)
 
         with backend_span("composite", args={"frames": len(chunk)}):
-            if segments:
-                pixels = composite_groups(
-                    nsx, weights, final, colors, batch.groups, ts, background
+            if passes:
+                pixels = batch_composite(
+                    nsx, ws, weights, final, nsx.asarray(colors), batch.groups,
+                    background,
                 )
-                for v, s in enumerate(segments):
-                    idx, ok = _group_pixel_index(s.spans)
-                    target = sec[s.frame] if s.second else prim[s.frame]
+                for v, (target, spans) in enumerate(passes):
+                    idx, ok = _group_pixel_index(spans)
                     target.reshape(-1, 3)[idx[ok]] = pixels[batch.view_groups(v)][ok]
 
             out = []
@@ -961,7 +854,6 @@ class PackedBackend:
         background: np.ndarray,
     ) -> FoveatedFrame:
         grid = views[0][1].grid
-        nsx = self.nsx
         num_tiles = grid.num_tiles
         tile_ids = np.arange(num_tiles)
         tl = maps.tile_level
@@ -1002,12 +894,8 @@ class PackedBackend:
             ).subset(need)
             if sub_spans.num_spans == 0:
                 continue
-            alphas, _ = span_alphas(nsx, projected_v, sub_spans)
-            _, weights, final = weights_final(nsx, alphas, sub_spans)
-            colors = projected_v.colors[sub_spans.seg.pair_splats][sub_spans.span_pair]
-            img_v = _background_frame(grid, background)
-            _scatter_composite(
-                nsx, img_v, weights, final, colors, sub_spans, background
+            ((img_v, _),) = self._forward_chunk(
+                [views[level - 1]], [sub_spans], 0, background, False, False
             )
             mask_p = need_p[tile_map]
             mask_s = need_s[tile_map]
@@ -1052,7 +940,9 @@ class TiledPackedBackend(PackedBackend):
     log-space transmittance scan re-centres at each sub-chunk start, which
     moves last-ulp rounding exactly like the batch chunking does across
     frames.  The backward and foveated paths are inherited untiled (the
-    foveated path already chunks frames to the span budget).
+    foveated path already chunks frames to the span budget); the levels of
+    a multi-model frame render through :meth:`_forward_chunk` and are
+    tiled like any standard frame.
     """
 
     name = "packed-tiled"
@@ -1134,41 +1024,26 @@ class TiledPackedBackend(PackedBackend):
         grid = assignment.grid
         image = _background_frame(grid, background)
         dominated = np.zeros(num_points, dtype=np.int64) if collect_stats else None
-        ts = grid.tile_size
         nsx, ws = self.nsx, self._ws
-        (
-            pair_means,
-            pair_conics,
-            pair_opacities,
-            pair_colors,
-            pair_pids,
-            pair_origin_x,
-            pair_depths,
-        ) = _batch_pair_tables([view], [spans])
+        pairs = _batch_pair_tables([view], [spans])
         for piece in split_spans(spans, budget):
             batch = concat_spans([piece])
             with backend_span("alpha-scan", args={"spans": int(batch.num_spans), "tiled": 1}):
-                bt = BatchTables.build(
-                    nsx, batch, ts, pair_means, pair_conics, pair_opacities,
-                    pair_colors, pair_origin_x, pair_depths,
-                )
-                quad = batch_span_quad(nsx, ws, bt)
-                alphas = batch_span_alphas(nsx, ws, bt, quad)
-                perm = None
-                if per_pixel_sort:
-                    perm = batch_per_pixel_permutation(nsx, bt, quad)
-                    alphas = nsx.take_along_last(alphas, perm)
-                weights, final = batch_weights_final(nsx, ws, bt, alphas)
+                bt = BatchTables.build(nsx, batch, pairs)
+                weights, final, perm = self._scan(bt, batch, per_pixel_sort)
             with backend_span("composite", args={"tiled": 1}):
-                pixels = batch_composite(nsx, ws, bt, weights, final, background, perm)
+                pixels = batch_composite(
+                    nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
+                    batch.groups, background, perm,
+                )
                 idx, ok = _group_pixel_index(piece)
                 image.reshape(-1, 3)[idx[ok]] = pixels[ok]
             if collect_stats:
                 lane_ok = piece.seg.geometry.lane_valid[piece.group_tile]
                 winners, has_any = batch_dominated_winners(
-                    nsx, ws, bt, weights, lane_ok, perm
+                    nsx, ws, weights, batch.groups, lane_ok, perm
                 )
                 if has_any.any():
                     winner_pairs = batch.span_pair[winners[has_any]]
-                    np.add.at(dominated, pair_pids[winner_pairs], 1)
+                    np.add.at(dominated, pairs["pids"][winner_pairs], 1)
         return image, dominated

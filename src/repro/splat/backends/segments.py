@@ -98,34 +98,6 @@ class SegmentIndex:
         )
 
 
-def segmented_cumsum_exclusive(
-    values: np.ndarray, index: SegmentIndex, consume: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment exclusive cumulative sum of ``values`` along the last axis.
-
-    Numpy-namespace wrapper around the backend-agnostic scan in
-    :mod:`repro.splat.backends.kernels` (see there for semantics: one
-    global ``cumsum`` re-centred at every segment boundary; length-0
-    segments allowed; ``consume=True`` lets the scan scribble over
-    ``values``).  Returns ``(exclusive_cumsum, segment_totals)``.
-    """
-    from .kernels import segmented_cumsum_exclusive as _impl
-
-    return _impl(values, index, consume=consume)
-
-
-def segment_transmittance_exclusive(alphas: np.ndarray, index: SegmentIndex) -> np.ndarray:
-    """Front-to-back exclusive transmittance ``T_i = Π_{j<i} (1 − α_j)``.
-
-    Numpy-namespace wrapper around the log-space segmented scan in
-    :mod:`repro.splat.backends.kernels`; alphas are clamped below 1, so
-    the logs are finite and every segment starts at an exact 1.0.
-    """
-    from .kernels import segment_transmittance_exclusive as _impl
-
-    return _impl(alphas, index)
-
-
 @dataclasses.dataclass
 class PackedSegments:
     """Flattened intersection pairs, segmented by (non-empty) tile."""

@@ -31,7 +31,6 @@ from repro.splat.backends.packed import (
     DEFAULT_SPAN_CHUNK_BUDGET,
     TILE_BUDGET_ENV,
     TiledPackedBackend,
-    forward_unpooled,
     split_spans,
     tile_span_budget,
 )
@@ -388,52 +387,143 @@ class TestSceneEquivalenceAtScale:
         assert_render_equivalent(scene, train[0], packed_backend=backend)
 
 
+def _render_twice_around(render_x, render_y):
+    """Render X on a freshly trimmed workspace, then Y, then X again.
+
+    Every packed pass keeps its scratch in the engine's workspace, whose
+    slots hold stale data from whatever ran before; a frame must not depend
+    on it.  Y should be larger and differently shaped than X, so X's second
+    render runs on grown slots full of Y's intermediates.
+    """
+    get_backend("packed")._ws.trim()
+    first = render_x()
+    render_y()
+    return first, render_x()
+
+
+@pytest.fixture(scope="module")
+def large_camera():
+    (train, _) = trace_cameras("kitchen", n_train=1, n_eval=1, width=160, height=112)
+    return train[0]
+
+
+@pytest.fixture(scope="module")
+def fmodel_eval(small_scene):
+    return uniform_foveated_model(small_scene, EVAL_REGION_LAYOUT, EVAL_LEVEL_FRACTIONS)
+
+
 class TestPooledSingleViewForward:
-    """``forward`` routes through the pooled batch-of-one kernels; it must
-    stay bit-identical to the historical unpooled pass (kept as
-    ``forward_unpooled``, the oracle)."""
+    """Every packed pass — forward, foveated, multi-model and backward —
+    runs on the engine's pooled, thread-local workspace."""
 
     @pytest.mark.parametrize("per_pixel_sort", [False, True])
-    def test_bitwise_identical_to_unpooled(self, per_pixel_sort):
+    def test_forward_ignores_dirty_workspace(self, per_pixel_sort):
         model = random_scene(4, n=300)
-        projected, assignment = prepare_view(model, camera(width=70, height=52))
-        background = np.array([0.2, 0.4, 0.6])
+        small = prepare_view(model, camera(width=70, height=52))
+        large = prepare_view(model, camera(width=150, height=90))
         engine = get_backend("packed")
-        pooled_img, pooled_dom = engine.forward(
-            projected, assignment, model.num_points, background, True,
-            per_pixel_sort,
-        )
-        plain_img, plain_dom = forward_unpooled(
-            projected, assignment, model.num_points, background, True,
-            per_pixel_sort,
-        )
-        assert np.array_equal(pooled_img, plain_img)
-        assert np.array_equal(pooled_dom, plain_dom)
+        background = np.array([0.2, 0.4, 0.6])
 
-    def test_concurrent_renders_are_isolated(self):
-        # The backend is a process-wide singleton and ``forward`` now runs
-        # on its pooled arena; concurrent threads must not corrupt each
-        # other's scans (the workspace is thread-local).
+        def forward(view):
+            return lambda: engine.forward(
+                *view, model.num_points, background, True, per_pixel_sort
+            )
+
+        (img, dom), (img_again, dom_again) = _render_twice_around(
+            forward(small), forward(large)
+        )
+        assert np.array_equal(img, img_again)
+        assert np.array_equal(dom, dom_again)
+
+    def test_foveated_ignores_dirty_workspace(
+        self, fmodel_eval, train_cameras, large_camera
+    ):
+        config = RenderConfig(backend="packed")
+
+        def foveated(cam):
+            return lambda: render_foveated(fmodel_eval, cam, config=config)
+
+        first, again = _render_twice_around(
+            foveated(train_cameras[0]), foveated(large_camera)
+        )
+        assert first.stats.blend_pixels > 0
+        assert np.array_equal(first.image, again.image)
+
+    def test_multi_model_ignores_dirty_workspace(
+        self, fmodel_eval, train_cameras, large_camera
+    ):
+        models = [
+            fmodel_eval.level_model(t) for t in range(1, fmodel_eval.num_levels + 1)
+        ]
+        config = RenderConfig(backend="packed")
+
+        def multi_model(cam):
+            return lambda: render_multi_model(
+                models, fmodel_eval.layout, cam, config=config
+            )
+
+        first, again = _render_twice_around(
+            multi_model(train_cameras[0]), multi_model(large_camera)
+        )
+        assert first.stats.blend_pixels > 0
+        assert np.array_equal(first.image, again.image)
+
+    def test_backward_ignores_dirty_workspace(self):
+        model = random_scene(5)
+        background = np.array([0.3, 0.1, 0.8])
+        rng = np.random.default_rng(0)
+
+        def backward(cam):
+            projected, assignment = prepare_view(model, cam)
+            grad_image = rng.normal(size=(cam.height, cam.width, 3))
+            return lambda: rasterize_backward(
+                projected, assignment, model.num_points, grad_image=grad_image,
+                background=background, backend="packed",
+            )
+
+        first, again = _render_twice_around(
+            backward(camera(width=70, height=52)), backward(camera(width=150, height=90))
+        )
+        for field in ("color", "opacity", "log_scale"):
+            assert np.array_equal(getattr(first, field), getattr(again, field)), field
+
+    def test_concurrent_renders_are_isolated(self, fmodel_eval, train_cameras):
+        # The backend is a process-wide singleton and every pass runs on its
+        # pooled arena; concurrent threads must not corrupt each other's
+        # scans (the workspace is thread-local).
+        import sys
         import threading
 
         model = random_scene(6, n=300)
         projected, assignment = prepare_view(model, camera())
         engine = get_backend("packed")
         args = (projected, assignment, model.num_points, np.zeros(3), False, False)
+        config = RenderConfig(backend="packed")
         expected, _ = engine.forward(*args)
+        expected_fov = render_foveated(fmodel_eval, train_cameras[0], config=config)
+        assert expected_fov.stats.blend_pixels > 0
         failures = []
 
         def worker():
             for _ in range(10):
                 image, _ = engine.forward(*args)
                 if not np.array_equal(image, expected):
-                    failures.append("mismatch")
+                    failures.append("forward")
+                fov = render_foveated(fmodel_eval, train_cameras[0], config=config)
+                if not np.array_equal(fov.image, expected_fov.image):
+                    failures.append("foveated")
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' kernels finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not failures
 
     def test_repeated_renders_reuse_workspace(self):

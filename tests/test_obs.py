@@ -196,6 +196,53 @@ class TestHistogram:
         assert merged_err < 0.12
         assert naive_err > 0.4  # the naive estimate is catastrophically off
 
+    def test_pending_values_fold_like_single_observes(self):
+        # ``observe`` defers bucketing to a pending list; across the fold
+        # threshold, with values still pending at read time, every
+        # statistic must equal folding each value as it arrives.
+        rng = np.random.default_rng(2)
+        n = 2 * Histogram.FOLD_AT + 123
+        values = [float(v) for v in rng.lognormal(-5.0, 2.0, n)]
+        values[::97] = [0.0] * len(values[::97])  # underflow bucket
+
+        def observed(vals, eager):
+            h = Histogram()
+            for v in vals:
+                h.observe(v)
+                if eager:
+                    h.buckets()  # a read folds the value on its own
+            return h
+
+        # The per-value loop the histogram used to run is the reference.
+        ref_buckets, ref_sum = {}, 0.0
+        v0, log_growth = Histogram().v0, math.log(Histogram().growth)
+        for v in values:
+            idx = -1 if v <= v0 else int(math.log(v / v0) / log_growth)
+            ref_buckets[idx] = ref_buckets.get(idx, 0) + 1
+            ref_sum += v
+
+        deferred, eager = observed(values, False), observed(values, True)
+        assert deferred.buckets() == eager.buckets() == ref_buckets
+        assert deferred.count == eager.count == n
+        assert deferred.sum == eager.sum == ref_sum
+        assert (deferred.min, deferred.max) == (min(values), max(values))
+        assert (eager.min, eager.max) == (min(values), max(values))
+        for q in (0.0, 50.0, 90.0, 99.0, 100.0):
+            assert deferred.percentile(q) == eager.percentile(q)
+
+        cut = Histogram.FOLD_AT + 7  # both halves end with pending values
+        merged = Histogram.merged(
+            [observed(values[:cut], False), observed(values[cut:], False)]
+        )
+        eager_merged = Histogram.merged(
+            [observed(values[:cut], True), observed(values[cut:], True)]
+        )
+        assert merged.buckets() == eager_merged.buckets() == eager.buckets()
+        assert merged.count == n
+        assert merged.sum == eager_merged.sum
+        for q in (50.0, 90.0, 99.0):
+            assert merged.percentile(q) == eager_merged.percentile(q)
+
     def test_merge_rejects_mismatched_geometry(self):
         with pytest.raises(ValueError, match="geometry"):
             Histogram().merge(Histogram(growth=2.0))

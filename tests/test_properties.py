@@ -18,17 +18,21 @@ from repro.splat.gaussians import (
     random_model,
     sigmoid,
 )
+from repro.splat.backends import (
+    segment_transmittance_exclusive,
+    segmented_cumsum_exclusive,
+)
 from repro.splat.backends.kernels import (
-    composite_groups,
+    Workspace,
+    batch_composite,
+    batch_transmittance,
+    batch_weights,
     get_array_namespace,
-    weights_final,
 )
 from repro.splat.backends.segments import (
     SegmentIndex,
     build_row_spans,
     build_segments,
-    segment_transmittance_exclusive,
-    segmented_cumsum_exclusive,
 )
 from repro.splat.camera import Camera
 from repro.splat.rasterizer import composite
@@ -115,6 +119,7 @@ class TestSpanSubsetProperties:
         self, seed, mask_seed, keep, drop_tile_last, empty_groups
     ):
         nsx = get_array_namespace("numpy")
+        ws = Workspace(nsx)
         spans = _dense_row_spans(seed)
         ts = spans.seg.grid.tile_size
         rng = np.random.default_rng(mask_seed)
@@ -132,10 +137,17 @@ class TestSpanSubsetProperties:
         emptied = rng.random(spans.num_groups) < empty_groups
         mask[emptied[spans.groups.of_item]] = False
 
-        _, w_full, f_full = weights_final(nsx, alphas * mask[None, :], spans)
-        full = composite_groups(
-            nsx, w_full, f_full, colors, spans.groups, ts, background
-        )
+        def composite(alphas, colors, spans):
+            trans, final = batch_transmittance(
+                nsx, ws, alphas, spans.groups, spans.group_has_tile_last
+            )
+            weights = batch_weights(nsx, ws, trans, alphas)
+            # Copy out of the workspace: the next composite reuses the slot.
+            return batch_composite(
+                nsx, ws, weights, final, colors, spans.groups, background
+            ).copy()
+
+        full = composite(alphas * mask[None, :], colors, spans)
 
         sub = spans.subset_spans(mask)
         kept_groups = np.add.reduceat(mask.astype(np.int64), spans.groups.starts) > 0
@@ -151,10 +163,7 @@ class TestSpanSubsetProperties:
             assert not sub.group_has_tile_last.any()
 
         if sub.num_spans:
-            _, w_sub, f_sub = weights_final(nsx, alphas[:, mask], sub)
-            got = composite_groups(
-                nsx, w_sub, f_sub, colors[mask], sub.groups, ts, background
-            )
+            got = composite(alphas[:, mask], colors[mask], sub)
             assert np.abs(got - full[kept_groups]).max() <= 1e-12
         # Groups with no surviving span composite to pure background.
         dropped = full[~kept_groups]
