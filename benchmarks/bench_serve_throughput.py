@@ -134,7 +134,8 @@ def replay_rows(serve_env, scale):
     _, serve_report_2 = replay_trace(fmodel, trace, serve_config=serve_config)
 
     # Report-only: exact_frames=False rides each pose group on one
-    # concatenated span scan (1e-10-equivalent frames instead of bit-exact).
+    # concatenated span scan (frames still bit-identical: the scan restarts
+    # at every frame).
     fast_config = ServeConfig(batch_budget=BATCH_BUDGET, exact_frames=False)
     replay_trace(fmodel, trace, serve_config=fast_config)  # warm-up
     t0 = time.perf_counter()
@@ -168,7 +169,7 @@ def test_serve_throughput(replay_rows, quick):
             *naive.lines(),
             *served.lines(),
             f"serve speedup: {speedup:.2f}x",
-            f"throughput mode (exact_frames=False, 1e-10 frames): "
+            f"throughput mode (exact_frames=False, bit-identical frames): "
             f"{r['naive_s'] / r['fast_s']:.2f}x",
         ],
     )

@@ -212,9 +212,11 @@ def render_foveated_batch(
     ``batch_size`` caps how many frames share one dispatch (``None``
     batches everything).
 
-    Guarantees: a batch of one frame is **bit-identical** to
-    :func:`render_foveated`, and multi-frame batches match the per-frame
-    ``reference`` oracle within 1e-10 (``tests/test_foveated_batch.py``).
+    Guarantees: every frame is **bit-identical** to its lone
+    :func:`render_foveated`, whatever the batch size, chunking or span
+    budget (the transmittance scan restarts at every frame), and so
+    matches the per-frame ``reference`` oracle within 1e-10
+    (``tests/test_foveated_batch.py``, ``tests/test_properties.py``).
     """
     config = config or RenderConfig()
     if batch_size is not None and batch_size <= 0:

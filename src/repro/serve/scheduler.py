@@ -39,15 +39,15 @@ as client traffic — not in latencies, hit/miss counters, batch sizes, or
 ``requests_served`` — so the hit rate stays an honest property of client
 requests (``prefetch_useful`` counts the hits prefetching created).
 
-Guarantees: in the default ``exact_frames`` mode a cache-miss response is
-**bit-identical** to a per-request :func:`repro.foveation.render_foveated`
-call at the request's own camera and gaze (batch-of-one dispatch is exact;
-``exact_frames=False`` trades that for one concatenated scan per pose
-group at 1e-10 equivalence); a hit
-returns a frame previously rendered for the same (model, pose, gaze
-region, config) key — never across model mutations, backends, or poses.
-A prefetch never defines a client miss's gaze: client requests claim key
-leadership before prefetches, so exactness is unaffected by speculation.
+Guarantees: a cache-miss response is **bit-identical** to a per-request
+:func:`repro.foveation.render_foveated` call at the request's own camera
+and gaze in both ``exact_frames`` modes — the transmittance scan restarts
+at every frame of a batch, so batch-of-one dispatch and one concatenated
+scan per pose group give the same bits; a hit returns a frame previously
+rendered for the same (model, pose, gaze region, config) key — never
+across model mutations, backends, or poses.  A prefetch never defines a
+client miss's gaze: client requests claim key leadership before
+prefetches, so exactness is unaffected by speculation.
 
 Per-request latency, batch sizes and cache counters are recorded on the
 loop for the replay harness and benchmarks.  Latency is stamped **per
@@ -253,17 +253,16 @@ class ServeConfig:
 
     ``exact_frames`` picks the miss-render dispatch: ``True`` (default)
     chunks each pose group to batch-of-one inside its
-    ``render_foveated_batch`` call — every served frame is **bit-identical**
-    to a per-request ``render_foveated``, and the pose preparation is still
-    shared across the group.  ``False`` rides the whole pose group on one
-    concatenated span scan — highest throughput, but concatenation perturbs
-    last-bit rounding across frames, so frames only match per-request
-    renders to the backend-equivalence tolerance (1e-10).
+    ``render_foveated_batch`` call, sharing only the pose preparation.
+    ``False`` rides the whole pose group on one concatenated span scan —
+    highest throughput.  Both modes serve frames **bit-identical** to a
+    per-request ``render_foveated``: the transmittance scan restarts at
+    every frame, so batch composition never moves a bit.
 
     ``workers`` moves miss rendering off the event loop: ``0`` (default)
     renders inline, ``N > 0`` starts a ``RenderWorkerPool`` of N processes
     and dispatches each pose group to a worker — same frames (workers run
-    the identical dispatch, bit-identical in ``exact_frames`` mode), but
+    the identical dispatch, bit-identical in either mode), but
     ``submit()`` stays responsive during renders and pose groups
     parallelize across cores.
 
@@ -1012,10 +1011,10 @@ class ServeLoop:
         neighbouring-region frame instead of rendering late
         (:meth:`_try_degrade`); overtaken or stale prefetches are dropped.
         In ``exact_frames`` mode the render call is chunked to
-        batch-of-one (bit-identical to per-request renders); otherwise the
-        group rides one concatenated scan.  With a worker pool the pose
-        groups render concurrently in worker processes; inline they run
-        sequentially on the event loop.  Every group's requests are
+        batch-of-one; otherwise the group rides one concatenated scan.
+        Either way frames are bit-identical to per-request renders.  With
+        a worker pool the pose groups render concurrently in worker
+        processes; inline they run sequentially on the event loop.  Every group's requests are
         stamped with that group's own completion time.
         """
         clients = [p for p in batch if not p.prefetch]

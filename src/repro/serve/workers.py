@@ -15,10 +15,10 @@ workers are *stateful*:
   exp tables) warms up inside each worker and stays resident across
   batches, exactly as it does for the inline path;
 - renders stay **bit-identical** to the inline path: workers run the same
-  :func:`repro.foveation.render_foveated_batch` with the same
-  batch-of-one chunking discipline (``exact_frames``), and frames are
-  pure functions of ``(model, camera, gaze, config)`` — crossing a
-  process boundary changes nothing about the pixels.
+  :func:`repro.foveation.render_foveated_batch` with the same chunking
+  (``exact_frames``), and frames are pure functions of ``(model, camera,
+  gaze, config)`` — crossing a process boundary changes nothing about the
+  pixels.
 
 Workers snapshot the model when the pool starts its processes.  The
 scheduler's fingerprint-keyed caches detect in-place model mutation, but a

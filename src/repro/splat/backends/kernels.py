@@ -634,15 +634,27 @@ def segmented_cumsum_exclusive(
     nsx: ArrayNamespace | None = None,
     ws: Workspace | None = None,
     slot: str = "scan",
+    group_offsets: np.ndarray | None = None,
 ):
     """Per-segment exclusive cumulative sum of ``values`` along the last axis.
 
-    Returns ``(exclusive_cumsum, segment_totals)``.  One global ``cumsum``
-    re-centred at every segment boundary: the running total is reset by
-    subtracting the previous segment's (exactly re-computed) total, so
+    Returns ``(exclusive_cumsum, segment_totals)``.  One ``cumsum`` per
+    view, re-centred at every segment boundary: the running total is reset
+    by subtracting the previous segment's (exactly re-computed) total, so
     intermediate magnitudes — and with them the floating-point drift a naive
     global scan accumulates across thousands of segments — stay bounded by a
     single segment's range.
+
+    **View restarts.**  ``group_offsets`` (host, ``(V + 1,)``, e.g.
+    :attr:`SpanBatch.group_offsets`) splits the segments into views.  The
+    re-centring leaves a last-bit rounding residue that carries into the
+    next segment, so a scan run across a view boundary would make a view's
+    result depend on the views before it.  Instead each view's first
+    segment skips the re-centring subtraction and each view's columns get
+    their own ``cumsum`` on a slice of the same buffer: every view scans
+    exactly as it would alone, so batched results are bitwise equal to lone
+    ones however the views were chunked.  ``None`` is one view.  Views may
+    be empty (repeated offsets, also at either end).
 
     Length-0 segments are allowed (they own no items and report a zero
     total), as is an entirely empty index/value pair.
@@ -660,15 +672,19 @@ def segmented_cumsum_exclusive(
     if empty.any():
         # Segment-sum primitives misread duplicated starts; scan the
         # non-empty segments (which still cover every item) and widen the
-        # totals.
+        # totals.  View offsets are renumbered onto the kept segments.
         sub_lens = index.lens[~empty]
         sub = SegmentIndex(
             starts=index.starts[~empty],
             lens=sub_lens,
             of_item=np.repeat(np.arange(sub_lens.shape[0], dtype=np.int64), sub_lens),
         )
+        if group_offsets is not None:
+            kept_before = np.concatenate([[0], np.cumsum(~empty)])
+            group_offsets = kept_before[np.asarray(group_offsets)]
         excl, sub_totals = segmented_cumsum_exclusive(
-            values, sub, consume=consume, nsx=nsx, ws=ws, slot=slot
+            values, sub, consume=consume, nsx=nsx, ws=ws, slot=slot,
+            group_offsets=group_offsets,
         )
         totals = nsx.zeros(totals_shape)
         totals[..., nsx.asarray(~empty)] = sub_totals
@@ -686,9 +702,20 @@ def segmented_cumsum_exclusive(
     if not consume:
         adj = buffer("adj", values.shape, dtype)
         adj[...] = values
-    if index.starts.size > 1:
-        adj[..., seg.starts[1:]] -= totals[..., :-1]
-    adj = nsx.cumsum_last(adj, out=adj)
+    # Re-centre at every segment start but each view's first, then scan
+    # each view's columns on their own.
+    views = np.asarray(
+        [0, index.num_segments] if group_offsets is None else group_offsets,
+        dtype=np.int64,
+    )
+    recentre = np.ones(index.num_segments, dtype=bool)
+    recentre[views[views < index.num_segments]] = False
+    (at,) = np.nonzero(recentre)
+    adj[..., nsx.index(index.starts[at])] -= totals[..., nsx.index(at - 1)]
+    cols = np.unique(np.append(index.starts, values.shape[-1])[views]).tolist()
+    for lo, hi in zip(cols[:-1], cols[1:]):
+        view = adj[..., lo:hi]
+        nsx.cumsum_last(view, out=view)
     excl = buffer("excl", adj.shape, dtype)
     excl[..., 0] = 0.0
     excl[..., 1:] = adj[..., :-1]
@@ -703,19 +730,23 @@ def segment_transmittance_exclusive(
     index: SegmentIndex,
     nsx: ArrayNamespace | None = None,
     ws: Workspace | None = None,
+    group_offsets: np.ndarray | None = None,
 ):
     """Front-to-back exclusive transmittance ``T_i = Π_{j<i} (1 − α_j)``.
 
     Computed per segment (along the last axis) in log space; alphas are
     clamped below 1, so the logs are finite (``log1p(0) = 0`` keeps zero
     alphas out of the scan), and every segment starts at an exact 1.0.
+    ``group_offsets`` restarts the scan at every view boundary (see
+    :func:`segmented_cumsum_exclusive`).
     """
     nsx = nsx or _numpy_singleton
     logt = None if ws is None else ws.take("logt", alphas.shape)
     log_one_minus = nsx.negative(alphas, out=logt)
     nsx.log1p(log_one_minus, out=log_one_minus)
     log_excl, _ = segmented_cumsum_exclusive(
-        log_one_minus, index, consume=True, nsx=nsx, ws=ws, slot="trans"
+        log_one_minus, index, consume=True, nsx=nsx, ws=ws, slot="trans",
+        group_offsets=group_offsets,
     )
     nsx.minimum(log_excl, 0.0, out=log_excl)
     return nsx.exp(log_excl, out=log_excl)
@@ -779,23 +810,25 @@ class BatchTables:
 def batch_span_quad(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables):
     """Mahalanobis quadratic form per (lane, span), ``(ts, R)``.
 
-    The x offsets are shared by all rows of a pair (one gather from a
-    per-pair table); the y offsets are scalars per span.  Evaluation order
-    matches :func:`repro.splat.rasterizer.splat_alphas` bit for bit.
+    The tile x-origin and mean of every span are gathered per span, so the
+    cost is O(spans) whatever the size of the pair tables (the tiled
+    backend scans a frame's pieces against one whole-frame table).
+    Evaluation order matches :func:`repro.splat.rasterizer.splat_alphas`
+    bit for bit.
     """
     sp = bt.span_pair
-    ts, k, r = bt.tile_size, bt.means.shape[0], bt.num_spans
+    ts, r = bt.tile_size, bt.num_spans
     lane_x = nsx.asarray(np.arange(ts, dtype=np.int64) + 0.5)
 
-    dx_pair = ws.take("dx_pair", (ts, k))
-    nsx.add(lane_x[:, None], bt.origin_x[None, :], out=dx_pair)
-    dx_pair -= bt.means[None, :, 0]
+    gather = ws.take("span_gather", (r,))
     dx = ws.take("dx", (ts, r))
-    nsx.take(dx_pair, sp, axis=1, out=dx)
+    nsx.take(bt.origin_x, sp, axis=0, out=gather)
+    nsx.add(lane_x[:, None], gather[None, :], out=dx)
+    nsx.take(bt.means[:, 0], sp, axis=0, out=gather)
+    dx -= gather[None, :]
 
     dy = ws.take("dy", (r,))
     nsx.add(bt.span_y, 0.5, out=dy)
-    gather = ws.take("conic_gather", (r,))
     nsx.take(bt.means[:, 1], sp, axis=0, out=gather)
     dy -= gather
 
@@ -871,6 +904,7 @@ def batch_transmittance(
     alphas,
     groups: SegmentIndex,
     group_has_tile_last: np.ndarray,
+    group_offsets: np.ndarray | None = None,
 ):
     """Transmittance scan: ``(trans (ts, R), final (ts, Q))``.
 
@@ -879,9 +913,13 @@ def batch_transmittance(
     pixel whose trailing splats carry no span is the group's final
     transmittance itself rather than the transmittance before the last
     contribution.  ``group_has_tile_last`` (host, ``(Q,)``) marks groups
-    whose last span is the tile's last pair.
+    whose last span is the tile's last pair.  ``group_offsets`` (host,
+    ``(V + 1,)``) restarts the scan at every view of a batch, so each
+    view's transmittance is bitwise what it would be alone.
     """
-    trans = segment_transmittance_exclusive(alphas, groups, nsx=nsx, ws=ws)
+    trans = segment_transmittance_exclusive(
+        alphas, groups, nsx=nsx, ws=ws, group_offsets=group_offsets
+    )
     last = nsx.index(groups.last)
     trans_last = trans[:, last]
     tau = trans_last * (1.0 - alphas[:, last])

@@ -4,13 +4,14 @@ Instead of looping over tiles and building a dense ``(splats, pixels)``
 alpha matrix per tile, this engine flattens the frame's tile–splat
 intersections into per-pixel-row *spans* (see
 :mod:`repro.splat.backends.segments`): each pair contributes one
-``tile_size``-wide lane vector per pixel row its ellipse can actually
-reach, sorted so every pixel's fragment list is contiguous.  Alpha
-evaluation, front-to-back compositing with early termination, statistics
-(Val_i), and the analytic backward pass are then segmented scans and
-reductions over the span arrays — **no Python loop over tiles** in the
-forward, backward, foveated or multi-model paths (the multi-model path
-loops over quality *levels*, of which there are a handful).
+``tile_size``-wide lane vector per pixel row on which its ellipse reaches
+one of the tile's lane centres, sorted so every pixel's fragment list is
+contiguous.  Alpha evaluation, front-to-back compositing with early
+termination, statistics (Val_i), and the analytic backward pass are then
+segmented scans and reductions over the span arrays — **no Python loop
+over tiles** in the forward, backward, foveated or multi-model paths (the
+multi-model path loops over quality *levels*, of which there are a
+handful).
 
 The numeric core lives in :mod:`repro.splat.backends.kernels`,
 parameterized by an array namespace: this module orchestrates span
@@ -483,7 +484,7 @@ class PackedBackend:
 
         seg = build_segments(assignment)
         # Per-pixel sorting keeps every tile row: its early-termination gate
-        # sits at the per-pixel deepest splat, which the reach bound could
+        # sits at the per-pixel deepest splat, which the strip bound could
         # otherwise prune (the permuted group-last slot is then exactly the
         # reference's gate row).
         spans = build_row_spans(projected, seg, full_rows=per_pixel_sort)
@@ -624,7 +625,8 @@ class PackedBackend:
             perm = batch_per_pixel_permutation(nsx, bt, quad, batch.groups)
             alphas = nsx.take_along_last(alphas, perm)
         trans, final = batch_transmittance(
-            nsx, ws, alphas, batch.groups, batch.group_has_tile_last
+            nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
+            batch.group_offsets,
         )
         return batch_weights(nsx, ws, trans, alphas), final, perm
 
@@ -817,7 +819,8 @@ class PackedBackend:
                 )
                 colors = pairs["colors"][span_pair] + de_mat[levels, pids]
                 trans, final = batch_transmittance(
-                    nsx, ws, alphas, batch.groups, batch.group_has_tile_last
+                    nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
+                    batch.group_offsets,
                 )
                 weights = batch_weights(nsx, ws, trans, alphas)
 
@@ -937,12 +940,13 @@ class TiledPackedBackend(PackedBackend):
     Views at or under the budget take the inherited whole-frame path and
     are bit-identical to ``packed``.  Tiled views match ``reference`` (and
     ``packed``) to within the standard 1e-10 band, not bitwise: the
-    log-space transmittance scan re-centres at each sub-chunk start, which
-    moves last-ulp rounding exactly like the batch chunking does across
-    frames.  The backward and foveated paths are inherited untiled (the
-    foveated path already chunks frames to the span budget); the levels of
-    a multi-model frame render through :meth:`_forward_chunk` and are
-    tiled like any standard frame.
+    log-space transmittance scan restarts at each sub-chunk, which moves
+    last-ulp rounding against one whole-frame scan.  (Tiling is per view,
+    so batched views are still bitwise equal to lone ones.)  The backward
+    and foveated paths are inherited untiled (the foveated path already
+    chunks frames to the span budget); the levels of a multi-model frame
+    render through :meth:`_forward_chunk` and are tiled like any standard
+    frame.
     """
 
     name = "packed-tiled"

@@ -8,12 +8,14 @@ granularities:
   intersection pairs, contiguous per tile — the unit of the Sorting stage
   and of per-tile statistics.
 - **Row spans** (:class:`RowSpans`): each pair expanded to the tile pixel
-  *rows* its ellipse can actually reach (a conservative per-axis Mahalanobis
-  bound), re-sorted to ``(tile, row, depth)`` order.  A span owns one
-  ``tile_size``-wide lane vector, so per-pixel fragment lists are contiguous
-  *groups* of spans and front-to-back compositing becomes a segmented scan
-  along axis 0 — vectorized over the whole frame, with work proportional to
-  the rasterized area rather than ``intersections × tile area``.
+  *rows* on which its ellipse reaches one of the tile's on-image lane
+  centres (the *strip bound*: the y-extent of the ellipse clipped to the
+  tile's x-strip, one closed-form interval per pair), re-sorted to
+  ``(tile, row, depth)`` order.  A span owns one ``tile_size``-wide lane
+  vector, so per-pixel fragment lists are contiguous *groups* of spans and
+  front-to-back compositing becomes a segmented scan along axis 0 —
+  vectorized over the whole frame, with work proportional to the
+  rasterized area rather than ``intersections × tile area``.
 
 Every operation below is expressed over flat, segment-indexed arrays, so
 several frames' lists concatenate into one: :func:`concat_spans` builds a
@@ -35,6 +37,12 @@ from ..tiling import TileAssignment, TileGrid
 # quadratic value even at opacity 1 (``exp(-q/2) < 1/255``); the margin keeps
 # the exact threshold decision on the computed alpha.
 QUAD_CUTOFF = -2.0 * float(np.log(ALPHA_EPS)) + 1e-6
+
+# Guard of the strip bound (:func:`build_row_spans`), in pixels: the lane
+# strip and the row interval are both widened by it on each side, so the
+# exact intersect-test decision always happens on a computed alpha rather
+# than on the closed-form bound.
+STRIP_GUARD = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,10 +154,11 @@ class RowSpans:
 
     ``span_pair`` indexes back into the pair arrays; a *group* is the
     contiguous run of spans covering one ``(tile, row)`` — i.e. the packed
-    per-pixel fragment lists of the row's ``tile_size`` pixels.  Rows a
-    splat's ellipse cannot reach (its alpha is below the intersect test at
-    every pixel of the row) carry no span at all, which is where the packed
-    engine's work savings come from.
+    per-pixel fragment lists of the row's ``tile_size`` pixels.  Rows on
+    which a splat's ellipse misses every on-image lane centre of the tile
+    (its alpha is below the intersect test at every pixel the row writes)
+    carry no span at all — see the strip bound of :func:`build_row_spans`.
+    This is where the packed engine's work savings come from.
     """
 
     seg: PackedSegments
@@ -299,41 +308,92 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
     )
 
 
+def _strip_row_bounds(
+    projected: ProjectedGaussians, seg: PackedSegments
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``[dy_lo, dy_hi]``: the y-projection of ellipse ∩ lane strip.
+
+    Offsets are relative to the splat mean.  The ellipse is
+    ``{q ≤ QUAD_CUTOFF}`` of the pair's splat; the strip is the x-range of
+    its tile's on-image lane centres, widened by :data:`STRIP_GUARD`.
+    Pairs whose ellipse misses the strip get ``dy_lo > dy_hi``.
+    """
+    grid = seg.grid
+    sel = seg.pair_splats
+    mx = projected.means2d[sel, 0]
+    sxx, sxy, syy = (projected.cov2d[sel, i] for i in range(3))
+    ca, cb, cc = (projected.conics[sel, i] for i in range(3))
+    x0 = seg.geometry.origin_x[seg.pair_tiles]
+    x1 = np.minimum(x0 + grid.tile_size, grid.width)
+    u_lo = x0 + 0.5 - STRIP_GUARD - mx
+    u_hi = x1 - 0.5 + STRIP_GUARD - mx
+
+    # The ellipse's topmost point is ``(Σxy, Σyy)·sqrt(C/Σyy)`` and its
+    # bottommost the mirror image.  An extreme point inside the strip sets
+    # the bound; otherwise the bound sits on the nearer strip edge ``u``
+    # (the slice height is concave in x), as a root of
+    # ``c·dy² + 2b·u·dy + (a·u² − C) = 0``.
+    reach_y = np.sqrt(QUAD_CUTOFF * syy)
+    peak_x = sxy * np.sqrt(QUAD_CUTOFF / syy)
+
+    def edge_roots(u: np.ndarray, sign: float) -> np.ndarray:
+        disc = (cb * u) ** 2 - cc * (ca * u * u - QUAD_CUTOFF)
+        return (-cb * u + sign * np.sqrt(np.maximum(disc, 0.0))) / cc
+
+    top_in = (u_lo <= peak_x) & (peak_x <= u_hi)
+    bottom_in = (u_lo <= -peak_x) & (-peak_x <= u_hi)
+    dy_hi = np.where(top_in, reach_y, edge_roots(np.clip(peak_x, u_lo, u_hi), 1.0))
+    dy_lo = np.where(
+        bottom_in, -reach_y, edge_roots(np.clip(-peak_x, u_lo, u_hi), -1.0)
+    )
+    reach_x = np.sqrt(QUAD_CUTOFF * sxx)
+    misses = (u_lo > reach_x) | (u_hi < -reach_x)
+    dy_lo[misses] = np.inf
+    dy_hi[misses] = -np.inf
+    return dy_lo, dy_hi
+
+
 def build_row_spans(
     projected: ProjectedGaussians, seg: PackedSegments, full_rows: bool = False
 ) -> RowSpans:
     """Expand intersection pairs into per-row spans, sorted per pixel row.
 
-    A row survives only if some pixel of it can pass the alpha intersect
-    test: minimising the Mahalanobis form over the x offset gives
-    ``q ≥ dy² / Σ_yy``, so rows with ``|dy| > sqrt(QUAD_CUTOFF · Σ_yy)`` are
-    provably below threshold everywhere (the dilated covariance ``Σ`` is the
-    inverse of the rasterized conic).  One guard row is kept on each side so
-    the exact threshold decision always happens on a computed alpha.
+    **Strip bound.**  A pair's rows are the ``y`` whose centre ``y + 0.5``
+    lies in the y-projection of ``{q ≤ QUAD_CUTOFF} ∩ strip``, where the
+    strip is the x-range of the tile's on-image lane centres
+    ``[x0 + 0.5, min(x0 + ts, W) − 0.5]``.  Beyond ``QUAD_CUTOFF`` no
+    splat clears the alpha intersect test even at opacity 1, and every
+    opacity the engine scans (model and level opacities are sigmoids) is
+    below 1, so a dropped row has zero alpha on every lane it writes.  The
+    ellipse ∩ strip is convex, so its y-projection is one closed-form
+    interval per pair (:func:`_strip_row_bounds`, O(pairs)); pairs whose
+    x-extent misses the strip get no rows.  Strip and interval are both
+    widened by :data:`STRIP_GUARD` px, so the exact threshold decision
+    always happens on a computed alpha.  (The dilated covariance ``Σ`` is
+    the inverse of the rasterized conic.)
 
     ``full_rows=True`` keeps every tile row for every pair (only clipped to
     the image).  The per-pixel-sorted path needs this: its early-termination
-    gate sits at the per-pixel *deepest* tile splat, which the reach bound
+    gate sits at the per-pixel *deepest* tile splat, which the strip bound
     could otherwise prune away.
     """
     grid = seg.grid
     ts = grid.tile_size
     geom = seg.geometry
 
-    my = projected.means2d[seg.pair_splats, 1]
-    tile_y0 = geom.origin_y[seg.pair_tiles]
+    tile_y0 = geom.origin_y[seg.pair_tiles].astype(np.int64)
+    tile_y1 = np.minimum(tile_y0 + ts, grid.height) - 1
     if full_rows:
-        y_lo = tile_y0.astype(np.int64)
-        y_hi = np.minimum(tile_y0.astype(np.int64) + ts, grid.height) - 1
+        y_lo, y_hi = tile_y0, tile_y1
     else:
-        cov_yy = projected.cov2d[seg.pair_splats, 2]
-        reach = np.sqrt(QUAD_CUTOFF * np.maximum(cov_yy, 0.0))
-        y_lo = np.floor(my - reach - 0.5).astype(np.int64)
-        y_hi = np.ceil(my + reach - 0.5).astype(np.int64)
-        y_lo = np.maximum(y_lo, tile_y0.astype(np.int64))
-        y_hi = np.minimum(
-            y_hi, np.minimum(tile_y0.astype(np.int64) + ts, grid.height) - 1
-        )
+        my = projected.means2d[seg.pair_splats, 1]
+        dy_lo, dy_hi = _strip_row_bounds(projected, seg)
+        lo = np.ceil(my + dy_lo - STRIP_GUARD - 0.5)
+        hi = np.floor(my + dy_hi + STRIP_GUARD - 0.5)
+        # Clip in float (missed pairs carry ±inf bounds) to the tile's rows,
+        # or one past them, which leaves an empty range.
+        y_lo = np.clip(lo, tile_y0, tile_y1 + 1).astype(np.int64)
+        y_hi = np.clip(hi, tile_y0 - 1, tile_y1).astype(np.int64)
     counts = np.maximum(y_hi - y_lo + 1, 0)
 
     total = int(counts.sum())
@@ -345,7 +405,7 @@ def build_row_spans(
 
     # (tile, row) key — exact integers, so the stable sort keeps depth order
     # within every pixel row.
-    key = span_tile * ts + (span_y - np.repeat(tile_y0.astype(np.int64), counts))
+    key = span_tile * ts + (span_y - np.repeat(tile_y0, counts))
     order = np.argsort(key, kind="stable")
     span_pair = span_pair[order]
     span_y = span_y[order]

@@ -251,9 +251,9 @@ def render_batch(
     rasterization — alpha evaluation, the transmittance scan, compositing
     and statistics — executes once per batch over the concatenated span
     lists.  ``batch_size`` caps how many views share one scan (``None``
-    batches everything); results are identical to per-view :func:`render`
-    within the backend-equivalence tolerance, and bit-identical at batch
-    size 1.
+    batches everything); on the packed backends every result is
+    bit-identical to its per-view :func:`render`, whatever the batch size
+    or span budget.
     """
     config = config or RenderConfig()
     if batch_size is not None and batch_size <= 0:

@@ -11,7 +11,14 @@ from hypothesis.extra import numpy as hnp
 from repro.accel.tile_merge import identity_merge, merge_tiles
 from repro.core.ce import frame_ce
 from repro.core.pruning import prune_lowest_ce
+from repro.foveation import (
+    render_foveated,
+    render_foveated_batch,
+    uniform_foveated_model,
+)
 from repro.foveation.regions import RegionLayout
+from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
+from repro.scenes import gaze_trajectory, generate_scene, trace_cameras
 from repro.splat.gaussians import (
     normalize_quaternions,
     quaternions_to_matrices,
@@ -23,20 +30,25 @@ from repro.splat.backends import (
     segmented_cumsum_exclusive,
 )
 from repro.splat.backends.kernels import (
+    BatchTables,
     Workspace,
     batch_composite,
+    batch_span_alphas,
+    batch_span_quad,
     batch_transmittance,
     batch_weights,
     get_array_namespace,
 )
+from repro.splat.backends.packed import SPAN_BUDGET_ENV
 from repro.splat.backends.segments import (
     SegmentIndex,
     build_row_spans,
     build_segments,
+    concat_spans,
 )
 from repro.splat.camera import Camera
 from repro.splat.rasterizer import composite
-from repro.splat.renderer import prepare_view
+from repro.splat.renderer import RenderConfig, prepare_view, render, render_batch
 from repro.splat.sh import sh_basis
 from repro.splat.tiling import TileGrid
 
@@ -168,6 +180,163 @@ class TestSpanSubsetProperties:
         # Groups with no surviving span composite to pure background.
         dropped = full[~kept_groups]
         assert np.abs(dropped - background).max(initial=0.0) <= 1e-12
+
+
+def _live_span_keys(projected, seg, spans) -> np.ndarray:
+    """``pair · H + row`` of every span with a nonzero on-image alpha.
+
+    Alphas are taken at opacity 1, the bound every opacity the engine
+    scans (model and level opacities are sigmoids) stays below.
+    """
+    nsx = get_array_namespace("numpy")
+    ws = Workspace(nsx)
+    sel = seg.pair_splats
+    pairs = {
+        "means": projected.means2d[sel],
+        "conics": projected.conics[sel],
+        "opacities": np.ones(seg.num_pairs),
+        "colors": projected.colors[sel],
+        "origin_x": seg.geometry.origin_x[seg.pair_tiles],
+        "depths": projected.depths[sel],
+    }
+    bt = BatchTables.build(nsx, concat_spans([spans]), pairs)
+    alphas = batch_span_alphas(nsx, ws, bt, batch_span_quad(nsx, ws, bt))
+    on_image = seg.geometry.lane_valid[spans.span_tile].T  # (ts, R)
+    live = ((alphas > 0.0) & on_image).any(axis=0)
+    return spans.span_pair[live] * seg.grid.height + spans.span_y[live]
+
+
+class TestStripBoundProperties:
+    """The strip-bounded row spans drop only spans that cannot contribute."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        width=st.integers(5, 75),
+        height=st.integers(5, 55),
+        big=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_contributing_row_is_built(self, seed, width, height, big):
+        # Frame sizes that are mostly not tile multiples: partial edge tiles
+        # hold lanes off the image, which the strip must exclude safely.
+        rng = np.random.default_rng(seed)
+        scales = (0.05, 0.8) if big else (0.02, 0.3)
+        model = random_model(60, rng, extent=1.5, scale_range=scales)
+        camera = Camera.from_fov(
+            width=width,
+            height=height,
+            fov_x_deg=60.0,
+            position=np.array([0.0, 0.0, -4.0]),
+            look_at=np.array([0.0, 0.0, 0.0]),
+        )
+        projected, assignment = prepare_view(model, camera)
+        seg = build_segments(assignment)
+        full = build_row_spans(projected, seg, full_rows=True)
+        spans = build_row_spans(projected, seg)
+        assert spans.num_spans <= full.num_spans
+        if full.num_spans == 0:
+            return
+        live = _live_span_keys(projected, seg, full)
+        built = spans.span_pair * seg.grid.height + spans.span_y
+        assert np.isin(live, built).all()
+        # Built rows stay inside their pair's tile and the image.
+        tile_y0 = seg.geometry.origin_y[spans.span_tile]
+        ts = seg.grid.tile_size
+        assert np.all((spans.span_y >= tile_y0) & (spans.span_y < tile_y0 + ts))
+        assert np.all(spans.span_y < height)
+
+
+@functools.lru_cache(maxsize=1)
+def _batch_invariance_inputs():
+    """A small scene, its foveated model, foveated frames and full views."""
+    scene = generate_scene("kitchen", n_points=600)
+    fmodel = uniform_foveated_model(scene, EVAL_REGION_LAYOUT, EVAL_LEVEL_FRACTIONS)
+    cameras = trace_cameras("kitchen", n_train=2, n_eval=2, width=96, height=64)
+    poses = cameras[0]
+    gazes = [tuple(map(float, g)) for g in gaze_trajectory(96, 64, 5, seed=7)]
+    gazes.append((-40.0, 200.0))  # off-screen: all periphery
+    frames = [(poses[i % 2], g) for i, g in enumerate(gazes)]
+    views = poses + cameras[1]
+    return scene, fmodel, frames, views
+
+
+@functools.lru_cache(maxsize=1)
+def _lone_foveated():
+    _, fmodel, frames, _ = _batch_invariance_inputs()
+    return [render_foveated(fmodel, camera, gaze=gaze) for camera, gaze in frames]
+
+
+@functools.lru_cache(maxsize=2)
+def _lone_renders(backend):
+    scene, _, _, views = _batch_invariance_inputs()
+    return [render(scene, camera, RenderConfig(backend=backend)) for camera in views]
+
+
+def _partition(items, cuts):
+    bounds = [0, *sorted(cuts), len(items)]
+    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+# Span budgets from one span (every frame its own chunk) to far past any
+# batch (every frame in one scan).
+span_budgets = st.one_of(st.integers(1, 4096), st.integers(4096, 10**7))
+
+
+class TestBatchInvarianceProperties:
+    """Batching never moves a bit: every frame equals its lone render.
+
+    The transmittance scan restarts at every frame of a batch, so how
+    frames are partitioned into calls, chunked by ``batch_size`` and cut
+    by the span budget must not change any frame.
+    """
+
+    @given(
+        cuts=st.sets(st.integers(1, 5)),
+        batch_size=st.one_of(st.none(), st.integers(1, 6)),
+        budget=span_budgets,
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_foveated_batch_equals_lone(self, cuts, batch_size, budget):
+        _, fmodel, frames, _ = _batch_invariance_inputs()
+        lone = _lone_foveated()
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(SPAN_BUDGET_ENV, str(budget))
+            for part in _partition(frames, cuts):
+                got += render_foveated_batch(
+                    fmodel,
+                    [camera for camera, _ in part],
+                    gazes=[gaze for _, gaze in part],
+                    batch_size=batch_size,
+                )
+        for ref, res in zip(lone, got, strict=True):
+            assert np.array_equal(ref.image, res.image)
+            assert np.array_equal(
+                ref.stats.raster_intersections_per_tile,
+                res.stats.raster_intersections_per_tile,
+            )
+
+    @pytest.mark.parametrize("backend", ["packed", "packed-xp"])
+    @given(
+        cuts=st.sets(st.integers(1, 3)),
+        batch_size=st.one_of(st.none(), st.integers(1, 4)),
+        budget=span_budgets,
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_render_batch_equals_lone(self, backend, cuts, batch_size, budget):
+        scene, _, _, views = _batch_invariance_inputs()
+        config = RenderConfig(backend=backend)
+        lone = _lone_renders(backend)
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(SPAN_BUDGET_ENV, str(budget))
+            for part in _partition(views, cuts):
+                got += render_batch(scene, part, config, batch_size=batch_size)
+        for ref, res in zip(lone, got, strict=True):
+            assert np.array_equal(ref.image, res.image)
+            assert np.array_equal(
+                ref.stats.dominated_pixels, res.stats.dominated_pixels
+            )
 
 
 class TestQuaternionProperties:
@@ -388,6 +557,36 @@ class TestSegmentIndexProperties:
             nonzero = index.lens > 0
             assert np.all(trans[index.starts[nonzero]] == 1.0)
         assert np.all((trans >= 0.0) & (trans <= 1.0))
+
+    @given(
+        lens=segment_lens,
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_view_restart_matches_lone_scans(self, lens, cuts, seed):
+        """With view offsets, every view's scan is bitwise its lone scan.
+
+        Offsets may repeat (empty views, also at either end) and views may
+        hold empty segments or no items at all.
+        """
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(2, int(lens.sum())))
+        num_segments = lens.shape[0]
+        offsets = np.array(
+            [0, *sorted(min(c, num_segments) for c in cuts), num_segments]
+        )
+        excl, totals = segmented_cumsum_exclusive(
+            values, SegmentIndex.from_lengths(lens), group_offsets=offsets
+        )
+        item_at = np.concatenate([[0], np.cumsum(lens)])
+        for g0, g1 in zip(offsets[:-1], offsets[1:]):
+            c0, c1 = item_at[g0], item_at[g1]
+            lone_excl, lone_totals = segmented_cumsum_exclusive(
+                values[:, c0:c1].copy(), SegmentIndex.from_lengths(lens[g0:g1])
+            )
+            assert np.array_equal(excl[:, c0:c1], lone_excl)
+            assert np.array_equal(totals[:, g0:g1], lone_totals)
 
     def test_length_zero_batch(self):
         index = SegmentIndex.from_lengths(np.empty(0, dtype=np.int64))
