@@ -12,21 +12,21 @@ def _tuning_stamp() -> str | None:
     """One line describing the knob state a benchmark actually ran under.
 
     Tuned hosts and untuned hosts produce different numbers for the same
-    code; stamping the resolved span budget, cache bytes, batch budget and
-    profile source into every archived table makes results comparable
-    across machines.  Guarded: a broken tuning stack must never take the
+    code; stamping the resolved span budget, render threads, cache bytes,
+    batch budget and profile source into every archived table makes
+    results comparable across machines.  Guarded: a broken tuning stack must never take the
     benchmarks down with it.
     """
     try:
         from repro.serve.regions import resolved_cache_bytes
         from repro.serve.scheduler import resolved_batch_budget
-        from repro.splat.backends import span_chunk_budget, tile_span_budget
+        from repro.splat.backends import render_threads, span_chunk_budget
         from repro.tune import profile_source
 
         cache = resolved_cache_bytes()
         return (
             f"[tuning: span_budget={span_chunk_budget()} "
-            f"tile_spans={tile_span_budget()} "
+            f"render_threads={render_threads()} "
             f"cache_bytes={'off' if cache is None else cache} "
             f"batch_budget={resolved_batch_budget()} "
             f"profile={profile_source()}]"

@@ -1,6 +1,6 @@
-"""Autotuner validation: measured knees, model predictions, tiled backend.
+"""Autotuner validation: measured knees and model predictions.
 
-Three tables, three contracts:
+Two tables, two contracts:
 
 1. **Selection quality** — the span-budget sweep's knee fit must keep at
    least 95% of the best swept setting's throughput (the whole point of
@@ -16,44 +16,17 @@ Three tables, three contracts:
    ill-defined, and an analytic model should be judged across hosts, not
    pinned to one.
 
-3. **Tiled backend** — ``packed-tiled`` must match ``packed`` to the
-   backend-equivalence tolerance (1e-10, asserted always) and beat it by
-   ≥ 1.1x on a ≥ 1024² frame *when the frame's working set overflows the
-   LLC and a measured tile extent is active* (gated in ``--quick``/strict
-   mode).  Two informational skips: where the LLC holds the whole working
-   set tiling has nothing to win, and without a tuned tile extent (host
-   profile or ``$REPRO_TILE_SPAN_BUDGET`` — run ``repro.cli tune``, as
-   the CI tune leg does) the backend falls back to the analytic
-   prediction, whose accuracy is exactly what table 2 reports rather
-   than gates.
-
 Run with ``--quick`` for the CI-sized pass of the same assertions.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-import numpy as np
 import pytest
 
-from repro.scenes import generate_scene, trace_cameras
-from repro.splat import prepare_view
-from repro.splat.backends import get_backend, tile_span_budget
-from repro.splat.backends.segments import build_row_spans, build_segments
 from repro.tune import span_cost_model
 from repro.tune.sweep import sweep_span_budget
 
 from _report import report
-
-TOL = 1e-10
-TILED_SIZE = 1024  # acceptance scale: >= 1024^2 for the tiled-backend gate
-TILED_POINTS = 2048
-
-
-def _strict() -> bool:
-    return os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -100,107 +73,3 @@ def test_cost_model_prediction(quick, tag):
         assert model.working_set_bytes(model.predicted_span_budget) <= (
             model.llc_bytes
         )
-
-
-@pytest.fixture(scope="module")
-def tiled_rows(request):
-    quick = request.config.getoption("--quick")
-    reps = 2 if quick else 4
-    scene = generate_scene("kitchen", n_points=TILED_POINTS)
-    # The synthetic generator sizes splats for tiny eval frames; rescale to
-    # the few-pixel screen footprints real captures exhibit at this size.
-    scene.log_scales += np.log(0.15 * TILED_SIZE / 256.0)
-    train, _ = trace_cameras(
-        "kitchen", n_train=1, n_eval=1, width=TILED_SIZE, height=TILED_SIZE
-    )
-    camera = train[0]
-    projected, assignment = prepare_view(scene, camera)
-    n_spans = build_row_spans(projected, build_segments(assignment)).num_spans
-    background = np.zeros(3)
-
-    def frame_ms(engine) -> float:
-        def run():
-            return engine.forward(
-                projected, assignment, scene.num_points, background, False, False
-            )
-
-        run()  # warm-up
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - t0)
-        return min(times) * 1e3
-
-    packed = get_backend("packed")
-    tiled = get_backend("packed-tiled")
-    packed_ms = frame_ms(packed)
-    tiled_ms = frame_ms(tiled)
-    packed_img = packed.forward(
-        projected, assignment, scene.num_points, background, False, False
-    )[0]
-    tiled_img = tiled.forward(
-        projected, assignment, scene.num_points, background, False, False
-    )[0]
-    return dict(
-        packed_ms=packed_ms,
-        tiled_ms=tiled_ms,
-        max_diff=float(np.max(np.abs(packed_img - tiled_img))),
-        n_spans=n_spans,
-        quick=quick,
-    )
-
-
-def _tuned_tile_budget_active() -> bool:
-    """Whether the tile extent comes from a *measurement* (env or profile)
-    rather than the analytic fallback prediction."""
-    from repro.splat.backends.packed import TILE_BUDGET_ENV
-    from repro.tune import profile_value
-
-    if os.environ.get(TILE_BUDGET_ENV, "").strip():
-        return True
-    return profile_value("tile_spans") is not None
-
-
-def test_tiled_backend_large_frame(tiled_rows, tag):
-    r = tiled_rows
-    model = span_cost_model()
-    budget = tile_span_budget()
-    tuned = _tuned_tile_budget_active()
-    speedup = r["packed_ms"] / r["tiled_ms"]
-    overflows = model is not None and model.overflows_llc(r["n_spans"])
-    lines = [
-        f"{TILED_SIZE}x{TILED_SIZE} frame, {TILED_POINTS} gaussians, "
-        f"{r['n_spans']} spans (tile budget {budget}, "
-        f"{'measured' if tuned else 'model-predicted'})",
-        f"{'backend':<14} {'per frame':>10}",
-        f"{'packed':<14} {r['packed_ms']:8.1f}ms",
-        f"{'packed-tiled':<14} {r['tiled_ms']:8.1f}ms",
-        f"speedup: {speedup:.2f}x",
-        f"max |packed - tiled|: {r['max_diff']:.2e} (tolerance {TOL})",
-        (
-            f"working set {model.working_set_bytes(r['n_spans']) >> 20} MiB vs "
-            f"LLC {model.llc_bytes >> 20} MiB -> "
-            f"{'overflows' if overflows else 'resident'}"
-            if model is not None
-            else "cache geometry not detectable: overflow status unknown"
-        ),
-    ]
-    report(f"Cache-tiled backend at {TILED_SIZE}^2{tag}", lines)
-    # Numerical equivalence is unconditional: tiling must never change
-    # the image beyond the backend tolerance.
-    assert r["max_diff"] <= TOL
-    if r["quick"] or _strict():
-        if not overflows:
-            pytest.skip(
-                "frame working set fits this host's LLC "
-                "(tiling has nothing to win here); speedup gate applies "
-                "only where the LLC is the bottleneck"
-            )
-        if not tuned:
-            pytest.skip(
-                "no measured tile extent active (run `repro.cli tune` or "
-                "set REPRO_TILE_SPAN_BUDGET); the analytic fallback's "
-                "accuracy is reported by the cost-model table, not gated"
-            )
-        assert speedup >= 1.1, f"packed-tiled: {speedup:.2f}x"

@@ -14,6 +14,11 @@ workers are *stateful*:
 - the backend's persistent span workspace (segment structure, Gaussian
   exp tables) warms up inside each worker and stays resident across
   batches, exactly as it does for the inline path;
+- each worker's render thread pool (``render_pool`` in
+  :mod:`repro.splat.backends.packed`) gets ``max(1, cpus // workers)``
+  threads, so the pool as a whole runs about one render thread per CPU;
+  a worker builds its own thread pool, never the parent's (a thread pool
+  does not survive fork);
 - renders stay **bit-identical** to the inline path: workers run the same
   :func:`repro.foveation.render_foveated_batch` with the same chunking
   (``exact_frames``), and frames are pure functions of ``(model, camera,
@@ -61,6 +66,7 @@ from ..envknobs import env_int
 from ..foveation.hierarchy import FoveatedModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, Tracer, set_active_tracer
+from ..splat.backends.packed import set_render_threads, usable_cpus
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
 from .shm import (
@@ -149,6 +155,7 @@ def _worker_init(
     viewcache: int = DEFAULT_WORKER_VIEWCACHE,
     shm_name: str | None = None,
     shm_lock=None,
+    render_threads: int = 1,
 ) -> None:
     from ..splat.renderer import ViewCache
     from .regions import foveated_model_fingerprint
@@ -165,6 +172,7 @@ def _worker_init(
             # returns results over the pickle path; the parent counts the
             # fallbacks.  Never fail worker startup over a transport knob.
             arena = None
+    set_render_threads(render_threads)
     global _WORKER_STATE
     _WORKER_STATE = {
         "fmodel": fmodel,
@@ -295,6 +303,7 @@ class RenderWorkerPool:
                 resolved_worker_viewcache(worker_viewcache),
                 shm_name,
                 shm_lock,
+                max(1, usable_cpus() // workers),
             ),
         )
         self.renders_dispatched = 0

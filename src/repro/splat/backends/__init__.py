@@ -1,20 +1,16 @@
 """Pluggable rasterization backends for the render engine.
 
-Four engines ship with the repo, listed in a capability-flagged registry
+Three engines ship with the repo, listed in a capability-flagged registry
 (:func:`backend_registry` / ``repro.cli --backend list``):
 
 - ``packed`` (default): flattens all tile–splat intersections of a frame
   into contiguous, depth-sorted segment arrays and runs compositing, stats
-  and the backward pass as whole-frame vectorized segment operations over
-  the numpy kernel namespace.
+  and the backward pass as vectorized segment operations over the numpy
+  kernel namespace, in tile-row band pieces spread over a thread pool.
 - ``packed-xp``: the same engine with its numeric kernels retargeted onto
   a runtime-resolved array namespace (numpy default; torch / cupy when
   installed) — see :mod:`repro.splat.backends.kernels` and the
   ``REPRO_ARRAY_API`` env var / ``--array-api`` CLI flag.
-- ``packed-tiled``: the packed engine with very large frames split into
-  group-aligned cache-resident sub-chunk scans; the tile extent comes
-  from the per-host tuner (:mod:`repro.tune`), falling back to an LLC
-  cost-model prediction.
 - ``reference``: the original per-tile Python loop, kept as the regression
   oracle — ``packed`` must match it to within 1e-10.
 
@@ -47,13 +43,7 @@ from .kernels import (
     segmented_cumsum_exclusive,
 )
 from .kernels import set_default_array_api as _set_default_array_api
-from .packed import (
-    PackedBackend,
-    TiledPackedBackend,
-    span_chunk_budget,
-    split_spans,
-    tile_span_budget,
-)
+from .packed import PackedBackend, render_threads, set_render_threads, span_chunk_budget
 from .reference import ReferenceBackend
 from .segments import (
     QUAD_CUTOFF,
@@ -131,7 +121,7 @@ def register_backend(
 register_backend(
     "packed",
     PackedBackend,
-    description="whole-frame vectorized span engine (numpy kernels)",
+    description="band-parallel vectorized span engine (numpy kernels)",
     device="cpu",
     has_forward_batch=True,
     has_foveated_batch=True,
@@ -144,17 +134,6 @@ register_backend(
         "(REPRO_ARRAY_API / --array-api: numpy|torch|cupy)"
     ),
     device="xp",
-    has_forward_batch=True,
-    has_foveated_batch=True,
-)
-register_backend(
-    "packed-tiled",
-    TiledPackedBackend,
-    description=(
-        "cache-tiled span engine for very large frames (tile extent from "
-        "the tuner: $REPRO_TILE_SPAN_BUDGET / host profile / LLC model)"
-    ),
-    device="cpu",
     has_forward_batch=True,
     has_foveated_batch=True,
 )
@@ -330,7 +309,6 @@ __all__ = [
     "SegmentIndex",
     "SpanBatch",
     "TileLaneGeometry",
-    "TiledPackedBackend",
     "TorchNamespace",
     "Workspace",
     "array_api_installed",
@@ -350,11 +328,11 @@ __all__ = [
     "segment_transmittance_exclusive",
     "segmented_cumsum_exclusive",
     "set_array_api",
+    "render_threads",
     "set_default_backend",
+    "set_render_threads",
     "span_chunk_budget",
-    "split_spans",
     "supports_forward_batch",
     "supports_foveated_batch",
     "tile_lane_geometry",
-    "tile_span_budget",
 ]

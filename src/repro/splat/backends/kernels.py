@@ -645,8 +645,8 @@ def segmented_cumsum_exclusive(
     global scan accumulates across thousands of segments — stay bounded by a
     single segment's range.
 
-    **View restarts.**  ``group_offsets`` (host, ``(V + 1,)``, e.g.
-    :attr:`SpanBatch.group_offsets`) splits the segments into views.  The
+    **View restarts.**  ``group_offsets`` (host, sorted, e.g.
+    :attr:`SpanBatch.band_offsets`) splits the segments into views.  The
     re-centring leaves a last-bit rounding residue that carries into the
     next segment, so a scan run across a view boundary would make a view's
     result depend on the views before it.  Instead each view's first
@@ -811,8 +811,8 @@ def batch_span_quad(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables):
     """Mahalanobis quadratic form per (lane, span), ``(ts, R)``.
 
     The tile x-origin and mean of every span are gathered per span, so the
-    cost is O(spans) whatever the size of the pair tables (the tiled
-    backend scans a frame's pieces against one whole-frame table).
+    cost is O(spans) whatever the size of the pair tables (a band piece
+    scans a slice of a frame against that frame's whole table).
     Evaluation order matches :func:`repro.splat.rasterizer.splat_alphas`
     bit for bit.
     """
@@ -878,7 +878,9 @@ def batch_span_alphas(nsx: ArrayNamespace, ws: Workspace, bt: BatchTables, quad)
     statistics/gradient reductions mask them out explicitly.
     """
     alphas = exp_neg_half(nsx, quad, out=ws.take("alphas", quad.shape))
-    alphas = nsx.multiply(alphas, bt.opacities[bt.span_pair][None, :], out=alphas)
+    opacity = ws.take("span_gather", (bt.num_spans,))
+    nsx.take(bt.opacities, bt.span_pair, axis=0, out=opacity)
+    alphas = nsx.multiply(alphas, opacity[None, :], out=alphas)
     return batch_intersect_test(nsx, ws, alphas)
 
 
@@ -914,8 +916,9 @@ def batch_transmittance(
     transmittance itself rather than the transmittance before the last
     contribution.  ``group_has_tile_last`` (host, ``(Q,)``) marks groups
     whose last span is the tile's last pair.  ``group_offsets`` (host,
-    ``(V + 1,)``) restarts the scan at every view of a batch, so each
-    view's transmittance is bitwise what it would be alone.
+    sorted group indices, e.g. :attr:`SpanBatch.band_offsets`) restarts the
+    scan at every entry, so each band's transmittance is bitwise what it
+    would be alone.
     """
     trans = segment_transmittance_exclusive(
         alphas, groups, nsx=nsx, ws=ws, group_offsets=group_offsets

@@ -15,14 +15,20 @@ handful).
 
 The numeric core lives in :mod:`repro.splat.backends.kernels`,
 parameterized by an array namespace: this module orchestrates span
-construction, chunking and the scatter back into frames, while every scan
-and reduction runs through the backend's ``nsx`` (numpy by default; the
-``packed-xp`` registry entry resolves torch/cupy at runtime).  There is one
-kernel family: the standard forward (a batch of one view), the batched
-forward, the foveated and multi-model frames and the backward pass all run
-on the same span kernels, with their scratch in the backend's
+construction, the band pieces and the scatter back into frames, while
+every scan and reduction runs through the backend's ``nsx`` (numpy by
+default; the ``packed-xp`` registry entry resolves torch/cupy at runtime).
+There is one kernel family: the standard forward (a batch of one view),
+the batched forward, the foveated and multi-model frames and the backward
+pass all run on the same span kernels, with their scratch in the backend's
 thread-local :class:`~repro.splat.backends.kernels.Workspace`, so repeated
 renders touch only warm pages.
+
+The unit of scan work is the tile-row *band*: the scans restart at every
+band, a call's bands are packed into pieces of at most
+:func:`span_chunk_budget` spans, and the pieces run on a process-wide
+thread pool (:func:`render_pool`).  A frame is bitwise the same however
+it was batched, whatever the span budget and on any number of threads.
 
 Work scales with the rasterized splat area rather than
 ``intersections × tile area`` (the reference loop's cost), which is where
@@ -41,8 +47,12 @@ segmented scans and reductions run along the contiguous axis.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -72,11 +82,13 @@ from .kernels import (
 from .segments import (
     PackedSegments,
     RowSpans,
-    SegmentIndex,
     SpanBatch,
     build_row_spans,
     build_segments,
     concat_spans,
+    expand_row_spans,
+    join_row_spans,
+    pair_row_ranges,
 )
 
 
@@ -104,26 +116,23 @@ def _group_pixel_index(spans: RowSpans) -> tuple[np.ndarray, np.ndarray]:
     return idx, geom.lane_valid[spans.group_tile]
 
 
-# Cache-residency budget of one batched scan, in spans.  A batch scan's
+# Cache-residency budget of one scan piece, in spans.  A scan's
 # temporaries are ``(tile_size, R)``; once they outgrow the fast cache
-# levels every whole-batch operation streams from DRAM, which measured ~2x
-# slower per element than cache-resident per-view arrays.  8k spans keeps
-# each scan matrix around 1 MB (at the default 16-px tiles) — the best point
-# of a 6k–24k sweep across frame sizes and view counts — while still
-# amortizing the fixed per-frame kernel overhead across several views.
+# levels every operation streams from DRAM, which measured ~2x slower per
+# element than cache-resident pieces.  8k spans keeps each scan matrix
+# around 1 MB (at the default 16-px tiles) — the best point of a 6k–24k
+# sweep across frame sizes and view counts — while still amortizing the
+# fixed per-piece kernel overhead across several small views.  Pieces cut
+# only at tile-row bands, so a band over the budget is a piece of its own.
 # ``repro.cli tune`` re-measures the knee per machine and persists it to a
 # host profile; ``REPRO_BATCH_SPAN_BUDGET`` overrides both.  Device
 # namespaces skip the chunking entirely (no CPU cache to stay resident in).
 DEFAULT_SPAN_CHUNK_BUDGET = 8192
 SPAN_BUDGET_ENV = "REPRO_BATCH_SPAN_BUDGET"
 
-# Per-view span budget of the cache-tiled ``packed-tiled`` backend: frames
-# whose span list exceeds it are scanned in group-aligned sub-chunks so the
-# scan temporaries of *one very large frame* stay LLC-resident (the span
-# chunk budget above only bounds how many small frames share a scan — a
-# single oversized frame still ran as one whole-frame scan).  The default
-# follows the tuner: host profile, else the LLC cost-model prediction,
-# else 4x the span chunk budget; ``REPRO_TILE_SPAN_BUDGET`` overrides.
+# The span extent of the retired cache-tiled backend.  Nothing renders
+# with it any more (band pieces bound every scan); it still resolves
+# because ``perfbench/stamp.py`` records it with the other knobs.
 DEFAULT_TILE_SPAN_BUDGET = 4 * DEFAULT_SPAN_CHUNK_BUDGET
 TILE_BUDGET_ENV = "REPRO_TILE_SPAN_BUDGET"
 
@@ -176,7 +185,7 @@ def _predicted_tile_spans() -> int | None:
 
 
 def tile_span_budget(budget: int | None = None) -> int:
-    """Tile extent of the ``packed-tiled`` backend, in spans.
+    """The retired tile extent, in spans (recorded, not used to render).
 
     Precedence: explicit > ``REPRO_TILE_SPAN_BUDGET`` (hardened like
     :func:`span_chunk_budget`) > host profile ``tile_spans`` > the LLC
@@ -197,88 +206,245 @@ def tile_span_budget(budget: int | None = None) -> int:
     return env_int(TILE_BUDGET_ENV, int(fallback), minimum=1)
 
 
-def split_spans(spans: RowSpans, max_spans: int) -> list[RowSpans]:
-    """Split a span list into group-aligned pieces of ``<= max_spans`` spans.
+def _pair_tables(projected: ProjectedGaussians, seg: PackedSegments) -> dict[str, np.ndarray]:
+    """Per-pair gather tables of one view, aligned with its pair rows.
 
-    Pieces cut only at ``(tile, row)`` group boundaries, so every segmented
-    scan over a piece sees exactly the whole groups it would see in the
-    full-frame scan — per-group depth order, group order and the
-    ``span_pair`` indexing into the *full* pair tables are all preserved,
-    which is what lets the tiled backend share one set of pair gather
-    tables across its sub-chunks.  A single group larger than ``max_spans``
-    becomes its own oversized piece (groups are never split: the
-    transmittance scan's re-centring happens at group starts).
+    Every band piece of the view indexes these through ``span_pair``, so
+    they are gathered once per view (and once per call for the gaze
+    samples of one pose); :meth:`BatchTables.build` moves them to the
+    namespace.
     """
-    if max_spans < 1:
-        raise ValueError(f"max_spans must be positive, got {max_spans}")
-    if spans.num_spans <= max_spans:
-        return [spans]
-    lens = spans.groups.lens
-    ends = spans.groups.starts + lens  # (Q,) exclusive span end of each group
-    pieces: list[RowSpans] = []
-    g0 = 0
-    s0 = 0
-    num_groups = spans.num_groups
-    while g0 < num_groups:
-        g1 = int(np.searchsorted(ends, s0 + max_spans, side="right"))
-        if g1 <= g0:  # one group alone exceeds the budget
-            g1 = g0 + 1
-        s1 = int(ends[g1 - 1])
-        pieces.append(
-            RowSpans(
-                seg=spans.seg,
-                span_pair=spans.span_pair[s0:s1],
-                span_tile=spans.span_tile[s0:s1],
-                span_y=spans.span_y[s0:s1],
-                groups=SegmentIndex.from_lengths(lens[g0:g1]),
-                group_tile=spans.group_tile[g0:g1],
-                group_y=spans.group_y[g0:g1],
-                group_has_tile_last=spans.group_has_tile_last[g0:g1],
-            )
-        )
-        g0, s0 = g1, s1
-    return pieces
-
-
-def _batch_pair_tables(
-    views: list[tuple[ProjectedGaussians, TileAssignment]],
-    spans_list: list[RowSpans],
-) -> dict[str, np.ndarray]:
-    """Concatenated per-pair gather tables aligned with a batch's pair rows.
-
-    One gather per view, so every later batch-wide lookup (means, conics,
-    colours, opacities, depths, point ids, tile x-origins) is a single flat
-    index into these host tables regardless of which frame a span came
-    from.  :meth:`BatchTables.build` moves them to the namespace.
-    """
-    tables: dict[str, list[np.ndarray]] = {
-        name: []
-        for name in ("means", "conics", "opacities", "colors", "pids", "origin_x", "depths")
+    sel = seg.pair_splats
+    return {
+        "means": projected.means2d[sel],
+        "conics": projected.conics[sel],
+        "opacities": projected.opacities[sel],
+        "colors": projected.colors[sel],
+        "pids": projected.point_ids[sel],
+        "origin_x": seg.geometry.origin_x[seg.pair_tiles],
+        "depths": projected.depths[sel],
     }
-    for (projected, _), spans in zip(views, spans_list):
-        seg = spans.seg
-        sel = seg.pair_splats
-        tables["means"].append(projected.means2d[sel])
-        tables["conics"].append(projected.conics[sel])
-        tables["opacities"].append(projected.opacities[sel])
-        tables["colors"].append(projected.colors[sel])
-        tables["pids"].append(projected.point_ids[sel])
-        tables["origin_x"].append(seg.geometry.origin_x[seg.pair_tiles])
-        tables["depths"].append(projected.depths[sel])
-    return {name: np.concatenate(parts) for name, parts in tables.items()}
+
+
+def _concat_tables(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """One piece's pair tables: its parts' tables, in :func:`concat_spans` order."""
+    if len(tables) == 1:
+        return tables[0]
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+
+
+# ----------------------------------------------------------------------
+# Band pieces and the render pool
+#
+# The unit of scan work is the *band*: every (tile, row) group of one tile
+# row of one view.  The scans restart at every band (``SpanBatch.
+# band_offsets``), so a batch may be cut on any band boundary without
+# moving a bit.  ``_band_pieces`` packs a stream of bands into pieces of at
+# most ``span_chunk_budget()`` spans (a band over the budget is its own
+# piece); each piece runs its whole kernel chain on one thread of a
+# process-wide pool (or, for a small call, on the calling thread), and the
+# calling thread scatters the results in piece order.  Pieces write
+# disjoint pixels and winner counts are integers, so the output does not
+# depend on thread scheduling.
+# ----------------------------------------------------------------------
+
+_UNSET: Any = object()
+_pool: ThreadPoolExecutor | None = _UNSET  # created lazily, per process
+_pool_threads: int | None = None  # set_render_threads(), else usable_cpus()
+_pool_lock = threading.Lock()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set, else the CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def set_render_threads(threads: int) -> None:
+    """Size this process's render pool (default: one thread per usable CPU).
+
+    Process workers that share the host call this so their pools do not
+    oversubscribe it (see :mod:`repro.serve.workers`).  One thread runs
+    every piece on the calling thread.
+    """
+    global _pool, _pool_threads
+    if threads < 1:
+        raise ValueError(f"render threads must be positive, got {threads}")
+    with _pool_lock:
+        old, _pool, _pool_threads = _pool, _UNSET, threads
+    if old is not _UNSET and old is not None:
+        old.shutdown(wait=False)
+
+
+def render_pool() -> ThreadPoolExecutor | None:
+    """The process's band-piece pool, or ``None`` with one thread."""
+    global _pool
+    pool = _pool
+    if pool is _UNSET:
+        with _pool_lock:
+            if _pool is _UNSET:
+                threads = _pool_threads or usable_cpus()
+                _pool = (
+                    ThreadPoolExecutor(threads, thread_name_prefix="repro-render")
+                    if threads > 1
+                    else None
+                )
+            pool = _pool
+    return pool
+
+
+def render_threads() -> int:
+    """Threads the band pieces of a render run on in this process."""
+    pool = render_pool()
+    return 1 if pool is None else pool._max_workers
+
+
+def _forget_pool_after_fork() -> None:
+    # A forked child inherits the pool object but none of its threads: a
+    # piece submitted to it would never run.  The child builds its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = _UNSET, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _band_pieces(sources, budget: int | None):
+    """Pack a stream of bands into pieces of at most ``budget`` spans.
+
+    ``sources`` yields ``(source, sizes)``: ``sizes[r]`` is the number of
+    spans the source scans in tile row ``r``.  Yields ``(parts, spans)``
+    with ``parts`` a list of ``(source, r0, r1)`` row ranges in stream
+    order.  A band over the budget is a piece of its own; ``budget=None``
+    packs everything into one piece.
+    """
+    if budget is not None and budget < 1:
+        raise ValueError(f"span budget must be positive, got {budget}")
+    parts: list[list] = []
+    total = 0
+    for source, sizes in sources:
+        for r in np.flatnonzero(sizes).tolist():
+            n = int(sizes[r])
+            if parts and budget is not None and total + n > budget:
+                yield [tuple(p) for p in parts], total
+                parts, total = [], 0
+            if parts and parts[-1][0] is source:
+                parts[-1][2] = r + 1
+            else:
+                parts.append([source, r, r + 1])
+            total += n
+    if parts:
+        yield [tuple(p) for p in parts], total
+
+
+def _run_pieces(pieces, run, work: dict, budget: int | None) -> list:
+    """Run ``run(parts)`` for every piece; results in piece order.
+
+    A call stays on the calling thread until its pieces hold more than one
+    ``budget`` of spans per pool thread: below that a thread hand-off costs
+    more than it saves (small frames' pieces are mostly numpy calls that
+    hold the GIL).  Past it, every piece goes to the render pool as soon as
+    it is cut, with at most two per thread in flight so the stream's inputs
+    are freed as it goes; the calling thread only cuts and waits.
+    ``work`` receives the trace counters: ``pieces``, ``threads``,
+    ``max_piece_spans`` and ``spans``.
+    """
+    pool = render_pool()
+    threads = render_threads()
+    local: list = []  # pieces held back for the calling thread
+    results: list = []
+    pending: collections.deque = collections.deque()
+    parallel = False
+    n_pieces = max_spans = total = 0
+    for parts, spans in pieces:
+        n_pieces += 1
+        max_spans = max(max_spans, spans)
+        total += spans
+        if not parallel and local and pool is not None and budget is not None:
+            if total > threads * budget:
+                parallel = True
+                pending.extend(pool.submit(run, p) for p in local)
+                local.clear()
+        if parallel:
+            pending.append(pool.submit(run, parts))
+            while len(pending) > 2 * threads:
+                results.append(pending.popleft().result())
+        else:
+            local.append(parts)
+    results = [run(p) for p in local] + results + [f.result() for f in pending]
+    work.update(
+        pieces=n_pieces,
+        threads=threads if parallel else 1,
+        max_piece_spans=max_spans,
+        spans=total,
+    )
+    return results
+
+
+@dataclasses.dataclass
+class _ViewRows:
+    """A view's pairs and the pixel rows each one expands to.
+
+    Band pieces build their own spans from these (:func:`expand_row_spans`)
+    on the thread that runs them, so a view's whole span list never exists.
+    """
+
+    seg: PackedSegments
+    y_lo: np.ndarray  # (K,) first row of each pair
+    counts: np.ndarray  # (K,) spans of each pair (its rows)
+    row_pairs: np.ndarray  # (tiles_y + 1,) first pair of each tile row
+    tables: dict[str, np.ndarray]  # per-pair gather tables
+
+    @classmethod
+    def build(
+        cls, projected: ProjectedGaussians, assignment: TileAssignment, full_rows: bool = False
+    ) -> "_ViewRows":
+        seg = build_segments(assignment)
+        grid = seg.grid
+        row_pairs = np.searchsorted(
+            seg.pair_tiles, np.arange(grid.tiles_y + 1) * grid.tiles_x
+        )
+        return cls(
+            seg, *pair_row_ranges(projected, seg, full_rows), row_pairs,
+            _pair_tables(projected, seg),
+        )
+
+    def band_sizes(self, counts: np.ndarray) -> np.ndarray:
+        """Per tile row, the spans of pairs expanding to ``counts`` rows."""
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        return np.diff(ends[self.row_pairs])
+
+
+@dataclasses.dataclass
+class _Source:
+    """One view's (or foveated frame's) share of the band stream."""
+
+    index: int  # position in the call's view list
+    rows: _ViewRows
+    counts: np.ndarray  # (K,) spans each pair contributes here (0: none)
+    plan: "_FoveatedPlan | None" = None
+
+    def spans(self, r0: int, r1: int) -> RowSpans:
+        """This source's spans of tile rows ``[r0, r1)``."""
+        rows = self.rows
+        return expand_row_spans(
+            rows.seg, rows.y_lo, self.counts, rows.row_pairs[r0], rows.row_pairs[r1]
+        )
 
 
 # ----------------------------------------------------------------------
 # Foveated span-stage decomposition
 #
 # The foveated frame is composed from the same span kernels as the
-# standard forward: a host-side *plan* (level filtering compacts each
-# composite pass to the spans whose pair passes its level's quality bound,
-# plus the blend-band tile selection), one chunk-wide exp table that every
-# pass gathers its alphas from, one shared transmittance scan and
-# composite, and a final per-frame blend.  ``foveated_frame_batch`` puts
-# many frames' passes into one scan; ``foveated_frame`` is a batch of one
-# through the identical code path.
+# standard forward: a host-side, pair-level *plan* (level filtering keeps
+# each composite pass to the pairs passing its level's quality bound, plus
+# the blend-band tile selection), then band pieces that each expand their
+# rows' kept spans, fill their share of the exp table that every pass
+# gathers its alphas from, and run one transmittance scan and composite
+# over both passes; a final per-frame blend.  ``foveated_frame`` is a
+# batch of one through the identical code path.
 # ----------------------------------------------------------------------
 
 
@@ -286,40 +452,29 @@ def _batch_pair_tables(
 class _FoveatedPlan:
     """Host-side stage decomposition of one foveated frame.
 
-    Built before any pixel math runs: the filtering-stage workload
-    statistics, the blend-band pixel selection, and the *compacted* span
-    lists of both composite passes.  ``primary`` keeps only the spans whose
-    pair passes its own tile's level bound; ``blend`` only the blend-band
-    tiles' spans whose pair passes the second level's bound — filtered
-    points never reach the scan.  ``union`` is the frame's share of the
-    chunk's Gaussian-exp table (every span either pass scans), and
-    ``primary_cols``/``blend_cols`` index each pass's spans into it
-    (``None``: the pass *is* the union).  ``level_spans`` are the per-level
-    tile subsets of ``primary`` that feed the accelerator model.  The span
-    lists are ``None`` for frames without intersections (they render as
-    pure background).
+    Built before any span exists: the filtering-stage workload statistics,
+    the blend-band pixel selection, and the pairs each composite pass
+    scans.  ``keep_primary`` marks the pairs passing their own tile's level
+    bound; ``keep_blend`` the blend-band tiles' pairs passing the second
+    level's bound (``None`` without band pixels) — filtered points never
+    reach the scan.  ``level_tiles`` are each level's non-empty tiles, whose
+    primary spans feed the accelerator model.  The pair fields are ``None``
+    for frames without intersections (they render as pure background).
     """
 
     maps: Any
+    seg: PackedSegments | None
     pair_tl: np.ndarray | None  # (K,) primary level per pair
     pair_second: np.ndarray | None  # (K,) second (blend) level per pair
-    union: RowSpans | None
-    primary: RowSpans | None
-    primary_cols: np.ndarray | None  # (R_p,) columns of ``primary`` in ``union``
-    blend: RowSpans | None  # second-level pass, ``None`` without band pixels
-    blend_cols: np.ndarray | None  # (R_b,) columns of ``blend`` in ``union``
+    keep_primary: np.ndarray | None  # (K,)
+    keep_blend: np.ndarray | None  # (K,)
     built: int  # spans built for the frame before level filtering
     sort_ints: np.ndarray  # (T,)
     raster_ints: np.ndarray  # (T,)
     mix_full: np.ndarray | None  # (H, W) pixels blending two levels
     lo_t: np.ndarray | None  # (T,) inner level of each tile's blend pair
     blend_pixels: int
-    level_spans: dict[int, RowSpans]
-
-    @property
-    def scanned(self) -> int:
-        """Spans the composite passes scan (after level filtering)."""
-        return sum(s.num_spans for s in (self.primary, self.blend) if s is not None)
+    level_tiles: dict[int, np.ndarray]
 
 
 def _foveated_plan(
@@ -328,41 +483,27 @@ def _foveated_plan(
     maps: Any,
     bounds: np.ndarray,
     n_levels: int,
-    view_memo: dict[int, tuple[PackedSegments, RowSpans]] | None = None,
+    rows: _ViewRows | None,
 ) -> _FoveatedPlan:
     """Filtering + blend-band planning of one frame (no pixel math).
 
-    Level filtering is expressed as span structure: each pass's span list
-    is compacted (:meth:`RowSpans.subset_spans`) to the spans whose pair
-    passes that pass's quality bound, so the alpha scan only ever sees
-    fragments that contribute.  The per-level filtered span lists surfaced
-    for accelerator alignment are tile subsets of the compacted primary.
-
-    ``view_memo`` shares the gaze-independent span structure across frames
-    of one batch: a trajectory's samples repeat the same prepared view
-    object, so its segments and row spans are built once per batch call
-    rather than once per gaze (keyed by the assignment's identity).
+    Level filtering is expressed as pair selection: each pass scans only
+    the spans of pairs passing that pass's quality bound, so the alpha scan
+    only ever sees fragments that contribute.  ``rows`` is the view's
+    gaze-independent pair structure (``None`` without intersections).
     """
     grid = assignment.grid
     num_tiles = grid.num_tiles
-    if assignment.num_intersections == 0:
+    if rows is None:
         return _FoveatedPlan(
-            maps=maps, pair_tl=None, pair_second=None,
-            union=None, primary=None, primary_cols=None, blend=None,
-            blend_cols=None, built=0,
+            maps=maps, seg=None, pair_tl=None, pair_second=None, keep_primary=None,
+            keep_blend=None, built=0,
             sort_ints=np.zeros(num_tiles, dtype=np.int64),
             raster_ints=np.zeros(num_tiles, dtype=np.float64),
-            mix_full=None, lo_t=None, blend_pixels=0, level_spans={},
+            mix_full=None, lo_t=None, blend_pixels=0, level_tiles={},
         )
 
-    cached = view_memo.get(id(assignment)) if view_memo is not None else None
-    if cached is None:
-        seg = build_segments(assignment)
-        spans = build_row_spans(projected, seg)
-        if view_memo is not None:
-            view_memo[id(assignment)] = (seg, spans)
-    else:
-        seg, spans = cached
+    seg = rows.seg
     tl = maps.tile_level
     second = maps.tile_second_level
     pair_bounds = bounds[projected.point_ids[seg.pair_splats]]
@@ -375,12 +516,10 @@ def _foveated_plan(
     sort_ints = np.bincount(seg.pair_tiles[sort_mask], minlength=num_tiles).astype(
         np.int64
     )
-    mask_primary = pair_bounds >= pair_tl
+    keep_primary = pair_bounds >= pair_tl
     raster_ints = np.bincount(
-        seg.pair_tiles[mask_primary], minlength=num_tiles
+        seg.pair_tiles[keep_primary], minlength=num_tiles
     ).astype(np.float64)
-    keep_primary = mask_primary[spans.span_pair]
-    primary = spans.subset_spans(keep_primary)
 
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
@@ -394,8 +533,7 @@ def _foveated_plan(
     )
     blend_pixels = int(mix_full.sum())
     pair_second = second[seg.pair_tiles]
-    union, primary_cols = primary, None
-    blend = blend_cols = None
+    keep_blend = None
     if blend_pixels:
         mix_count = np.bincount(tile_map[mix_full], minlength=num_tiles)
         sel_tiles = mix_count > 0  # implies second > 0 and non-empty
@@ -405,30 +543,24 @@ def _foveated_plan(
         raster_ints[sel_tiles] += (
             msec[sel_tiles] * mix_count[sel_tiles] / grid.tile_size**2
         )
-        keep_second = sel_tiles[spans.span_tile] & mask_second[spans.span_pair]
-        blend = spans.subset_spans(keep_second)
-        keep_union = keep_primary | keep_second
-        union = spans.subset_spans(keep_union)
-        primary_cols = np.flatnonzero(keep_primary[keep_union])
-        blend_cols = np.flatnonzero(keep_second[keep_union])
+        keep_blend = sel_tiles[seg.pair_tiles] & mask_second
 
-    # Per-level filtered span subsets: level t owns the primary spans of
-    # its non-empty tiles — exactly the fragments the primary composite
-    # rasterizes there.  This is the real foveated workload the accelerator
-    # model consumes (accel.spans_to_tile_counts).
-    level_spans: dict[int, RowSpans] = {}
+    # Level t owns the primary spans of its non-empty tiles — exactly the
+    # fragments the primary composite rasterizes there.  This is the real
+    # foveated workload the accelerator model consumes
+    # (accel.spans_to_tile_counts).
+    level_tiles = {}
     for t in range(1, n_levels + 1):
         tiles_t = (tl == t) & nonempty
         if tiles_t.any():
-            level_spans[t] = primary.subset(tiles_t)
+            level_tiles[t] = tiles_t
 
     return _FoveatedPlan(
-        maps=maps, pair_tl=pair_tl,
-        pair_second=pair_second, union=union, primary=primary,
-        primary_cols=primary_cols, blend=blend, blend_cols=blend_cols,
-        built=spans.num_spans, sort_ints=sort_ints, raster_ints=raster_ints,
-        mix_full=mix_full, lo_t=lo_t, blend_pixels=blend_pixels,
-        level_spans=level_spans,
+        maps=maps, seg=seg, pair_tl=pair_tl, pair_second=pair_second,
+        keep_primary=keep_primary, keep_blend=keep_blend,
+        built=int(rows.counts.sum()), sort_ints=sort_ints,
+        raster_ints=raster_ints, mix_full=mix_full, lo_t=lo_t,
+        blend_pixels=blend_pixels, level_tiles=level_tiles,
     )
 
 
@@ -477,23 +609,10 @@ class PackedBackend:
         collect_stats: bool,
         per_pixel_sort: bool,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        grid = assignment.grid
-        dominated = np.zeros(num_points, dtype=np.int64) if collect_stats else None
-        if assignment.num_intersections == 0:
-            return _background_frame(grid, background), dominated
-
-        seg = build_segments(assignment)
-        # Per-pixel sorting keeps every tile row: its early-termination gate
-        # sits at the per-pixel deepest splat, which the strip bound could
-        # otherwise prune (the permuted group-last slot is then exactly the
-        # reference's gate row).
-        spans = build_row_spans(projected, seg, full_rows=per_pixel_sort)
-        if spans.num_spans == 0:
-            return _background_frame(grid, background), dominated
-        # A batch of one through the same kernels as ``forward_batch``.
-        return self._forward_chunk(
-            [(projected, assignment)], [spans], num_points, background,
-            collect_stats, per_pixel_sort,
+        # A batch of one view through the same band pieces as ``forward_batch``.
+        return self.forward_batch(
+            [(projected, assignment)], num_points, background, collect_stats,
+            per_pixel_sort,
         )[0]
 
     def forward_batch(
@@ -504,119 +623,125 @@ class PackedBackend:
         collect_stats: bool,
         per_pixel_sort: bool,
     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Rasterize several views of one model in batch-segmented scans.
+        """Rasterize several views of one model in band-piece scans.
 
-        Per-view span lists concatenate into one batch (the grids may differ
-        as long as the tile size is shared), so alpha evaluation, the
-        transmittance scan, compositing and the Val_i statistics each run
-        once over all the batched frames; only the final scatter into each
-        frame and the cheap per-view span construction remain per view.
-        On CPU namespaces, scans are capped at :func:`span_chunk_budget`
-        spans (several views' worth) so the shared scan matrices stay
-        cache-resident — one scan over everything would stream every
-        operation from DRAM.  Device namespaces run one concatenated scan
-        per batch: there is no CPU cache to stay resident in, and kernel
-        launches amortize best over the largest possible segments.
+        The views' bands stream into band pieces (the grids may differ as
+        long as the tile size is shared): on CPU namespaces each piece
+        holds at most :func:`span_chunk_budget` spans — several small
+        views' worth, or a few tile rows of a large one — so its scan
+        matrices stay cache-resident, and the pieces run on the render
+        pool.  Device namespaces run one concatenated scan per batch: there
+        is no CPU cache to stay resident in, and kernel launches amortize
+        best over the largest possible segments.
         """
         if not views:
             return []
         sizes = {a.grid.tile_size for _, a in views}
         if len(sizes) > 1:
             raise ValueError(f"views must share one tile size, got {sorted(sizes)}")
-        budget = span_chunk_budget() if self.nsx.device == "cpu" else None
+        return self._forward_views(
+            views, [None] * len(views), num_points, background, collect_stats,
+            per_pixel_sort,
+        )
 
-        # Chunks are built streaming — one view's spans at a time, flushed
-        # once the budget fills — so peak residency is one chunk's spans and
-        # tables (plus the caller's views), never the whole batch's.
-        results: list[tuple[np.ndarray, np.ndarray | None]] = []
-        chunk_views: list[tuple[ProjectedGaussians, TileAssignment]] = []
-        chunk_spans: list[RowSpans] = []
-        total = 0
-
-        def flush():
-            nonlocal chunk_views, chunk_spans, total
-            if chunk_views:
-                results.extend(
-                    self._forward_chunk(
-                        chunk_views, chunk_spans, num_points, background,
-                        collect_stats, per_pixel_sort,
-                    )
-                )
-            chunk_views, chunk_spans, total = [], [], 0
-
-        for view in views:
-            spans = build_row_spans(
-                view[0], build_segments(view[1]), full_rows=per_pixel_sort
-            )
-            if (
-                chunk_views
-                and budget is not None
-                and total + spans.num_spans > budget
-            ):
-                flush()
-            chunk_views.append(view)
-            chunk_spans.append(spans)
-            total += spans.num_spans
-        flush()
-        return results
-
-    def _forward_chunk(
+    def _forward_views(
         self,
         views: list[tuple[ProjectedGaussians, TileAssignment]],
-        spans_list: list[RowSpans],
+        tile_masks: list[np.ndarray | None],
         num_points: int,
         background: np.ndarray,
         collect_stats: bool,
         per_pixel_sort: bool,
     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """One concatenated scan over a chunk of views."""
+        """Scan the views in band pieces (``tile_masks[v]``: tiles to render,
+        ``None`` for all of them; the other tiles keep the background)."""
         images = [_background_frame(a.grid, background) for _, a in views]
         dominated: list[np.ndarray | None] = [
             np.zeros(num_points, dtype=np.int64) if collect_stats else None
             for _ in views
         ]
-        batch = concat_spans(spans_list)  # validates the shared tile size
-        if batch.num_spans == 0:
-            return list(zip(images, dominated))
+        budget = span_chunk_budget() if self.nsx.device == "cpu" else None
 
-        nsx, ws = self.nsx, self._ws
-        with backend_span("alpha-scan", args={"views": len(views), "spans": int(batch.num_spans)}):
-            pairs = _batch_pair_tables(views, spans_list)
-            bt = BatchTables.build(nsx, batch, pairs)
-            weights, final, perm = self._scan(bt, batch, per_pixel_sort)
+        def sources():
+            for v, ((projected, assignment), mask) in enumerate(zip(views, tile_masks)):
+                if assignment.num_intersections == 0:
+                    continue
+                # Per-pixel sorting keeps every tile row: its early-termination
+                # gate sits at the per-pixel deepest splat, which the strip
+                # bound could otherwise prune (the permuted group-last slot is
+                # then exactly the reference's gate row).
+                rows = _ViewRows.build(projected, assignment, full_rows=per_pixel_sort)
+                counts = rows.counts
+                if mask is not None:
+                    counts = np.where(mask[rows.seg.pair_tiles], counts, 0)
+                yield _Source(v, rows, counts), rows.band_sizes(counts)
+
+        def run(parts):
+            return self._forward_piece(
+                parts, num_points if collect_stats else None, background,
+                per_pixel_sort,
+            )
+
+        work: dict[str, int] = {"views": len(views)}
+        with backend_span("alpha-scan", args=work):
+            results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
 
         with backend_span("composite", args={"views": len(views)}):
-            # One compositing reduction over the whole batch, scattered per view.
-            pixels = batch_composite(
-                nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
-                batch.groups, background, perm,
-            )
-            for v, spans in enumerate(spans_list):
-                if spans.num_groups == 0:
-                    continue
-                idx, ok = _group_pixel_index(spans)
-                images[v].reshape(-1, 3)[idx[ok]] = pixels[batch.view_groups(v)][ok]
+            for scattered, winners in results:
+                for v, idx, values in scattered:
+                    images[v].reshape(-1, 3)[idx] = values
+                for v, counts in winners:
+                    dominated[v] += counts
+        return list(zip(images, dominated))
 
-        if collect_stats:
-            ok_all = np.concatenate(
-                [s.seg.geometry.lane_valid[s.group_tile] for s in spans_list]
+    def _forward_piece(
+        self,
+        parts: list[tuple[_Source, int, int]],
+        num_points: int | None,
+        background: np.ndarray,
+        per_pixel_sort: bool,
+    ) -> tuple[list, list]:
+        """The whole kernel chain of one piece (on a pool or the calling thread).
+
+        Returns ``(scattered, winners)``: per part, the flat pixel indices
+        and colours it writes, and — given ``num_points`` — the per-point
+        Val_i winner counts.  All are fresh arrays, never workspace views.
+        """
+        nsx, ws = self.nsx, self._ws
+        pieces = [(src, src.spans(r0, r1)) for src, r0, r1 in parts]
+        batch = concat_spans([spans for _, spans in pieces])
+        pairs = _concat_tables([src.rows.tables for src, _ in pieces])
+        bt = BatchTables.build(nsx, batch, pairs)
+        weights, final, perm = self._scan(bt, batch, per_pixel_sort)
+        pixels = batch_composite(
+            nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
+            batch.groups, background, perm,
+        )
+        scattered = []
+        for i, (src, spans) in enumerate(pieces):
+            idx, ok = _group_pixel_index(spans)
+            scattered.append((src.index, idx[ok], pixels[batch.view_groups(i)][ok]))
+        winners_out = []
+        if num_points is not None:
+            lane_ok = np.concatenate(
+                [s.seg.geometry.lane_valid[s.group_tile] for _, s in pieces]
             )  # (Q, ts)
             winners, has_any = batch_dominated_winners(
-                nsx, ws, weights, batch.groups, ok_all, perm
+                nsx, ws, weights, batch.groups, lane_ok, perm
             )
-            for v in range(len(views)):
-                gsl = batch.view_groups(v)
+            for i, (src, _) in enumerate(pieces):
+                gsl = batch.view_groups(i)
                 sel = has_any[:, gsl]
-                if not sel.any():
-                    continue
                 winner_pairs = batch.span_pair[winners[:, gsl][sel]]
-                np.add.at(dominated[v], pairs["pids"][winner_pairs], 1)
-        return list(zip(images, dominated))
+                winners_out.append(
+                    (src.index, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
+                )
+        return scattered, winners_out
 
     def _scan(
         self, bt: BatchTables, batch: SpanBatch, per_pixel_sort: bool
     ) -> tuple[Any, Any, Any]:
-        """Alphas and transmittance of one batch: ``(weights, final, perm)``."""
+        """Alphas and transmittance of one piece: ``(weights, final, perm)``."""
         nsx, ws = self.nsx, self._ws
         quad = batch_span_quad(nsx, ws, bt)
         alphas = batch_span_alphas(nsx, ws, bt, quad)
@@ -626,7 +751,7 @@ class PackedBackend:
             alphas = nsx.take_along_last(alphas, perm)
         trans, final = batch_transmittance(
             nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
-            batch.group_offsets,
+            batch.band_offsets,
         )
         return batch_weights(nsx, ws, trans, alphas), final, perm
 
@@ -649,8 +774,9 @@ class PackedBackend:
         spans = build_row_spans(projected, build_segments(assignment))
         if spans.num_spans == 0:
             return result
+        # One piece on the calling thread: the suffix sums span the frame.
         batch = concat_spans([spans])
-        pairs = _batch_pair_tables([(projected, assignment)], [spans])
+        pairs = _pair_tables(projected, spans.seg)
         lane_index, lane_ok = _group_pixel_index(spans)
         return backward_grads(
             self.nsx, self._ws, BatchTables.build(self.nsx, batch, pairs),
@@ -687,20 +813,20 @@ class PackedBackend:
         level_delta: dict[int, np.ndarray],
         background: np.ndarray,
     ) -> list[FoveatedFrame]:
-        """Render several foveated frames in one concatenated batch scan.
+        """Render several foveated frames in band-piece scans.
 
         Each frame decomposes into span-kernel stages (see
-        :func:`_foveated_plan` / :meth:`_foveated_chunk`): level filtering
-        compacts each composite pass's :class:`RowSpans` to the spans whose
-        pair passes its quality bound, and the blend-band second-level pass
-        becomes an *extra batch segment* riding the same scan as the primary
-        composite.  All frames' passes then share one exp table,
-        transmittance scan and compositing reduction — only the per-frame
-        span construction, the scatter into each frame and the blend
-        interpolation remain per frame.  On CPU namespaces, frames are chunked to
-        :func:`span_chunk_budget` *scanned* (post-filter) spans so the
-        shared scan matrices stay cache-resident, exactly like
-        :meth:`forward_batch`.
+        :func:`_foveated_plan` / :meth:`_foveated_piece`): level filtering
+        keeps each composite pass to the spans whose pair passes its
+        quality bound, and the blend-band second-level pass becomes an
+        *extra batch segment* riding the same scan as the primary
+        composite.  The frames' bands then stream into pieces of at most
+        :func:`span_chunk_budget` *scanned* (post-filter) spans on CPU
+        namespaces, exactly like :meth:`forward_batch`; a piece carries
+        both passes of its tile rows, so the ``exp(-q/2)`` table of the
+        rows' union is filled once per piece.  Only the per-frame planning,
+        the scatter into each frame and the blend interpolation remain per
+        frame.
         """
         if not views:
             return []
@@ -717,138 +843,150 @@ class PackedBackend:
         de_mat = np.stack([level_delta[t] for t in range(1, n_levels + 1)])  # (L, N, 3)
         budget = span_chunk_budget() if self.nsx.device == "cpu" else None
 
-        results: list[FoveatedFrame] = []
-        chunk: list[tuple[tuple[ProjectedGaussians, TileAssignment], _FoveatedPlan]] = []
-        total = 0
+        prim = [_background_frame(a.grid, background) for _, a in views]
+        sec: dict[int, np.ndarray] = {}
+        plans: list[_FoveatedPlan] = []
 
-        # Gaze samples of one pose repeat the same prepared view: their
-        # segments/spans are built once per call, surviving chunk flushes
-        # (a big foveated frame easily fills a whole chunk by itself, so
-        # per-chunk sharing alone would never hit).  Entries are evicted
-        # once the last frame referencing a view has flushed, so a
-        # multi-pose batch keeps the chunk-residency bound of
-        # ``forward_batch`` instead of accumulating every pose's span
-        # structure for the whole call.
-        view_memo: dict[int, tuple[PackedSegments, RowSpans]] = {}
-        remaining: dict[int, int] = {}
-        for _, assignment in views:
-            key = id(assignment)
-            remaining[key] = remaining.get(key, 0) + 1
+        # Gaze samples of one pose repeat the same prepared view: its pair
+        # rows and gather tables are built once per call and dropped once
+        # the last frame of that view is planned (the pieces in flight hold
+        # what they still need).
+        view_memo: dict[int, _ViewRows] = {}
+        remaining = collections.Counter(id(a) for _, a in views)
 
-        def flush():
-            nonlocal chunk, total
-            if chunk:
-                results.extend(self._foveated_chunk(chunk, op_mat, de_mat, background))
-                for (_, assignment), _plan in chunk:
-                    key = id(assignment)
-                    remaining[key] -= 1
-                    if remaining[key] == 0:
-                        view_memo.pop(key, None)
-            chunk, total = [], 0
-        for view, maps in zip(views, maps_list):
-            plan = _foveated_plan(
-                view[0], view[1], maps, bounds, n_levels, view_memo=view_memo
-            )
-            if chunk and budget is not None and total + plan.scanned > budget:
-                flush()
-            chunk.append((view, plan))
-            total += plan.scanned
-        flush()
-        return results
+        def sources():
+            for f, ((projected, assignment), maps) in enumerate(zip(views, maps_list)):
+                key = id(assignment)
+                rows = view_memo.get(key)
+                if rows is None and assignment.num_intersections:
+                    rows = view_memo[key] = _ViewRows.build(projected, assignment)
+                remaining[key] -= 1
+                if remaining[key] == 0:
+                    view_memo.pop(key, None)
+                plan = _foveated_plan(projected, assignment, maps, bounds, n_levels, rows)
+                plans.append(plan)
+                if plan.blend_pixels:
+                    sec[f] = _background_frame(assignment.grid, background)
+                if rows is None:
+                    continue
+                primary = np.where(plan.keep_primary, rows.counts, 0)
+                sizes = rows.band_sizes(primary)
+                union = primary
+                if plan.keep_blend is not None:
+                    blend = np.where(plan.keep_blend, rows.counts, 0)
+                    sizes = sizes + rows.band_sizes(blend)
+                    union = np.maximum(primary, blend)
+                yield _Source(f, rows, union, plan), sizes
 
-    def _foveated_chunk(
-        self,
-        chunk: list[tuple[tuple[ProjectedGaussians, TileAssignment], "_FoveatedPlan"]],
-        op_mat: np.ndarray,
-        de_mat: np.ndarray,
-        background: np.ndarray,
-    ) -> list[FoveatedFrame]:
-        """One concatenated scan over a chunk of frames' composite passes.
+        def run(parts):
+            return self._foveated_piece(parts, op_mat, de_mat, background)
 
-        The frames' union span lists share one quadratic form and one
-        ``exp(-q/2)`` table.  Each pass — a frame's primary pass, then its
-        blend-band pass — gathers its columns from that table and scales
-        them by the per-span level opacity, so a span both passes keep pays
-        for one exp.  Every pass then rides one transmittance scan and one
-        compositing reduction, in frame order.
-        """
-        nsx, ws = self.nsx, self._ws
-        prim = [_background_frame(a.grid, background) for (_, a), _ in chunk]
-        sec = {
-            f: _background_frame(a.grid, background)
-            for f, ((_, a), plan) in enumerate(chunk)
-            if plan.blend_pixels
-        }
-        live = [f for f, (_, plan) in enumerate(chunk) if plan.scanned]
-        passes: list[tuple[np.ndarray, RowSpans]] = []  # (target image, spans)
-        # Work counters: spans the passes scan vs. spans built before level
-        # filtering (the compaction saving).
-        work = {
-            "frames": len(chunk),
-            "spans": sum(plan.scanned for _, plan in chunk),
-            "built": sum(plan.built for _, plan in chunk),
-        }
+        work: dict[str, int] = {"frames": len(views)}
         with backend_span("alpha-scan", args=work):
-            if live:
-                unions = concat_spans([chunk[f][1].union for f in live])
-                pairs = _batch_pair_tables([chunk[f][0] for f in live], unions.views)
-                base_exp = batch_span_quad(nsx, ws, BatchTables.build(nsx, unions, pairs))
-                base_exp = exp_neg_half(nsx, base_exp, out=base_exp)
-                cols, span_pair, levels = [], [], []
-                for i, f in enumerate(live):
-                    plan = chunk[f][1]
-                    for target, spans, pass_cols, pair_levels in (
-                        (prim[f], plan.primary, plan.primary_cols, plan.pair_tl),
-                        (sec.get(f), plan.blend, plan.blend_cols, plan.pair_second),
-                    ):
-                        if spans is None or spans.num_spans == 0:
-                            continue
-                        if pass_cols is None:  # the pass is the whole union
-                            pass_cols = np.arange(spans.num_spans, dtype=np.int64)
-                        passes.append((target, spans))
-                        cols.append(pass_cols + unions.span_offsets[i])
-                        span_pair.append(spans.span_pair + unions.pair_offsets[i])
-                        # Kept spans never index level 0.
-                        levels.append(pair_levels[spans.span_pair] - 1)
-                batch = concat_spans([spans for _, spans in passes])
-                span_pair = np.concatenate(span_pair)
-                levels = np.concatenate(levels)
-                pids = pairs["pids"][span_pair]
-                alphas = batch_level_alphas(
-                    nsx, ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
-                )
-                colors = pairs["colors"][span_pair] + de_mat[levels, pids]
-                trans, final = batch_transmittance(
-                    nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
-                    batch.group_offsets,
-                )
-                weights = batch_weights(nsx, ws, trans, alphas)
+            results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
+        # Work counters: spans the passes scan (``spans``) vs. spans built
+        # before level filtering (the compaction saving).
+        work["built"] = sum(plan.built for plan in plans)
 
-        with backend_span("composite", args={"frames": len(chunk)}):
-            if passes:
-                pixels = batch_composite(
-                    nsx, ws, weights, final, nsx.asarray(colors), batch.groups,
-                    background,
-                )
-                for v, (target, spans) in enumerate(passes):
-                    idx, ok = _group_pixel_index(spans)
-                    target.reshape(-1, 3)[idx[ok]] = pixels[batch.view_groups(v)][ok]
-
+        with backend_span("composite", args={"frames": len(views)}):
+            primary_parts: list[list[RowSpans]] = [[] for _ in views]
+            for scattered, primaries in results:
+                for f, second, idx, values in scattered:
+                    (sec[f] if second else prim[f]).reshape(-1, 3)[idx] = values
+                for f, spans in primaries:
+                    primary_parts[f].append(spans)
             out = []
-            for f, ((projected, assignment), plan) in enumerate(chunk):
+            for f, ((_, assignment), plan) in enumerate(zip(views, plans)):
                 image = prim[f]
                 if plan.blend_pixels:
                     image = _foveated_blend(plan, assignment.grid, prim[f], sec[f])
+                level_spans = {}
+                if plan.level_tiles:
+                    primary = join_row_spans(plan.seg, primary_parts[f])
+                    level_spans = {t: primary.subset(m) for t, m in plan.level_tiles.items()}
                 out.append(
                     FoveatedFrame(
                         image=image,
                         sort_intersections_per_tile=plan.sort_ints,
                         raster_intersections_per_tile=plan.raster_ints,
                         blend_pixels=plan.blend_pixels,
-                        level_spans=plan.level_spans,
+                        level_spans=level_spans,
                     )
                 )
         return out
+
+    def _foveated_piece(
+        self,
+        parts: list[tuple[_Source, int, int]],
+        op_mat: np.ndarray,
+        de_mat: np.ndarray,
+        background: np.ndarray,
+    ) -> tuple[list, list]:
+        """Both composite passes of some frames' tile rows (one piece).
+
+        Each part expands its rows' *union* spans — every span either pass
+        scans — and the parts share one quadratic form and one ``exp(-q/2)``
+        table: this piece's column slice of the frames' table, exact because
+        it is elementwise.  Each pass — a frame's primary rows, then its
+        blend-band rows — gathers its columns from that table and scales
+        them by the per-span level opacity, so a span both passes keep pays
+        for one exp.  Every pass then rides one transmittance scan and one
+        compositing reduction.  Returns ``(scattered, primaries)``: per
+        pass, ``(frame, is_blend_pass, flat pixel indices, colours)``, and
+        per part, ``(frame, primary spans)`` for the frame's ``level_spans``.
+        """
+        nsx, ws = self.nsx, self._ws
+        unions, passes, targets, primaries = [], [], [], []
+        cols, span_pair, levels = [], [], []
+        union_off = pair_off = 0
+        for src, r0, r1 in parts:
+            plan = src.plan
+            union = src.spans(r0, r1)
+            keep = plan.keep_primary[union.span_pair]
+            primary = union if plan.keep_blend is None else union.subset_spans(keep)
+            pass_list = [(primary, keep, plan.pair_tl, False)]
+            if plan.keep_blend is not None:
+                keep_b = plan.keep_blend[union.span_pair]
+                pass_list.append((union.subset_spans(keep_b), keep_b, plan.pair_second, True))
+            for spans, pass_keep, pair_levels, second in pass_list:
+                if spans.num_spans == 0:
+                    continue
+                passes.append(spans)
+                targets.append((src.index, second))
+                cols.append(np.flatnonzero(pass_keep) + union_off)
+                span_pair.append(spans.span_pair + pair_off)
+                # Kept spans never index level 0.
+                levels.append(pair_levels[spans.span_pair] - 1)
+            primaries.append((src.index, primary))
+            unions.append(union)
+            union_off += union.num_spans
+            pair_off += union.seg.num_pairs
+
+        union_batch = concat_spans(unions)
+        pairs = _concat_tables([src.rows.tables for src, _, _ in parts])
+        base_exp = batch_span_quad(nsx, ws, BatchTables.build(nsx, union_batch, pairs))
+        base_exp = exp_neg_half(nsx, base_exp, out=base_exp)
+        batch = concat_spans(passes)
+        span_pair = np.concatenate(span_pair)
+        levels = np.concatenate(levels)
+        pids = pairs["pids"][span_pair]
+        alphas = batch_level_alphas(
+            nsx, ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
+        )
+        colors = pairs["colors"][span_pair] + de_mat[levels, pids]
+        trans, final = batch_transmittance(
+            nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
+            batch.band_offsets,
+        )
+        weights = batch_weights(nsx, ws, trans, alphas)
+        pixels = batch_composite(
+            nsx, ws, weights, final, nsx.asarray(colors), batch.groups, background,
+        )
+        scattered = []
+        for v, (spans, (f, second)) in enumerate(zip(passes, targets)):
+            idx, ok = _group_pixel_index(spans)
+            scattered.append((f, second, idx[ok], pixels[batch.view_groups(v)][ok]))
+        return scattered, primaries
 
     def multi_model_frame(
         self,
@@ -892,13 +1030,8 @@ class PackedBackend:
             projected_v, assignment_v = views[level - 1]
             if not need.any() or assignment_v.num_intersections == 0:
                 continue
-            sub_spans = build_row_spans(
-                projected_v, build_segments(assignment_v)
-            ).subset(need)
-            if sub_spans.num_spans == 0:
-                continue
-            ((img_v, _),) = self._forward_chunk(
-                [views[level - 1]], [sub_spans], 0, background, False, False
+            ((img_v, _),) = self._forward_views(
+                [views[level - 1]], [need], 0, background, False, False
             )
             mask_p = need_p[tile_map]
             mask_s = need_s[tile_map]
@@ -919,135 +1052,3 @@ class PackedBackend:
             raster_intersections_per_tile=raster_ints,
             blend_pixels=blend_pixels,
         )
-
-
-class TiledPackedBackend(PackedBackend):
-    """Cache-tiled span engine (``packed-tiled``): blocked scans for very
-    large frames.
-
-    The span chunk budget only bounds how many *small* frames share one
-    batched scan — a single frame whose span list already exceeds the
-    budget still ran as one whole-frame scan, streaming every segmented
-    operation from DRAM once its ``(tile_size, R)`` temporaries outgrow the
-    LLC.  This backend splits any such view into group-aligned sub-chunks
-    of at most :func:`tile_span_budget` spans (:func:`split_spans`) and
-    scans them back-to-back against one shared set of pair gather tables,
-    so each sub-chunk's scan working set stays cache-resident.  The tile
-    extent comes from the tuner: host profile, else the LLC cost-model
-    prediction, else the built-in default — ``REPRO_TILE_SPAN_BUDGET``
-    overrides.
-
-    Views at or under the budget take the inherited whole-frame path and
-    are bit-identical to ``packed``.  Tiled views match ``reference`` (and
-    ``packed``) to within the standard 1e-10 band, not bitwise: the
-    log-space transmittance scan restarts at each sub-chunk, which moves
-    last-ulp rounding against one whole-frame scan.  (Tiling is per view,
-    so batched views are still bitwise equal to lone ones.)  The backward
-    and foveated paths are inherited untiled (the foveated path already
-    chunks frames to the span budget); the levels of a multi-model frame
-    render through :meth:`_forward_chunk` and are tiled like any standard
-    frame.
-    """
-
-    name = "packed-tiled"
-
-    def __init__(
-        self,
-        array_namespace: ArrayNamespace | None = None,
-        name: str | None = None,
-        tile_spans: int | None = None,
-    ) -> None:
-        super().__init__(array_namespace, name or "packed-tiled")
-        # Explicit per-instance tile extent (tests, the tuner's own sweep);
-        # ``None`` resolves env > profile > prediction > default per render.
-        self.tile_spans = tile_spans
-
-    def _forward_chunk(
-        self,
-        views: list[tuple[ProjectedGaussians, TileAssignment]],
-        spans_list: list[RowSpans],
-        num_points: int,
-        background: np.ndarray,
-        collect_stats: bool,
-        per_pixel_sort: bool,
-    ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Route oversized views through the tiled scan, the rest unchanged.
-
-        Both :meth:`forward` (a batch of one) and :meth:`forward_batch`
-        (budget-flushed chunks) land here, so one override tiles every
-        standard-forward entry point.
-        """
-        if self.nsx.device != "cpu":
-            # No CPU cache to stay resident in — identical to ``packed``.
-            return super()._forward_chunk(
-                views, spans_list, num_points, background, collect_stats,
-                per_pixel_sort,
-            )
-        budget = tile_span_budget(self.tile_spans)
-        results: list[tuple[np.ndarray, np.ndarray | None] | None] = [None] * len(views)
-        small: list[int] = []
-        for i, (view, spans) in enumerate(zip(views, spans_list)):
-            if spans.num_spans > budget:
-                results[i] = self._forward_tiled_view(
-                    view, spans, num_points, background, collect_stats,
-                    per_pixel_sort, budget,
-                )
-            else:
-                small.append(i)
-        if small:
-            shared = super()._forward_chunk(
-                [views[i] for i in small], [spans_list[i] for i in small],
-                num_points, background, collect_stats, per_pixel_sort,
-            )
-            for i, res in zip(small, shared):
-                results[i] = res
-        return results  # type: ignore[return-value]
-
-    def _forward_tiled_view(
-        self,
-        view: tuple[ProjectedGaussians, TileAssignment],
-        spans: RowSpans,
-        num_points: int,
-        background: np.ndarray,
-        collect_stats: bool,
-        per_pixel_sort: bool,
-        budget: int,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One oversized view as a sequence of group-aligned sub-chunk scans.
-
-        The per-pair gather tables are built once for the whole view —
-        sub-chunk ``span_pair`` rows index the full tables (group-aligned
-        splitting preserves the pair row space), so tiling adds no
-        per-chunk gather of the O(pairs) tables, only the per-span work the
-        whole-frame scan would do anyway.  Sub-chunks scatter into disjoint
-        ``(tile, row)`` groups of one image, and the Val_i winner counts
-        accumulate per sub-chunk: group segments never straddle a cut, so
-        the union over sub-chunks is exactly the whole-frame result.
-        """
-        projected, assignment = view
-        grid = assignment.grid
-        image = _background_frame(grid, background)
-        dominated = np.zeros(num_points, dtype=np.int64) if collect_stats else None
-        nsx, ws = self.nsx, self._ws
-        pairs = _batch_pair_tables([view], [spans])
-        for piece in split_spans(spans, budget):
-            batch = concat_spans([piece])
-            with backend_span("alpha-scan", args={"spans": int(batch.num_spans), "tiled": 1}):
-                bt = BatchTables.build(nsx, batch, pairs)
-                weights, final, perm = self._scan(bt, batch, per_pixel_sort)
-            with backend_span("composite", args={"tiled": 1}):
-                pixels = batch_composite(
-                    nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
-                    batch.groups, background, perm,
-                )
-                idx, ok = _group_pixel_index(piece)
-                image.reshape(-1, 3)[idx[ok]] = pixels[ok]
-            if collect_stats:
-                lane_ok = piece.seg.geometry.lane_valid[piece.group_tile]
-                winners, has_any = batch_dominated_winners(
-                    nsx, ws, weights, batch.groups, lane_ok, perm
-                )
-                if has_any.any():
-                    winner_pairs = batch.span_pair[winners[has_any]]
-                    np.add.at(dominated, pairs["pids"][winner_pairs], 1)
-        return image, dominated

@@ -242,6 +242,11 @@ class SpanBatch:
     non-empty and contiguous (empty views simply contribute no rows), so the
     segmented-scan machinery above applies to the whole batch unchanged —
     one alpha-eval / compositing / stats pass covers every frame.
+
+    A *band* is every group of one tile row of one view.  The scans restart
+    at every ``band_offsets`` entry, so a band's result never depends on
+    what else shares the batch: any cut of a batch on band boundaries scans
+    bitwise like the uncut batch.
     """
 
     views: list[RowSpans]
@@ -252,10 +257,7 @@ class SpanBatch:
     span_offsets: np.ndarray  # (V + 1,) span range of each view
     group_offsets: np.ndarray  # (V + 1,) group range of each view
     pair_offsets: np.ndarray  # (V + 1,) pair range of each view
-
-    @property
-    def num_views(self) -> int:
-        return len(self.views)
+    band_offsets: np.ndarray  # first group of every band, every view start, Q
 
     @property
     def num_spans(self) -> int:
@@ -268,6 +270,28 @@ class SpanBatch:
     def view_groups(self, v: int) -> slice:
         """Group range of view ``v`` in the concatenated arrays."""
         return slice(int(self.group_offsets[v]), int(self.group_offsets[v + 1]))
+
+
+def join_row_spans(seg: PackedSegments, parts: list[RowSpans]) -> RowSpans:
+    """One view's row spans from consecutive pieces of it (tile-row order)."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def cat(name: str, dtype=np.int64) -> np.ndarray:
+        return np.concatenate([getattr(p, name) for p in parts] or [np.empty(0, dtype)])
+
+    return RowSpans(
+        seg=seg,
+        span_pair=cat("span_pair"),
+        span_tile=cat("span_tile"),
+        span_y=cat("span_y"),
+        groups=SegmentIndex.from_lengths(
+            np.concatenate([p.groups.lens for p in parts] or [np.empty(0, np.int64)])
+        ),
+        group_tile=cat("group_tile"),
+        group_y=cat("group_y"),
+        group_has_tile_last=cat("group_has_tile_last", bool),
+    )
 
 
 def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
@@ -289,6 +313,12 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
     np.cumsum([s.seg.num_pairs for s in spans_list], out=pair_offsets[1:])
     np.cumsum([s.num_spans for s in spans_list], out=span_offsets[1:])
     np.cumsum([s.num_groups for s in spans_list], out=group_offsets[1:])
+    # A band starts wherever the tile row changes within a view.
+    band_starts = [
+        off + 1 + np.flatnonzero(np.diff(s.group_tile // s.seg.grid.tiles_x))
+        for s, off in zip(spans_list, group_offsets[:-1])
+    ]
+    band_offsets = np.unique(np.concatenate([group_offsets, *band_starts]))
 
     return SpanBatch(
         views=list(spans_list),
@@ -305,6 +335,7 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
         span_offsets=span_offsets,
         group_offsets=group_offsets,
         pair_offsets=pair_offsets,
+        band_offsets=band_offsets,
     )
 
 
@@ -377,12 +408,20 @@ def build_row_spans(
     gate sits at the per-pixel *deepest* tile splat, which the strip bound
     could otherwise prune away.
     """
-    grid = seg.grid
-    ts = grid.tile_size
-    geom = seg.geometry
+    return expand_row_spans(seg, *pair_row_ranges(projected, seg, full_rows))
 
-    tile_y0 = geom.origin_y[seg.pair_tiles].astype(np.int64)
-    tile_y1 = np.minimum(tile_y0 + ts, grid.height) - 1
+
+def pair_row_ranges(
+    projected: ProjectedGaussians, seg: PackedSegments, full_rows: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """First row and row count of every pair, ``(y_lo, counts)``, both ``(K,)``.
+
+    The O(pairs) half of :func:`build_row_spans`: how many spans each pair
+    expands to, before any span exists.
+    """
+    grid = seg.grid
+    tile_y0 = seg.geometry.origin_y[seg.pair_tiles].astype(np.int64)
+    tile_y1 = np.minimum(tile_y0 + grid.tile_size, grid.height) - 1
     if full_rows:
         y_lo, y_hi = tile_y0, tile_y1
     else:
@@ -394,18 +433,35 @@ def build_row_spans(
         # or one past them, which leaves an empty range.
         y_lo = np.clip(lo, tile_y0, tile_y1 + 1).astype(np.int64)
         y_hi = np.clip(hi, tile_y0 - 1, tile_y1).astype(np.int64)
-    counts = np.maximum(y_hi - y_lo + 1, 0)
+    return y_lo, np.maximum(y_hi - y_lo + 1, 0)
 
+
+def expand_row_spans(
+    seg: PackedSegments,
+    y_lo: np.ndarray,
+    counts: np.ndarray,
+    p0: int = 0,
+    p1: int | None = None,
+) -> RowSpans:
+    """Expand pairs ``[p0, p1)`` into spans sorted per ``(tile, row)``.
+
+    Pairs are in tile order, so the pairs of whole tile rows expand to
+    exactly those rows' groups of the full build, bit for bit (the sort is
+    stable); ``span_pair`` keeps indexing the full pair tables.
+    """
+    p1 = seg.num_pairs if p1 is None else p1
+    ts = seg.grid.tile_size
+    counts = counts[p0:p1]
     total = int(counts.sum())
-    span_pair = np.repeat(np.arange(seg.num_pairs, dtype=np.int64), counts)
+    span_pair = np.repeat(np.arange(p0, p1, dtype=np.int64), counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    span_y = np.repeat(y_lo, counts) + ramp
+    span_y = np.repeat(y_lo[p0:p1], counts) + ramp
     span_tile = seg.pair_tiles[span_pair]
 
     # (tile, row) key — exact integers, so the stable sort keeps depth order
     # within every pixel row.
-    key = span_tile * ts + (span_y - np.repeat(tile_y0, counts))
+    key = span_tile * ts + (span_y - seg.geometry.origin_y[span_tile].astype(np.int64))
     order = np.argsort(key, kind="stable")
     span_pair = span_pair[order]
     span_y = span_y[order]

@@ -71,7 +71,6 @@ __all__ = [
     "sweep_batch_size",
     "sweep_cache_bytes",
     "sweep_span_budget",
-    "sweep_tile_spans",
 ]
 
 _SWEEP_NAMES = {
@@ -83,7 +82,6 @@ _SWEEP_NAMES = {
     "sweep_batch_size",
     "sweep_cache_bytes",
     "sweep_span_budget",
-    "sweep_tile_spans",
 }
 
 

@@ -12,10 +12,6 @@ Swept knobs and their representative workloads:
 - ``span_budget`` — multi-view ``render_batch`` over a synthetic trace
   (the PR 2 chunking workload), budget forced per candidate through
   ``REPRO_BATCH_SPAN_BUDGET``.
-- ``tile_spans`` — single *large-frame* forward through the
-  ``packed-tiled`` backend, tile extent per candidate; the knee is where
-  sub-chunk scans stop paying (frame fits the LLC) or start amortizing
-  (it doesn't).
 - ``batch_size`` — ``render_batch``'s views-per-scan cap (informational:
   it is an explicit API argument, so the selection lands in the profile's
   ``meta``, not in a resolved knob).
@@ -57,7 +53,6 @@ __all__ = [
     "sweep_cache_bytes",
     "sweep_shm_bytes",
     "sweep_span_budget",
-    "sweep_tile_spans",
 ]
 
 
@@ -250,76 +245,6 @@ def sweep_batch_size(
         return n_views / secs
 
     return _run_sweep("batch_size", "views/s", candidates, measure, tolerance)
-
-
-def sweep_tile_spans(
-    quick: bool = False,
-    seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
-    candidates: Sequence[int] | None = None,
-) -> SweepResult:
-    """Sweep the ``packed-tiled`` tile extent over one large-frame forward.
-
-    The workload must *be* the regime the knob tunes for: a frame whose
-    span working set overflows the LLC.  A sweep on a cache-resident
-    frame would measure per-chunk fixed overheads instead of cache
-    residency and select a uselessly fine tile — so this sweep always
-    runs at 1024², the same scale ``bench_tune`` gates at.
-    """
-    import numpy as np
-
-    from ..scenes import generate_scene, trace_cameras
-    from ..splat import prepare_view
-    from ..splat.backends.packed import TiledPackedBackend
-
-    size = 1024
-    scene = generate_scene("kitchen", n_points=2048, seed=seed)
-    scene.log_scales += np.log(0.15 * size / 256.0)
-    train, _ = trace_cameras(
-        "kitchen", n_train=1, n_eval=1, width=size, height=size, seed=seed
-    )
-    pv = prepare_view(scene, train[0])
-    background = np.zeros(3)
-    frame_spans = _frame_spans(pv)
-    if candidates is None:
-        base = (
-            [8192, 32768, 131072]
-            if quick
-            else [8192, 16384, 32768, 65536, 131072, 262144]
-        )
-        # Always include "no tiling" (the packed whole-frame scan) as the
-        # top candidate so the fit can conclude tiling does not pay here.
-        candidates = [c for c in base if c < frame_spans] + [frame_spans]
-    backend = TiledPackedBackend()
-    reps = 1 if quick else 3
-
-    def measure(tile_spans: float) -> float:
-        backend.tile_spans = int(tile_spans)
-        secs = _best_of(
-            lambda: backend.forward(
-                pv.projected, pv.assignment, scene.num_points, background,
-                False, False,
-            ),
-            reps,
-        )
-        return 1.0 / secs
-
-    model = span_cost_model()
-    result = _run_sweep(
-        "tile_spans", "frames/s", candidates, measure, tolerance,
-        predicted=(
-            min(model.predicted_span_budget, 1 << 20) if model else None
-        ),
-    )
-    backend.tile_spans = None
-    return result
-
-
-def _frame_spans(pv) -> int:
-    """Span count of one prepared view (the tile-sweep's workload size)."""
-    from ..splat.backends.segments import build_row_spans, build_segments
-
-    return build_row_spans(pv.projected, build_segments(pv.assignment)).num_spans
 
 
 # ----------------------------------------------------------------------
@@ -570,12 +495,10 @@ def autotune(
     """Run every sweep, fit the knees, and persist the host profile.
 
     ``quick=True`` is the CI-sized run (seconds); ``include_serve=False``
-    restricts to the render-side knobs (span budget, tile extent, batch
-    size).  ``save=False`` measures and reports without touching disk.
+    restricts to the render-side knobs (span budget, batch size).  ``save=False`` measures and reports without touching disk.
     """
     results: dict[str, SweepResult] = {}
     results["span_budget"] = sweep_span_budget(quick, seed, tolerance)
-    results["tile_spans"] = sweep_tile_spans(quick, seed, tolerance)
     results["batch_size"] = sweep_batch_size(quick, seed, tolerance)
     if include_serve:
         workload = _serve_workload(quick, seed)
@@ -609,7 +532,6 @@ def autotune(
     }
     profile = HostProfile(
         span_budget=int(selected("span_budget")),
-        tile_spans=int(selected("tile_spans")),
         batch_budget=(
             int(selected("batch_budget")) if "batch_budget" in results else None
         ),

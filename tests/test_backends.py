@@ -29,9 +29,11 @@ from repro.splat.backends import (
 )
 from repro.splat.backends.packed import (
     DEFAULT_SPAN_CHUNK_BUDGET,
+    SPAN_BUDGET_ENV,
     TILE_BUDGET_ENV,
-    TiledPackedBackend,
-    split_spans,
+    _band_pieces,
+    _Source,
+    _ViewRows,
     tile_span_budget,
 )
 from repro.splat.backends.segments import build_row_spans, build_segments
@@ -542,15 +544,13 @@ class TestPooledSingleViewForward:
 class TestBackendRegistry:
     def test_builtin_entries(self):
         assert {i.name for i in backend_registry()} >= {
-            "packed", "packed-xp", "packed-tiled", "reference"
+            "packed", "packed-xp", "reference"
         }
         packed = backend_info("packed")
         assert packed.has_forward_batch and packed.device == "cpu"
+        assert packed.has_foveated_batch
         assert backend_info("packed-xp").device == "xp"
         assert backend_info("reference").has_forward_batch
-        tiled = backend_info("packed-tiled")
-        assert tiled.device == "cpu"
-        assert tiled.has_forward_batch and tiled.has_foveated_batch
 
     def test_unknown_backend_info_raises(self):
         with pytest.raises(ValueError, match="unknown rasterization backend"):
@@ -653,27 +653,40 @@ class TestSpanBudgetHardening:
 
 
 class TestSplitSpans:
-    """Group-aligned span splitting, the tiled backend's substrate."""
+    """Band-aligned splitting of a frame's spans into scan pieces."""
 
-    def _spans(self, seed=0, n=200, width=96, height=64):
+    def _view(self, seed=0, n=200, width=96, height=64):
         model = random_scene(seed, n)
         projected, assignment = prepare_view(model, camera(width, height))
-        return build_row_spans(projected, build_segments(assignment))
+        spans = build_row_spans(projected, build_segments(assignment))
+        return spans, _ViewRows.build(projected, assignment)
+
+    def _pieces(self, rows, budget):
+        source = _Source(0, rows, rows.counts)
+        out = []
+        for parts, n in _band_pieces([(source, rows.band_sizes(rows.counts))], budget):
+            ((part, r0, r1),) = parts  # one view: one part per piece
+            assert part is source
+            piece = source.spans(r0, r1)
+            assert piece.num_spans == n
+            out.append((piece, r0, r1))
+        return out
 
     def test_within_budget_is_identity(self):
-        spans = self._spans()
-        assert split_spans(spans, spans.num_spans) == [spans]
+        spans, rows = self._view()
+        ((piece, _, _),) = self._pieces(rows, spans.num_spans)
+        for name in ("span_pair", "span_tile", "span_y", "group_tile", "group_has_tile_last"):
+            assert np.array_equal(getattr(piece, name), getattr(spans, name)), name
+        assert np.array_equal(piece.groups.starts, spans.groups.starts)
 
     @pytest.mark.parametrize("budget", [1, 7, 97, 1024])
     def test_pieces_cover_everything_in_order(self, budget):
-        spans = self._spans()
-        pieces = split_spans(spans, budget)
-        assert np.array_equal(
-            np.concatenate([p.span_pair for p in pieces]), spans.span_pair
-        )
-        assert np.array_equal(
-            np.concatenate([p.group_tile for p in pieces]), spans.group_tile
-        )
+        spans, rows = self._view()
+        pieces = [p for p, *_ in self._pieces(rows, budget)]
+        for name in ("span_pair", "span_y", "group_tile", "group_has_tile_last"):
+            assert np.array_equal(
+                np.concatenate([getattr(p, name) for p in pieces]), getattr(spans, name)
+            ), name
         assert np.array_equal(
             np.concatenate([p.groups.lens for p in pieces]), spans.groups.lens
         )
@@ -681,79 +694,61 @@ class TestSplitSpans:
 
     @pytest.mark.parametrize("budget", [7, 97])
     def test_budget_respected_or_single_oversized_group(self, budget):
-        spans = self._spans()
-        for piece in split_spans(spans, budget):
-            assert piece.num_spans <= budget or piece.num_groups == 1
-            # group-aligned: the piece's spans are exactly its groups'
+        _, rows = self._view()
+        tiles_x = rows.seg.grid.tiles_x
+        for piece, r0, r1 in self._pieces(rows, budget):
+            bands = np.unique(piece.group_tile // tiles_x)
+            # Over budget only as one whole band (one tile row).
+            assert piece.num_spans <= budget or bands.size == 1
+            assert bands.min() >= r0 and bands.max() < r1
             assert int(piece.groups.lens.sum()) == piece.num_spans
 
     def test_pieces_share_pair_tables(self):
-        spans = self._spans()
-        for piece in split_spans(spans, 97):
-            # The full-table seg reference is what lets the tiled backend
-            # gather pair tables once and index them from every piece.
-            assert piece.seg is spans.seg
-            assert piece.span_pair.max() < spans.seg.num_pairs
+        spans, rows = self._view()
+        for piece, _, _ in self._pieces(rows, 97):
+            # Every piece indexes the frame's one set of pair tables.
+            assert piece.seg is rows.seg
+            assert piece.span_pair.max() < rows.seg.num_pairs
+        assert all(len(t) == rows.seg.num_pairs for t in rows.tables.values())
 
     def test_invalid_budget_raises(self):
-        with pytest.raises(ValueError, match="max_spans"):
-            split_spans(self._spans(), 0)
+        _, rows = self._view()
+        with pytest.raises(ValueError, match="budget"):
+            list(_band_pieces([(rows, np.ones(4, dtype=np.int64))], 0))
 
 
 class TestTiledBackend:
-    """``packed-tiled``: sub-chunk scans must be invisible in the output."""
+    """Band-piece scans: forcing many pieces must be invisible in the output."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equivalence_with_forced_tiny_tiles(self, monkeypatch, seed):
-        # A 97-span budget forces many sub-chunks even on test frames, so
-        # the tiled path (not the small-view fallthrough) is what's pinned.
-        monkeypatch.setenv(TILE_BUDGET_ENV, "97")
-        assert_render_equivalent(
-            random_scene(seed), camera(), packed_backend="packed-tiled"
-        )
+        # A 97-span budget forces a piece per band even on test frames.
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "97")
+        assert_render_equivalent(random_scene(seed), camera())
 
     def test_per_pixel_sort_with_forced_tiny_tiles(self, monkeypatch):
-        monkeypatch.setenv(TILE_BUDGET_ENV, "97")
-        assert_render_equivalent(
-            random_scene(1), camera(), packed_backend="packed-tiled",
-            per_pixel_sort=True,
-        )
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "97")
+        assert_render_equivalent(random_scene(1), camera(), per_pixel_sort=True)
 
     def test_background_with_forced_tiny_tiles(self, monkeypatch):
-        monkeypatch.setenv(TILE_BUDGET_ENV, "61")
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "61")
         assert_render_equivalent(
             random_scene(3), camera(width=70, height=52),
-            packed_backend="packed-tiled",
             background=(0.3, 0.1, 0.8),
         )
 
-    def test_constructor_budget_beats_env(self, monkeypatch):
-        monkeypatch.setenv(TILE_BUDGET_ENV, "131072")
-        model = random_scene(0)
-        cam = camera()
-        projected, assignment = prepare_view(model, cam)
-        background = np.zeros(3)
-        fine = TiledPackedBackend(tile_spans=97)
-        coarse = TiledPackedBackend()  # env: effectively untiled here
-        img_fine = fine.forward(
-            projected, assignment, model.num_points, background, False, False
-        )[0]
-        img_coarse = coarse.forward(
-            projected, assignment, model.num_points, background, False, False
-        )[0]
-        assert np.allclose(img_fine, img_coarse, atol=TOL)
-
-    def test_untiled_views_bitwise_match_packed(self):
-        # Views under the tile budget ride the plain packed batch path and
-        # must be bit-identical to the packed backend, not just close.
+    def test_untiled_views_bitwise_match_packed(self, monkeypatch):
+        # A view inside the budget is one piece; cut into one piece per
+        # band it must render the very same bits.
         model = random_scene(2)
         cam = camera()
-        pk = render(model, cam, RenderConfig(backend="packed"))
-        td = render(
-            model, cam,
-            RenderConfig(backend="packed-tiled"),
+        whole = render(model, cam, RenderConfig(backend="packed"))
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "1")
+        banded = render(model, cam, RenderConfig(backend="packed"))
+        assert np.array_equal(whole.image, banded.image)
+        assert np.array_equal(
+            whole.stats.dominated_pixels, banded.stats.dominated_pixels
         )
-        assert np.array_equal(pk.image, td.image)
 
     def test_render_batch_with_forced_tiny_tiles(self, monkeypatch):
         from repro.splat import render_batch
@@ -761,15 +756,13 @@ class TestTiledBackend:
         model = random_scene(4)
         cams = [camera(), camera(width=70, height=52)]
         clean = render_batch(model, cams, RenderConfig(backend="packed"))
-        monkeypatch.setenv(TILE_BUDGET_ENV, "97")
-        tiled = render_batch(model, cams, RenderConfig(backend="packed-tiled"))
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "97")
+        tiled = render_batch(model, cams, RenderConfig(backend="packed"))
         for a, b in zip(clean, tiled):
-            assert np.allclose(a.image, b.image, atol=TOL)
+            assert np.array_equal(a.image, b.image)
 
     def test_gradients_unaffected(self, monkeypatch):
-        # The backward pass is inherited untiled; pin that routing grads
-        # through the tiled backend name changes nothing.
-        monkeypatch.setenv(TILE_BUDGET_ENV, "97")
+        # The backward pass is one piece whatever the span budget.
         model = random_scene(1)
         projected, assignment = prepare_view(model, camera())
         grad_image = np.random.default_rng(0).normal(size=(64, 96, 3))
@@ -777,14 +770,13 @@ class TestTiledBackend:
             projected, assignment, model.num_points, grad_image=grad_image,
             backend="packed",
         )
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "97")
         td = rasterize_backward(
             projected, assignment, model.num_points, grad_image=grad_image,
-            backend="packed-tiled",
+            backend="packed",
         )
         for field in ("color", "opacity", "log_scale"):
-            assert np.allclose(
-                getattr(ref, field), getattr(td, field), atol=TOL
-            ), field
+            assert np.array_equal(getattr(ref, field), getattr(td, field)), field
 
     def test_tile_budget_env_hardening(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_PROFILE", "off")

@@ -456,6 +456,65 @@ class TestActiveTracerSeam:
         names = [s[0] for s in tracer.spans()]
         assert "prepare" in names
 
+    def test_band_pieces_trace_nests_on_lane_zero(self, monkeypatch):
+        # Pool threads record nothing: every span is the calling thread's,
+        # so spans nest on lane 0 and no self time goes negative (a worker
+        # span on that lane would be counted twice by a per-lane breakdown).
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.foveation import render_foveated
+        from repro.splat import render
+        from repro.splat.backends import packed
+
+        fmodel = uniform_foveated_model(
+            random_model(120, np.random.default_rng(1)),
+            EVAL_REGION_LAYOUT,
+            EVAL_LEVEL_FRACTIONS,
+        )
+        _, cams = trace_cameras(
+            "kitchen", n_train=4, n_eval=1, width=WIDTH, height=HEIGHT
+        )
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(packed, "_pool", pool)
+        monkeypatch.setenv(packed.SPAN_BUDGET_ENV, "1")  # a piece per band
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            with tracer.span("frame"):
+                render(fmodel.base, cams[0])
+            with tracer.span("frame"):
+                render_foveated(fmodel, cams[0], gaze=(WIDTH / 3, HEIGHT / 2))
+        finally:
+            set_active_tracer(prev)
+            pool.shutdown()
+        spans = tracer.spans()
+        assert {(pid, tid) for *_, pid, tid, _ in spans} == {(os.getpid(), 0)}
+        scans = [s[6] for s in spans if s[0] == "alpha-scan"]
+        assert len(scans) == 2
+        for args in scans:
+            assert args["pieces"] > 1 and args["threads"] == 2
+            assert 0 < args["max_piece_spans"] <= args["spans"]
+        ordered = sorted(spans, key=lambda s: (s[2], -s[3]))
+        stack: list[list] = []  # [t1, time covered by children]
+        self_times = []
+
+        def close():
+            t1, child, t0 = stack.pop()
+            self_times.append((t1 - t0) - child)
+            if stack:
+                stack[-1][1] += t1 - t0
+
+        for _, _, t0, t1, *_ in ordered:
+            while stack and t0 >= stack[-1][0]:
+                close()
+            # Properly nested: a span starting inside its parent ends there.
+            assert not stack or t1 <= stack[-1][0]
+            stack.append([t1, 0.0, t0])
+        while stack:
+            close()
+        assert len(self_times) == len(spans)
+        assert min(self_times) >= 0.0
+
 
 # -- cache counter pins ------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import functools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from repro.foveation import (
     render_foveated_batch,
     uniform_foveated_model,
 )
-from repro.foveation.regions import RegionLayout
+from repro.foveation.regions import RegionLayout, compute_region_maps
 from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
+from repro.obs.trace import Tracer, set_active_tracer
 from repro.scenes import gaze_trajectory, generate_scene, trace_cameras
 from repro.splat.gaussians import (
     normalize_quaternions,
@@ -39,12 +42,15 @@ from repro.splat.backends.kernels import (
     batch_weights,
     get_array_namespace,
 )
+from repro.splat.backends import packed
 from repro.splat.backends.packed import SPAN_BUDGET_ENV
 from repro.splat.backends.segments import (
     SegmentIndex,
     build_row_spans,
     build_segments,
     concat_spans,
+    expand_row_spans,
+    pair_row_ranges,
 )
 from repro.splat.camera import Camera
 from repro.splat.rasterizer import composite
@@ -339,6 +345,84 @@ class TestBatchInvarianceProperties:
             )
 
 
+class TestBandPieceProperties:
+    """Band pieces: the thread count never moves a bit, and no scanned
+    piece holds more than the span budget or one band."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_thread_count_invariance(self, threads):
+        scene, fmodel, frames, views = _batch_invariance_inputs()
+        pool = ThreadPoolExecutor(threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pool threads finely
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(packed, "_pool", pool)
+                mp.setenv(SPAN_BUDGET_ENV, "200")  # several pieces per frame
+                full = render_batch(scene, views)
+                fov = render_foveated_batch(
+                    fmodel,
+                    [camera for camera, _ in frames],
+                    gazes=[gaze for _, gaze in frames],
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        # The lone renders ran on this host's own pool at the default budget.
+        for ref, res in zip(_lone_renders("packed"), full, strict=True):
+            assert np.array_equal(ref.image, res.image)
+            assert np.array_equal(
+                ref.stats.dominated_pixels, res.stats.dominated_pixels
+            )
+        for ref, res in zip(_lone_foveated(), fov, strict=True):
+            assert np.array_equal(ref.image, res.image)
+
+    @given(budget=st.integers(1, 20000), frame=st.integers(0, 5))
+    @settings(max_examples=12, deadline=None)
+    def test_no_piece_exceeds_budget_or_one_band(self, budget, frame):
+        scene, fmodel, frames, views = _batch_invariance_inputs()
+        camera, gaze = frames[frame]
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv(SPAN_BUDGET_ENV, str(budget))
+                render(scene, camera)
+                render_foveated(fmodel, camera, gaze=gaze)
+        finally:
+            set_active_tracer(prev)
+        full_scan, fov_scan = [
+            args for name, _, _, _, _, _, args in tracer.spans() if name == "alpha-scan"
+        ]
+
+        def bands(model, weights=None):
+            projected, assignment = prepare_view(model, camera)
+            spans = build_row_spans(projected, build_segments(assignment))
+            grid = assignment.grid
+            w = None if weights is None else weights(projected, assignment, spans)
+            rows = spans.span_tile // grid.tiles_x
+            return np.bincount(rows, weights=w, minlength=grid.tiles_y).astype(np.int64)
+
+        def scanned(projected, assignment, spans):
+            # Spans the two foveated passes scan: kept pairs' spans.
+            maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
+            plan = packed._foveated_plan(
+                projected, assignment, maps, fmodel.quality_bounds,
+                fmodel.num_levels, packed._ViewRows.build(projected, assignment),
+            )
+            keep = plan.keep_primary[spans.span_pair].astype(np.int64)
+            if plan.keep_blend is not None:
+                keep += plan.keep_blend[spans.span_pair]
+            return keep
+
+        full_bands, fov_bands = bands(scene), bands(fmodel.base, scanned)
+        for scan, sizes in ((full_scan, full_bands), (fov_scan, fov_bands)):
+            assert scan["spans"] == sizes.sum()
+            assert scan["max_piece_spans"] <= max(budget, sizes.max())
+            if budget < sizes.max():
+                assert scan["pieces"] > 1
+
+
 class TestQuaternionProperties:
     @given(
         quats=hnp.arrays(
@@ -477,6 +561,24 @@ class TestTileGridProperties:
         assert area == width * height
 
 
+@functools.lru_cache(maxsize=1)
+def _band_cut_views():
+    """Pair rows of three differently sized views of one small scene:
+    ``(seg, y_lo, counts, first pair of each tile row)``."""
+    scene, _, _, views = _batch_invariance_inputs()
+    small = trace_cameras("kitchen", n_train=1, n_eval=1, width=70, height=52)[1]
+    out = []
+    for camera in (views[0], small[0], views[1]):
+        projected, assignment = prepare_view(scene, camera)
+        seg = build_segments(assignment)
+        grid = seg.grid
+        row_pairs = np.searchsorted(
+            seg.pair_tiles, np.arange(grid.tiles_y + 1) * grid.tiles_x
+        )
+        out.append((seg, *pair_row_ranges(projected, seg), row_pairs))
+    return out
+
+
 # Segment length vectors: empty batches, empty segments, and singletons all
 # occur in practice once several views concatenate into one batch scan.
 segment_lens = hnp.arrays(
@@ -587,6 +689,47 @@ class TestSegmentIndexProperties:
             )
             assert np.array_equal(excl[:, c0:c1], lone_excl)
             assert np.array_equal(totals[:, g0:g1], lone_totals)
+
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_band_aligned_cut_matches_uncut_batch(self, data, seed):
+        """Any cut of a multi-view batch on band boundaries scans bitwise
+        like the uncut batch: the scan restarts at every band."""
+        views = _band_cut_views()
+        batch = concat_spans(
+            [expand_row_spans(seg, y_lo, counts) for seg, y_lo, counts, _ in views]
+        )
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
+        nsx = get_array_namespace("numpy")
+        trans, final = batch_transmittance(
+            nsx, Workspace(nsx), alphas.copy(), batch.groups,
+            batch.group_has_tile_last, batch.band_offsets,
+        )
+        trans, final = trans.copy(), final.copy()
+        bands = [
+            (v, r) for v, (seg, *_) in enumerate(views) for r in range(seg.grid.tiles_y)
+        ]
+        cuts = data.draw(st.sets(st.integers(1, len(bands) - 1)))
+        bounds = [0, *sorted(cuts), len(bands)]
+        s0 = g0 = 0
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            slices = []
+            for v, (seg, y_lo, counts, row_pairs) in enumerate(views):
+                rows = [r for w, r in bands[b0:b1] if w == v]
+                if rows:
+                    p0, p1 = row_pairs[rows[0]], row_pairs[rows[-1] + 1]
+                    slices.append(expand_row_spans(seg, y_lo, counts, p0, p1))
+            piece = concat_spans(slices)
+            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
+            got_trans, got_final = batch_transmittance(
+                nsx, Workspace(nsx), alphas[:, s0:s1].copy(), piece.groups,
+                piece.group_has_tile_last, piece.band_offsets,
+            )
+            assert np.array_equal(got_trans, trans[:, s0:s1])
+            assert np.array_equal(got_final, final[:, g0:g1])
+            s0, g0 = s1, g1
+        assert (s0, g0) == (batch.num_spans, batch.num_groups)
 
     def test_length_zero_batch(self):
         index = SegmentIndex.from_lengths(np.empty(0, dtype=np.int64))

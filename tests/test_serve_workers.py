@@ -6,6 +6,7 @@ no pytest-timeout plugin in the baked image, so the watchdog is local).
 """
 
 import asyncio
+import multiprocessing
 import os
 import signal
 
@@ -128,6 +129,45 @@ class TestWorkerFrames:
         for gaze, result in zip(gazes, results):
             ref = render_foveated(fmodel, cameras[1], gaze=gaze)
             assert np.array_equal(ref.image, result.image)
+
+
+class TestRenderThreadPool:
+    def test_workers_render_after_the_parent_pool_started(
+        self, fmodel, cameras, monkeypatch
+    ):
+        # The parent's render thread pool is live when the workers start: a
+        # forked worker inherits the pool object but none of its threads,
+        # so it must build its own or its first multi-piece render hangs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.obs.trace import Tracer, set_active_tracer
+        from repro.splat.backends import packed
+
+        monkeypatch.setenv(packed.SPAN_BUDGET_ENV, "1")  # a piece per band
+        parent_pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(packed, "_pool", parent_pool)
+        gaze = (20.0, 15.0)
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            parent = render_foveated(fmodel, cameras[1], gaze=gaze)
+        finally:
+            set_active_tracer(prev)
+        (scan,) = [s[6] for s in tracer.spans() if s[0] == "alpha-scan"]
+        assert scan["pieces"] > 1 and scan["threads"] == 2
+
+        async def scenario(start):
+            with RenderWorkerPool(fmodel, workers=1, mp_start=start) as pool:
+                return await pool.render(cameras[1], [gaze])
+
+        try:
+            for start in ("fork", "spawn"):
+                if start not in multiprocessing.get_all_start_methods():
+                    continue
+                (result,) = run(scenario(start))
+                assert np.array_equal(parent.image, result.image), start
+        finally:
+            parent_pool.shutdown()
 
 
 class TestFailureHandling:

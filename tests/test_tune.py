@@ -511,7 +511,7 @@ class TestSweepPlumbing:
         )
         assert report.path == path
         assert report.profile.span_budget >= 1
-        assert report.profile.tile_spans >= 1
+        assert report.profile.tile_spans is None  # no tile-extent sweep
         assert report.profile.batch_budget is None  # serve sweeps skipped
         assert "span_budget" in "\n".join(report.lines())
         loaded = load_host_profile(path)
