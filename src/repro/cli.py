@@ -32,13 +32,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         help="rasterization backend, or 'list' to print the registry "
-        "(packed|packed-xp|reference; default: $REPRO_BACKEND or packed)",
-    )
-    parser.add_argument(
-        "--array-api",
-        default=None,
-        help="array namespace for the packed-xp backend "
-        "(numpy|torch|cupy; default: $REPRO_ARRAY_API or numpy)",
+        "(packed|reference; default: $REPRO_BACKEND or packed)",
     )
     parser.add_argument(
         "--batch-size",
@@ -591,14 +585,6 @@ def main(argv: list[str] | None = None) -> int:
         from .tune import invalidate_profile_cache
 
         invalidate_profile_cache()
-    if getattr(args, "array_api", None):
-        from .splat.backends import set_array_api
-
-        try:
-            set_array_api(args.array_api)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if getattr(args, "backend", None):
         from .splat.backends import describe_backends, set_default_backend
 

@@ -7,7 +7,7 @@ dominated pixels) that MetaSapiens' pruning and accelerator build on.
 Backend selection
 -----------------
 The pixel-producing stages run on a pluggable rasterization engine
-(:mod:`repro.splat.backends`).  Three backends ship with the repo:
+(:mod:`repro.splat.backends`).  Two backends ship with the repo:
 
 - ``packed`` (default): flattens every tile–splat intersection of a frame
   into contiguous, depth-sorted span arrays and executes compositing,
@@ -15,10 +15,6 @@ The pixel-producing stages run on a pluggable rasterization engine
   segment operations — no Python loop over tiles.  Work scales with the
   rasterized splat area, so frames with realistic (small) splat footprints
   render several times faster than under the per-tile loop.
-- ``packed-xp``: the same engine with its numeric kernels retargeted onto
-  a runtime-resolved array namespace (numpy by default, torch/cupy when
-  installed — ``REPRO_ARRAY_API`` / ``--array-api``); see
-  :mod:`repro.splat.backends.kernels`.
 - ``reference``: the original per-tile loop, kept as the regression oracle;
   ``packed`` matches it to within 1e-10 on images, statistics and
   gradients (see ``tests/test_backends.py``).
@@ -42,10 +38,8 @@ from .backends import (
     backend_info,
     backend_registry,
     describe_backends,
-    get_array_namespace,
     get_backend,
     register_backend,
-    set_array_api,
     set_default_backend,
 )
 from .camera import Camera
@@ -102,10 +96,8 @@ __all__ = [
     "composite_per_pixel",
     "describe_backends",
     "eval_sh",
-    "get_array_namespace",
     "get_backend",
     "register_backend",
-    "set_array_api",
     "inverse_sigmoid",
     "num_sh_coeffs",
     "prepare_view",

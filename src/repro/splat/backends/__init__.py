@@ -1,16 +1,13 @@
 """Pluggable rasterization backends for the render engine.
 
-Three engines ship with the repo, listed in a capability-flagged registry
+Two engines ship with the repo, listed in a capability-flagged registry
 (:func:`backend_registry` / ``repro.cli --backend list``):
 
 - ``packed`` (default): flattens all tile–splat intersections of a frame
   into contiguous, depth-sorted segment arrays and runs compositing, stats
-  and the backward pass as vectorized segment operations over the numpy
-  kernel namespace, in tile-row band pieces spread over a thread pool.
-- ``packed-xp``: the same engine with its numeric kernels retargeted onto
-  a runtime-resolved array namespace (numpy default; torch / cupy when
-  installed) — see :mod:`repro.splat.backends.kernels` and the
-  ``REPRO_ARRAY_API`` env var / ``--array-api`` CLI flag.
+  and the backward pass as vectorized segment operations on the numpy span
+  kernels (:mod:`repro.splat.backends.kernels`), in tile-row band pieces
+  spread over a thread pool.
 - ``reference``: the original per-tile Python loop, kept as the regression
   oracle — ``packed`` must match it to within 1e-10.
 
@@ -30,19 +27,10 @@ from typing import Callable
 
 from .base import FoveatedFrame, RasterBackend
 from .kernels import (
-    ArrayNamespace,
-    CupyNamespace,
-    NumpyNamespace,
-    TorchNamespace,
     Workspace,
-    array_api_installed,
-    available_array_apis,
-    get_array_namespace,
-    resolve_array_api_name,
     segment_transmittance_exclusive,
     segmented_cumsum_exclusive,
 )
-from .kernels import set_default_array_api as _set_default_array_api
 from .packed import PackedBackend, render_threads, set_render_threads, span_chunk_budget
 from .reference import ReferenceBackend
 from .segments import (
@@ -72,22 +60,14 @@ class BackendInfo:
     ``None`` (the default for backends registered without capability flags)
     means "probe the instance" — so a pre-existing
     ``register_backend(name, factory)`` call whose engine implements the
-    method keeps its batched dispatch.  ``device`` is ``"cpu"`` for host
-    engines and ``"xp"`` for namespace-retargeted ones whose device follows
-    the resolved array API.
+    method keeps its batched dispatch.
     """
 
     name: str
     factory: Callable[[], RasterBackend]
     description: str = ""
-    device: str = "cpu"
     has_forward_batch: bool | None = None
     has_foveated_batch: bool | None = None
-    experimental: bool = False
-
-
-def _make_packed_xp() -> RasterBackend:
-    return PackedBackend(array_namespace=get_array_namespace(), name="packed-xp")
 
 
 _REGISTRY: dict[str, BackendInfo] = {}
@@ -100,20 +80,16 @@ def register_backend(
     factory: Callable[[], RasterBackend],
     *,
     description: str = "",
-    device: str = "cpu",
     has_forward_batch: bool | None = None,
     has_foveated_batch: bool | None = None,
-    experimental: bool = False,
 ) -> None:
     """Register a custom backend under ``name`` (overwrites existing)."""
     _REGISTRY[name] = BackendInfo(
         name=name,
         factory=factory,
         description=description,
-        device=device,
         has_forward_batch=has_forward_batch,
         has_foveated_batch=has_foveated_batch,
-        experimental=experimental,
     )
     _instances.pop(name, None)
 
@@ -122,18 +98,6 @@ register_backend(
     "packed",
     PackedBackend,
     description="band-parallel vectorized span engine (numpy kernels)",
-    device="cpu",
-    has_forward_batch=True,
-    has_foveated_batch=True,
-)
-register_backend(
-    "packed-xp",
-    _make_packed_xp,
-    description=(
-        "span engine on a pluggable array namespace "
-        "(REPRO_ARRAY_API / --array-api: numpy|torch|cupy)"
-    ),
-    device="xp",
     has_forward_batch=True,
     has_foveated_batch=True,
 )
@@ -141,7 +105,6 @@ register_backend(
     "reference",
     ReferenceBackend,
     description="per-tile Python loop, the regression oracle (batch = per-view loop)",
-    device="cpu",
     has_forward_batch=True,
     has_foveated_batch=True,
 )
@@ -220,7 +183,7 @@ def supports_foveated_batch(engine: RasterBackend) -> bool:
 def describe_backends() -> str:
     """Human-readable registry table (what ``--backend list`` prints)."""
     lines = [
-        f"{'backend':<12} {'device':<6} {'batch':<5} {'fov-b':<5} description",
+        f"{'backend':<12} {'batch':<5} {'fov-b':<5} description",
     ]
     default = resolve_backend_name(None)
 
@@ -230,21 +193,12 @@ def describe_backends() -> str:
     for info in backend_registry():
         marker = "*" if info.name == default else " "
         lines.append(
-            f"{info.name:<11}{marker} {info.device:<6} "
+            f"{info.name:<11}{marker} "
             f"{flag(info.has_forward_batch):<5} {flag(info.has_foveated_batch):<5} "
             f"{info.description}"
         )
     lines.append("")
     lines.append(f"(* = current default; select with --backend / ${ENV_VAR})")
-    api = resolve_array_api_name(None)
-    apis = ", ".join(
-        f"{name}{'' if array_api_installed(name) else ' (not installed)'}"
-        for name in available_array_apis()
-    )
-    lines.append(
-        f"array namespaces for packed-xp (--array-api / $REPRO_ARRAY_API, "
-        f"current: {api}): {apis}"
-    )
     return "\n".join(lines)
 
 
@@ -257,19 +211,6 @@ def set_default_backend(name: str | None) -> None:
             f"available: {', '.join(available_backends())}"
         )
     _default_override = name
-
-
-def set_array_api(name: str | None) -> None:
-    """Select the array namespace the ``packed-xp`` backend resolves.
-
-    Drops the cached ``packed-xp`` instance so the next :func:`get_backend`
-    re-resolves against the new namespace.  This is the only setter the
-    package exports: the lower-level ``kernels.set_default_array_api``
-    changes the resolution without invalidating cached engines, so a
-    backend instantiated earlier would silently keep its old namespace.
-    """
-    _set_default_array_api(name)
-    _instances.pop("packed-xp", None)
 
 
 def resolve_backend_name(name: str | None = None) -> str:
@@ -293,13 +234,10 @@ def get_backend(backend: str | RasterBackend | None = None) -> RasterBackend:
 
 
 __all__ = [
-    "ArrayNamespace",
     "BackendInfo",
-    "CupyNamespace",
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "FoveatedFrame",
-    "NumpyNamespace",
     "PackedBackend",
     "PackedSegments",
     "QUAD_CUTOFF",
@@ -309,10 +247,7 @@ __all__ = [
     "SegmentIndex",
     "SpanBatch",
     "TileLaneGeometry",
-    "TorchNamespace",
     "Workspace",
-    "array_api_installed",
-    "available_array_apis",
     "available_backends",
     "backend_info",
     "backend_registry",
@@ -320,14 +255,11 @@ __all__ = [
     "build_segments",
     "concat_spans",
     "describe_backends",
-    "get_array_namespace",
     "get_backend",
     "register_backend",
-    "resolve_array_api_name",
     "resolve_backend_name",
     "segment_transmittance_exclusive",
     "segmented_cumsum_exclusive",
-    "set_array_api",
     "render_threads",
     "set_default_backend",
     "set_render_threads",

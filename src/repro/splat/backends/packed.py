@@ -13,16 +13,15 @@ over tiles** in the forward, backward, foveated or multi-model paths (the
 multi-model path loops over quality *levels*, of which there are a
 handful).
 
-The numeric core lives in :mod:`repro.splat.backends.kernels`,
-parameterized by an array namespace: this module orchestrates span
-construction, the band pieces and the scatter back into frames, while
-every scan and reduction runs through the backend's ``nsx`` (numpy by
-default; the ``packed-xp`` registry entry resolves torch/cupy at runtime).
-There is one kernel family: the standard forward (a batch of one view),
-the batched forward, the foveated and multi-model frames and the backward
-pass all run on the same span kernels, with their scratch in the backend's
-thread-local :class:`~repro.splat.backends.kernels.Workspace`, so repeated
-renders touch only warm pages.
+The numeric core lives in :mod:`repro.splat.backends.kernels`: this
+module orchestrates span construction, the band pieces and the scatter
+back into frames, while every scan and reduction runs on the numpy span
+kernels there.  There is one kernel family: the standard forward (a batch
+of one view), the batched forward, the foveated and multi-model frames and
+the backward pass all run on the same span kernels, with their scratch in
+the backend's thread-local
+:class:`~repro.splat.backends.kernels.Workspace`, so repeated renders
+touch only warm pages.
 
 The unit of scan work is the tile-row *band*: the scans restart at every
 band, a call's bands are packed into pieces of at most
@@ -63,7 +62,6 @@ from ..rasterizer import RasterGradients
 from ..tiling import TileAssignment, TileGrid
 from .base import FoveatedFrame
 from .kernels import (
-    ArrayNamespace,
     BatchTables,
     Workspace,
     backward_grads,
@@ -77,7 +75,6 @@ from .kernels import (
     batch_transmittance,
     batch_weights,
     exp_neg_half,
-    get_array_namespace,
 )
 from .segments import (
     PackedSegments,
@@ -125,8 +122,7 @@ def _group_pixel_index(spans: RowSpans) -> tuple[np.ndarray, np.ndarray]:
 # fixed per-piece kernel overhead across several small views.  Pieces cut
 # only at tile-row bands, so a band over the budget is a piece of its own.
 # ``repro.cli tune`` re-measures the knee per machine and persists it to a
-# host profile; ``REPRO_BATCH_SPAN_BUDGET`` overrides both.  Device
-# namespaces skip the chunking entirely (no CPU cache to stay resident in).
+# host profile; ``REPRO_BATCH_SPAN_BUDGET`` overrides both.
 DEFAULT_SPAN_CHUNK_BUDGET = 8192
 SPAN_BUDGET_ENV = "REPRO_BATCH_SPAN_BUDGET"
 
@@ -211,8 +207,8 @@ def _pair_tables(projected: ProjectedGaussians, seg: PackedSegments) -> dict[str
 
     Every band piece of the view indexes these through ``span_pair``, so
     they are gathered once per view (and once per call for the gaze
-    samples of one pose); :meth:`BatchTables.build` moves them to the
-    namespace.
+    samples of one pose); :meth:`BatchTables.build` bundles them with a
+    piece's span rows.
     """
     sel = seg.pair_splats
     return {
@@ -311,23 +307,22 @@ def _forget_pool_after_fork() -> None:
 os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
-def _band_pieces(sources, budget: int | None):
+def _band_pieces(sources, budget: int):
     """Pack a stream of bands into pieces of at most ``budget`` spans.
 
     ``sources`` yields ``(source, sizes)``: ``sizes[r]`` is the number of
     spans the source scans in tile row ``r``.  Yields ``(parts, spans)``
     with ``parts`` a list of ``(source, r0, r1)`` row ranges in stream
-    order.  A band over the budget is a piece of its own; ``budget=None``
-    packs everything into one piece.
+    order.  A band over the budget is a piece of its own.
     """
-    if budget is not None and budget < 1:
+    if budget < 1:
         raise ValueError(f"span budget must be positive, got {budget}")
     parts: list[list] = []
     total = 0
     for source, sizes in sources:
         for r in np.flatnonzero(sizes).tolist():
             n = int(sizes[r])
-            if parts and budget is not None and total + n > budget:
+            if parts and total + n > budget:
                 yield [tuple(p) for p in parts], total
                 parts, total = [], 0
             if parts and parts[-1][0] is source:
@@ -339,7 +334,7 @@ def _band_pieces(sources, budget: int | None):
         yield [tuple(p) for p in parts], total
 
 
-def _run_pieces(pieces, run, work: dict, budget: int | None) -> list:
+def _run_pieces(pieces, run, work: dict, budget: int) -> list:
     """Run ``run(parts)`` for every piece; results in piece order.
 
     A call stays on the calling thread until its pieces hold more than one
@@ -362,7 +357,7 @@ def _run_pieces(pieces, run, work: dict, budget: int | None) -> list:
         n_pieces += 1
         max_spans = max(max_spans, spans)
         total += spans
-        if not parallel and local and pool is not None and budget is not None:
+        if not parallel and local and pool is not None:
             if total > threads * budget:
                 parallel = True
                 pending.extend(pool.submit(run, p) for p in local)
@@ -578,27 +573,14 @@ def _foveated_blend(
 
 
 class PackedBackend:
-    """Flattened intersection-list engine (the default).
-
-    ``array_namespace`` retargets the numeric kernels: ``None`` pins the
-    engine to numpy (the ``packed`` registry entry); the ``packed-xp``
-    entry passes the runtime-resolved namespace (``REPRO_ARRAY_API`` /
-    ``--array-api``).
-    """
+    """Flattened intersection-list engine (the default)."""
 
     name = "packed"
 
-    def __init__(
-        self,
-        array_namespace: ArrayNamespace | None = None,
-        name: str | None = None,
-    ) -> None:
-        self.nsx = array_namespace or get_array_namespace("numpy")
-        if name is not None:
-            self.name = name
+    def __init__(self) -> None:
         # Scratch arena of the span kernels, reused across calls (the
-        # backend is a process-wide singleton) and owned by the namespace.
-        self._ws = Workspace(self.nsx)
+        # backend is a process-wide singleton).
+        self._ws = Workspace()
 
     def forward(
         self,
@@ -626,13 +608,10 @@ class PackedBackend:
         """Rasterize several views of one model in band-piece scans.
 
         The views' bands stream into band pieces (the grids may differ as
-        long as the tile size is shared): on CPU namespaces each piece
-        holds at most :func:`span_chunk_budget` spans — several small
-        views' worth, or a few tile rows of a large one — so its scan
-        matrices stay cache-resident, and the pieces run on the render
-        pool.  Device namespaces run one concatenated scan per batch: there
-        is no CPU cache to stay resident in, and kernel launches amortize
-        best over the largest possible segments.
+        long as the tile size is shared): each piece holds at most
+        :func:`span_chunk_budget` spans — several small views' worth, or a
+        few tile rows of a large one — so its scan matrices stay
+        cache-resident, and the pieces run on the render pool.
         """
         if not views:
             return []
@@ -660,7 +639,7 @@ class PackedBackend:
             np.zeros(num_points, dtype=np.int64) if collect_stats else None
             for _ in views
         ]
-        budget = span_chunk_budget() if self.nsx.device == "cpu" else None
+        budget = span_chunk_budget()
 
         def sources():
             for v, ((projected, assignment), mask) in enumerate(zip(views, tile_masks)):
@@ -707,15 +686,15 @@ class PackedBackend:
         and colours it writes, and — given ``num_points`` — the per-point
         Val_i winner counts.  All are fresh arrays, never workspace views.
         """
-        nsx, ws = self.nsx, self._ws
+        ws = self._ws
         pieces = [(src, src.spans(r0, r1)) for src, r0, r1 in parts]
         batch = concat_spans([spans for _, spans in pieces])
         pairs = _concat_tables([src.rows.tables for src, _ in pieces])
-        bt = BatchTables.build(nsx, batch, pairs)
+        bt = BatchTables.build(batch, pairs)
         weights, final, perm = self._scan(bt, batch, per_pixel_sort)
         pixels = batch_composite(
-            nsx, ws, weights, final, batch_span_colors(nsx, ws, bt),
-            batch.groups, background, perm,
+            ws, weights, final, batch_span_colors(ws, bt), batch.groups,
+            background, perm,
         )
         scattered = []
         for i, (src, spans) in enumerate(pieces):
@@ -727,7 +706,7 @@ class PackedBackend:
                 [s.seg.geometry.lane_valid[s.group_tile] for _, s in pieces]
             )  # (Q, ts)
             winners, has_any = batch_dominated_winners(
-                nsx, ws, weights, batch.groups, lane_ok, perm
+                ws, weights, batch.groups, lane_ok, perm
             )
             for i, (src, _) in enumerate(pieces):
                 gsl = batch.view_groups(i)
@@ -740,20 +719,20 @@ class PackedBackend:
 
     def _scan(
         self, bt: BatchTables, batch: SpanBatch, per_pixel_sort: bool
-    ) -> tuple[Any, Any, Any]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Alphas and transmittance of one piece: ``(weights, final, perm)``."""
-        nsx, ws = self.nsx, self._ws
-        quad = batch_span_quad(nsx, ws, bt)
-        alphas = batch_span_alphas(nsx, ws, bt, quad)
+        ws = self._ws
+        quad = batch_span_quad(ws, bt)
+        alphas = batch_span_alphas(ws, bt, quad)
         perm = None
         if per_pixel_sort:
-            perm = batch_per_pixel_permutation(nsx, bt, quad, batch.groups)
-            alphas = nsx.take_along_last(alphas, perm)
+            perm = batch_per_pixel_permutation(bt, quad, batch.groups)
+            alphas = np.take_along_axis(alphas, perm, axis=-1)
         trans, final = batch_transmittance(
-            nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
+            ws, alphas, batch.groups, batch.group_has_tile_last,
             batch.band_offsets,
         )
-        return batch_weights(nsx, ws, trans, alphas), final, perm
+        return batch_weights(ws, trans, alphas), final, perm
 
     def backward(
         self,
@@ -779,7 +758,7 @@ class PackedBackend:
         pairs = _pair_tables(projected, spans.seg)
         lane_index, lane_ok = _group_pixel_index(spans)
         return backward_grads(
-            self.nsx, self._ws, BatchTables.build(self.nsx, batch, pairs),
+            self._ws, BatchTables.build(batch, pairs),
             batch.groups, batch.group_has_tile_last,
             pairs["pids"][batch.span_pair], grad_image, background,
             num_points, lane_index, lane_ok,
@@ -821,8 +800,8 @@ class PackedBackend:
         quality bound, and the blend-band second-level pass becomes an
         *extra batch segment* riding the same scan as the primary
         composite.  The frames' bands then stream into pieces of at most
-        :func:`span_chunk_budget` *scanned* (post-filter) spans on CPU
-        namespaces, exactly like :meth:`forward_batch`; a piece carries
+        :func:`span_chunk_budget` *scanned* (post-filter) spans, exactly
+        like :meth:`forward_batch`; a piece carries
         both passes of its tile rows, so the ``exp(-q/2)`` table of the
         rows' union is filled once per piece.  Only the per-frame planning,
         the scatter into each frame and the blend interpolation remain per
@@ -841,7 +820,7 @@ class PackedBackend:
         n_levels = len(level_opacity)
         op_mat = np.stack([level_opacity[t] for t in range(1, n_levels + 1)])  # (L, N)
         de_mat = np.stack([level_delta[t] for t in range(1, n_levels + 1)])  # (L, N, 3)
-        budget = span_chunk_budget() if self.nsx.device == "cpu" else None
+        budget = span_chunk_budget()
 
         prim = [_background_frame(a.grid, background) for _, a in views]
         sec: dict[int, np.ndarray] = {}
@@ -935,7 +914,7 @@ class PackedBackend:
         pass, ``(frame, is_blend_pass, flat pixel indices, colours)``, and
         per part, ``(frame, primary spans)`` for the frame's ``level_spans``.
         """
-        nsx, ws = self.nsx, self._ws
+        ws = self._ws
         unions, passes, targets, primaries = [], [], [], []
         cols, span_pair, levels = [], [], []
         union_off = pair_off = 0
@@ -964,24 +943,22 @@ class PackedBackend:
 
         union_batch = concat_spans(unions)
         pairs = _concat_tables([src.rows.tables for src, _, _ in parts])
-        base_exp = batch_span_quad(nsx, ws, BatchTables.build(nsx, union_batch, pairs))
-        base_exp = exp_neg_half(nsx, base_exp, out=base_exp)
+        base_exp = batch_span_quad(ws, BatchTables.build(union_batch, pairs))
+        base_exp = exp_neg_half(base_exp, out=base_exp)
         batch = concat_spans(passes)
         span_pair = np.concatenate(span_pair)
         levels = np.concatenate(levels)
         pids = pairs["pids"][span_pair]
         alphas = batch_level_alphas(
-            nsx, ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
+            ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
         )
         colors = pairs["colors"][span_pair] + de_mat[levels, pids]
         trans, final = batch_transmittance(
-            nsx, ws, alphas, batch.groups, batch.group_has_tile_last,
+            ws, alphas, batch.groups, batch.group_has_tile_last,
             batch.band_offsets,
         )
-        weights = batch_weights(nsx, ws, trans, alphas)
-        pixels = batch_composite(
-            nsx, ws, weights, final, nsx.asarray(colors), batch.groups, background,
-        )
+        weights = batch_weights(ws, trans, alphas)
+        pixels = batch_composite(ws, weights, final, colors, batch.groups, background)
         scattered = []
         for v, (spans, (f, second)) in enumerate(zip(passes, targets)):
             idx, ok = _group_pixel_index(spans)

@@ -16,6 +16,7 @@ from repro.scenes import generate_scene, trace_cameras
 from repro.splat import Camera, GaussianModel, RenderConfig, random_model, render
 from repro.splat.backends import (
     DEFAULT_BACKEND,
+    Workspace,
     available_backends,
     backend_info,
     backend_registry,
@@ -42,9 +43,7 @@ from repro.splat.renderer import prepare_view
 
 TOL = 1e-10
 
-# The numpy-namespace ``packed-xp`` entry must satisfy every equivalence
-# the hand-tuned ``packed`` engine does.
-PACKED_BACKENDS = ("packed", "packed-xp")
+PACKED_BACKENDS = ("packed",)
 
 
 def random_scene(seed: int, n: int = 200) -> GaussianModel:
@@ -120,18 +119,6 @@ class TestForwardEquivalence:
         assert_render_equivalent(
             random_scene(7), camera(width=70, height=52), packed_backend=backend
         )
-
-    def test_packed_xp_numpy_is_bitwise_packed(self):
-        # On the numpy namespace the xp entry runs the very same kernels.
-        from repro.splat.backends import resolve_array_api_name
-
-        if resolve_array_api_name(None) != "numpy":
-            pytest.skip("packed-xp resolves a non-numpy namespace here")
-        model = random_scene(9)
-        pk = render(model, camera(), RenderConfig(backend="packed"))
-        xp = render(model, camera(), RenderConfig(backend="packed-xp"))
-        assert np.array_equal(pk.image, xp.image)
-        assert np.array_equal(pk.stats.dominated_pixels, xp.stats.dominated_pixels)
 
     def test_zero_splat_tiles(self):
         # A single tiny splat: almost every tile is empty.
@@ -541,15 +528,54 @@ class TestPooledSingleViewForward:
         assert np.array_equal(first, again)
 
 
+class TestWorkspace:
+    def test_slot_reuse_and_growth(self):
+        ws = Workspace()
+        a = ws.take("slot", (4, 8))
+        assert a.shape == (4, 8)
+        b = ws.take("slot", (2, 8))  # smaller: sliced from the same buffer
+        assert b.base is ws._slots["slot"]
+        assert a.base is ws._slots["slot"]
+        big = ws.take("slot", (64, 64))  # larger: grown with headroom
+        assert big.size == 64 * 64
+        assert ws._slots["slot"].size >= 64 * 64
+
+    def test_dtype_switch_reallocates(self):
+        ws = Workspace()
+        f = ws.take("slot", (8,))
+        i = ws.take("slot", (8,), np.int64)
+        assert i.dtype == np.int64
+        assert f.dtype == np.float64
+
+    def test_trim_drops_slots(self):
+        ws = Workspace()
+        ws.take("slot", (8,))
+        ws.trim()
+        assert not ws._slots
+
+    def test_slots_are_thread_local(self):
+        import threading
+
+        ws = Workspace()
+        mine = ws.take("slot", (8,))
+        theirs = {}
+
+        def worker():
+            theirs["buf"] = ws.take("slot", (8,))
+
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join()
+        # Two threads never share a scan buffer from the same arena.
+        assert theirs["buf"].base is not mine.base
+
+
 class TestBackendRegistry:
     def test_builtin_entries(self):
-        assert {i.name for i in backend_registry()} >= {
-            "packed", "packed-xp", "reference"
-        }
+        assert {i.name for i in backend_registry()} >= {"packed", "reference"}
         packed = backend_info("packed")
-        assert packed.has_forward_batch and packed.device == "cpu"
+        assert packed.has_forward_batch
         assert packed.has_foveated_batch
-        assert backend_info("packed-xp").device == "xp"
         assert backend_info("reference").has_forward_batch
 
     def test_unknown_backend_info_raises(self):
@@ -560,11 +586,10 @@ class TestBackendRegistry:
         table = describe_backends()
         for name in available_backends():
             assert name in table
-        assert "numpy" in table  # array namespaces advertised too
+        assert table.splitlines()[0].split() == ["backend", "batch", "fov-b", "description"]
 
     def test_supports_forward_batch_flags(self):
         assert supports_forward_batch(get_backend("packed"))
-        assert supports_forward_batch(get_backend("packed-xp"))
         assert supports_forward_batch(get_backend("reference"))
 
     def test_supports_forward_batch_probes_unregistered(self):
@@ -607,11 +632,10 @@ class TestBackendRegistry:
         try:
             register_backend(
                 name, lambda: get_backend("reference"),
-                description="test entry", device="tpu", has_forward_batch=False,
-                experimental=True,
+                description="test entry", has_forward_batch=False,
             )
             info = backend_info(name)
-            assert info.device == "tpu" and info.experimental
+            assert info.description == "test entry" and info.has_forward_batch is False
             assert name in available_backends()
             assert name in describe_backends()
         finally:

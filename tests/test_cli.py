@@ -34,39 +34,18 @@ class TestBackendFlags:
     def test_backends_subcommand(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "packed" in out and "packed-xp" in out and "reference" in out
-        assert "numpy" in out  # array namespaces advertised
+        assert "packed" in out and "reference" in out
+        assert "description" in out
 
     def test_backend_list_flag(self, capsys):
         # `--backend list` prints the registry and runs no command.
         assert main(["render", "garden", "--backend", "list"]) == 0
         out = capsys.readouterr().out
-        assert "packed-xp" in out and "description" in out
+        assert "reference" in out and "description" in out
 
     def test_unknown_backend_errors(self, capsys):
         assert main(["render", "garden", "--backend", "vulkan"]) == 2
         assert "unknown rasterization backend" in capsys.readouterr().err
-
-    def test_unknown_array_api_errors(self, capsys):
-        assert main(["render", "garden", "--array-api", "jax"]) == 2
-        assert "unknown array namespace" in capsys.readouterr().err
-
-    def test_render_with_packed_xp(self, capsys):
-        from repro.splat.backends import set_default_backend
-
-        try:
-            code = main(
-                ["render", "bonsai", "--points", "150", "--width", "48",
-                 "--height", "32", "--backend", "packed-xp",
-                 "--array-api", "numpy"]
-            )
-        finally:
-            from repro.splat.backends import set_array_api
-
-            set_default_backend(None)
-            set_array_api(None)
-        assert code == 0
-        assert "FPS" in capsys.readouterr().out
 
 
 class TestCommands:

@@ -34,7 +34,7 @@ from repro.splat.backends import (
 from repro.splat.backends.segments import build_row_spans, build_segments
 
 TOL = 1e-10
-ALL_BACKENDS = ("packed", "packed-xp", "reference")
+ALL_BACKENDS = ("packed", "reference")
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +152,7 @@ class TestMultiFrameEquivalence:
     # Mixed gazes: centred, explicit corner, far off-screen, trajectory-like.
     GAZES = [None, (0.0, 0.0), (-50.0, 500.0), (48.0, 32.0)]
 
-    @pytest.mark.parametrize("backend", ("packed", "packed-xp"))
+    @pytest.mark.parametrize("backend", ("packed",))
     def test_multi_gaze_matches_per_frame_reference(
         self, fmodel, train_cameras, backend
     ):

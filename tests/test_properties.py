@@ -40,7 +40,6 @@ from repro.splat.backends.kernels import (
     batch_span_quad,
     batch_transmittance,
     batch_weights,
-    get_array_namespace,
 )
 from repro.splat.backends import packed
 from repro.splat.backends.packed import SPAN_BUDGET_ENV
@@ -136,8 +135,7 @@ class TestSpanSubsetProperties:
     def test_subset_composite_matches_zeroed_alphas(
         self, seed, mask_seed, keep, drop_tile_last, empty_groups
     ):
-        nsx = get_array_namespace("numpy")
-        ws = Workspace(nsx)
+        ws = Workspace()
         spans = _dense_row_spans(seed)
         ts = spans.seg.grid.tile_size
         rng = np.random.default_rng(mask_seed)
@@ -157,12 +155,12 @@ class TestSpanSubsetProperties:
 
         def composite(alphas, colors, spans):
             trans, final = batch_transmittance(
-                nsx, ws, alphas, spans.groups, spans.group_has_tile_last
+                ws, alphas, spans.groups, spans.group_has_tile_last
             )
-            weights = batch_weights(nsx, ws, trans, alphas)
+            weights = batch_weights(ws, trans, alphas)
             # Copy out of the workspace: the next composite reuses the slot.
             return batch_composite(
-                nsx, ws, weights, final, colors, spans.groups, background
+                ws, weights, final, colors, spans.groups, background
             ).copy()
 
         full = composite(alphas * mask[None, :], colors, spans)
@@ -194,8 +192,7 @@ def _live_span_keys(projected, seg, spans) -> np.ndarray:
     Alphas are taken at opacity 1, the bound every opacity the engine
     scans (model and level opacities are sigmoids) stays below.
     """
-    nsx = get_array_namespace("numpy")
-    ws = Workspace(nsx)
+    ws = Workspace()
     sel = seg.pair_splats
     pairs = {
         "means": projected.means2d[sel],
@@ -205,8 +202,8 @@ def _live_span_keys(projected, seg, spans) -> np.ndarray:
         "origin_x": seg.geometry.origin_x[seg.pair_tiles],
         "depths": projected.depths[sel],
     }
-    bt = BatchTables.build(nsx, concat_spans([spans]), pairs)
-    alphas = batch_span_alphas(nsx, ws, bt, batch_span_quad(nsx, ws, bt))
+    bt = BatchTables.build(concat_spans([spans]), pairs)
+    alphas = batch_span_alphas(ws, bt, batch_span_quad(ws, bt))
     on_image = seg.geometry.lane_valid[spans.span_tile].T  # (ts, R)
     live = ((alphas > 0.0) & on_image).any(axis=0)
     return spans.span_pair[live] * seg.grid.height + spans.span_y[live]
@@ -322,7 +319,7 @@ class TestBatchInvarianceProperties:
                 res.stats.raster_intersections_per_tile,
             )
 
-    @pytest.mark.parametrize("backend", ["packed", "packed-xp"])
+    @pytest.mark.parametrize("backend", ["packed"])
     @given(
         cuts=st.sets(st.integers(1, 3)),
         batch_size=st.one_of(st.none(), st.integers(1, 4)),
@@ -701,9 +698,8 @@ class TestSegmentIndexProperties:
         )
         rng = np.random.default_rng(seed)
         alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
-        nsx = get_array_namespace("numpy")
         trans, final = batch_transmittance(
-            nsx, Workspace(nsx), alphas.copy(), batch.groups,
+            Workspace(), alphas.copy(), batch.groups,
             batch.group_has_tile_last, batch.band_offsets,
         )
         trans, final = trans.copy(), final.copy()
@@ -723,7 +719,7 @@ class TestSegmentIndexProperties:
             piece = concat_spans(slices)
             s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
             got_trans, got_final = batch_transmittance(
-                nsx, Workspace(nsx), alphas[:, s0:s1].copy(), piece.groups,
+                Workspace(), alphas[:, s0:s1].copy(), piece.groups,
                 piece.group_has_tile_last, piece.band_offsets,
             )
             assert np.array_equal(got_trans, trans[:, s0:s1])
