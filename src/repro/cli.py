@@ -2,6 +2,7 @@
 
     python -m repro.cli traces
     python -m repro.cli render garden --points 1200
+    python -m repro.cli foveate room --trace /tmp/fov-trace.json
     python -m repro.cli prune bicycle --fraction 0.6
     python -m repro.cli foveate room
     python -m repro.cli accel flowers
@@ -66,6 +67,37 @@ def _setup(args: argparse.Namespace):
         args.trace, n_points=args.points, width=args.width, height=args.height,
         n_train=4, n_eval=2, seed=args.seed,
     )
+
+
+def _trace_arg(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument(
+        "--trace", dest="trace_out", default=None, metavar="PATH", help=help_text
+    )
+
+
+def _traced(command):
+    """``command`` with the render backends' spans recorded when ``--trace``
+    names a file, written there as Chrome/Perfetto trace-event JSON."""
+
+    def run(args: argparse.Namespace) -> int:
+        if not args.trace_out:
+            return command(args)
+        from .obs import Tracer, set_active_tracer
+
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            code = command(args)
+        finally:
+            set_active_tracer(prev)
+        tracer.write(args.trace_out)
+        print(
+            f"trace: {len(tracer)} spans -> {args.trace_out} "
+            f"(load in Perfetto / chrome://tracing)"
+        )
+        return code
+
+    return run
 
 
 def _view_cache_stats(cache) -> str:
@@ -426,8 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the rasterization-backend registry and array namespaces",
     )
 
+    render_trace_help = (
+        "record the render backends' alpha-scan and composite spans and "
+        "write them as a Chrome/Perfetto trace-event JSON file"
+    )
     p_render = sub.add_parser("render", help="render a trace, report workload/FPS")
     _common_args(p_render)
+    _trace_arg(p_render, render_trace_help)
 
     p_prune = sub.add_parser("prune", help="CE-prune a dense model, compare")
     _common_args(p_prune)
@@ -443,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="scanpath length of the batched gaze-trajectory sweep",
     )
+    _trace_arg(p_fov, render_trace_help)
 
     p_accel = sub.add_parser("accel", help="accelerator design-space summary")
     _common_args(p_accel)
@@ -508,9 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = drain as fast as possible — the throughput mode; "
         "1 = real time, which is where prefetch gets idle gaps to run in)",
     )
-    p_serve.add_argument(
-        "--trace", dest="trace_out", default=None, metavar="PATH",
-        help="record the replay's request lifecycle and write it as a "
+    _trace_arg(
+        p_serve,
+        "record the replay's request lifecycle and write it as a "
         "Chrome/Perfetto trace-event JSON file (worker render spans are "
         "stitched into the same timeline)",
     )
@@ -566,9 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "backends": cmd_backends,
     "traces": cmd_traces,
-    "render": cmd_render,
+    "render": _traced(cmd_render),
     "prune": cmd_prune,
-    "foveate": cmd_foveate,
+    "foveate": _traced(cmd_foveate),
     "accel": cmd_accel,
     "serve-sim": cmd_serve_sim,
     "metrics": cmd_metrics,

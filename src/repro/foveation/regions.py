@@ -8,7 +8,10 @@ roughly 13% / 17% / 21% / 49% of pixels on their headset.
 Blending: each region renders slightly past its outer boundary, and pixels
 inside the transition band are rendered by *both* adjacent levels and
 interpolated, eliminating the visible seam (a form of anti-aliasing across
-quality levels).
+quality levels).  A tile renders one level (its centre pixel's) plus, when
+it holds band pixels, the other level of its dominant band — the band with
+the most of its pixels, ties going to the inner-most (see
+:func:`compute_region_maps`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from ..splat.camera import Camera
-from ..splat.tiling import TileGrid
+from ..splat.tiling import TileGrid, pixel_tiles
 
 PAPER_REGION_BOUNDARIES_DEG = (0.0, 18.0, 27.0, 33.0)
 
@@ -104,17 +107,35 @@ def compute_region_maps(
     layout: RegionLayout,
     gaze: tuple[float, float] | None = None,
 ) -> RegionMaps:
-    """Per-pixel levels / blend weights and per-tile render levels."""
-    ecc = camera.pixel_eccentricity(gaze)
-    pixel_level = layout.level_of(ecc)
-    needs_blend, weight_next = layout.blend_weights(ecc)
+    """Per-pixel levels / blend weights and per-tile render levels.
 
+    One pass over the boundaries fills every per-pixel map (the arithmetic
+    of :meth:`RegionLayout.level_of` and :meth:`RegionLayout.blend_weights`,
+    pixel for pixel); where two bands overlap, the later boundary wins.
+
+    **Dominant-band rule.**  A tile with band pixels is rendered at a second
+    level picked by its *dominant* band — the inner level ``k`` holding the
+    most of the tile's band pixels, ties going to the smallest ``k``.  The
+    band mixes levels ``(k, k + 1)``; the tile's primary level covers one
+    of them and the second level is the other (``min(k + 1, L)`` when the
+    primary is at or inside ``k``, else ``k``), or none when that equals
+    the primary.
+    """
+    ecc = camera.pixel_eccentricity(gaze)
+    pixel_level = np.ones(ecc.shape, dtype=np.int64)
+    weight_next = np.zeros(ecc.shape, dtype=np.float64)
     # Which boundary's band each blend pixel belongs to (inner level k).
     band_level = np.zeros(ecc.shape, dtype=np.int64)
     h = layout.blend_band_deg
     for k, boundary in enumerate(layout.boundaries_deg[1:], start=1):
-        in_band = (ecc >= boundary - h) & (ecc < boundary + h)
-        band_level[in_band] = k
+        pixel_level += ecc >= boundary
+        if h == 0:
+            continue
+        in_band = np.flatnonzero((ecc >= boundary - h) & (ecc < boundary + h))
+        w = (ecc.reshape(-1).take(in_band) - (boundary - h)) / (2.0 * h)  # 0 → 1
+        weight_next.reshape(-1)[in_band] = np.clip(w, 0.0, 1.0)
+        band_level.reshape(-1)[in_band] = k
+    needs_blend = band_level > 0
 
     # Tile level from the tile-centre eccentricity (one level per tile).
     centers = grid.tile_centers()
@@ -122,23 +143,19 @@ def compute_region_maps(
     cy = np.clip(centers[:, 1].astype(np.int64), 0, grid.height - 1)
     tile_level = pixel_level[cy, cx]
 
-    tile_second_level = np.zeros(grid.num_tiles, dtype=np.int64)
-    for tile_id in range(grid.num_tiles):
-        x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
-        bands = band_level[y0:y1, x0:x1]
-        bands = bands[bands > 0]
-        if bands.size == 0:
-            continue
-        # Dominant band in the tile decides the second render level: the
-        # band mixes levels (k, k+1); the tile's primary covers one of them.
-        k = int(np.bincount(bands).argmax())
-        primary = int(tile_level[tile_id])
-        if primary <= k:
-            tile_second_level[tile_id] = min(k + 1, layout.num_levels)
-        else:
-            tile_second_level[tile_id] = k
-        if tile_second_level[tile_id] == primary:
-            tile_second_level[tile_id] = 0
+    # Band pixels per (tile, inner level): the dominant band is the first
+    # maximum over levels 1..L (the argmax tie-break).
+    n_levels = layout.num_levels
+    band_px = np.flatnonzero(needs_blend)
+    tiles = pixel_tiles(grid).reshape(-1).take(band_px)
+    counts = np.bincount(
+        tiles * (n_levels + 1) + band_level.reshape(-1).take(band_px),
+        minlength=grid.num_tiles * (n_levels + 1),
+    ).reshape(grid.num_tiles, n_levels + 1)[:, 1:]
+    k = counts.argmax(axis=1) + 1
+    second = np.where(tile_level <= k, np.minimum(k + 1, n_levels), k)
+    has_band = counts.any(axis=1)
+    tile_second_level = np.where(has_band & (second != tile_level), second, 0)
 
     return RegionMaps(
         pixel_level=pixel_level,

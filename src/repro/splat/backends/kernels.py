@@ -347,23 +347,6 @@ def batch_span_alphas(ws: Workspace, bt: BatchTables, quad: np.ndarray) -> np.nd
     return batch_intersect_test(ws, alphas)
 
 
-def batch_level_alphas(
-    ws: Workspace, base_exp: np.ndarray, cols: np.ndarray, span_opacities: np.ndarray
-) -> np.ndarray:
-    """Alphas of quality-level passes from one shared ``exp(-q/2)`` table.
-
-    The foveated pipeline evaluates the Gaussian exp once per chunk over
-    the union of its passes' spans; ``cols`` (``(R_scan,)``) picks each
-    scanned span's column of ``base_exp`` and ``span_opacities``
-    (``(R_scan,)``) is that span's level opacity.  Level filtering already
-    happened in the span lists themselves, so every span here contributes.
-    """
-    alphas = ws.take("alphas", (base_exp.shape[0], len(cols)))
-    np.take(base_exp, cols, axis=1, out=alphas, mode="clip")
-    alphas *= span_opacities[None, :]
-    return batch_intersect_test(ws, alphas)
-
-
 def batch_transmittance(
     ws: Workspace,
     alphas: np.ndarray,

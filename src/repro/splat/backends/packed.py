@@ -59,7 +59,7 @@ import numpy as np
 from ...obs.trace import backend_span
 from ..projection import ProjectedGaussians
 from ..rasterizer import RasterGradients
-from ..tiling import TileAssignment, TileGrid
+from ..tiling import TileAssignment, TileGrid, pixel_tiles
 from .base import FoveatedFrame
 from .kernels import (
     BatchTables,
@@ -67,14 +67,12 @@ from .kernels import (
     backward_grads,
     batch_composite,
     batch_dominated_winners,
-    batch_level_alphas,
     batch_per_pixel_permutation,
     batch_span_alphas,
     batch_span_colors,
     batch_span_quad,
     batch_transmittance,
     batch_weights,
-    exp_neg_half,
 )
 from .segments import (
     PackedSegments,
@@ -89,18 +87,10 @@ from .segments import (
 )
 
 
-@functools.lru_cache(maxsize=16)
-def _tile_of_pixel(grid: TileGrid) -> np.ndarray:
-    """Tile id of every pixel, ``(H, W)``."""
-    ts = grid.tile_size
-    ys = np.arange(grid.height, dtype=np.int64) // ts
-    xs = np.arange(grid.width, dtype=np.int64) // ts
-    return ys[:, None] * grid.tiles_x + xs[None, :]
-
-
 def _background_frame(grid: TileGrid, background: np.ndarray) -> np.ndarray:
     image = np.empty((grid.height, grid.width, 3))
-    image[:, :] = background
+    # Row by row: broadcasting a 3-vector over every pixel is ~10x slower.
+    image.reshape(grid.height, -1)[:] = np.tile(background, grid.width)
     return image
 
 
@@ -411,6 +401,18 @@ class _ViewRows:
         ends = np.concatenate([[0], np.cumsum(counts)])
         return np.diff(ends[self.row_pairs])
 
+    def expand(self, counts: np.ndarray, r0: int, r1: int) -> RowSpans:
+        """The spans of tile rows ``[r0, r1)``, pair ``p`` on its first
+        ``counts[p]`` rows (``counts`` masks :attr:`counts`)."""
+        return expand_row_spans(
+            self.seg, self.y_lo, counts, self.row_pairs[r0], self.row_pairs[r1]
+        )
+
+    @functools.cached_property
+    def tables_x2(self) -> dict[str, np.ndarray]:
+        """The pair tables stacked twice: a foveated frame's two passes."""
+        return {name: np.concatenate([t, t]) for name, t in self.tables.items()}
+
 
 @dataclasses.dataclass
 class _Source:
@@ -423,10 +425,7 @@ class _Source:
 
     def spans(self, r0: int, r1: int) -> RowSpans:
         """This source's spans of tile rows ``[r0, r1)``."""
-        rows = self.rows
-        return expand_row_spans(
-            rows.seg, rows.y_lo, self.counts, rows.row_pairs[r0], rows.row_pairs[r1]
-        )
+        return self.rows.expand(self.counts, r0, r1)
 
 
 # ----------------------------------------------------------------------
@@ -435,12 +434,60 @@ class _Source:
 # The foveated frame is composed from the same span kernels as the
 # standard forward: a host-side, pair-level *plan* (level filtering keeps
 # each composite pass to the pairs passing its level's quality bound, plus
-# the blend-band tile selection), then band pieces that each expand their
-# rows' kept spans, fill their share of the exp table that every pass
-# gathers its alphas from, and run one transmittance scan and composite
-# over both passes; a final per-frame blend.  ``foveated_frame`` is a
+# each pass's level opacities and colours as per-pair tables), then band
+# pieces that expand both passes' rows and run the forward kernel chain
+# over them; a final blend of the band pixels.  ``foveated_frame`` is a
 # batch of one through the identical code path.
 # ----------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _BlendBand:
+    """The pixels a foveated or multi-model frame renders at two levels.
+
+    ``pixels`` are flat image indices (row-major) of the band pixels whose
+    tile renders a second level, ``tiles`` their tiles; ``lo_t`` is the
+    inner level of each tile's level pair (0 without a second level).
+    """
+
+    lo_t: np.ndarray  # (T,)
+    pixels: np.ndarray  # (M,)
+    tiles: np.ndarray  # (M,)
+
+    @classmethod
+    def select(
+        cls, maps: Any, grid: TileGrid, tile_ok: np.ndarray | None = None
+    ) -> "_BlendBand":
+        """Band pixels of the tiles with a second level (and ``tile_ok``)."""
+        tl, second = maps.tile_level, maps.tile_second_level
+        lo_t = np.where(second > 0, np.minimum(tl, second), 0)
+        candidates = np.flatnonzero(maps.needs_blend)
+        tiles = pixel_tiles(grid).reshape(-1).take(candidates)
+        blends = second > 0 if tile_ok is None else (second > 0) & tile_ok
+        mix = (maps.band_level.reshape(-1).take(candidates) == lo_t[tiles]) & blends[tiles]
+        return cls(lo_t=lo_t, pixels=candidates[mix], tiles=tiles[mix])
+
+    @property
+    def num_pixels(self) -> int:
+        return int(self.pixels.shape[0])
+
+    def blend(self, maps: Any, image: np.ndarray, second: np.ndarray) -> None:
+        """Interpolate the band pixels of ``image`` toward ``second``, in place.
+
+        ``image`` holds each tile's primary level, ``second`` its second
+        level (read only at the band pixels).
+        """
+        # Channel-flat: every operand is a contiguous (3M,) vector (a
+        # trailing axis of 3 makes numpy's broadcast loops crawl).
+        channels = (self.pixels[:, None] * 3 + np.arange(3)).reshape(-1)
+        flat = image.reshape(-1)
+        prim = flat.take(channels)
+        sec = second.reshape(-1).take(channels)
+        lo_is_primary = np.repeat((maps.tile_level == self.lo_t)[self.tiles], 3)
+        lo = np.where(lo_is_primary, prim, sec)
+        hi = np.where(lo_is_primary, sec, prim)
+        w = np.repeat(maps.weight_next.reshape(-1).take(self.pixels), 3)
+        flat[channels] = (1.0 - w) * lo + w * hi
 
 
 @dataclasses.dataclass
@@ -448,28 +495,46 @@ class _FoveatedPlan:
     """Host-side stage decomposition of one foveated frame.
 
     Built before any span exists: the filtering-stage workload statistics,
-    the blend-band pixel selection, and the pairs each composite pass
-    scans.  ``keep_primary`` marks the pairs passing their own tile's level
-    bound; ``keep_blend`` the blend-band tiles' pairs passing the second
-    level's bound (``None`` without band pixels) — filtered points never
-    reach the scan.  ``level_tiles`` are each level's non-empty tiles, whose
-    primary spans feed the accelerator model.  The pair fields are ``None``
-    for frames without intersections (they render as pure background).
+    the blend-band pixel selection, and each composite pass's pairs and
+    level tables.  ``pass_counts`` holds each pass's per-pair span counts,
+    zero for the pairs it drops — the primary pass keeps the pairs passing
+    their own tile's level bound, the blend pass the band tiles' pairs
+    passing the second level's bound — and ``tables`` the passes' pair
+    tables stacked in pass order (opacities and colours at the pass's
+    level), so filtered points never reach the scan.
+    ``level_tiles`` are each level's non-empty tiles, whose primary spans
+    feed the accelerator model.  The pair fields are ``None`` for frames
+    without intersections (they render as pure background).
     """
 
     maps: Any
     seg: PackedSegments | None
-    pair_tl: np.ndarray | None  # (K,) primary level per pair
-    pair_second: np.ndarray | None  # (K,) second (blend) level per pair
-    keep_primary: np.ndarray | None  # (K,)
-    keep_blend: np.ndarray | None  # (K,)
+    pass_counts: list[np.ndarray]  # (K,) per pass
+    tables: dict[str, np.ndarray] | None
     built: int  # spans built for the frame before level filtering
     sort_ints: np.ndarray  # (T,)
     raster_ints: np.ndarray  # (T,)
-    mix_full: np.ndarray | None  # (H, W) pixels blending two levels
-    lo_t: np.ndarray | None  # (T,) inner level of each tile's blend pair
-    blend_pixels: int
+    band: _BlendBand | None  # pixels blending two levels (None: no pairs)
     level_tiles: dict[int, np.ndarray]
+
+    @property
+    def blend_pixels(self) -> int:
+        return 0 if self.band is None else self.band.num_pixels
+
+
+def _level_tables(
+    tables: dict[str, np.ndarray], op_mat: np.ndarray, de_mat: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair opacity and colour at each pair's level (``levels``
+    aligned with the pair ``tables``).
+
+    Pairs at level 0 (no second level) read level 1; no pass scans them.
+    """
+    flat = (np.maximum(levels, 1) - 1) * op_mat.shape[1] + tables["pids"]
+    opacities = op_mat.reshape(-1).take(flat)
+    colors = de_mat.reshape(-1, 3).take(flat, axis=0)
+    colors += tables["colors"]
+    return opacities, colors
 
 
 def _foveated_plan(
@@ -477,25 +542,27 @@ def _foveated_plan(
     assignment: TileAssignment,
     maps: Any,
     bounds: np.ndarray,
-    n_levels: int,
+    op_mat: np.ndarray,
+    de_mat: np.ndarray,
     rows: _ViewRows | None,
 ) -> _FoveatedPlan:
     """Filtering + blend-band planning of one frame (no pixel math).
 
     Level filtering is expressed as pair selection: each pass scans only
     the spans of pairs passing that pass's quality bound, so the alpha scan
-    only ever sees fragments that contribute.  ``rows`` is the view's
-    gaze-independent pair structure (``None`` without intersections).
+    only ever sees fragments that contribute.  ``op_mat`` / ``de_mat`` are
+    the ``(L, N)`` level opacities and ``(L, N, 3)`` colour deltas; ``rows``
+    is the view's gaze-independent pair structure (``None`` without
+    intersections).
     """
     grid = assignment.grid
     num_tiles = grid.num_tiles
     if rows is None:
         return _FoveatedPlan(
-            maps=maps, seg=None, pair_tl=None, pair_second=None, keep_primary=None,
-            keep_blend=None, built=0,
+            maps=maps, seg=None, pass_counts=[], tables=None, built=0,
             sort_ints=np.zeros(num_tiles, dtype=np.int64),
             raster_ints=np.zeros(num_tiles, dtype=np.float64),
-            mix_full=None, lo_t=None, blend_pixels=0, level_tiles={},
+            band=None, level_tiles={},
         )
 
     seg = rows.seg
@@ -515,23 +582,17 @@ def _foveated_plan(
     raster_ints = np.bincount(
         seg.pair_tiles[keep_primary], minlength=num_tiles
     ).astype(np.float64)
+    pass_counts = [np.where(keep_primary, rows.counts, 0)]
+    tables, levels = rows.tables, pair_tl
 
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
     nonempty = np.diff(assignment.tile_offsets) > 0
-    lo_t = np.where(second > 0, np.minimum(tl, second), 0)
-    tile_map = _tile_of_pixel(grid)
-    mix_full = (
-        (maps.band_level == lo_t[tile_map])
-        & maps.needs_blend
-        & ((second > 0) & nonempty)[tile_map]
-    )
-    blend_pixels = int(mix_full.sum())
-    pair_second = second[seg.pair_tiles]
-    keep_blend = None
-    if blend_pixels:
-        mix_count = np.bincount(tile_map[mix_full], minlength=num_tiles)
+    band = _BlendBand.select(maps, grid, nonempty)
+    if band.num_pixels:
+        mix_count = np.bincount(band.tiles, minlength=num_tiles)
         sel_tiles = mix_count > 0  # implies second > 0 and non-empty
+        pair_second = second[seg.pair_tiles]
         mask_second = pair_bounds >= pair_second
         # Second-level pass touches only the band pixels.
         msec = np.bincount(seg.pair_tiles[mask_second], minlength=num_tiles)
@@ -539,37 +600,26 @@ def _foveated_plan(
             msec[sel_tiles] * mix_count[sel_tiles] / grid.tile_size**2
         )
         keep_blend = sel_tiles[seg.pair_tiles] & mask_second
+        pass_counts.append(np.where(keep_blend, rows.counts, 0))
+        tables, levels = rows.tables_x2, np.concatenate([pair_tl, pair_second])
+    opacities, colors = _level_tables(tables, op_mat, de_mat, levels)
+    tables = dict(tables, opacities=opacities, colors=colors)
 
     # Level t owns the primary spans of its non-empty tiles — exactly the
     # fragments the primary composite rasterizes there.  This is the real
     # foveated workload the accelerator model consumes
     # (accel.spans_to_tile_counts).
     level_tiles = {}
-    for t in range(1, n_levels + 1):
+    for t in range(1, op_mat.shape[0] + 1):
         tiles_t = (tl == t) & nonempty
         if tiles_t.any():
             level_tiles[t] = tiles_t
 
     return _FoveatedPlan(
-        maps=maps, seg=seg, pair_tl=pair_tl, pair_second=pair_second,
-        keep_primary=keep_primary, keep_blend=keep_blend,
+        maps=maps, seg=seg, pass_counts=pass_counts, tables=tables,
         built=int(rows.counts.sum()), sort_ints=sort_ints,
-        raster_ints=raster_ints, mix_full=mix_full, lo_t=lo_t,
-        blend_pixels=blend_pixels, level_tiles=level_tiles,
+        raster_ints=raster_ints, band=band, level_tiles=level_tiles,
     )
-
-
-def _foveated_blend(
-    plan: _FoveatedPlan, grid: TileGrid, prim: np.ndarray, sec: np.ndarray
-) -> np.ndarray:
-    """Blending stage: interpolate band pixels between the two level images."""
-    maps = plan.maps
-    tile_map = _tile_of_pixel(grid)
-    lo_is_primary = (maps.tile_level == plan.lo_t)[tile_map][:, :, None]
-    lo_img = np.where(lo_is_primary, prim, sec)
-    hi_img = np.where(lo_is_primary, sec, prim)
-    w = maps.weight_next[:, :, None]
-    return np.where(plan.mix_full[:, :, None], (1.0 - w) * lo_img + w * hi_img, prim)
 
 
 class PackedBackend:
@@ -801,11 +851,9 @@ class PackedBackend:
         *extra batch segment* riding the same scan as the primary
         composite.  The frames' bands then stream into pieces of at most
         :func:`span_chunk_budget` *scanned* (post-filter) spans, exactly
-        like :meth:`forward_batch`; a piece carries
-        both passes of its tile rows, so the ``exp(-q/2)`` table of the
-        rows' union is filled once per piece.  Only the per-frame planning,
-        the scatter into each frame and the blend interpolation remain per
-        frame.
+        like :meth:`forward_batch`; a piece carries both passes of its tile
+        rows.  Only the per-frame planning, the scatter into each frame and
+        the band-pixel blend remain per frame.
         """
         if not views:
             return []
@@ -842,23 +890,19 @@ class PackedBackend:
                 remaining[key] -= 1
                 if remaining[key] == 0:
                     view_memo.pop(key, None)
-                plan = _foveated_plan(projected, assignment, maps, bounds, n_levels, rows)
+                plan = _foveated_plan(
+                    projected, assignment, maps, bounds, op_mat, de_mat, rows
+                )
                 plans.append(plan)
                 if plan.blend_pixels:
                     sec[f] = _background_frame(assignment.grid, background)
                 if rows is None:
                     continue
-                primary = np.where(plan.keep_primary, rows.counts, 0)
-                sizes = rows.band_sizes(primary)
-                union = primary
-                if plan.keep_blend is not None:
-                    blend = np.where(plan.keep_blend, rows.counts, 0)
-                    sizes = sizes + rows.band_sizes(blend)
-                    union = np.maximum(primary, blend)
-                yield _Source(f, rows, union, plan), sizes
+                sizes = sum(rows.band_sizes(counts) for counts in plan.pass_counts)
+                yield _Source(f, rows, plan.pass_counts[0], plan), sizes
 
         def run(parts):
-            return self._foveated_piece(parts, op_mat, de_mat, background)
+            return self._foveated_piece(parts, background)
 
         work: dict[str, int] = {"frames": len(views)}
         with backend_span("alpha-scan", args=work):
@@ -875,17 +919,16 @@ class PackedBackend:
                 for f, spans in primaries:
                     primary_parts[f].append(spans)
             out = []
-            for f, ((_, assignment), plan) in enumerate(zip(views, plans)):
-                image = prim[f]
+            for f, plan in enumerate(plans):
                 if plan.blend_pixels:
-                    image = _foveated_blend(plan, assignment.grid, prim[f], sec[f])
+                    plan.band.blend(plan.maps, prim[f], sec[f])
                 level_spans = {}
                 if plan.level_tiles:
                     primary = join_row_spans(plan.seg, primary_parts[f])
                     level_spans = {t: primary.subset(m) for t, m in plan.level_tiles.items()}
                 out.append(
                     FoveatedFrame(
-                        image=image,
+                        image=prim[f],
                         sort_intersections_per_tile=plan.sort_ints,
                         raster_intersections_per_tile=plan.raster_ints,
                         blend_pixels=plan.blend_pixels,
@@ -897,72 +940,41 @@ class PackedBackend:
     def _foveated_piece(
         self,
         parts: list[tuple[_Source, int, int]],
-        op_mat: np.ndarray,
-        de_mat: np.ndarray,
         background: np.ndarray,
     ) -> tuple[list, list]:
         """Both composite passes of some frames' tile rows (one piece).
 
-        Each part expands its rows' *union* spans — every span either pass
-        scans — and the parts share one quadratic form and one ``exp(-q/2)``
-        table: this piece's column slice of the frames' table, exact because
-        it is elementwise.  Each pass — a frame's primary rows, then its
-        blend-band rows — gathers its columns from that table and scales
-        them by the per-span level opacity, so a span both passes keep pays
-        for one exp.  Every pass then rides one transmittance scan and one
-        compositing reduction.  Returns ``(scattered, primaries)``: per
-        pass, ``(frame, is_blend_pass, flat pixel indices, colours)``, and
-        per part, ``(frame, primary spans)`` for the frame's ``level_spans``.
+        Each part expands every pass of its frame straight from the pass's
+        per-pair span counts — the primary pass, then (with band pixels)
+        the blend pass — and the passes run the standard forward chain over the
+        frames' stacked per-pass pair tables, whose opacities and colours
+        sit at each pass's level.  Every pass rides one transmittance scan
+        and one compositing reduction.  Returns ``(scattered, primaries)``:
+        per pass, ``(frame, is_blend_pass, flat pixel indices, colours)``,
+        and per part, ``(frame, primary spans)`` for the frame's
+        ``level_spans``.
         """
         ws = self._ws
-        unions, passes, targets, primaries = [], [], [], []
-        cols, span_pair, levels = [], [], []
-        union_off = pair_off = 0
+        passes, targets, primaries = [], [], []
         for src, r0, r1 in parts:
-            plan = src.plan
-            union = src.spans(r0, r1)
-            keep = plan.keep_primary[union.span_pair]
-            primary = union if plan.keep_blend is None else union.subset_spans(keep)
-            pass_list = [(primary, keep, plan.pair_tl, False)]
-            if plan.keep_blend is not None:
-                keep_b = plan.keep_blend[union.span_pair]
-                pass_list.append((union.subset_spans(keep_b), keep_b, plan.pair_second, True))
-            for spans, pass_keep, pair_levels, second in pass_list:
-                if spans.num_spans == 0:
-                    continue
-                passes.append(spans)
-                targets.append((src.index, second))
-                cols.append(np.flatnonzero(pass_keep) + union_off)
-                span_pair.append(spans.span_pair + pair_off)
-                # Kept spans never index level 0.
-                levels.append(pair_levels[spans.span_pair] - 1)
-            primaries.append((src.index, primary))
-            unions.append(union)
-            union_off += union.num_spans
-            pair_off += union.seg.num_pairs
+            # Empty passes stay in the batch: they own no groups, and keep
+            # each pass at its offset into the stacked tables.
+            spans = [src.rows.expand(counts, r0, r1) for counts in src.plan.pass_counts]
+            primaries.append((src.index, spans[0]))
+            passes += spans
+            targets += [(src.index, second > 0) for second in range(len(spans))]
 
-        union_batch = concat_spans(unions)
-        pairs = _concat_tables([src.rows.tables for src, _, _ in parts])
-        base_exp = batch_span_quad(ws, BatchTables.build(union_batch, pairs))
-        base_exp = exp_neg_half(base_exp, out=base_exp)
         batch = concat_spans(passes)
-        span_pair = np.concatenate(span_pair)
-        levels = np.concatenate(levels)
-        pids = pairs["pids"][span_pair]
-        alphas = batch_level_alphas(
-            ws, base_exp, np.concatenate(cols), op_mat[levels, pids]
+        bt = BatchTables.build(batch, _concat_tables([src.plan.tables for src, _, _ in parts]))
+        weights, final, _ = self._scan(bt, batch, per_pixel_sort=False)
+        pixels = batch_composite(
+            ws, weights, final, batch_span_colors(ws, bt), batch.groups, background
         )
-        colors = pairs["colors"][span_pair] + de_mat[levels, pids]
-        trans, final = batch_transmittance(
-            ws, alphas, batch.groups, batch.group_has_tile_last,
-            batch.band_offsets,
-        )
-        weights = batch_weights(ws, trans, alphas)
-        pixels = batch_composite(ws, weights, final, colors, batch.groups, background)
         scattered = []
         for v, (spans, (f, second)) in enumerate(zip(passes, targets)):
-            idx, ok = _group_pixel_index(spans)
-            scattered.append((f, second, idx[ok], pixels[batch.view_groups(v)][ok]))
+            if spans.num_spans:
+                idx, ok = _group_pixel_index(spans)
+                scattered.append((f, second, idx[ok], pixels[batch.view_groups(v)][ok]))
         return scattered, primaries
 
     def multi_model_frame(
@@ -983,21 +995,15 @@ class PackedBackend:
         sort_ints = n_primary.astype(np.int64)
         raster_ints = n_primary.astype(np.float64)
 
-        lo_t = np.where(second > 0, np.minimum(tl, second), 0)
-        tile_map = _tile_of_pixel(grid)
-        mix_full = (
-            (maps.band_level == lo_t[tile_map])
-            & maps.needs_blend
-            & (second > 0)[tile_map]
-        )
-        blend_pixels = int(mix_full.sum())
-        mix_count = np.bincount(tile_map[mix_full], minlength=num_tiles)
+        band = _BlendBand.select(maps, grid)
+        mix_count = np.bincount(band.tiles, minlength=num_tiles)
         sel_second = mix_count > 0  # implies second > 0
         n_second = ints[np.maximum(second - 1, 0), tile_ids]
         raster_ints[sel_second] += (
             n_second[sel_second] * mix_count[sel_second] / grid.tile_size**2
         )
 
+        tile_map = pixel_tiles(grid)
         prim = _background_frame(grid, background)
         sec = _background_frame(grid, background)
         for level in range(1, len(views) + 1):
@@ -1015,17 +1021,12 @@ class PackedBackend:
             prim[mask_p] = img_v[mask_p]
             sec[mask_s] = img_v[mask_s]
 
-        out = prim
-        if blend_pixels:
-            lo_is_primary = (tl == lo_t)[tile_map][:, :, None]
-            lo_img = np.where(lo_is_primary, prim, sec)
-            hi_img = np.where(lo_is_primary, sec, prim)
-            w = maps.weight_next[:, :, None]
-            out = np.where(mix_full[:, :, None], (1.0 - w) * lo_img + w * hi_img, prim)
+        if band.num_pixels:
+            band.blend(maps, prim, sec)
 
         return FoveatedFrame(
-            image=out,
+            image=prim,
             sort_intersections_per_tile=sort_ints,
             raster_intersections_per_tile=raster_ints,
-            blend_pixels=blend_pixels,
+            blend_pixels=band.num_pixels,
         )

@@ -193,44 +193,6 @@ class RowSpans:
             group_has_tile_last=self.group_has_tile_last[keep_groups],
         )
 
-    def subset_spans(self, span_mask: np.ndarray) -> "RowSpans":
-        """Restrict to an arbitrary span subset, dropping emptied groups.
-
-        Unlike :meth:`subset` (whole tiles), the mask may cut *within* a
-        ``(tile, row)`` group — the foveated filtering stage prunes spans
-        whose pair fails a quality bound.  Group order and per-group depth
-        order are preserved; ``group_has_tile_last`` is recomputed from each
-        group's last surviving span.
-        """
-        span_mask = np.asarray(span_mask, dtype=bool)
-        if span_mask.shape != (self.num_spans,):
-            raise ValueError(
-                f"span_mask must be ({self.num_spans},), got {span_mask.shape}"
-            )
-        if self.num_spans == 0:
-            return self
-        lens = np.add.reduceat(
-            span_mask.astype(np.int64), self.groups.starts
-        )
-        keep_groups = lens > 0
-        # Flat position of each group's last surviving span (groups are
-        # non-empty, so the reduceat maximum is well-defined where kept).
-        pos = np.where(span_mask, np.arange(self.num_spans, dtype=np.int64), -1)
-        last_kept = np.maximum.reduceat(pos, self.groups.starts)[keep_groups]
-        group_tile = self.group_tile[keep_groups]
-        return RowSpans(
-            seg=self.seg,
-            span_pair=self.span_pair[span_mask],
-            span_tile=self.span_tile[span_mask],
-            span_y=self.span_y[span_mask],
-            groups=SegmentIndex.from_lengths(lens[keep_groups]),
-            group_tile=group_tile,
-            group_y=self.group_y[keep_groups],
-            group_has_tile_last=(
-                self.span_pair[last_kept] == self.seg.tile_last_pair[group_tile]
-            ),
-        )
-
 
 @dataclasses.dataclass
 class SpanBatch:

@@ -147,12 +147,23 @@ class Camera:
     # Visual-angle geometry for foveation
     # ------------------------------------------------------------------
     def pixel_rays(self) -> np.ndarray:
-        """Camera-space unit viewing ray of every pixel, ``(H, W, 3)``."""
+        """Camera-space unit viewing ray of every pixel, ``(H, W, 3)``.
+
+        Built separably: the ray of pixel ``(y, x)`` is ``(xs[x], ys[y], 1)``
+        over its norm ``sqrt((xs² + ys²) + 1)`` — the summation order of
+        ``np.linalg.norm`` over the stacked rays, so the result is the same
+        to the bit without materializing the unnormalized rays.
+        """
         xs = (np.arange(self.width) + 0.5 - self.cx) / self.fx
         ys = (np.arange(self.height) + 0.5 - self.cy) / self.fy
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        rays = np.stack([grid_x, grid_y, np.ones_like(grid_x)], axis=-1)
-        return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+        norm = (xs * xs)[None, :] + (ys * ys)[:, None]
+        norm += 1.0
+        np.sqrt(norm, out=norm)
+        rays = np.empty((self.height, self.width, 3))
+        np.divide(xs[None, :], norm, out=rays[:, :, 0])
+        np.divide(ys[:, None], norm, out=rays[:, :, 1])
+        np.divide(1.0, norm, out=rays[:, :, 2])
+        return rays
 
     def pixel_eccentricity(self, gaze: tuple[float, float] | None = None) -> np.ndarray:
         """Per-pixel eccentricity in degrees relative to a gaze point.

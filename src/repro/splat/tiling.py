@@ -11,6 +11,7 @@ pruning metric and the load-imbalance study are built on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -66,6 +67,17 @@ class TileGrid:
         cx = np.minimum(txs * self.tile_size + self.tile_size / 2.0, self.width - 0.5)
         cy = np.minimum(tys * self.tile_size + self.tile_size / 2.0, self.height - 0.5)
         return np.stack([cx, cy], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def pixel_tiles(grid: TileGrid) -> np.ndarray:
+    """Tile id of every pixel, ``(H, W)`` (cached per grid, read-only)."""
+    ts = grid.tile_size
+    ys = np.arange(grid.height, dtype=np.int64) // ts
+    xs = np.arange(grid.width, dtype=np.int64) // ts
+    tiles = ys[:, None] * grid.tiles_x + xs[None, :]
+    tiles.setflags(write=False)
+    return tiles
 
 
 @dataclasses.dataclass

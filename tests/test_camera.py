@@ -105,3 +105,31 @@ class TestVisualAngle:
         # flat-projection overestimate (deg/px × width) is ~27% above fov.
         approx_fov = cam.degrees_per_pixel() * cam.width
         assert cam.fov_x_deg < approx_fov < 1.35 * cam.fov_x_deg
+
+
+class TestSeparableRays:
+    """``pixel_rays`` equals the stacked-ray formula bit for bit."""
+
+    @staticmethod
+    def _stacked(camera):
+        xs = (np.arange(camera.width) + 0.5 - camera.cx) / camera.fx
+        ys = (np.arange(camera.height) + 0.5 - camera.cy) / camera.fy
+        grid_x, grid_y = np.meshgrid(xs, ys)
+        rays = np.stack([grid_x, grid_y, np.ones_like(grid_x)], axis=-1)
+        return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("size", [(64, 48), (333, 177), (1024, 768)])
+    @pytest.mark.parametrize("gaze", [None, (10.0, 7.0), (-50.0, 900.0)])
+    def test_rays_and_eccentricity_bitwise(self, size, gaze):
+        camera = Camera.from_fov(
+            size[0], size[1], 90.0, np.array([0.0, 0.0, -4.0]), np.zeros(3)
+        )
+        rays = self._stacked(camera)
+        assert np.array_equal(camera.pixel_rays(), rays)
+        g = (camera.cx, camera.cy) if gaze is None else gaze
+        gaze_ray = np.array(
+            [(g[0] - camera.cx) / camera.fx, (g[1] - camera.cy) / camera.fy, 1.0]
+        )
+        gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
+        ecc = np.rad2deg(np.arccos(np.clip(rays @ gaze_ray, -1.0, 1.0)))
+        assert np.array_equal(camera.pixel_eccentricity(gaze), ecc)

@@ -1,5 +1,7 @@
 """CLI subcommands: parsing and end-to-end execution."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -85,6 +87,18 @@ class TestCommands:
         assert "FR speedup" in out
         # The single frame misses, the gaze trajectory then shares the pose.
         assert "cache-stats: view-cache hits=1 misses=1" in out
+
+    @pytest.mark.parametrize("command", ["render", "foveate"])
+    def test_trace_flag_writes_backend_spans(self, command, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        code = main([command, "bonsai", "--points", "200", "--width", "64",
+                     "--height", "48", "--trace", str(path)])
+        assert code == 0
+        assert "trace:" in capsys.readouterr().out
+        events = [e for e in json.loads(path.read_text())["traceEvents"] if e["ph"] == "X"]
+        for e in events:
+            assert {"name", "cat", "ph", "ts", "dur", "pid", "tid"} <= set(e)
+        assert {"alpha-scan", "composite"} <= {e["name"] for e in events}
 
     def test_serve_sim(self, capsys):
         code = main(["serve-sim", "bonsai", "--points", "150", "--width", "48",

@@ -99,8 +99,9 @@ class TestCompositingProperties:
 
 
 @functools.lru_cache(maxsize=4)
-def _dense_row_spans(seed: int):
-    """Row spans of a small, dense random view: many multi-span groups."""
+def _dense_pair_rows(seed: int):
+    """Pair rows ``(seg, y_lo, counts)`` of a small, dense random view:
+    many multi-span groups."""
     model = random_model(120, np.random.default_rng(seed), extent=1.5)
     camera = Camera.from_fov(
         width=40,
@@ -110,18 +111,21 @@ def _dense_row_spans(seed: int):
         look_at=np.array([0.0, 0.0, 0.0]),
     )
     projected, assignment = prepare_view(model, camera)
-    return build_row_spans(projected, build_segments(assignment))
+    seg = build_segments(assignment)
+    return (seg, *pair_row_ranges(projected, seg))
 
 
 class TestSpanSubsetProperties:
-    """Compacting spans away equals compositing them with zero alpha.
+    """Expanding only kept pairs equals compositing the rest with zero alpha.
 
     This is the identity the foveated engine's level filtering rests on:
-    :meth:`RowSpans.subset_spans` drops spans (and emptied groups) instead
-    of zeroing their alphas, so the transmittance scan and composite over
-    the subset must reproduce the full list's pixels — including the
-    early-termination gate, which reads ``group_has_tile_last`` and must be
-    recomputed when a group's tile-last span is dropped.
+    each composite pass expands only the pairs passing its quality bound
+    (:func:`expand_row_spans` with the other pairs' counts zeroed), which
+    drops their spans — and emptied groups — instead of zeroing their
+    alphas.  The transmittance scan and composite over the kept spans must
+    reproduce the full list's pixels, including the early-termination
+    gate, which reads ``group_has_tile_last`` and must follow each group's
+    last kept span when the tile's last pair is dropped.
     """
 
     @given(
@@ -129,29 +133,31 @@ class TestSpanSubsetProperties:
         mask_seed=st.integers(0, 2**16),
         keep=st.floats(0.0, 1.0),
         drop_tile_last=st.booleans(),
-        empty_groups=st.floats(0.0, 0.5),
+        empty_tiles=st.floats(0.0, 0.5),
     )
     @settings(max_examples=60, deadline=None)
     def test_subset_composite_matches_zeroed_alphas(
-        self, seed, mask_seed, keep, drop_tile_last, empty_groups
+        self, seed, mask_seed, keep, drop_tile_last, empty_tiles
     ):
         ws = Workspace()
-        spans = _dense_row_spans(seed)
-        ts = spans.seg.grid.tile_size
+        seg, y_lo, counts = _dense_pair_rows(seed)
+        spans = expand_row_spans(seg, y_lo, counts)
+        ts = seg.grid.tile_size
         rng = np.random.default_rng(mask_seed)
         # Opaque-leaning alphas so transmittance crosses the termination
         # threshold inside groups; some slots fail the intersect test.
         alphas = rng.uniform(0.0, 0.99, size=(ts, spans.num_spans))
         alphas[rng.random(alphas.shape) < 0.2] = 0.0
-        colors = rng.uniform(size=(spans.num_spans, 3))
+        # Colours per pair, so both span lists read the same table.
+        pair_colors = rng.uniform(size=(seg.num_pairs, 3))
         background = rng.uniform(size=3)
 
-        mask = rng.random(spans.num_spans) < keep
-        last = spans.groups.last
+        keep_pair = rng.random(seg.num_pairs) < keep
         if drop_tile_last:
-            mask[last[spans.group_has_tile_last]] = False
-        emptied = rng.random(spans.num_groups) < empty_groups
-        mask[emptied[spans.groups.of_item]] = False
+            keep_pair[seg.tile_last_pair[seg.tile_last_pair >= 0]] = False
+        emptied = rng.random(seg.grid.num_tiles) < empty_tiles
+        keep_pair[emptied[seg.pair_tiles]] = False
+        mask = keep_pair[spans.span_pair]
 
         def composite(alphas, colors, spans):
             trans, final = batch_transmittance(
@@ -163,23 +169,26 @@ class TestSpanSubsetProperties:
                 ws, weights, final, colors, spans.groups, background
             ).copy()
 
-        full = composite(alphas * mask[None, :], colors, spans)
+        full = composite(alphas * mask[None, :], pair_colors[spans.span_pair], spans)
 
-        sub = spans.subset_spans(mask)
+        sub = expand_row_spans(seg, y_lo, np.where(keep_pair, counts, 0))
         kept_groups = np.add.reduceat(mask.astype(np.int64), spans.groups.starts) > 0
         assert sub.num_spans == int(mask.sum())
         assert sub.num_groups == int(kept_groups.sum())
+        # Kept spans, in order: the full list's masked rows.
+        assert np.array_equal(sub.span_pair, spans.span_pair[mask])
+        assert np.array_equal(sub.span_y, spans.span_y[mask])
         # The gate flag follows each group's last *surviving* span.
         sub_last = sub.span_pair[sub.groups.last]
         assert np.array_equal(
             sub.group_has_tile_last,
-            sub_last == spans.seg.tile_last_pair[sub.group_tile],
+            sub_last == seg.tile_last_pair[sub.group_tile],
         )
         if drop_tile_last:
             assert not sub.group_has_tile_last.any()
 
         if sub.num_spans:
-            got = composite(alphas[:, mask], colors[mask], sub)
+            got = composite(alphas[:, mask], pair_colors[sub.span_pair], sub)
             assert np.abs(got - full[kept_groups]).max() <= 1e-12
         # Groups with no surviving span composite to pure background.
         dropped = full[~kept_groups]
@@ -403,14 +412,16 @@ class TestBandPieceProperties:
         def scanned(projected, assignment, spans):
             # Spans the two foveated passes scan: kept pairs' spans.
             maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
+            levels = range(1, fmodel.num_levels + 1)
             plan = packed._foveated_plan(
                 projected, assignment, maps, fmodel.quality_bounds,
-                fmodel.num_levels, packed._ViewRows.build(projected, assignment),
+                np.stack([fmodel.level_opacities(t) for t in levels]),
+                np.stack([fmodel.level_color_delta(t) for t in levels]),
+                packed._ViewRows.build(projected, assignment),
             )
-            keep = plan.keep_primary[spans.span_pair].astype(np.int64)
-            if plan.keep_blend is not None:
-                keep += plan.keep_blend[spans.span_pair]
-            return keep
+            return sum(
+                (counts > 0)[spans.span_pair].astype(np.int64) for counts in plan.pass_counts
+            )
 
         full_bands, fov_bands = bands(scene), bands(fmodel.base, scanned)
         for scan, sizes in ((full_scan, full_bands), (fov_scan, fov_bands)):
@@ -418,6 +429,56 @@ class TestBandPieceProperties:
             assert scan["max_piece_spans"] <= max(budget, sizes.max())
             if budget < sizes.max():
                 assert scan["pieces"] > 1
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_foveated_inputs(overlap: bool, width: int, height: int):
+    """A foveated model and a pose; ``overlap`` puts neighbouring bands
+    closer than twice the band half-width, so blend bands overlap."""
+    scene = generate_scene("kitchen", n_points=500)
+    layout = (
+        RegionLayout(boundaries_deg=(0.0, 8.0, 10.0, 12.5), blend_band_deg=1.5)
+        if overlap
+        else EVAL_REGION_LAYOUT
+    )
+    fmodel = uniform_foveated_model(scene, layout, EVAL_LEVEL_FRACTIONS)
+    cameras = trace_cameras("kitchen", n_train=1, n_eval=1, width=width, height=height)
+    return fmodel, cameras[0][0]
+
+
+class TestFoveatedReferenceProperties:
+    """Packed foveated frames stay within 1e-10 of the ``reference`` oracle
+    at any gaze, on ragged grids and with overlapping blend bands.  The
+    oracle blends every band pixel of a blend tile, so a band pixel the
+    plan or the blend pass misses fails here."""
+
+    @given(
+        gx=st.floats(-0.5, 1.5),
+        gy=st.floats(-0.5, 1.5),
+        size=st.sampled_from([(64, 48), (70, 45)]),
+        overlap=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_packed_matches_reference(self, gx, gy, size, overlap):
+        fmodel, camera = _reference_foveated_inputs(overlap, *size)
+        gaze = (gx * size[0], gy * size[1])
+        ref = render_foveated(
+            fmodel, camera, gaze=gaze, config=RenderConfig(backend="reference")
+        )
+        got = render_foveated(
+            fmodel, camera, gaze=gaze, config=RenderConfig(backend="packed")
+        )
+        assert np.abs(got.image - ref.image).max() <= 1e-10
+        assert got.stats.blend_pixels == ref.stats.blend_pixels
+        assert np.array_equal(
+            got.stats.sort_intersections_per_tile, ref.stats.sort_intersections_per_tile
+        )
+        assert np.allclose(
+            got.stats.raster_intersections_per_tile,
+            ref.stats.raster_intersections_per_tile,
+            rtol=0.0,
+            atol=1e-10,
+        )
 
 
 class TestQuaternionProperties:

@@ -1,15 +1,20 @@
 """Foveation quality regions: level maps, blending bands, tile assignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.foveation.regions import (
     PAPER_REGION_BOUNDARIES_DEG,
     RegionLayout,
+    RegionMaps,
     compute_region_maps,
     region_masks,
     region_pixel_fractions,
 )
+from repro.harness import EVAL_REGION_LAYOUT
+from repro.splat.camera import Camera
 from repro.splat.tiling import TileGrid
 
 
@@ -101,3 +106,96 @@ class TestRegionMasks:
         fractions_center = region_pixel_fractions(front_camera, layout)
         fractions_corner = region_pixel_fractions(front_camera, layout, gaze=(0.0, 0.0))
         assert fractions_center[0] != pytest.approx(fractions_corner[0])
+
+
+def _stacked_rays(camera):
+    """Pixel rays by the meshgrid / ``stack`` / ``np.linalg.norm`` formula."""
+    xs = (np.arange(camera.width) + 0.5 - camera.cx) / camera.fx
+    ys = (np.arange(camera.height) + 0.5 - camera.cy) / camera.fy
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    rays = np.stack([grid_x, grid_y, np.ones_like(grid_x)], axis=-1)
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+
+def _looped_region_maps(camera, grid, layout, gaze=None):
+    """Oracle: the region maps built map by map, with a loop over tiles."""
+    if gaze is None:
+        gaze = (camera.cx, camera.cy)
+    gaze_ray = np.array(
+        [(gaze[0] - camera.cx) / camera.fx, (gaze[1] - camera.cy) / camera.fy, 1.0]
+    )
+    gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
+    ecc = np.rad2deg(np.arccos(np.clip(_stacked_rays(camera) @ gaze_ray, -1.0, 1.0)))
+    pixel_level = layout.level_of(ecc)
+    needs_blend, weight_next = layout.blend_weights(ecc)
+
+    band_level = np.zeros(ecc.shape, dtype=np.int64)
+    h = layout.blend_band_deg
+    for k, boundary in enumerate(layout.boundaries_deg[1:], start=1):
+        in_band = (ecc >= boundary - h) & (ecc < boundary + h)
+        band_level[in_band] = k
+
+    centers = grid.tile_centers()
+    cx = np.clip(centers[:, 0].astype(np.int64), 0, grid.width - 1)
+    cy = np.clip(centers[:, 1].astype(np.int64), 0, grid.height - 1)
+    tile_level = pixel_level[cy, cx]
+
+    tile_second_level = np.zeros(grid.num_tiles, dtype=np.int64)
+    for tile_id in range(grid.num_tiles):
+        x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
+        bands = band_level[y0:y1, x0:x1]
+        bands = bands[bands > 0]
+        if bands.size == 0:
+            continue
+        k = int(np.bincount(bands).argmax())
+        primary = int(tile_level[tile_id])
+        if primary <= k:
+            tile_second_level[tile_id] = min(k + 1, layout.num_levels)
+        else:
+            tile_second_level[tile_id] = k
+        if tile_second_level[tile_id] == primary:
+            tile_second_level[tile_id] = 0
+
+    return RegionMaps(
+        pixel_level=pixel_level,
+        needs_blend=needs_blend,
+        weight_next=weight_next,
+        band_level=band_level,
+        tile_level=tile_level,
+        tile_second_level=tile_second_level,
+        eccentricity=ecc,
+    )
+
+
+ORACLE_LAYOUTS = {
+    "paper": RegionLayout(),
+    "eval": EVAL_REGION_LAYOUT,
+    "no-band": RegionLayout(boundaries_deg=(0.0, 12.0, 20.0, 28.0), blend_band_deg=0.0),
+    # Boundaries closer than 2h: neighbouring bands overlap.
+    "overlap": RegionLayout(boundaries_deg=(0.0, 6.0, 8.0, 9.5, 30.0), blend_band_deg=2.0),
+}
+
+
+class TestRegionMapsOracle:
+    """Every field equals the map-by-map, tile-loop build, bit for bit."""
+
+    @pytest.mark.parametrize("size", [(64, 48), (70, 45), (256, 192)])
+    @pytest.mark.parametrize("layout_name", sorted(ORACLE_LAYOUTS))
+    @pytest.mark.parametrize(
+        "gaze", [None, (0.3, 0.2), (0.9, 0.75), (-0.6, 1.5), (3.0, -2.0)]
+    )
+    def test_fields_equal_looped_build(self, size, layout_name, gaze):
+        width, height = size
+        camera = Camera.from_fov(
+            width, height, 90.0, np.array([0.0, 0.0, -4.0]), np.zeros(3)
+        )
+        grid = TileGrid(width, height)
+        layout = ORACLE_LAYOUTS[layout_name]
+        # Gazes are image fractions; the last two lie off screen.
+        pixel_gaze = None if gaze is None else (gaze[0] * width, gaze[1] * height)
+        got = compute_region_maps(camera, grid, layout, pixel_gaze)
+        want = _looped_region_maps(camera, grid, layout, pixel_gaze)
+        for field in dataclasses.fields(RegionMaps):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
