@@ -15,6 +15,7 @@ MetaSapiens CE metric addresses (Sec 3.1):
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ def _accumulate_stats(
     config: RenderConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total tile usage, total dominated pixels) across poses."""
+    config = dataclasses.replace(config or RenderConfig(), collect_stats=True)
     usage = np.zeros(model.num_points)
     dominated = np.zeros(model.num_points)
     for camera in cameras:

@@ -60,7 +60,8 @@ def compute_ce(
     rasterization path in chunks of ``batch_size`` (default 16), with each
     chunk's frames released before the next renders, so peak memory stays
     bounded on large pose sets; a :class:`repro.splat.ViewCache` shares view
-    preparation with other consumers of the same (model, pose) pairs.
+    preparation with other consumers of the same (model, pose) pairs.  The
+    renders ask for Val_i (``collect_stats=True``) whatever ``config`` says.
     """
     if not cameras:
         raise ValueError("need at least one camera")
@@ -69,6 +70,7 @@ def compute_ce(
     if batch_size is not None and batch_size <= 0:
         raise ValueError("batch_size must be positive")
 
+    config = dataclasses.replace(config or RenderConfig(), collect_stats=True)
     n = model.num_points
     agg_ce = np.zeros(n)
     max_val = np.zeros(n)

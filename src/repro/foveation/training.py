@@ -100,7 +100,6 @@ def finetune_level(
                 assignment,
                 num_points=model.num_points,
                 background=background,
-                collect_stats=False,
                 backend=config.render.backend,
             )
             region = _level_region_grad_mask(camera, fmodel.layout, level, gaze)

@@ -46,8 +46,6 @@ def workload_from_render(result: RenderResult, config: RenderConfig | None = Non
     """Extract the workload of a standard (non-foveated) render."""
     config = config or RenderConfig()
     stats = result.stats
-    if stats is None:
-        raise ValueError("render was executed with collect_stats=False")
     per_tile = stats.intersections_per_tile
     tile_pixels = result.assignment.grid.tile_size**2
     return FrameWorkload(

@@ -32,6 +32,7 @@ The kernels are pinned to the ``reference`` backend within 1e-10 by
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from typing import Mapping
 
@@ -75,7 +76,7 @@ class Workspace:
         return slots
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         buf = self._slots.get(name)
         if buf is None or buf.dtype != dtype or buf.size < n:
             buf = np.empty((n + (n >> 2) + 16,), dtype=dtype)

@@ -711,7 +711,8 @@ class PackedBackend:
                 per_pixel_sort,
             )
 
-        work: dict[str, int] = {"views": len(views)}
+        # ``val_stats``: whether the pieces also count Val_i winners.
+        work: dict[str, int] = {"views": len(views), "val_stats": int(collect_stats)}
         with backend_span("alpha-scan", args=work):
             results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
 

@@ -31,7 +31,7 @@ import functools
 import numpy as np
 
 from ..projection import ALPHA_EPS, ProjectedGaussians
-from ..tiling import TileAssignment, TileGrid
+from ..tiling import TileAssignment, TileGrid, stable_key_order
 
 # A splat cannot clear the ALPHA_EPS intersect test beyond this Mahalanobis
 # quadratic value even at opacity 1 (``exp(-q/2) < 1/255``); the margin keeps
@@ -422,9 +422,16 @@ def expand_row_spans(
     span_tile = seg.pair_tiles[span_pair]
 
     # (tile, row) key — exact integers, so the stable sort keeps depth order
-    # within every pixel row.
-    key = span_tile * ts + (span_y - seg.geometry.origin_y[span_tile].astype(np.int64))
-    order = np.argsort(key, kind="stable")
+    # within every pixel row.  Pairs are in tile order, so the keys lie in
+    # the ``ts``-row blocks of the first through the last span's tile; keyed
+    # from the first block, a band (``tiles_x · ts`` keys) sorts at radix
+    # width.
+    key_lo = int(span_tile[0]) * ts if total else 0
+    key = (span_tile * ts - key_lo) + (
+        span_y - seg.geometry.origin_y[span_tile].astype(np.int64)
+    )
+    key_range = int(span_tile[-1]) * ts + ts - key_lo if total else 0
+    order = stable_key_order(key, key_range)
     span_pair = span_pair[order]
     span_y = span_y[order]
     span_tile = span_tile[order]

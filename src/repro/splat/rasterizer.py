@@ -46,11 +46,16 @@ ALPHA_CLAMP = 0.999
 
 @dataclasses.dataclass
 class RenderStats:
-    """Aggregate statistics of one rendered frame."""
+    """Aggregate statistics of one rendered frame.
+
+    The tile counts are always filled; ``dominated_pixels`` (Val_i) only
+    when the render was asked for it (``collect_stats=True``), since only
+    pruning reads it.
+    """
 
     intersections_per_tile: np.ndarray  # (T,)
     tiles_per_point: np.ndarray  # (N,) Comp_i (bincount over model points)
-    dominated_pixels: np.ndarray  # (N,) Val_i
+    dominated_pixels: np.ndarray | None  # (N,) Val_i; None unless asked for
     num_projected: int  # splats that survived culling
     num_points: int  # model size
 
@@ -179,16 +184,17 @@ def rasterize(
     assignment: TileAssignment,
     num_points: int,
     background: np.ndarray | None = None,
-    collect_stats: bool = True,
+    collect_stats: bool = False,
     per_pixel_sort: bool = False,
     backend: str | None = None,
-) -> tuple[np.ndarray, RenderStats | None]:
+) -> tuple[np.ndarray, RenderStats]:
     """Rasterize all tiles into an ``(H, W, 3)`` image.
 
     ``assignment`` must already be depth-sorted (see
     :func:`repro.splat.sorting.sort_tile_splats`).  ``backend`` selects the
     rasterization engine (see :mod:`repro.splat.backends`); ``None`` uses
     the process default (``REPRO_BACKEND`` or ``packed``).
+    ``collect_stats`` also computes Val_i (``stats.dominated_pixels``).
     """
     from .backends import get_backend
 
@@ -201,9 +207,7 @@ def rasterize(
         projected, assignment, num_points, background, collect_stats, per_pixel_sort
     )
 
-    stats = None
-    if collect_stats:
-        stats = _frame_stats(projected, assignment, num_points, dominated)
+    stats = _frame_stats(projected, assignment, num_points, dominated)
     return np.clip(image, 0.0, 1.0), stats
 
 
@@ -230,10 +234,10 @@ def rasterize_batch(
     views: list[tuple[ProjectedGaussians, TileAssignment]],
     num_points: int,
     background: np.ndarray | None = None,
-    collect_stats: bool = True,
+    collect_stats: bool = False,
     per_pixel_sort: bool = False,
     backend: str | None = None,
-) -> list[tuple[np.ndarray, RenderStats | None]]:
+) -> list[tuple[np.ndarray, RenderStats]]:
     """Rasterize several (depth-sorted) views of one model, one pass.
 
     The batched entry point of the render engine: backends that implement
@@ -263,13 +267,13 @@ def rasterize_batch(
             for projected, assignment in views
         ]
 
-    results = []
-    for (projected, assignment), (image, dominated) in zip(views, raw):
-        stats = None
-        if collect_stats:
-            stats = _frame_stats(projected, assignment, num_points, dominated)
-        results.append((np.clip(image, 0.0, 1.0), stats))
-    return results
+    return [
+        (
+            np.clip(image, 0.0, 1.0),
+            _frame_stats(projected, assignment, num_points, dominated),
+        )
+        for (projected, assignment), (image, dominated) in zip(views, raw)
+    ]
 
 
 @dataclasses.dataclass

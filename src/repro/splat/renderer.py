@@ -39,7 +39,7 @@ class RenderResult:
     """A rendered frame plus everything the rest of the system consumes."""
 
     image: np.ndarray  # (H, W, 3) in [0, 1]
-    stats: RenderStats | None
+    stats: RenderStats
     projected: ProjectedGaussians
     assignment: TileAssignment
 
@@ -51,13 +51,20 @@ class RenderConfig:
     ``backend`` selects the rasterization engine (``"packed"`` /
     ``"reference"``, see :mod:`repro.splat.backends`); ``None`` defers to the
     process default (``REPRO_BACKEND`` env var, else ``packed``).
+
+    ``collect_stats`` gates only Val_i (``RenderStats.dominated_pixels``,
+    the per-point dominated-pixel counts the pruning metrics read); the
+    cheap tile counts are always filled.  It is off by default: a real-time
+    frame has no use for Val_i, and the callers that do (CE, the pruned
+    baselines) ask for it.  It does not affect view preparation, so
+    :class:`ViewCache` entries are shared either way.
     """
 
     tile_size: int = DEFAULT_TILE_SIZE
     background: tuple[float, float, float] = (0.0, 0.0, 0.0)
     smoothing_3d: float = 0.0
     per_pixel_sort: bool = False
-    collect_stats: bool = True
+    collect_stats: bool = False
     backend: str | None = None
 
 
@@ -212,7 +219,8 @@ def render(
     config: RenderConfig | None = None,
     prepared: PreparedView | None = None,
 ) -> RenderResult:
-    """Render one frame with full statistics.
+    """Render one frame and its statistics (Val_i only if
+    ``config.collect_stats``).
 
     ``prepared`` skips the Projection/Tiling/Sorting prefix (e.g. a
     :class:`ViewCache` entry); the caller is responsible for it matching

@@ -69,7 +69,6 @@ def _model_step_grads(
         assignment,
         num_points=model.num_points,
         background=np.asarray(config.render.background),
-        collect_stats=False,
         backend=config.render.backend,
     )
     loss, grad_image = image_loss(image, target, l1_weight=config.l1_weight)

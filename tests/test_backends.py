@@ -61,17 +61,19 @@ def camera(width=96, height=64) -> Camera:
 
 
 def assert_render_equivalent(model, cam, packed_backend="packed", **config_kwargs):
+    config_kwargs.setdefault("collect_stats", True)
     ref = render(model, cam, RenderConfig(backend="reference", **config_kwargs))
     pk = render(model, cam, RenderConfig(backend=packed_backend, **config_kwargs))
     assert np.allclose(ref.image, pk.image, atol=TOL)
-    if ref.stats is not None:
+    if config_kwargs["collect_stats"]:
+        assert ref.stats.dominated_pixels is not None
         assert np.array_equal(
             ref.stats.dominated_pixels, pk.stats.dominated_pixels
         )
-        assert np.array_equal(
-            ref.stats.intersections_per_tile, pk.stats.intersections_per_tile
-        )
-        assert np.array_equal(ref.stats.tiles_per_point, pk.stats.tiles_per_point)
+    assert np.array_equal(
+        ref.stats.intersections_per_tile, pk.stats.intersections_per_tile
+    )
+    assert np.array_equal(ref.stats.tiles_per_point, pk.stats.tiles_per_point)
     return ref, pk
 
 
@@ -766,10 +768,12 @@ class TestTiledBackend:
         # band it must render the very same bits.
         model = random_scene(2)
         cam = camera()
-        whole = render(model, cam, RenderConfig(backend="packed"))
+        config = RenderConfig(backend="packed", collect_stats=True)
+        whole = render(model, cam, config)
         monkeypatch.setenv(SPAN_BUDGET_ENV, "1")
-        banded = render(model, cam, RenderConfig(backend="packed"))
+        banded = render(model, cam, config)
         assert np.array_equal(whole.image, banded.image)
+        assert whole.stats.dominated_pixels is not None
         assert np.array_equal(
             whole.stats.dominated_pixels, banded.stats.dominated_pixels
         )

@@ -11,7 +11,7 @@ from repro.foveation import (
     uniform_foveated_model,
 )
 from repro.perf import DEFAULT_GPU, FrameWorkload
-from repro.splat import Camera, GaussianModel, random_model, render
+from repro.splat import Camera, GaussianModel, RenderConfig, random_model, render
 from repro.splat.tiling import TileGrid, assign_tiles
 from repro.splat.projection import project_gaussians
 
@@ -35,9 +35,10 @@ class TestDegenerateModels:
     def test_all_transparent_model(self, front_camera):
         model = single_point_model()
         model.opacity_logits[:] = -20.0  # alpha below the 1/255 cut
-        result = render(model, front_camera)
+        result = render(model, front_camera, RenderConfig(collect_stats=True))
         # The splat never passes the intersect test; background everywhere.
         assert np.allclose(result.image, 0.0)
+        assert result.stats.dominated_pixels is not None
         assert result.stats.dominated_pixels.sum() == 0
 
     def test_fully_occluded_scene(self, front_camera):
@@ -48,7 +49,8 @@ class TestDegenerateModels:
         wall.positions[0, 2] = -2.0
         behind = random_model(20, np.random.default_rng(0), extent=1.0, sh_degree=0)
         model = GaussianModel.concatenate([wall, behind])
-        result = render(model, front_camera)
+        result = render(model, front_camera, RenderConfig(collect_stats=True))
+        assert result.stats.dominated_pixels is not None
         assert result.stats.dominated_pixels[0] > 0
         assert result.stats.dominated_pixels[1:].sum() == 0
 

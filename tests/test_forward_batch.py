@@ -49,16 +49,20 @@ def mixed_cameras():
 
 
 def _reference_per_view(model, cameras, **config_kwargs):
-    config = RenderConfig(backend="reference", **config_kwargs)
+    config = RenderConfig(backend="reference", collect_stats=True, **config_kwargs)
     return [render(model, camera, config) for camera in cameras]
 
 
 class TestBatchedEquivalence:
     def test_matches_reference_per_view(self, small_scene, mixed_cameras):
-        batched = render_batch(small_scene, mixed_cameras, RenderConfig(backend="packed"))
+        batched = render_batch(
+            small_scene, mixed_cameras,
+            RenderConfig(backend="packed", collect_stats=True),
+        )
         reference = _reference_per_view(small_scene, mixed_cameras)
         for ref, bat in zip(reference, batched):
             assert np.abs(ref.image - bat.image).max() < TOL
+            assert bat.stats.dominated_pixels is not None
             assert np.array_equal(
                 ref.stats.dominated_pixels, bat.stats.dominated_pixels
             )
@@ -77,28 +81,34 @@ class TestBatchedEquivalence:
     def test_zero_splat_view_is_background(self, small_scene, mixed_cameras):
         background = (0.2, 0.4, 0.6)
         batched = render_batch(
-            small_scene, mixed_cameras, RenderConfig(background=background)
+            small_scene, mixed_cameras,
+            RenderConfig(background=background, collect_stats=True),
         )
         empty = batched[2]
         assert empty.projected.num_visible == 0
         assert np.allclose(empty.image, np.asarray(background))
+        assert empty.stats.dominated_pixels is not None
         assert empty.stats.dominated_pixels.sum() == 0
 
     def test_all_views_empty(self, small_scene, mixed_cameras):
-        batched = render_batch(small_scene, [mixed_cameras[2]] * 3)
+        batched = render_batch(
+            small_scene, [mixed_cameras[2]] * 3, RenderConfig(collect_stats=True)
+        )
         for result in batched:
             assert np.all(result.image == 0.0)
+            assert result.stats.dominated_pixels is not None
             assert result.stats.dominated_pixels.sum() == 0
 
     def test_per_pixel_sort_matches_reference(self, small_scene, mixed_cameras):
         batched = render_batch(
             small_scene,
             mixed_cameras,
-            RenderConfig(backend="packed", per_pixel_sort=True),
+            RenderConfig(backend="packed", per_pixel_sort=True, collect_stats=True),
         )
         reference = _reference_per_view(small_scene, mixed_cameras, per_pixel_sort=True)
         for ref, bat in zip(reference, batched):
             assert np.abs(ref.image - bat.image).max() < TOL
+            assert bat.stats.dominated_pixels is not None
             assert np.array_equal(
                 ref.stats.dominated_pixels, bat.stats.dominated_pixels
             )
@@ -106,11 +116,12 @@ class TestBatchedEquivalence:
 
 class TestBatchSize:
     def test_batch_size_one_is_bitwise_unbatched(self, small_scene, mixed_cameras):
-        config = RenderConfig(backend="packed")
+        config = RenderConfig(backend="packed", collect_stats=True)
         batched = render_batch(small_scene, mixed_cameras, config, batch_size=1)
         solo = [render(small_scene, camera, config) for camera in mixed_cameras]
         for one, ref in zip(batched, solo):
             assert np.array_equal(one.image, ref.image)
+            assert one.stats.dominated_pixels is not None
             assert np.array_equal(
                 one.stats.dominated_pixels, ref.stats.dominated_pixels
             )
@@ -133,7 +144,8 @@ class TestBackendLayer:
     def test_reference_forward_batch_loops(self, small_scene, mixed_cameras):
         views = [tuple(prepare_view(small_scene, c)) for c in mixed_cameras]
         batched = rasterize_batch(
-            views, num_points=small_scene.num_points, backend="reference"
+            views, num_points=small_scene.num_points, collect_stats=True,
+            backend="reference",
         )
         engine = get_backend("reference")
         for (projected, assignment), (image, stats) in zip(views, batched):
@@ -142,6 +154,7 @@ class TestBackendLayer:
                 True, False,
             )
             assert np.array_equal(image, np.clip(solo_img, 0.0, 1.0))
+            assert stats.dominated_pixels is not None
             assert np.array_equal(stats.dominated_pixels, solo_dom)
 
     def test_mixed_tile_sizes_rejected(self, small_scene, mixed_cameras):
@@ -154,10 +167,18 @@ class TestBackendLayer:
             )
 
     def test_collect_stats_off(self, small_scene, mixed_cameras):
+        # Only Val_i is gated: the cheap tile counts are always there.
         results = render_batch(
             small_scene, mixed_cameras, RenderConfig(collect_stats=False)
         )
-        assert all(r.stats is None for r in results)
+        for camera, r in zip(mixed_cameras, results):
+            assert r.stats.dominated_pixels is None
+            assert r.stats.num_projected == r.projected.num_visible
+            assert np.array_equal(
+                r.stats.intersections_per_tile,
+                r.assignment.intersections_per_tile(),
+            )
+            assert r.stats.tiles_per_point.shape == (small_scene.num_points,)
 
     def test_render_views_uses_batch(self, small_scene, mixed_cameras):
         views = render_views(small_scene, mixed_cameras)

@@ -29,9 +29,11 @@ class TestWorkloadExtraction:
         assert workload.raster_splat_pixels == stats.total_intersections * 256
 
     def test_stats_required(self, small_scene, train_cameras):
+        # The tile counts the workload reads come with every render, Val_i
+        # or not.
         result = render(small_scene, train_cameras[0], RenderConfig(collect_stats=False))
-        with pytest.raises(ValueError):
-            workload_from_render(result)
+        with_val = render(small_scene, train_cameras[0], RenderConfig(collect_stats=True))
+        assert workload_from_render(result) == workload_from_render(with_val)
 
     def test_per_pixel_sort_flag_propagates(self, small_scene, train_cameras):
         config = RenderConfig(per_pixel_sort=True)

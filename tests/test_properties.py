@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import functools
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,9 +43,10 @@ from repro.splat.backends.kernels import (
     batch_transmittance,
     batch_weights,
 )
-from repro.splat.backends import packed
+from repro.splat.backends import packed, segments
 from repro.splat.backends.packed import SPAN_BUDGET_ENV
 from repro.splat.backends.segments import (
+    RowSpans,
     SegmentIndex,
     build_row_spans,
     build_segments,
@@ -55,7 +58,13 @@ from repro.splat.camera import Camera
 from repro.splat.rasterizer import composite
 from repro.splat.renderer import RenderConfig, prepare_view, render, render_batch
 from repro.splat.sh import sh_basis
-from repro.splat.tiling import TileGrid
+from repro.splat.tiling import (
+    RADIX_KEY_RANGE,
+    TileAssignment,
+    TileGrid,
+    assign_tiles,
+    stable_key_order,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -258,6 +267,161 @@ class TestStripBoundProperties:
         assert np.all(spans.span_y < height)
 
 
+def _expand_row_spans_int64(seg, y_lo, counts, p0, p1):
+    """The spans of pairs ``[p0, p1)`` as a stable sort of wide int64
+    ``(tile, row)`` keys orders them: the oracle of the radix-width sort."""
+    ts = seg.grid.tile_size
+    span_pair = np.repeat(np.arange(p0, p1, dtype=np.int64), counts[p0:p1])
+    ramp = np.concatenate(
+        [np.arange(c, dtype=np.int64) for c in counts[p0:p1]] + [np.empty(0, np.int64)]
+    )
+    span_y = y_lo[span_pair] + ramp
+    span_tile = seg.pair_tiles[span_pair]
+    key = span_tile * ts + (span_y - seg.geometry.origin_y[span_tile].astype(np.int64))
+    order = np.argsort(key, kind="stable")
+    span_pair, span_tile, span_y, key = (
+        a[order] for a in (span_pair, span_tile, span_y, key)
+    )
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).astype(np.int64)
+    groups = SegmentIndex.from_lengths(np.diff(np.append(starts, key.size)))
+    return RowSpans(
+        seg=seg,
+        span_pair=span_pair,
+        span_tile=span_tile,
+        span_y=span_y,
+        groups=groups,
+        group_tile=span_tile[starts],
+        group_y=span_y[starts],
+        group_has_tile_last=span_pair[groups.last] == seg.tile_last_pair[span_tile[starts]],
+    )
+
+
+def _assert_row_spans_equal(got, want):
+    for field in dataclasses.fields(RowSpans):
+        if field.name == "seg":
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "groups":
+            for sub in dataclasses.fields(SegmentIndex):
+                assert np.array_equal(getattr(a, sub.name), getattr(b, sub.name)), sub.name
+        else:
+            assert np.array_equal(a, b), field.name
+
+
+def _assign_tiles_int64(means, radii, grid):
+    """``(pair_tiles, pair_splats)`` by brute force: every (tile, splat)
+    pair of each splat's tile rectangle, ordered by ``(tile, splat)``."""
+    ts = grid.tile_size
+    pairs = []
+    for i, ((x, y), r) in enumerate(zip(means, radii)):
+        tx = np.clip(np.floor([(x - r) / ts, (x + r) / ts]), 0, grid.tiles_x - 1).astype(int)
+        ty = np.clip(np.floor([(y - r) / ts, (y + r) / ts]), 0, grid.tiles_y - 1).astype(int)
+        pairs += [
+            (gy * grid.tiles_x + gx, i)
+            for gy in range(ty[0], ty[1] + 1)
+            for gx in range(tx[0], tx[1] + 1)
+        ]
+    pairs.sort()
+    out = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return out[:, 0], out[:, 1]
+
+
+# Grids whose (tile, row) and tile-id key ranges fit 16 bits (narrow) or
+# do not (wide, a 1-px tile per pixel).
+_KEY_GRIDS = {
+    False: st.builds(
+        TileGrid, width=st.integers(1, 400), height=st.integers(1, 300),
+        tile_size=st.sampled_from([4, 8, 16]),
+    ),
+    True: st.builds(
+        TileGrid, width=st.integers(280, 400), height=st.integers(240, 300),
+        tile_size=st.just(1),
+    ),
+}
+
+
+class TestRadixKeyProperties:
+    """The narrow-key span and tile sorts order exactly like int64 keys."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_expand_row_spans_matches_int64_keys(self, wide, data, seed, k):
+        grid = data.draw(_KEY_GRIDS[wide])
+        assert (grid.num_tiles * grid.tile_size > RADIX_KEY_RANGE) == wide
+        rng = np.random.default_rng(seed)
+        pair_tiles = np.sort(rng.integers(0, grid.num_tiles, k))
+        if wide and k >= 2:  # key range of the whole list past 16 bits
+            pair_tiles[[0, -1]] = 0, grid.num_tiles - 1
+        per_tile = np.bincount(pair_tiles, minlength=grid.num_tiles)
+        seg = build_segments(
+            TileAssignment(
+                grid=grid,
+                pair_tiles=pair_tiles,
+                pair_splats=rng.integers(0, 50, k),
+                tile_offsets=np.concatenate([[0], np.cumsum(per_tile)]),
+            )
+        )
+        ts = grid.tile_size
+        tile_y0 = seg.geometry.origin_y[pair_tiles].astype(np.int64)
+        tile_rows = np.minimum(tile_y0 + ts, grid.height) - tile_y0
+        y_lo = tile_y0 + rng.integers(0, tile_rows, k)
+        counts = rng.integers(0, tile_y0 + tile_rows - y_lo + 1)
+        if wide and k >= 2:
+            counts[[0, -1]] = np.maximum(counts[[0, -1]], 1)
+        p0 = data.draw(st.integers(0, k))
+        p1 = data.draw(st.integers(p0, k))
+        for lo, hi in ((0, k), (p0, p1)):
+            _assert_row_spans_equal(
+                expand_row_spans(seg, y_lo, counts, lo, hi),
+                _expand_row_spans_int64(seg, y_lo, counts, lo, hi),
+            )
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_assign_tiles_matches_int64_keys(self, wide, data, seed, m):
+        grid = data.draw(_KEY_GRIDS[wide])
+        assert (grid.num_tiles > RADIX_KEY_RANGE) == wide
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(-10.0, 10.0, (m, 2)) + rng.uniform(
+            0.0, [grid.width, grid.height], (m, 2)
+        )
+        radii = rng.uniform(0.5, 4.0 * grid.tile_size, m)
+        projected = types.SimpleNamespace(num_visible=m, means2d=means, radii=radii)
+        got = assign_tiles(projected, grid)
+        want_tiles, want_splats = _assign_tiles_int64(means, radii, grid)
+        assert np.array_equal(got.pair_tiles, want_tiles)
+        assert np.array_equal(got.pair_splats, want_splats)
+        per_tile = np.bincount(want_tiles, minlength=grid.num_tiles)
+        assert np.array_equal(got.tile_offsets, np.concatenate([[0], np.cumsum(per_tile)]))
+
+    def test_whole_frame_past_radix_range(self, monkeypatch):
+        # A whole frame of 7,500 16-px tiles: its (tile, row) keys span more
+        # than 16 bits, so the span sort falls back to int64 keys.
+        ranges = []
+
+        def spy(keys, key_range):
+            ranges.append(key_range)
+            return stable_key_order(keys, key_range)
+
+        monkeypatch.setattr(segments, "stable_key_order", spy)
+        model = random_model(150, np.random.default_rng(7), extent=2.0)
+        camera = Camera.from_fov(
+            width=1600, height=1200, fov_x_deg=60.0,
+            position=np.array([0.0, 0.0, -4.0]), look_at=np.zeros(3),
+        )
+        projected, assignment = prepare_view(model, camera)
+        assert assignment.grid.num_tiles >= 4096
+        seg = build_segments(assignment)
+        spans = build_row_spans(projected, seg)
+        assert max(ranges) > RADIX_KEY_RANGE
+        y_lo, counts = pair_row_ranges(projected, seg)
+        _assert_row_spans_equal(
+            spans, _expand_row_spans_int64(seg, y_lo, counts, 0, seg.num_pairs)
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _batch_invariance_inputs():
     """A small scene, its foveated model, foveated frames and full views."""
@@ -281,7 +445,8 @@ def _lone_foveated():
 @functools.lru_cache(maxsize=2)
 def _lone_renders(backend):
     scene, _, _, views = _batch_invariance_inputs()
-    return [render(scene, camera, RenderConfig(backend=backend)) for camera in views]
+    config = RenderConfig(backend=backend, collect_stats=True)
+    return [render(scene, camera, config) for camera in views]
 
 
 def _partition(items, cuts):
@@ -337,7 +502,7 @@ class TestBatchInvarianceProperties:
     @settings(max_examples=10, deadline=None)
     def test_render_batch_equals_lone(self, backend, cuts, batch_size, budget):
         scene, _, _, views = _batch_invariance_inputs()
-        config = RenderConfig(backend=backend)
+        config = RenderConfig(backend=backend, collect_stats=True)
         lone = _lone_renders(backend)
         got = []
         with pytest.MonkeyPatch.context() as mp:
@@ -346,6 +511,7 @@ class TestBatchInvarianceProperties:
                 got += render_batch(scene, part, config, batch_size=batch_size)
         for ref, res in zip(lone, got, strict=True):
             assert np.array_equal(ref.image, res.image)
+            assert res.stats.dominated_pixels is not None
             assert np.array_equal(
                 ref.stats.dominated_pixels, res.stats.dominated_pixels
             )
@@ -365,7 +531,7 @@ class TestBandPieceProperties:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(packed, "_pool", pool)
                 mp.setenv(SPAN_BUDGET_ENV, "200")  # several pieces per frame
-                full = render_batch(scene, views)
+                full = render_batch(scene, views, RenderConfig(collect_stats=True))
                 fov = render_foveated_batch(
                     fmodel,
                     [camera for camera, _ in frames],
@@ -377,6 +543,7 @@ class TestBandPieceProperties:
         # The lone renders ran on this host's own pool at the default budget.
         for ref, res in zip(_lone_renders("packed"), full, strict=True):
             assert np.array_equal(ref.image, res.image)
+            assert res.stats.dominated_pixels is not None
             assert np.array_equal(
                 ref.stats.dominated_pixels, res.stats.dominated_pixels
             )

@@ -113,9 +113,11 @@ class TestRasterize:
         corner = result.image[0, 0]
         assert np.allclose(corner, [0.25, 0.5, 0.75], atol=1e-6)
 
-    def test_stats_dominated_pixels_bounded(self, rendered):
-        stats = rendered.stats
-        n_pixels = rendered.image.shape[0] * rendered.image.shape[1]
+    def test_stats_dominated_pixels_bounded(self, small_scene, train_cameras):
+        result = render(small_scene, train_cameras[0], RenderConfig(collect_stats=True))
+        stats = result.stats
+        n_pixels = result.image.shape[0] * result.image.shape[1]
+        assert stats.dominated_pixels is not None
         assert stats.dominated_pixels.sum() <= n_pixels
         assert np.all(stats.dominated_pixels >= 0)
 
@@ -124,8 +126,15 @@ class TestRasterize:
         assert stats.tiles_per_point.sum() == rendered.assignment.num_intersections
 
     def test_collect_stats_off(self, small_scene, train_cameras):
+        # Only Val_i is gated: the cheap counts are always filled.
         result = render(small_scene, train_cameras[0], RenderConfig(collect_stats=False))
-        assert result.stats is None
+        stats = result.stats
+        assert stats.dominated_pixels is None
+        assert stats.num_projected == result.projected.num_visible
+        assert stats.tiles_per_point.sum() == result.assignment.num_intersections
+        assert np.array_equal(
+            stats.intersections_per_tile, result.assignment.intersections_per_tile()
+        )
 
     def test_deterministic(self, small_scene, train_cameras):
         a = render(small_scene, train_cameras[0]).image
