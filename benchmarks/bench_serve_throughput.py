@@ -48,7 +48,6 @@ from repro.serve import (
     oracle_problem_from_trace,
     replay_naive,
     replay_trace,
-    replay_trace_sharded,
     schedule_gap,
     shm_available,
 )
@@ -63,17 +62,14 @@ QUICK_SCALE = dict(size=64, points=400, clients=4, frames=16, poses=5)
 BATCH_BUDGET = 8
 ZIPF_S = 1.1
 
-# Shard-scaling configurations: (label, n_shards, use worker pool).  The
-# worker count is capped to the cores actually available — the scaling
-# gate is only meaningful (and only enforced) when the host can run the
-# shards in parallel.
+# The inline-vs-pool table's worker count, capped to the cores actually
+# available.
 CORES = (
     len(os.sched_getaffinity(0))
     if hasattr(os, "sched_getaffinity")
     else (os.cpu_count() or 1)
 )
 SCALING_WORKERS = max(1, min(4, CORES))
-SCALING_GATE_MIN_CORES = 4
 
 
 @pytest.fixture(scope="module")
@@ -196,84 +192,48 @@ def test_replay_is_deterministic(replay_rows):
 
 @pytest.fixture(scope="module")
 def scaling_rows(serve_env):
-    """Replay one trace through 1 → 2 → 4 consistent-hash shards.
+    """Replay one trace through one loop inline, then over a worker pool.
 
-    The single inline loop is the baseline every cluster row is measured
-    against; every other row shares one process pool of
-    ``SCALING_WORKERS`` render workers across its shards.  Wall time is
-    the replay's own clock and deliberately *includes* cluster cold start
-    (pool fork + first-render workspace warm-up) — a scale-out that only
-    wins after amortizing its startup is not a win the serve tier can
-    claim.  Frame checksums are collected per row: sharding and worker
-    pools must never change the served frame stream.
+    Both rows go through the loop's one dispatch seam; only the executor
+    differs.  Wall time is the replay's own clock and deliberately
+    *includes* pool cold start (fork + first-render workspace warm-up).
+    Frame checksums are collected per row: the pool must never change the
+    served frame stream.
     """
     fmodel, trace = serve_env
-    configs = [
-        ("1 loop, inline", 1, 0),
-        (f"1 shard,  {SCALING_WORKERS}w", 1, SCALING_WORKERS),
-        (f"2 shards, {SCALING_WORKERS}w", 2, SCALING_WORKERS),
-        (f"4 shards, {SCALING_WORKERS}w", 4, SCALING_WORKERS),
-    ]
-    # Warm the span workspace and model tables once so the baseline row is
-    # not paying first-touch faults the cluster rows then get for free.
+    # Warm the span workspace and model tables once so the inline row is
+    # not paying first-touch faults the pool row then gets for free.
     replay_trace(
         fmodel, trace, serve_config=ServeConfig(batch_budget=BATCH_BUDGET)
     )
     rows = []
-    for label, n_shards, workers in configs:
+    for label, workers in (
+        ("1 loop inline", 0),
+        (f"1 loop + {SCALING_WORKERS} workers", SCALING_WORKERS),
+    ):
         serve_config = ServeConfig(batch_budget=BATCH_BUDGET, workers=workers)
-        if n_shards == 1 and workers == 0:
-            _, rep = replay_trace(fmodel, trace, serve_config=serve_config)
-        else:
-            _, rep = replay_trace_sharded(
-                fmodel, trace, serve_config=serve_config, n_shards=n_shards
-            )
-        rows.append((label, n_shards, workers, rep))
+        _, rep = replay_trace(fmodel, trace, serve_config=serve_config)
+        rows.append((label, rep))
     return rows
 
 
-def test_shard_scaling(scaling_rows, scale, quick):
-    rows = scaling_rows
-    base = rows[0][3]
+def test_inline_vs_pool(scaling_rows, scale):
+    (_, base), (label, pooled) = scaling_rows
     lines = [
-        f"{CORES} cores available, shared pool of {SCALING_WORKERS} workers",
-        f"{'config':<14} {'req/s':>8} {'speedup':>8} {'hit':>5} "
-        f"{'imbalance':>9}",
+        f"{CORES} cores available",
+        f"{'config':<20} {'req/s':>8} {'speedup':>8} {'hit':>5}",
     ]
-    for label, _, _, rep in rows:
-        imbalance = (
-            f"{rep.shard_stats['imbalance_factor']:.2f}x"
-            if rep.shard_stats
-            else "-"
-        )
+    for name, rep in scaling_rows:
         lines.append(
-            f"{label:<14} {rep.throughput_rps:8.1f} "
-            f"{base.wall_s / rep.wall_s:7.2f}x "
-            f"{rep.cache_hit_rate:4.0%} {imbalance:>9}"
+            f"{name:<20} {rep.throughput_rps:8.1f} "
+            f"{base.wall_s / rep.wall_s:7.2f}x {rep.cache_hit_rate:4.0%}"
         )
-    report(f"Serve shard scaling{scale['tag']}", lines)
+    report(f"Serve inline vs pool{scale['tag']}", lines)
 
-    # Correctness is unconditional: every cluster shape serves the exact
-    # frame stream (and hit pattern) of the single inline loop — workers
-    # render bit-identically and shard routing matches cache-key
-    # granularity.
-    for label, _, _, rep in rows[1:]:
-        assert rep.frames_checksum == base.frames_checksum, label
-        assert rep.cache_hit_rate == base.cache_hit_rate, label
-
-    # The scaling gate needs cores to scale onto: enforced in CI's
-    # --quick smoke (≥1.5x) and under REPRO_BENCH_STRICT at acceptance
-    # scale (≥2x), skipped informationally on hosts without ≥4 cores.
-    speedup_4 = base.wall_s / rows[3][3].wall_s
-    if CORES < SCALING_GATE_MIN_CORES:
-        pytest.skip(
-            f"shard-scaling gate needs >= {SCALING_GATE_MIN_CORES} cores "
-            f"(host has {CORES}); measured 4-shard speedup {speedup_4:.2f}x"
-        )
-    if quick:
-        assert speedup_4 >= 1.5, f"4-shard speedup: {speedup_4:.2f}x"
-    if os.environ.get("REPRO_BENCH_STRICT") == "1":
-        assert speedup_4 >= 2.0, f"4-shard speedup: {speedup_4:.2f}x"
+    # The pool serves the exact frame stream (and hit pattern) of the
+    # inline loop: workers render bit-identically.
+    assert pooled.frames_checksum == base.frames_checksum, label
+    assert pooled.cache_hit_rate == base.cache_hit_rate, label
 
 
 # Deadline/prefetch regime: a paced replay (real inter-arrival gaps give

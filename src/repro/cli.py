@@ -216,13 +216,11 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         PredictorConfig,
         ServeConfig,
         WorkloadSpec,
-        default_shards,
         default_workers,
         generate_serve_trace,
         oracle_problem_from_trace,
         replay_naive,
         replay_trace,
-        replay_trace_sharded,
         schedule_gap,
     )
 
@@ -244,9 +242,8 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     )
     trace = generate_serve_trace(poses, spec)
     workers = default_workers() if args.workers is None else args.workers
-    shards = default_shards() if args.shards is None else args.shards
-    if workers < 0 or shards < 1:
-        print("error: --workers must be >= 0 and --shards >= 1", file=sys.stderr)
+    if workers < 0:
+        print("error: --workers must be >= 0", file=sys.stderr)
         return 2
     if args.prefetch < 0 or args.time_scale < 0:
         print(
@@ -285,33 +282,21 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         f"serve-sim {args.trace}: {spec.n_clients} clients x "
         f"{spec.frames_per_client} frames over {len(poses)} poses "
         f"(zipf {spec.zipf_s}, {trace.n_requests} requests, "
-        f"{shards} shard{'s' if shards != 1 else ''}, "
         f"{workers} worker{'s' if workers != 1 else ''})"
     )
     _, naive_report = replay_naive(fmodel, trace)
-    if shards > 1:
-        _, serve_report = replay_trace_sharded(
-            fmodel, trace, serve_config=serve_config, n_shards=shards,
-            time_scale=args.time_scale, tracer=tracer,
-        )
-    else:
-        _, serve_report = replay_trace(
-            fmodel, trace, serve_config=serve_config,
-            time_scale=args.time_scale, tracer=tracer,
-        )
+    _, serve_report = replay_trace(
+        fmodel, trace, serve_config=serve_config,
+        time_scale=args.time_scale, tracer=tracer,
+    )
     for report in (naive_report, serve_report):
         for line in report.lines():
             print(line)
-    summary = (
+    print(
         f"serve speedup: {naive_report.wall_s / serve_report.wall_s:.2f}x "
         f"(hit rate {serve_report.cache_hit_rate:.0%}, "
-        f"mean batch {serve_report.mean_batch_size:.2f}"
+        f"mean batch {serve_report.mean_batch_size:.2f})"
     )
-    if serve_report.shard_stats is not None:
-        summary += (
-            f", imbalance {serve_report.shard_stats['imbalance_factor']:.2f}x"
-        )
-    print(summary + ")")
     if tracer is not None:
         tracer.write(args.trace_out)
         print(
@@ -344,7 +329,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         WorkloadSpec,
         generate_serve_trace,
         replay_trace,
-        replay_trace_sharded,
     )
 
     setup = _setup(args)
@@ -365,13 +349,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     )
     serve_config = ServeConfig(workers=args.workers)
     registry = MetricsRegistry()
-    if args.shards > 1:
-        replay_trace_sharded(
-            fmodel, trace, serve_config=serve_config, n_shards=args.shards,
-            registry=registry,
-        )
-    else:
-        replay_trace(fmodel, trace, serve_config=serve_config, registry=registry)
+    replay_trace(fmodel, trace, serve_config=serve_config, registry=registry)
     print(registry.render_prometheus(), end="")
     return 0
 
@@ -525,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "host tuning profile, or 64)",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=None,
-        help="consistent-hash serve shards (default: $REPRO_SERVE_SHARDS "
-        "or 1 = a single un-sharded loop)",
-    )
-    p_serve.add_argument(
         "--refresh-hz", type=float, default=None,
         help="client display refresh rate; sets a 1/refresh_hz frame "
         "deadline per request and enables deadline accounting "
@@ -567,9 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--poses", type=int, default=4, help="shared pose-set size")
     p_metrics.add_argument(
         "--workers", type=int, default=0, help="render worker processes"
-    )
-    p_metrics.add_argument(
-        "--shards", type=int, default=1, help="consistent-hash serve shards"
     )
 
     p_tune = sub.add_parser(

@@ -1,7 +1,7 @@
 """Hardened environment-knob parsing, one policy for the whole stack.
 
 Every performance knob that can arrive through the environment
-(``REPRO_BATCH_SPAN_BUDGET``, ``REPRO_SERVE_SHARDS``, ``REPRO_SERVE_WORKERS``,
+(``REPRO_BATCH_SPAN_BUDGET``, ``REPRO_SERVE_WORKERS``,
 ``REPRO_FRAME_CACHE_BYTES``, ...) goes through these helpers and shares one
 failure policy: a malformed or out-of-range value **warns and falls back**
 to the caller-supplied default instead of raising.  A typo in a deployment

@@ -6,7 +6,7 @@ Two halves, one contract:
   recorder with an injectable monotonic clock, cross-process span
   stitching over the executor pipe, and Chrome/Perfetto trace-event
   JSON export.  ``serve-sim --trace out.json`` produces one coherent
-  timeline for a sharded, worker-pooled, prefetching replay.
+  timeline for a worker-pooled, prefetching replay.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the
   process-wide registry of int-like :class:`Counter` values, callback
   :class:`Gauge` views, and mergeable log-bucket :class:`Histogram`

@@ -2,8 +2,7 @@
 
 One registry for the whole render/serve stack.  The pre-existing stats
 surfaces (``FrameCache``, ``ViewCache``, ``ServeLoop.prefetch_stats``,
-``RenderWorkerPool.transport_stats``, ``ShardRouter.stats``,
-``SlabArena.stats``) re-register their counters and gauges here and keep
+``RenderWorkerPool.transport_stats``, ``SlabArena.stats``) re-register their counters and gauges here and keep
 their ``stats()`` dicts as thin views over the same objects, so nothing
 is counted twice and nothing drifts.
 
@@ -16,11 +15,11 @@ Design constraints, in order:
   comparisons, arithmetic, ``int()`` — not a method-only facade, so the
   migration changes zero call sites.
 - **Mergeable percentiles.**  :class:`Histogram` uses geometric
-  ("log") buckets so two histograms recorded on different shards (or in
+  ("log") buckets so two histograms recorded by different loops (or in
   different processes) merge by adding bucket counts, and percentiles
   of the merged distribution are exact up to bucket resolution
   (~10% relative error at the default growth factor).  Averaging
-  per-shard percentiles — the bug class this replaces — has no such
+  per-source percentiles — the bug class this replaces — has no such
   guarantee.
 - **Delta semantics.**  ``snapshot()`` returns a plain dict of numbers;
   ``delta(prev, cur)`` subtracts monotonic values so a caller can meter
@@ -202,7 +201,7 @@ class Histogram:
 
     ``merge`` adds bucket counts, which is exactly the histogram of the
     concatenated samples; percentiles computed after a merge are
-    therefore correct across shards/processes up to bucket width.
+    therefore correct across loops/processes up to bucket width.
 
     ``observe`` only appends to a pending list, which is folded into the
     buckets before every read, merge and snapshot, and whenever it reaches

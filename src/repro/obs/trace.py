@@ -96,12 +96,12 @@ class Tracer:
     ``clock`` must be monotonic and shared with whoever else records
     into (or is adopted by) this tracer; the default
     ``time.perf_counter`` satisfies that across processes on Linux.
-    ``tid`` is a free-form integer lane — the serve tier uses lane 0+
-    for shard batchers and ``CLIENT_TID_BASE + client_id`` for
-    per-client request lanes; workers get their own ``pid`` row.
+    ``tid`` is a free-form integer lane — the serve tier uses lane 0
+    for its batcher and ``CLIENT_TID_BASE + client_id`` for per-client
+    request lanes; workers get their own ``pid`` row.
     """
 
-    #: Request lanes start here so they never collide with shard lanes.
+    #: Request lanes start here so they never collide with the batcher lane.
     CLIENT_TID_BASE = 100
 
     def __init__(
@@ -238,7 +238,7 @@ def set_active_tracer(tracer: Tracer | None) -> Tracer | None:
     """Install ``tracer`` as the process-active tracer; returns the previous.
 
     Callers restore the previous value when their scope ends (see
-    ``ServeLoop._dispatch_inline`` and ``workers._worker_render``).
+    ``ServeLoop._render_inline`` and ``workers._worker_render``).
     """
     global _ACTIVE
     prev = _ACTIVE

@@ -10,8 +10,10 @@ The first layer above the render dispatchers that treats frames as
 - :mod:`repro.serve.scheduler` — :class:`ServeLoop`, the asyncio
   micro-batching scheduler coalescing pending requests into
   :func:`repro.foveation.render_foveated_batch` calls, with per-request
-  deadlines (EDF batching, drop-or-degrade under pressure) and a
-  two-class queue where real misses preempt speculative prefetches;
+  deadlines (EDF batching, drop-or-degrade under pressure), a
+  two-class queue where real misses preempt speculative prefetches, and
+  one executor seam that renders each pose group inline or on the
+  worker pool;
 - :mod:`repro.serve.predictor` — :class:`GazePredictor`, the
   constant-velocity / saccade-aware scanpath extrapolator behind
   speculative gaze-region prefetch;
@@ -27,15 +29,11 @@ The first layer above the render dispatchers that treats frames as
   workers write frame planes into leased arena slots and ship tiny
   handles; the parent maps read-only views and leases free by reference
   counting (``shm_bytes`` knob, automatic pickle fallback);
-- :mod:`repro.serve.sharding` — :class:`ShardRouter` and
-  :class:`HashRing`: N serve shards on a virtual-node consistent-hash
-  ring over ``(camera fp, gaze region)``, disjoint hot cache ranges per
-  shard, ~1/(N+1) key movement on scale-out;
 - :mod:`repro.serve.workload` / :mod:`repro.serve.replay` — seeded
   multi-client trace generation (Zipf pose popularity × gaze scanpaths)
-  and the deterministic replay harness — single-loop and multi-shard —
-  that measures throughput, latency percentiles, hit rate, batch sizes,
-  per-shard load and imbalance against the naive per-request baseline.
+  and the deterministic replay harness that measures throughput, latency
+  percentiles, hit rate and batch sizes against the naive per-request
+  baseline.
 
 See ``src/repro/serve/README.md`` for the request lifecycle and the cache
 key contract; ``repro.cli serve-sim`` and
@@ -74,18 +72,15 @@ from .replay import (
     frames_checksum,
     replay_naive,
     replay_trace,
-    replay_trace_sharded,
 )
 from .scheduler import (
     FrameRequest,
     FrameResponse,
     ServeConfig,
     ServeLoop,
-    request_cache_key,
     resolved_batch_budget,
     resolved_batch_deadline,
 )
-from .sharding import HashRing, ShardRouter, default_shards
 from .shm import (
     ArenaExhausted,
     FrameHandle,
@@ -121,7 +116,6 @@ __all__ = [
     "GazeGridSpec",
     "GazePredictor",
     "GazeRegionKey",
-    "HashRing",
     "MAX_ORACLE_REQUESTS",
     "OracleCostModel",
     "OracleRequest",
@@ -132,14 +126,12 @@ __all__ = [
     "ServeConfig",
     "ServeLoop",
     "ServeTrace",
-    "ShardRouter",
     "ShmTransportError",
     "SlabArena",
     "StaleWorkerModelError",
     "TraceRequest",
     "WorkloadSpec",
     "active_segments",
-    "default_shards",
     "default_workers",
     "exhaustive_schedule",
     "foveated_model_fingerprint",
@@ -155,8 +147,6 @@ __all__ = [
     "region_center",
     "replay_naive",
     "replay_trace",
-    "replay_trace_sharded",
-    "request_cache_key",
     "resolved_batch_budget",
     "resolved_batch_deadline",
     "resolved_cache_bytes",

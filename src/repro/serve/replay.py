@@ -1,28 +1,24 @@
-"""Deterministic trace replay: serve cluster configurations vs naive serving.
+"""Deterministic trace replay: the serve loop vs naive serving.
 
 ``replay_trace`` drives a :class:`~repro.serve.workload.ServeTrace`
-through a :class:`~repro.serve.scheduler.ServeLoop` and reduces the
-responses to a :class:`ReplayReport` — throughput, latency percentiles,
-cache hit rate, batch-size histogram, and a frame checksum that makes
-"same trace, same frames" a one-line assertion.  ``replay_trace_sharded``
-is the multi-shard simulator: the same trace through a
-:class:`~repro.serve.sharding.ShardRouter` of N consistent-hash shards
-(optionally over a shared render-worker pool), with per-shard hit rates,
-max queue depths and the shard-imbalance factor folded into the report.
-``replay_naive`` is the pre-serve baseline every speedup is measured
-against: one synchronous :func:`repro.foveation.render_foveated` call per
-request, re-running the pose's projection prefix every time, no cache, no
-batching.
+through a :class:`~repro.serve.scheduler.ServeLoop` — inline or over a
+render-worker pool — and reduces the responses to a
+:class:`ReplayReport`: throughput, latency percentiles, cache hit rate,
+batch-size histogram, and a frame checksum that makes "same trace, same
+frames" a one-line assertion.  ``replay_naive`` is the pre-serve
+baseline every speedup is measured against: one synchronous
+:func:`repro.foveation.render_foveated` call per request, re-running the
+pose's projection prefix every time, no cache, no batching.
 
 Replays are deterministic: the workload is seed-generated, requests are
 submitted in time order, and frames are bit-exact functions of (model,
 camera, gaze, config) — so two replays of one trace produce identical
 checksums, and a served checksum differs from the naive one only through
 cache hits (frames rendered for an earlier gaze in the same region).
-Determinism survives worker pools and sharding in the throughput setting
+Determinism survives worker pools in the throughput setting
 (``time_scale=0``): every client enqueues before the first batch renders,
-shard routing is a pure key function, and per-key request order — the
-only order cache outcomes depend on — is preserved within each shard.
+and per-key request order — the only order cache outcomes depend on — is
+preserved.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..splat.renderer import RenderConfig
 from .scheduler import FrameRequest, FrameResponse, ServeConfig, ServeLoop
-from .sharding import ShardRouter
 from .workload import ServeTrace
 
 
@@ -60,7 +55,6 @@ class ReplayReport:
     batch_histogram: dict[int, int]
     frames_checksum: str
     cache_stats: dict | None = None
-    shard_stats: dict | None = None  # ShardRouter.stats() of a sharded replay
     # Deadline metrics: None when the trace carried no deadlines (best-effort
     # replay), rates over the deadline-carrying responses otherwise.
     deadline_miss_rate: float | None = None
@@ -70,8 +64,7 @@ class ReplayReport:
     # moved over the executor pipe vs via the shared-memory arena.
     transport_stats: dict | None = None
     # Per-stage latency breakdown (queue/render/total) from the loop's
-    # log-bucket histograms; sharded replays merge the shards' histograms
-    # before taking percentiles (never averaging per-shard percentiles).
+    # log-bucket histograms.
     stage_breakdown: dict | None = None
     # repro.obs.MetricsRegistry.snapshot() taken at the end of the replay
     # when a registry was attached (reports ride the registry).
@@ -143,19 +136,6 @@ class ReplayReport:
                 f"evictions={s['evictions']} entries={s['entries']} "
                 f"bytes={s['bytes']} (hit rate {self.cache_hit_rate:.0%})"
             )
-        if self.shard_stats is not None:
-            s = self.shard_stats
-            out.append(
-                f"  shards: {s['n_shards']} "
-                f"(imbalance {s['imbalance_factor']:.2f}x)"
-            )
-            for shard in s["shards"]:
-                out.append(
-                    f"    shard {shard['shard']}: {shard['requests']:4d} req  "
-                    f"hit {shard['hit_rate']:.0%}  "
-                    f"max-queue {shard['max_queue_depth']}  "
-                    f"entries {shard['cache_entries']}"
-                )
         return out
 
 
@@ -300,118 +280,6 @@ def replay_trace(
     if loop.predictor is not None:
         report.prefetch_stats = loop.prefetch_stats()
     report.stage_breakdown = loop.stage_breakdown()
-    if registry is not None:
-        report.metrics = registry.snapshot()
-    return responses, report
-
-
-def replay_trace_sharded(
-    fmodel: FoveatedModel,
-    trace: ServeTrace,
-    config: RenderConfig | None = None,
-    serve_config: ServeConfig | None = None,
-    n_shards: int = 2,
-    vnodes: int = 64,
-    time_scale: float = 0.0,
-    tracer: Tracer | None = None,
-    clock=None,
-    registry: MetricsRegistry | None = None,
-) -> tuple[list[FrameResponse], ReplayReport]:
-    """Serve a whole trace through a fresh N-shard :class:`ShardRouter`.
-
-    The multi-shard simulator: requests route by consistent-hashed
-    ``(camera fp, gaze region)`` onto ``n_shards`` serve loops — sharing
-    one render-worker pool when ``serve_config.workers > 0`` — and the
-    report carries per-shard hit rates, max queue depths and the
-    shard-imbalance factor alongside the usual aggregate metrics.  The
-    aggregate batch histogram and hit rate are summed across shards;
-    because routing granularity equals cache-key granularity, an
-    eviction-free trace's hit pattern (and frame checksum) matches the
-    single-loop replay exactly, for any shard count.
-
-    Stage latency percentiles in the report come from the shards' *merged*
-    log-bucket histograms (``router.stage_breakdown()``) — never from
-    averaging per-shard percentiles, which is wrong whenever shards see
-    different load.  ``tracer``/``clock``/``registry`` behave as in
-    :func:`replay_trace`; all shards share one tracer, with per-shard
-    batcher lanes.
-    """
-    if time_scale < 0:
-        raise ValueError("time_scale must be non-negative")
-
-    async def _run() -> None:
-        async with ShardRouter(
-            fmodel,
-            config=config,
-            serve_config=serve_config,
-            n_shards=n_shards,
-            vnodes=vnodes,
-            tracer=tracer,
-            clock=clock,
-        ) as router:
-            if registry is not None:
-                router.register_metrics(registry)
-            aio = asyncio.get_running_loop()
-            t0 = aio.time()
-
-            async def client(request) -> FrameResponse:
-                if time_scale > 0:
-                    delay = request.time_s * time_scale - (aio.time() - t0)
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                return await router.submit(
-                    FrameRequest(
-                        client_id=request.client_id,
-                        camera=trace.camera_of(request),
-                        gaze=request.gaze,
-                        deadline_s=request.deadline_s,
-                    )
-                )
-
-            tasks = [asyncio.create_task(client(r)) for r in trace.requests]
-            responses = list(await asyncio.gather(*tasks))
-            # Parked, not returned: see replay_trace for why returning the
-            # responses from the asyncio.run task repr()s every frame.
-            out["router"] = router
-            out["responses"] = responses
-            out["transport"] = router.transport_stats()
-
-    out: dict = {}
-    t_start = time.perf_counter()
-    asyncio.run(_run())
-    wall_s = time.perf_counter() - t_start
-    router, responses, transport = out["router"], out["responses"], out["transport"]
-
-    histogram: dict[int, int] = {}
-    for shard in router.shards:
-        for size in shard.batch_sizes:
-            histogram[size] = histogram.get(size, 0) + 1
-    hits = sum(1 for r in responses if r.cache_hit)
-    workers = router.serve_config.workers
-    report = _latency_report(
-        name=(
-            f"serve-sharded ({n_shards} shards, "
-            f"{workers} worker{'s' if workers != 1 else ''})"
-            if workers
-            else f"serve-sharded ({n_shards} shards, inline)"
-        ),
-        latencies_s=[r.latency_s for r in responses],
-        wall_s=wall_s,
-        hit_rate=hits / len(responses) if responses else 0.0,
-        batch_histogram=histogram,
-        checksum=frames_checksum(r.result.image for r in responses),
-        cache_stats=None,
-    )
-    report.shard_stats = router.stats()
-    report.transport_stats = transport
-    report.deadline_miss_rate, report.degraded_rate = _deadline_rates(responses)
-    if router.serve_config.prefetch is not None:
-        totals: dict[str, int] = {}
-        for shard in router.shards:
-            for field, value in shard.prefetch_stats().items():
-                totals[field] = totals.get(field, 0) + value
-        report.prefetch_stats = totals
-    report.stage_breakdown = router.stage_breakdown()
     if registry is not None:
         report.metrics = registry.snapshot()
     return responses, report

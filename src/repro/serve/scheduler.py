@@ -52,11 +52,11 @@ prefetches, so exactness is unaffected by speculation.
 Per-request latency, batch sizes and cache counters are recorded on the
 loop for the replay harness and benchmarks.  Latency is stamped **per
 pose group** as its results arrive — one group's requests are never
-charged a later group's render time.  With ``workers=0`` (the default)
-rendering runs inline on the event loop; with ``workers>0`` each pose
-group is dispatched to a :class:`~repro.serve.workers.RenderWorkerPool`
-process via ``run_in_executor``, with frames still bit-identical to the
-inline path.
+charged a later group's render time.  Every pose group goes through one
+executor seam, ``ServeLoop._dispatch``: with ``workers=0`` (the default)
+the executor renders inline on the event loop; with ``workers>0`` it is
+a :class:`~repro.serve.workers.RenderWorkerPool` process reached via
+``run_in_executor``, with frames still bit-identical to the inline path.
 """
 
 from __future__ import annotations
@@ -138,49 +138,15 @@ class FrameRequest:
     ``1/90`` for a 90 Hz client); ``None`` defers to the loop's
     ``ServeConfig.refresh_hz`` (and means best-effort when that is unset).
 
-    A request is a single submission's value object: its cache key (model,
-    camera and gaze-region fingerprints) is computed once on first use —
-    by the shard router or by ``ServeLoop.submit`` — and memoized on the
-    instance, so routing and cache lookup never hash the model twice for
-    one request.  Build a fresh ``FrameRequest`` per submission; re-using
-    an object across an in-place model mutation would reuse its memoized
-    key.
+    ``ServeLoop.submit`` computes the request's cache key (model, camera
+    and gaze-region fingerprints) once, hashing the model once per
+    request.
     """
 
     client_id: int
     camera: Camera
     gaze: tuple[float, float] | None = None
     deadline_s: float | None = None
-
-
-def request_cache_key(
-    keyer: FrameCache,
-    fmodel: FoveatedModel,
-    request: FrameRequest,
-    config: RenderConfig,
-) -> tuple:
-    """The request's frame-cache key, memoized on the request object.
-
-    The key is ``(model fp, camera fp, gaze region, config fp)`` — the
-    model fingerprint is the expensive part (one BLAKE2 pass over the
-    parameter bytes), and before memoization the shard router and the
-    shard's own ``submit`` each recomputed it.  The memo is validated
-    against the exact ``(fmodel, config, grid spec)`` it was computed for
-    (object identity for the mutable model/config, equality for the frozen
-    spec), so a request keyed by a router is only ever reused by a shard
-    serving the same model and configuration.
-    """
-    memo = request.__dict__.get("_key_memo")
-    if (
-        memo is not None
-        and memo[0] is fmodel
-        and memo[1] is config
-        and memo[2] == keyer.spec
-    ):
-        return memo[3]
-    key = keyer.key(fmodel, request.camera, request.gaze, config)
-    object.__setattr__(request, "_key_memo", (fmodel, config, keyer.spec, key))
-    return key
 
 
 @dataclasses.dataclass(repr=False)
@@ -259,12 +225,12 @@ class ServeConfig:
     per-request ``render_foveated``: the transmittance scan restarts at
     every frame, so batch composition never moves a bit.
 
-    ``workers`` moves miss rendering off the event loop: ``0`` (default)
-    renders inline, ``N > 0`` starts a ``RenderWorkerPool`` of N processes
-    and dispatches each pose group to a worker — same frames (workers run
-    the identical dispatch, bit-identical in either mode), but
-    ``submit()`` stays responsive during renders and pose groups
-    parallelize across cores.
+    ``workers`` picks the executor behind the loop's one dispatch seam:
+    ``0`` (default) renders inline, ``N > 0`` starts a
+    ``RenderWorkerPool`` of N processes and dispatches each pose group to
+    a worker — same frames (workers run the identical dispatch,
+    bit-identical in either mode), but ``submit()`` stays responsive
+    during renders and client pose groups parallelize across cores.
 
     ``shm_bytes`` sizes the pool's shared-memory frame transport
     (:mod:`repro.serve.shm`): workers write frame planes into one slab
@@ -353,6 +319,14 @@ class _Pending:
     deadline_s: float | None = None  # relative frame budget
     t_deadline: float | None = None  # absolute (perf_counter clock)
     prefetch: bool = False
+
+
+def _pose_groups(pending: list[_Pending]) -> list[list[_Pending]]:
+    """Group requests by pose (the key's camera fingerprint), order kept."""
+    groups: dict[tuple, list[_Pending]] = {}
+    for p in pending:
+        groups.setdefault(p.key[1], []).append(p)
+    return list(groups.values())
 
 
 class _TwoClassQueue:
@@ -484,9 +458,9 @@ class ServeLoop:
     pool) resolve their requests' futures with the exception rather than
     hanging the drain.  One ``ViewCache`` (shared or private) memoizes
     pose prefixes across batches; the ``FrameCache`` holds whole frames per
-    gaze region.  ``worker_pool`` lets several loops (the shard router's
-    shards) share one pool; a loop only owns — creates and closes — a pool
-    it built itself from ``serve_config.workers``.
+    gaze region.  ``worker_pool`` lets several loops (one after another,
+    or side by side) share one pool; a loop only owns — creates and
+    closes — a pool it built itself from ``serve_config.workers``.
     """
 
     def __init__(
@@ -499,7 +473,6 @@ class ServeLoop:
         worker_pool: RenderWorkerPool | None = None,
         tracer: Tracer | None = None,
         clock=None,
-        trace_tid: int = 0,
     ) -> None:
         self.fmodel = fmodel
         self.render_config = config or RenderConfig()
@@ -512,15 +485,13 @@ class ServeLoop:
         if tracer is None and self.serve_config.trace:
             tracer = Tracer(clock=self._clock)
         self.tracer = tracer
-        # The lane this loop's batcher-side spans render on (shard index
-        # under a router; request spans ride per-client lanes).
-        self._trace_tid = trace_tid
+        # Batcher-side spans ride lane 0; request spans ride per-client lanes.
         if tracer is not None:
-            tracer.name_thread(trace_tid, f"batcher {trace_tid}" if trace_tid else "batcher")
+            tracer.name_thread(0, "batcher")
         self._traced_clients: set[int] = set()
-        # Per-stage latency histograms (log-bucket, mergeable across
-        # shards): queue wait for rendered misses, per-request render
-        # time, and total client latency.  Always on — a handful of
+        # Per-stage latency histograms (log-bucket, mergeable): queue wait
+        # for rendered misses, per-request render time, and total client
+        # latency.  Always on — a handful of
         # observes per request — so replay reports carry a stage
         # breakdown with tracing off.
         self.stage_histograms: dict[str, Histogram] = {
@@ -644,8 +615,8 @@ class ServeLoop:
     # Request path
     # ------------------------------------------------------------------
     def _request_key(self, request: FrameRequest) -> tuple:
-        return request_cache_key(
-            self._keyer, self.fmodel, request, self.render_config
+        return self._keyer.key(
+            self.fmodel, request.camera, request.gaze, self.render_config
         )
 
     def _effective_deadline(self, request: FrameRequest) -> float | None:
@@ -836,7 +807,6 @@ class ServeLoop:
                 "serve",
                 t_form,
                 self._clock(),
-                tid=self._trace_tid,
                 args={"n": len(batch)},
             )
         return batch
@@ -858,86 +828,71 @@ class ServeLoop:
                 for _ in batch:
                     self._queue.task_done()
 
-    def _dispatch_inline(
-        self, groups: list[list[_Pending]]
-    ) -> list[tuple[list[FRRenderResult] | BaseException, float, float]]:
-        """Render pose groups on the event loop (the ``workers=0`` path).
+    async def _render_inline(
+        self,
+        camera: Camera,
+        gazes: list,
+        model_fp: tuple | None = None,
+        tracer: Tracer | None = None,
+    ) -> list[FRRenderResult]:
+        """The ``workers=0`` executor: render one pose group on the event loop.
 
-        Each group's outcome carries its own start/completion stamps:
-        requests are charged their *own* group's render time, never a
-        later group's (the latency-attribution fix).  While a group
-        renders, the loop's tracer (if any) is installed as the active
-        tracer so the backend-internal prepare/alpha-scan/composite spans
-        land in the same timeline.
+        Same signature as :meth:`RenderWorkerPool.render`, so
+        :meth:`_dispatch` drives both executors alike.  ``model_fp`` goes
+        unused: the inline path renders the live model, which cannot be
+        stale.  While the group renders, ``tracer`` is the active tracer,
+        so the backends' prepare/alpha-scan/composite spans land in the
+        loop's timeline.
         """
-        outcomes: list[tuple[list[FRRenderResult] | BaseException, float, float]] = []
-        tracer = self.tracer
-        for group in groups:
-            t_start = self._clock()
-            prev = set_active_tracer(tracer) if tracer is not None else None
-            try:
-                results = render_foveated_batch(
-                    self.fmodel,
-                    group[0].request.camera,
-                    gazes=[p.request.gaze for p in group],
-                    config=self.render_config,
-                    batch_size=1 if self.serve_config.exact_frames else None,
-                    cache=self.view_cache,
-                )
-                t_done = self._clock()
-                self._update_render_estimate((t_done - t_start) / len(group))
-                outcomes.append((results, t_start, t_done))
-            except Exception as exc:
-                outcomes.append((exc, t_start, self._clock()))
-            finally:
-                if tracer is not None:
-                    set_active_tracer(prev)
-        return outcomes
+        prev = set_active_tracer(tracer) if tracer is not None else None
+        try:
+            return render_foveated_batch(
+                self.fmodel,
+                camera,
+                gazes=gazes,
+                config=self.render_config,
+                batch_size=1 if self.serve_config.exact_frames else None,
+                cache=self.view_cache,
+            )
+        finally:
+            if tracer is not None:
+                set_active_tracer(prev)
 
-    async def _dispatch_pool(
-        self, groups: list[list[_Pending]]
-    ) -> list[tuple[list[FRRenderResult] | BaseException, float, float]]:
-        """Render pose groups concurrently on the worker pool.
+    async def _dispatch(
+        self, group: list[_Pending]
+    ) -> tuple[list[FRRenderResult] | BaseException, float, float]:
+        """Render one pose group on the loop's executor.
 
-        Every group's render is dispatched at once — distinct poses land on
-        distinct worker processes — and the event loop stays free while
-        they run, so hits keep being served and new misses keep queueing.
-        Each group is stamped as *its* results arrive (not when the whole
-        gather settles), so per-request latency never includes a slower
-        sibling group's tail.  A group whose worker failed (stale model,
-        crashed process) yields its exception in place of results; other
-        groups are unaffected.  The caller's model fingerprint rides along
-        (it is the key's first element, already computed) so a worker
-        whose snapshot went stale fails the render instead of serving old
-        parameters.  With a tracer, worker-side spans come back piggybacked
-        on the result payload and are stitched in under the worker's pid.
+        The executor is the worker pool's :meth:`RenderWorkerPool.render`
+        when the loop has a pool, else :meth:`_render_inline`.  The
+        outcome carries the group's own start/completion stamps, so a
+        request is charged its own group's render time, never a
+        sibling's.  A failure (a raising render, a stale worker model, a
+        crashed pool) comes back in place of the results and fails only
+        this group.  The model fingerprint (the key's first element,
+        already computed) rides along so a worker whose snapshot went
+        stale fails the render instead of serving old parameters.
         """
-        assert self._pool is not None
-
-        async def timed(group: list[_Pending]):
-            t_start = self._clock()
-            try:
-                results = await self._pool.render(
-                    group[0].request.camera,
-                    [p.request.gaze for p in group],
-                    model_fp=group[0].key[0],
-                    tracer=self.tracer,
-                )
-            except Exception as exc:
-                return exc, t_start, self._clock()
-            t_done = self._clock()
-            self._update_render_estimate((t_done - t_start) / len(group))
-            return results, t_start, t_done
-
-        return await asyncio.gather(*(timed(group) for group in groups))
-
-    def _update_render_estimate(self, per_frame_s: float) -> None:
+        render = self._pool.render if self._pool is not None else self._render_inline
+        t_start = self._clock()
+        try:
+            results = await render(
+                group[0].request.camera,
+                [p.request.gaze for p in group],
+                model_fp=group[0].key[0],
+                tracer=self.tracer,
+            )
+        except Exception as exc:
+            return exc, t_start, self._clock()
+        t_done = self._clock()
+        per_frame_s = (t_done - t_start) / len(group)
         if self._render_ewma_s is None:
             self._render_ewma_s = per_frame_s
         else:
             self._render_ewma_s += _RENDER_EWMA_ALPHA * (
                 per_frame_s - self._render_ewma_s
             )
+        return results, t_start, t_done
 
     def _try_degrade(
         self, pending: _Pending, followers: dict[tuple, list[_Pending]]
@@ -999,50 +954,84 @@ class ServeLoop:
     async def _render_batch(self, batch: Sequence[_Pending]) -> None:
         """Render a coalesced batch and resolve every pending future.
 
-        Client requests are processed earliest-deadline-first and claim
-        key leadership before any prefetch (a speculation never defines a
-        client frame's gaze).  Requests are grouped twice: by cache key —
-        the first request of each key is rendered (at its own camera and
-        gaze), later requests of the same key are served from that frame,
-        and a key that became a hit while queued is served from cache —
-        and then by **pose**: each pose's misses go through one
-        ``render_foveated_batch`` call sharing the pose's projection
-        prefix.  Deadline-pressed requests may degrade to a cached
-        neighbouring-region frame instead of rendering late
-        (:meth:`_try_degrade`); overtaken or stale prefetches are dropped.
-        In ``exact_frames`` mode the render call is chunked to
-        batch-of-one; otherwise the group rides one concatenated scan.
-        Either way frames are bit-identical to per-request renders.  With
-        a worker pool the pose groups render concurrently in worker
-        processes; inline they run sequentially on the event loop.  Every group's requests are
-        stamped with that group's own completion time.
+        The steps run in order: classify (EDF order, queue-wait stamps),
+        dedup and hits, degrade, prefetch leaders, pose groups, dispatch
+        and resolve.  Frames are bit-identical to per-request renders
+        whatever the batch held.
+
+        Client pose groups dispatch together.  On the pool they render
+        concurrently in worker processes; inline they run one after
+        another in EDF order.  Their requests resolve before any
+        speculation renders.  Speculative pose groups follow one at a
+        time, and each first yields to the event loop: if a client miss
+        is then waiting, the speculation goes back to the low-priority
+        queue instead of making the miss wait out a render it does not
+        need.  Client pose groups never share a render call with
+        speculations, so a client's latency never includes a prefetch
+        frame's render time.
         """
-        clients = [p for p in batch if not p.prefetch]
-        speculative = [p for p in batch if p.prefetch]
-        clients.sort(
+        clients, speculative = self._classify(batch)
+        leaders, followers = self._dedup_and_hits(clients)
+        leaders = [p for p in leaders if not self._try_degrade(p, followers)]
+        spec_leaders = self._prefetch_leaders(speculative, followers)
+        client_groups = _pose_groups(leaders)
+        outcomes = await asyncio.gather(
+            *(self._dispatch(group) for group in client_groups)
+        )
+        for group, outcome in zip(client_groups, outcomes):
+            self._resolve_group(group, outcome, followers)
+        for group in _pose_groups(spec_leaders):
+            await asyncio.sleep(0)  # let an arrived client miss enqueue
+            if self._queue is not None and self._queue.urgent_size > 0:
+                for pending in group:
+                    self._inflight_prefetch.add(pending.key)
+                    self._queue.put_nowait(pending)
+                continue
+            self._resolve_group(group, await self._dispatch(group), followers)
+
+    def _classify(
+        self, batch: Sequence[_Pending]
+    ) -> tuple[list[_Pending], list[_Pending]]:
+        """Split a batch into EDF-ordered client requests and speculations.
+
+        The queue wait of every client request ends here — hits and
+        followers included, since they waited just the same.
+        """
+        clients = sorted(
+            (p for p in batch if not p.prefetch),
             key=lambda p: (
                 p.t_deadline if p.t_deadline is not None else math.inf,
                 p.t_submit,
-            )
+            ),
         )
-
-        # Queue-class wait ends here for every client request in the batch
-        # (hits and followers included — they waited just the same).
+        speculative = [p for p in batch if p.prefetch]
         t_batch = self._clock()
-        tracer = self.tracer
         queue_hist = self.stage_histograms["queue"]
         for pending in clients:
             queue_hist.observe(t_batch - pending.t_submit)
-            if tracer is not None:
-                tracer.add(
+            if self.tracer is not None:
+                self.tracer.add(
                     "queue-wait",
                     "serve",
                     pending.t_submit,
                     t_batch,
                     tid=self._client_tid(pending.request.client_id),
                 )
+        return clients, speculative
 
-        to_render: list[_Pending] = []
+    def _dedup_and_hits(
+        self, clients: list[_Pending]
+    ) -> tuple[list[_Pending], dict[tuple, list[_Pending]]]:
+        """Pick one leader per cache key and serve the hits.
+
+        The first client request of a key leads and renders at its own
+        gaze; later requests of the key follow and are served from the
+        leader's frame.  A key that became a hit while queued resolves
+        here, before any render, so a render failure elsewhere in the
+        batch never reaches it and its latency never includes the
+        batch's renders.
+        """
+        leaders: list[_Pending] = []
         followers: dict[tuple, list[_Pending]] = {}
         hits: list[tuple[_Pending, FRRenderResult]] = []
         t_dedup = self._clock()
@@ -1058,42 +1047,39 @@ class ServeLoop:
                     hits.append((pending, cached))
                     continue
             followers[pending.key] = []
-            to_render.append(pending)
-        if tracer is not None and clients:
-            tracer.add(
+            leaders.append(pending)
+        if self.tracer is not None and clients:
+            self.tracer.add(
                 "dedup",
                 "serve",
                 t_dedup,
                 self._clock(),
-                tid=self._trace_tid,
                 args={
                     "clients": len(clients),
-                    "leaders": len(to_render),
+                    "leaders": len(leaders),
                     "hits": len(hits),
                 },
             )
-
-        # Hits resolve before any rendering: their frames are already in
-        # hand, so a render failure elsewhere in the batch must not reach
-        # them (and their latency must not include the batch's renders).
         now = self._clock()
         for pending, result in hits:
             self._resolve(pending, result, cache_hit=True, batch_size=0, now=now)
+        return leaders, followers
 
-        # Drop-or-degrade: a request that cannot make its deadline anyway
-        # is served a cached neighbouring-region frame (coarser LOD at its
-        # gaze) instead of paying a render that lands late.
-        to_render = [p for p in to_render if not self._try_degrade(p, followers)]
+    def _prefetch_leaders(
+        self, speculative: list[_Pending], followers: dict[tuple, list[_Pending]]
+    ) -> list[_Pending]:
+        """The speculations still worth a render.
 
-        # Prefetch leaders: only speculations that are still worth the
-        # render — not already rendered this batch by a client, not
-        # already cached, not stale.
-        prefetch_renders: list[_Pending] = []
+        A speculation drops when a client already renders its key in this
+        batch, an earlier speculation holds the key, the key is cached,
+        or the speculation went stale.
+        """
+        leaders: list[_Pending] = []
         for pending in speculative:
             self._inflight_prefetch.discard(pending.key)
             if (
                 pending.key in followers
-                or any(p.key == pending.key for p in prefetch_renders)
+                or any(p.key == pending.key for p in leaders)
                 or (
                     self.frame_cache is not None
                     and self.frame_cache.contains(pending.key)
@@ -1106,115 +1092,78 @@ class ServeLoop:
             ):
                 self.prefetch_dropped += 1
                 continue
-            prefetch_renders.append(pending)
+            leaders.append(pending)
+        return leaders
 
-        # Pose groups: the camera fingerprint is the key's second element.
-        # Client EDF order is preserved; prefetches ride at the back (and
-        # may share a pose group — and its prepared prefix — with misses).
-        # Pose groups are built per class: client misses never share a
-        # render call with speculations, so a client's latency can never
-        # include a prefetch frame's render time (a same-pose speculation
-        # still reuses the pose's prepared prefix via the view cache).
-        client_pose: dict[tuple, list[_Pending]] = {}
-        for pending in to_render:
-            client_pose.setdefault(pending.key[1], []).append(pending)
-        spec_pose: dict[tuple, list[_Pending]] = {}
-        for pending in prefetch_renders:
-            spec_pose.setdefault(pending.key[1], []).append(pending)
-        client_groups = list(client_pose.values())
-        spec_groups = list(spec_pose.values())
-        if self._pool is not None:
-            groups = client_groups + spec_groups
-            outcomes = await self._dispatch_pool(groups) if groups else []
-        else:
-            # Inline rendering blocks the event loop, so purely speculative
-            # pose groups yield to real traffic: if a client miss arrived
-            # while earlier groups rendered, the speculation goes back to
-            # the low-priority queue for a later cycle instead of making
-            # the miss wait out a render it does not need.
-            groups = list(client_groups)
-            outcomes = self._dispatch_inline(client_groups)
-            for group in spec_groups:
-                # Let pending client tasks run (inline renders starve the
-                # event loop) so an arrived miss is visible to the check.
-                await asyncio.sleep(0)
-                if self._queue is not None and self._queue.urgent_size > 0:
-                    for pending in group:
-                        self._inflight_prefetch.add(pending.key)
-                        self._queue.put_nowait(pending)
-                    continue
-                groups.append(group)
-                outcomes.extend(self._dispatch_inline([group]))
-
-        for group, (outcome, t_start, t_done) in zip(groups, outcomes):
-            client_renders = sum(1 for p in group if not p.prefetch)
-            if tracer is not None:
-                tracer.add(
-                    "render-group",
-                    "serve",
-                    t_start,
-                    t_done,
-                    tid=self._trace_tid,
-                    args={
-                        "frames": len(group),
-                        "clients": client_renders,
-                        "failed": isinstance(outcome, BaseException),
-                    },
-                )
-            if isinstance(outcome, BaseException):
-                # A failing pose fails only its own group (and the
-                # followers waiting on those keys); other poses in the
-                # batch still render and hits were already served.
-                for pending in group:
-                    if pending.prefetch:
-                        self.prefetch_failed += 1
-                        continue
-                    if pending.future is not None and not pending.future.done():
-                        pending.future.set_exception(outcome)
-                    for follower in followers.get(pending.key, []):
-                        if (
-                            follower.future is not None
-                            and not follower.future.done()
-                        ):
-                            follower.future.set_exception(outcome)
-                continue
-            if client_renders:
-                self.batch_sizes.append(client_renders)
-                render_hist = self.stage_histograms["render"]
-                for _ in range(client_renders):
-                    # Each client request in the group is charged the
-                    # group's render duration — the same attribution the
-                    # latency stamps use.
-                    render_hist.observe(t_done - t_start)
-            for pending, result in zip(group, outcome):
+    def _resolve_group(
+        self,
+        group: list[_Pending],
+        outcome: tuple[list[FRRenderResult] | BaseException, float, float],
+        followers: dict[tuple, list[_Pending]],
+    ) -> None:
+        """Resolve one dispatched pose group at its own completion stamp."""
+        results, t_start, t_done = outcome
+        client_renders = sum(1 for p in group if not p.prefetch)
+        failed = isinstance(results, BaseException)
+        if self.tracer is not None:
+            self.tracer.add(
+                "render-group",
+                "serve",
+                t_start,
+                t_done,
+                args={
+                    "frames": len(group),
+                    "clients": client_renders,
+                    "failed": failed,
+                },
+            )
+        if failed:
+            # A failing pose fails only its own group (and the followers
+            # waiting on those keys); other poses in the batch still
+            # render and hits were already served.
+            for pending in group:
                 if pending.prefetch:
-                    # Speculative frames fill the cache but are invisible
-                    # to client-traffic accounting (no latency, no served
-                    # count, no cache hit/miss counters).
-                    self.frame_cache.put(pending.key, result)
-                    self._prefetched_keys.add(pending.key)
-                    self.prefetch_rendered += 1
+                    self.prefetch_failed += 1
                     continue
+                for waiter in (pending, *followers.get(pending.key, [])):
+                    if waiter.future is not None and not waiter.future.done():
+                        waiter.future.set_exception(results)
+            return
+        if client_renders:
+            self.batch_sizes.append(client_renders)
+            render_hist = self.stage_histograms["render"]
+            for _ in range(client_renders):
+                # Each client request in the group is charged the group's
+                # render duration — the same attribution the latency
+                # stamps use.
+                render_hist.observe(t_done - t_start)
+        for pending, result in zip(group, results):
+            if pending.prefetch:
+                # Speculative frames fill the cache but are invisible to
+                # client-traffic accounting (no latency, no served count,
+                # no cache hit/miss counters).
+                self.frame_cache.put(pending.key, result)
+                self._prefetched_keys.add(pending.key)
+                self.prefetch_rendered += 1
+                continue
+            if self.frame_cache is not None:
+                self.frame_cache.misses += 1
+                self.frame_cache.put(pending.key, result)
+            self._resolve(
+                pending,
+                result,
+                cache_hit=False,
+                batch_size=client_renders,
+                now=t_done,
+            )
+            for follower in followers.get(pending.key, []):
+                # A coalesced duplicate is a cache hit in every way that
+                # matters: it is served from the keyed frame, not rendered.
                 if self.frame_cache is not None:
-                    self.frame_cache.misses += 1
-                    self.frame_cache.put(pending.key, result)
+                    self.frame_cache.hits += 1
                 self._resolve(
-                    pending,
-                    result,
-                    cache_hit=False,
-                    batch_size=client_renders,
-                    now=t_done,
+                    follower, result, cache_hit=True, batch_size=0, now=t_done
                 )
-                for follower in followers.get(pending.key, []):
-                    # A coalesced duplicate is a cache hit in every way
-                    # that matters: it is served from the keyed frame, not
-                    # rendered.
-                    if self.frame_cache is not None:
-                        self.frame_cache.hits += 1
-                    self._resolve(
-                        follower, result, cache_hit=True, batch_size=0,
-                        now=t_done,
-                    )
 
     def _client_tid(self, client_id: int) -> int:
         """The trace lane of one client's request spans (named lazily)."""
@@ -1314,7 +1263,7 @@ class ServeLoop:
         ``queue`` is submit→batch wait (all client requests), ``render``
         the request's pose-group render time (misses only), ``total`` the
         end-to-end latency.  Values in milliseconds; percentiles are
-        bucket-resolved (~10%), mergeable across shards via
+        bucket-resolved (~10%), mergeable across loops via
         :meth:`~repro.obs.Histogram.merge`.
         """
         out = {}
@@ -1330,10 +1279,11 @@ class ServeLoop:
 
     def register_metrics(self, registry: MetricsRegistry, **labels: str) -> None:
         """Attach every live counter/gauge/histogram of this loop (and its
-        caches and pool) onto ``registry``.
+        caches and owned pool) onto ``registry``.
 
         The pre-existing ``stats()`` dicts remain thin views over the same
         objects; the registry adds naming, exposition and delta semantics.
+        A shared ``worker_pool`` is registered by its owner, not here.
         """
         if self.frame_cache is not None:
             self.frame_cache.register_metrics(registry, **labels)
@@ -1355,6 +1305,4 @@ class ServeLoop:
         for stage, hist in self.stage_histograms.items():
             registry.register(f"serve_stage_{stage}_seconds", hist, **labels)
         if self._pool is not None and self._owns_pool:
-            # A shared pool (shard router) is registered once by its owner,
-            # not once per shard under conflicting labels.
             self._pool.register_metrics(registry, **labels)

@@ -249,13 +249,12 @@ def _worker_render(camera: Camera, gazes: tuple, model_fp: tuple | None, trace: 
 class RenderWorkerPool:
     """A process pool rendering pose-grouped gaze batches off the event loop.
 
-    One pool serves one ``(fmodel, config, exact_frames)`` triple — the
-    :class:`~repro.serve.scheduler.ServeLoop` that owns it (or the
-    :class:`~repro.serve.sharding.ShardRouter` sharing it across shards)
-    dispatches each pose group via :meth:`render`, which awaits the
-    executor future without blocking the loop, so ``submit()`` latency
-    decouples from render time and concurrent pose groups land on
-    distinct cores.
+    One pool serves one ``(fmodel, config, exact_frames)`` triple.  It
+    is the executor behind a :class:`~repro.serve.scheduler.ServeLoop`'s
+    dispatch seam (the loop's own, or one shared across loops):
+    :meth:`render` awaits the executor future without blocking the loop,
+    so ``submit()`` latency decouples from render time and concurrent
+    pose groups land on distinct cores.
     """
 
     def __init__(

@@ -16,50 +16,12 @@ are distinct objects.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import numpy as np
 
 from .camera import Camera
 from .gaussians import GaussianModel
-
-
-def fingerprint_bytes(obj) -> bytes:
-    """Canonical byte encoding of a fingerprint structure (for hashing).
-
-    Cache keys are nested tuples of ints, floats, strings, bytes and small
-    frozen dataclasses (e.g. the serve tier's gaze-region key).  Consistent-
-    hash routing needs those keys as *stable bytes*: equal keys must encode
-    identically in every process and across sessions, so one request always
-    lands on the same shard.  Python's ``hash()`` cannot provide that
-    (string hashing is salted per process); this encoding can — ``repr`` of
-    ints/floats is exact and deterministic, and containers are framed with
-    type tags so distinct structures never collide by concatenation.
-    """
-    if obj is None:
-        return b"n;"
-    if isinstance(obj, bool):
-        return b"B1;" if obj else b"B0;"
-    if isinstance(obj, (int, float)):
-        return f"{type(obj).__name__[0]}{obj!r};".encode()
-    if isinstance(obj, str):
-        data = obj.encode()
-        return b"s%d:" % len(data) + data + b";"
-    if isinstance(obj, bytes):
-        return b"b%d:" % len(obj) + obj + b";"
-    if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj).tobytes()
-        return b"a%d:" % len(data) + data + b";"
-    if isinstance(obj, (tuple, list)):
-        return b"(" + b"".join(fingerprint_bytes(item) for item in obj) + b");"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        name = type(obj).__name__.encode()
-        fields = tuple(
-            getattr(obj, f.name) for f in dataclasses.fields(obj)
-        )
-        return b"d" + name + b":" + fingerprint_bytes(fields)
-    raise TypeError(f"cannot canonically encode {type(obj).__name__} for hashing")
 
 
 def content_fingerprint(*arrays: np.ndarray) -> bytes:

@@ -6,8 +6,8 @@ span tracer (nesting/ordering, ring eviction, clock injection, Chrome
 trace-event schema), cross-process worker-span stitching under both
 fork and spawn, the cache counter-neutrality pins (peek/contains/
 degraded_alternate vs get), the serve clock seam (deterministic
-deadlines under a fake clock), and merged-across-shards stage
-percentiles in replay reports.
+deadlines under a fake clock), and merged-histogram stage percentiles
+in replay reports.
 """
 
 import asyncio
@@ -41,7 +41,6 @@ from repro.serve import (
     WorkloadSpec,
     generate_serve_trace,
     replay_trace,
-    replay_trace_sharded,
 )
 from repro.serve.regions import GazeRegionKey
 from repro.serve.workers import RenderWorkerPool
@@ -645,6 +644,12 @@ class TestTracedReplay:
         # Client request lanes live above CLIENT_TID_BASE, batcher on 0.
         tids = {s[5] for s in tracer.spans() if s[0] == "request"}
         assert tids and all(t >= Tracer.CLIENT_TID_BASE for t in tids)
+        batcher_tids = {
+            s[5]
+            for s in tracer.spans()
+            if s[0] in ("batch-form", "dedup", "render-group")
+        }
+        assert batcher_tids == {0}
         # Every request got a queue-wait and a request span.
         n = trace.n_requests
         assert sum(1 for s in tracer.spans() if s[0] == "request") == n
@@ -670,22 +675,6 @@ class TestTracedReplay:
         text = "\n".join(report.lines())
         assert "stage queue" in text and "stage render" in text
 
-    def test_sharded_breakdown_merges_histograms(self, serve_env):
-        fmodel, trace = serve_env
-        _, report = replay_trace_sharded(fmodel, trace, n_shards=2)
-        assert report.stage_breakdown["total"]["count"] == trace.n_requests
-        assert report.stage_breakdown["queue"]["count"] == trace.n_requests
-
-    def test_sharded_trace_shares_one_tracer(self, serve_env):
-        fmodel, trace = serve_env
-        tracer = Tracer()
-        replay_trace_sharded(fmodel, trace, n_shards=2, tracer=tracer)
-        batcher_tids = {
-            s[5] for s in tracer.spans() if s[0] in ("batch-form", "render-group")
-        }
-        # Both shards recorded onto their own batcher lanes.
-        assert batcher_tids == {0, 1}
-
     def test_registry_attached_replay_reports_metrics(self, serve_env):
         fmodel, trace = serve_env
         reg = MetricsRegistry()
@@ -698,16 +687,6 @@ class TestTracedReplay:
             report.metrics["serve_stage_total_seconds"]["count"]
             == trace.n_requests
         )
-
-    def test_sharded_registry_labels_per_shard(self, serve_env):
-        fmodel, trace = serve_env
-        reg = MetricsRegistry()
-        _, report = replay_trace_sharded(fmodel, trace, n_shards=2, registry=reg)
-        snap = report.metrics
-        served = [
-            v for k, v in snap.items() if k.startswith("serve_requests_served")
-        ]
-        assert len(served) == 2 and sum(served) == trace.n_requests
 
     def test_untraced_replay_records_no_spans(self, serve_env):
         # Tracing off must leave the process-global seam untouched.
@@ -825,7 +804,7 @@ class TestCLI:
             [
                 "serve-sim", "bonsai", "--points", "150", "--width", "48",
                 "--height", "36", "--clients", "2", "--frames", "4",
-                "--poses", "3", "--workers", "0", "--shards", "1",
+                "--poses", "3", "--workers", "0",
                 "--trace", str(path),
             ]
         )

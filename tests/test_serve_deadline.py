@@ -25,7 +25,6 @@ from repro.serve import (
     quantize_gaze,
     region_center,
     replay_trace,
-    replay_trace_sharded,
     schedule_gap,
     simulate_schedule,
 )
@@ -435,27 +434,6 @@ class TestReplayMetrics:
             assert np.array_equal(base.result.image, pf.result.image)
             compared += 1
         assert compared > 0
-
-    def test_sharded_replay_carries_deadline_metrics(self, fmodel, cameras):
-        trace = generate_serve_trace(
-            cameras,
-            WorkloadSpec(
-                n_clients=2, frames_per_client=6, refresh_hz=90.0, seed=2
-            ),
-        )
-        responses, report = replay_trace_sharded(
-            fmodel,
-            trace,
-            serve_config=ServeConfig(refresh_hz=90.0),
-            n_shards=2,
-        )
-        assert report.deadline_miss_rate is not None
-        assert report.shard_stats["deadline_misses"] == sum(
-            1 for r in responses if r.deadline_missed
-        )
-        assert report.shard_stats["requests_served"] == trace.n_requests
-        for shard in report.shard_stats["shards"]:
-            assert "deadline_misses" in shard and "degraded_served" in shard
 
 
 class TestScheduleOracle:

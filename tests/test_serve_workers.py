@@ -19,10 +19,12 @@ from repro.scenes import trace_cameras
 from repro.serve import (
     BrokenProcessPool,
     FrameRequest,
+    PredictorConfig,
     RenderWorkerPool,
     ServeConfig,
     ServeLoop,
     StaleWorkerModelError,
+    active_segments,
     default_workers,
 )
 from repro.splat import random_model
@@ -71,6 +73,12 @@ def cameras():
 
 def run(coro):
     return asyncio.run(coro)
+
+
+# The two executors behind ServeLoop's one dispatch seam.
+EXECUTORS = pytest.mark.parametrize(
+    "workers", [0, 1], ids=["inline", "workers=1"]
+)
 
 
 class TestWorkerFrames:
@@ -188,6 +196,65 @@ class TestFailureHandling:
 
         assert run(scenario())
 
+    @EXECUTORS
+    def test_fault_at_the_dispatch_seam(
+        self, fmodel, cameras, monkeypatch, workers
+    ):
+        # One fault per executor, injected where ServeLoop._dispatch calls
+        # it: inline, a render that raises for one pose; on the pool, the
+        # worker SIGKILLed between two submits.  Failed requests raise,
+        # the hit still resolves, the deadline ledger balances, and no
+        # shared-memory segment outlives close().
+        rng = np.random.default_rng(19)
+        low, high = (4.0, 4.0), (WIDTH - 4.0, HEIGHT - 4.0)
+        seed_gaze, bad_gaze, other_gaze = (
+            tuple(float(v) for v in rng.uniform(low, high)) for _ in range(3)
+        )
+        good, bad, other = cameras[0], cameras[1], cameras[2]
+        if workers:
+            fault = BrokenProcessPool
+        else:
+            import repro.serve.scheduler as scheduler_mod
+
+            real = scheduler_mod.render_foveated_batch
+
+            def failing(fmodel_arg, camera, **kwargs):
+                if camera is bad:
+                    raise RuntimeError("pose exploded")
+                return real(fmodel_arg, camera, **kwargs)
+
+            monkeypatch.setattr(scheduler_mod, "render_foveated_batch", failing)
+            fault = RuntimeError
+
+        async def scenario():
+            config = ServeConfig(workers=workers, refresh_hz=60.0)
+            async with ServeLoop(fmodel, serve_config=config) as loop:
+                seed = await loop.submit(FrameRequest(0, good, seed_gaze))
+                if workers:
+                    for pid in loop._pool.worker_pids():
+                        os.kill(pid, signal.SIGKILL)
+                outcomes = await asyncio.gather(
+                    loop.submit(FrameRequest(1, good, seed_gaze)),  # hit
+                    loop.submit(FrameRequest(2, bad, bad_gaze)),
+                    loop.submit(FrameRequest(3, other, other_gaze)),
+                    return_exceptions=True,
+                )
+            return loop, seed, outcomes
+
+        loop, seed, (hit, failed, other_pose) = run(scenario())
+        assert isinstance(failed, fault)
+        assert hit.cache_hit and hit.result is seed.result
+        if workers:
+            # A dead pool fails every pose group that needs it, each with
+            # its own exception; nothing hangs.
+            assert isinstance(other_pose, BrokenProcessPool)
+            assert loop.requests_served == 2
+        else:
+            assert other_pose.result.image.shape == (HEIGHT, WIDTH, 3)
+            assert loop.requests_served == 3
+        assert loop.on_time + loop.deadline_misses == loop.requests_served
+        assert active_segments() == []
+
     def test_stale_model_snapshot_raises(self, fmodel, cameras):
         # Workers snapshot the model at process start; mutating it
         # mid-serve must fail the render loudly instead of silently
@@ -212,8 +279,9 @@ class TestFailureHandling:
         assert run(scenario())
 
     def test_shared_pool_not_closed_by_loop(self, fmodel, cameras):
-        # A loop only owns a pool it built itself: a shared pool (the
-        # shard router's) must survive one shard's close().
+        # A loop only owns a pool it built itself: a shared pool (as
+        # perfbench's serve-pool shares one across fresh loops) must
+        # survive one loop's close().
         async def scenario():
             with RenderWorkerPool(fmodel, workers=1) as pool:
                 async with ServeLoop(fmodel, worker_pool=pool) as loop:
@@ -223,6 +291,58 @@ class TestFailureHandling:
                 return len(results)
 
         assert run(scenario()) == 1
+
+
+class TestPrefetchYield:
+    @EXECUTORS
+    def test_speculation_yields_to_a_queued_client_miss(
+        self, fmodel, cameras, workers
+    ):
+        # Client 0's second request enqueues one speculation, so its batch
+        # holds a speculative pose group.  Client 1's miss is submitted the
+        # moment client 0's frame resolves, before the speculation
+        # dispatches: the speculation must go back to the low-priority
+        # queue, not render, and render only after the miss.
+        dispatched = []
+
+        async def scenario():
+            config = ServeConfig(
+                workers=workers, prefetch=PredictorConfig(horizon=1)
+            )
+            async with ServeLoop(fmodel, serve_config=config) as loop:
+                real_dispatch = loop._dispatch
+
+                async def recording(group):
+                    dispatched.append(
+                        ([p.prefetch for p in group], loop.prefetch_stats())
+                    )
+                    return await real_dispatch(group)
+
+                loop._dispatch = recording
+                await loop.submit(FrameRequest(0, cameras[0], (5.0, 24.0)))
+                await loop.submit(FrameRequest(0, cameras[0], (25.0, 24.0)))
+                await loop.submit(FrameRequest(1, cameras[1], (20.0, 15.0)))
+                t0 = asyncio.get_running_loop().time()
+                while loop.prefetch_rendered < 1:
+                    assert asyncio.get_running_loop().time() - t0 < 30.0
+                    await asyncio.sleep(0.005)
+            return loop
+
+        loop = run(scenario())
+        assert [kinds for kinds, _ in dispatched] == [
+            [False], [False], [False], [True]
+        ]
+        # When client 1's miss dispatched, the speculation had been
+        # requeued: neither rendered nor dropped.
+        _, at_miss = dispatched[2]
+        assert at_miss["enqueued"] == 1
+        assert at_miss["rendered"] == at_miss["dropped"] == 0
+        stats = loop.prefetch_stats()
+        assert stats["enqueued"] == stats["rendered"] == 1
+        assert stats["dropped"] == stats["failed"] == stats["backlog"] == 0
+        # Client-traffic accounting never sees the speculation.
+        assert loop.requests_served == 3
+        assert loop.batch_sizes == [1, 1, 1]
 
 
 class TestConfigAndEnv:

@@ -423,18 +423,6 @@ class TestFrameCacheResolution:
 
 
 class TestEnvKnobHarmonization:
-    def test_default_shards_warns_and_falls_back(self, monkeypatch):
-        from repro.serve.sharding import SHARDS_ENV, default_shards
-
-        monkeypatch.setenv(SHARDS_ENV, "many")
-        with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert default_shards() == 1
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        with pytest.warns(RuntimeWarning, match="non-positive"):
-            assert default_shards() == 1
-        monkeypatch.setenv(SHARDS_ENV, "3")
-        assert default_shards() == 3
-
     def test_default_workers_warns_and_falls_back(self, monkeypatch):
         from repro.serve.workers import WORKERS_ENV, default_workers
 
@@ -453,6 +441,13 @@ class TestEnvKnobHarmonization:
         monkeypatch.setenv("REPRO_TEST_KNOB", "nan")
         with pytest.warns(RuntimeWarning, match="out-of-range"):
             assert env_float("REPRO_TEST_KNOB", 1.5, minimum=0.0) == 1.5
+
+    def test_env_int_below_one_warns_non_positive(self, monkeypatch):
+        from repro.envknobs import env_int
+
+        monkeypatch.setenv("REPRO_TEST_KNOB", "0")
+        with pytest.warns(RuntimeWarning, match="non-positive"):
+            assert env_int("REPRO_TEST_KNOB", 1, minimum=1) == 1
 
     def test_env_int_blank_is_silent_fallback(self, monkeypatch):
         from repro.envknobs import env_int
