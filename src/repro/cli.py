@@ -32,7 +32,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="rasterization backend, or 'list' to print the registry "
+        help="rasterization backend, or 'list' to print the backend table "
         "(packed|reference; default: $REPRO_BACKEND or packed)",
     )
     parser.add_argument(
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "backends",
-        help="list the rasterization-backend registry and array namespaces",
+        help="list the rasterization backends",
     )
 
     render_trace_help = (

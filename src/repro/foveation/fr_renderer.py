@@ -22,7 +22,8 @@ segments for level filtering and band blending instead of a per-tile loop.
 Multi-frame foveated consumers (gaze trajectories, the harness, FPS
 benchmarks) render through :func:`render_foveated_batch`, which shares each
 pose's view-preparation prefix across its gaze samples and hands whole
-batches of frames to backends implementing ``foveated_frame_batch``.
+batches of frames to the backend's ``foveated_frame_batch``; a lone
+:func:`render_foveated` frame is a batch of one through the same call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..splat.backends import get_backend, supports_foveated_batch
+from ..splat.backends import get_backend
 from ..splat.backends.segments import RowSpans
 from ..splat.camera import Camera
 from ..splat.gaussians import GaussianModel
@@ -131,15 +132,10 @@ def render_foveated(
     maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
     level_opacity, level_delta = _level_tables(fmodel)
 
-    engine = get_backend(config.backend)
-    frame = engine.foveated_frame(
-        projected,
-        assignment,
-        maps,
-        fmodel.quality_bounds,
-        level_opacity,
-        level_delta,
-        background,
+    # A lone frame is a batch of one, so it runs the code every batch runs.
+    [frame] = get_backend(config.backend).foveated_frame_batch(
+        [(projected, assignment)], [maps], fmodel.quality_bounds,
+        level_opacity, level_delta, background,
     )
     return _frame_result(fmodel, prepared, maps, frame)
 
@@ -206,9 +202,9 @@ def render_foveated_batch(
     side (one camera across a gaze trajectory is the canonical workload).
     Each distinct camera's Projection/Tiling/Sorting prefix is prepared
     once per chunk and shared by all of its gaze samples (``cache``
-    additionally shares it across calls); backends implementing
-    ``foveated_frame_batch`` then run whole chunks of frames through one
-    concatenated span scan, while other backends are looped per frame.
+    additionally shares it across calls); the backend's
+    ``foveated_frame_batch`` then takes each chunk of frames whole (the
+    ``packed`` engine streams them through band-piece scans).
     ``batch_size`` caps how many frames share one dispatch (``None``
     batches everything).
 
@@ -228,7 +224,6 @@ def render_foveated_batch(
     background = np.asarray(config.background, dtype=np.float64)
     level_opacity, level_delta = _level_tables(fmodel)
     engine = get_backend(config.backend)
-    batched = supports_foveated_batch(engine)
 
     results: list[FRRenderResult] = []
     step = batch_size or len(cam_list)
@@ -270,19 +265,10 @@ def render_foveated_batch(
             for camera, view, gaze in zip(chunk_cams, views, chunk_gazes)
         ]
         view_tuples = [(v.projected, v.assignment) for v in views]
-        if batched:
-            frames = engine.foveated_frame_batch(
-                view_tuples, maps_list, fmodel.quality_bounds, level_opacity,
-                level_delta, background,
-            )
-        else:
-            frames = [
-                engine.foveated_frame(
-                    projected, assignment, maps, fmodel.quality_bounds,
-                    level_opacity, level_delta, background,
-                )
-                for (projected, assignment), maps in zip(view_tuples, maps_list)
-            ]
+        frames = engine.foveated_frame_batch(
+            view_tuples, maps_list, fmodel.quality_bounds, level_opacity,
+            level_delta, background,
+        )
         results.extend(
             _frame_result(fmodel, view, maps, frame)
             for view, maps, frame in zip(views, maps_list, frames)

@@ -19,6 +19,10 @@ The pixel-producing stages run on a pluggable rasterization engine
   ``packed`` matches it to within 1e-10 on images, statistics and
   gradients (see ``tests/test_backends.py``).
 
+Both implement the whole batch-only protocol, and a lone frame is a batch
+of one (``rasterize`` calls ``rasterize_batch``), so a frame's pixels do
+not depend on how it was batched.
+
 Pick a backend per call (``rasterize(..., backend="reference")``), per
 configuration (``RenderConfig(backend=...)`` — also honoured by the
 foveated renderer), per process (``repro.splat.backends.set_default_backend``
@@ -33,13 +37,9 @@ from .cachekey import (
     render_config_fingerprint,
 )
 from .backends import (
-    BackendInfo,
     available_backends,
-    backend_info,
-    backend_registry,
     describe_backends,
     get_backend,
-    register_backend,
     set_default_backend,
 )
 from .camera import Camera
@@ -63,14 +63,12 @@ from .renderer import (
     prepare_view,
     render,
     render_batch,
-    render_views,
 )
 from .sh import eval_sh, num_sh_coeffs, rgb_to_dc, sh_basis
 from .sorting import sort_cost_ops, sort_tile_splats
 from .tiling import DEFAULT_TILE_SIZE, TileAssignment, TileGrid, assign_tiles
 
 __all__ = [
-    "BackendInfo",
     "Camera",
     "GaussianModel",
     "PreparedView",
@@ -85,8 +83,6 @@ __all__ = [
     "DEFAULT_TILE_SIZE",
     "assign_tiles",
     "available_backends",
-    "backend_info",
-    "backend_registry",
     "camera_fingerprint",
     "content_fingerprint",
     "model_fingerprint",
@@ -97,7 +93,6 @@ __all__ = [
     "describe_backends",
     "eval_sh",
     "get_backend",
-    "register_backend",
     "inverse_sigmoid",
     "num_sh_coeffs",
     "prepare_view",
@@ -108,7 +103,6 @@ __all__ = [
     "rasterize_batch",
     "render",
     "render_batch",
-    "render_views",
     "rgb_to_dc",
     "set_default_backend",
     "sh_basis",

@@ -1,16 +1,15 @@
 """The rasterization backend protocol.
 
 A backend implements the pixel-producing operations of the render engine —
-standard forward (single and batched), analytic backward, foveated frame
-(single and batched), and multi-model (MMFR) frame — over a projected
-splat set and its depth-sorted tile assignment.  Everything around those
-operations (stage prefix, stats assembly, clipping, region maps) lives in
-the callers, so backends stay interchangeable: ``reference`` is the
-per-tile loop kept for regression, ``packed`` the vectorized segment
-engine.  The batched entry points are optional on custom backends — the
-dispatchers consult the registry's capability flags and fall back to
-per-frame loops (see ``supports_forward_batch`` /
-``supports_foveated_batch`` in the package root).
+batched standard forward, analytic backward, batched foveated frames, and
+the multi-model (MMFR) frame — over projected splat sets and their
+depth-sorted tile assignments.  The batch entry points are the only way
+in: a lone frame is a batch of one (:func:`repro.splat.rasterize`,
+:func:`repro.foveation.render_foveated`), so a frame's pixels never depend
+on how it was batched.  Everything around those operations (stage prefix,
+stats assembly, clipping, region maps) lives in the callers, so backends
+stay interchangeable: ``reference`` is the per-tile loop kept for
+regression, ``packed`` the vectorized segment engine.
 """
 
 from __future__ import annotations
@@ -47,25 +46,9 @@ class FoveatedFrame:
 
 @runtime_checkable
 class RasterBackend(Protocol):
-    """Interchangeable rasterization engine."""
+    """Interchangeable rasterization engine: exactly four entry points."""
 
     name: str
-
-    def forward(
-        self,
-        projected: "ProjectedGaussians",
-        assignment: "TileAssignment",
-        num_points: int,
-        background: np.ndarray,
-        collect_stats: bool,
-        per_pixel_sort: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Rasterize one frame.
-
-        Returns the (unclipped) ``(H, W, 3)`` image and, when
-        ``collect_stats``, the per-point dominated-pixel counts ``(N,)``.
-        """
-        ...
 
     def forward_batch(
         self,
@@ -77,11 +60,11 @@ class RasterBackend(Protocol):
     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
         """Rasterize several views of one model, one result tuple per view.
 
+        Each result is the (unclipped) ``(H, W, 3)`` image and, when
+        ``collect_stats``, the per-point dominated-pixel counts ``(N,)``.
         Views share a tile size but may differ in frame dimensions.  The
-        ``packed`` engine concatenates the views' span lists into a single
-        batch-segmented scan; ``reference`` falls back to a per-view loop.
-        Dispatchers treat this method as optional on custom backends and
-        loop over :meth:`forward` when it is missing.
+        ``packed`` engine streams the views' span lists through band-piece
+        scans; ``reference`` loops over its per-view body.
         """
         ...
 
@@ -94,24 +77,6 @@ class RasterBackend(Protocol):
         background: np.ndarray,
     ) -> "RasterGradients":
         """Propagate ``dL/dimage`` to per-point colour/opacity/log-scale."""
-        ...
-
-    def foveated_frame(
-        self,
-        projected: "ProjectedGaussians",
-        assignment: "TileAssignment",
-        maps: Any,
-        bounds: np.ndarray,
-        level_opacity: dict[int, np.ndarray],
-        level_delta: dict[int, np.ndarray],
-        background: np.ndarray,
-    ) -> FoveatedFrame:
-        """Render one foveated frame from a shared (subset-filtered) view.
-
-        ``maps`` is a :class:`repro.foveation.regions.RegionMaps`;
-        ``bounds`` the per-point quality bounds; ``level_opacity`` /
-        ``level_delta`` the per-level multi-versioned parameter tables.
-        """
         ...
 
     def foveated_frame_batch(
@@ -132,9 +97,10 @@ class RasterBackend(Protocol):
         are per-model and shared by every frame.  The ``packed`` engine
         concatenates each frame's level-filtered span subsets — primary
         composite plus the blend-band second-level pass — as extra batch
-        segments of a single segmented scan; ``reference`` falls back to a
-        per-frame loop.  Dispatchers treat this method as optional on custom
-        backends and loop over :meth:`foveated_frame` when it is missing.
+        segments of its band-piece scans; ``reference`` loops over its
+        per-frame body.  ``bounds`` are the per-point quality bounds,
+        ``level_opacity`` / ``level_delta`` the per-level multi-versioned
+        parameter tables.
         """
         ...
 

@@ -436,7 +436,7 @@ class _Source:
 # each composite pass to the pairs passing its level's quality bound, plus
 # each pass's level opacities and colours as per-pair tables), then band
 # pieces that expand both passes' rows and run the forward kernel chain
-# over them; a final blend of the band pixels.  ``foveated_frame`` is a
+# over them; a final blend of the band pixels.  A lone foveated frame is a
 # batch of one through the identical code path.
 # ----------------------------------------------------------------------
 
@@ -632,21 +632,6 @@ class PackedBackend:
         # backend is a process-wide singleton).
         self._ws = Workspace()
 
-    def forward(
-        self,
-        projected: ProjectedGaussians,
-        assignment: TileAssignment,
-        num_points: int,
-        background: np.ndarray,
-        collect_stats: bool,
-        per_pixel_sort: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        # A batch of one view through the same band pieces as ``forward_batch``.
-        return self.forward_batch(
-            [(projected, assignment)], num_points, background, collect_stats,
-            per_pixel_sort,
-        )[0]
-
     def forward_batch(
         self,
         views: list[tuple[ProjectedGaussians, TileAssignment]],
@@ -814,25 +799,6 @@ class PackedBackend:
             pairs["pids"][batch.span_pair], grad_image, background,
             num_points, lane_index, lane_ok,
         )
-
-    def foveated_frame(
-        self,
-        projected: ProjectedGaussians,
-        assignment: TileAssignment,
-        maps: Any,
-        bounds: np.ndarray,
-        level_opacity: dict[int, np.ndarray],
-        level_delta: dict[int, np.ndarray],
-        background: np.ndarray,
-    ) -> FoveatedFrame:
-        # A batch of one frame through the staged batch path (cf. ``forward``
-        # running as a batch of one view): the single-frame and batched
-        # entry points run the exact same code, so a batch of one is
-        # bit-identical to ``render_foveated`` by construction.
-        return self.foveated_frame_batch(
-            [(projected, assignment)], [maps], bounds, level_opacity,
-            level_delta, background,
-        )[0]
 
     def foveated_frame_batch(
         self,

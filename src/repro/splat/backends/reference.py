@@ -117,7 +117,7 @@ class ReferenceBackend:
         collect_stats: bool,
         per_pixel_sort: bool,
     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Loop-over-``forward`` fallback (the oracle has no shared work)."""
+        """A loop over :meth:`forward` (the oracle has no shared work)."""
         return [
             self.forward(
                 projected, assignment, num_points, background, collect_stats,
@@ -266,7 +266,7 @@ class ReferenceBackend:
         level_delta: dict[int, np.ndarray],
         background: np.ndarray,
     ) -> list[FoveatedFrame]:
-        """Loop-over-``foveated_frame`` fallback (the oracle shares no work)."""
+        """A loop over :meth:`foveated_frame` (the oracle shares no work)."""
         return [
             self.foveated_frame(
                 projected, assignment, maps, bounds, level_opacity, level_delta,

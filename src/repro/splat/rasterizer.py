@@ -23,9 +23,9 @@ multi-versioning train).
 The pixel-producing loops themselves live in pluggable engines under
 :mod:`repro.splat.backends` — ``packed`` (whole-frame vectorized segment
 operations, the default) and ``reference`` (the per-tile loop, kept as the
-regression oracle).  :func:`rasterize` and :func:`rasterize_backward` are
-thin dispatchers; this module keeps the shared compositing math both
-backends (and their tests) build on.
+regression oracle).  :func:`rasterize_batch` and :func:`rasterize_backward`
+are thin dispatchers (:func:`rasterize` is a batch of one); this module
+keeps the shared compositing math both backends (and their tests) build on.
 """
 
 from __future__ import annotations
@@ -195,20 +195,13 @@ def rasterize(
     rasterization engine (see :mod:`repro.splat.backends`); ``None`` uses
     the process default (``REPRO_BACKEND`` or ``packed``).
     ``collect_stats`` also computes Val_i (``stats.dominated_pixels``).
+    A lone frame is a batch of one: this is :func:`rasterize_batch` on
+    ``[(projected, assignment)]``.
     """
-    from .backends import get_backend
-
-    if background is None:
-        background = np.zeros(3)
-    background = np.asarray(background, dtype=np.float64)
-
-    engine = get_backend(backend)
-    image, dominated = engine.forward(
-        projected, assignment, num_points, background, collect_stats, per_pixel_sort
-    )
-
-    stats = _frame_stats(projected, assignment, num_points, dominated)
-    return np.clip(image, 0.0, 1.0), stats
+    return rasterize_batch(
+        [(projected, assignment)], num_points, background, collect_stats,
+        per_pixel_sort, backend,
+    )[0]
 
 
 def _frame_stats(
@@ -240,33 +233,22 @@ def rasterize_batch(
 ) -> list[tuple[np.ndarray, RenderStats]]:
     """Rasterize several (depth-sorted) views of one model, one pass.
 
-    The batched entry point of the render engine: backends that implement
-    ``forward_batch`` (the ``packed`` default concatenates every view's span
-    list into one segmented scan) amortize alpha evaluation, compositing and
-    statistics across the whole batch; backends without it fall back to a
-    per-view :meth:`forward` loop.  Returns one ``(image, stats)`` tuple per
-    view, identical in meaning to :func:`rasterize`.
+    The one entry point of the render engine's standard forward: the
+    backend's ``forward_batch`` takes the whole batch (the ``packed``
+    default streams every view's span list through band-piece scans,
+    ``reference`` loops over its per-view body).  Returns one
+    ``(image, stats)`` tuple per view; each is bitwise what a batch of that
+    view alone gives (:func:`rasterize`).
     """
-    from .backends import get_backend, supports_forward_batch
+    from .backends import get_backend
 
     if background is None:
         background = np.zeros(3)
     background = np.asarray(background, dtype=np.float64)
 
-    engine = get_backend(backend)
-    if supports_forward_batch(engine):
-        raw = engine.forward_batch(
-            views, num_points, background, collect_stats, per_pixel_sort
-        )
-    else:
-        raw = [
-            engine.forward(
-                projected, assignment, num_points, background, collect_stats,
-                per_pixel_sort,
-            )
-            for projected, assignment in views
-        ]
-
+    raw = get_backend(backend).forward_batch(
+        views, num_points, background, collect_stats, per_pixel_sort
+    )
     return [
         (
             np.clip(image, 0.0, 1.0),

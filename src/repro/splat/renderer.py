@@ -301,11 +301,3 @@ def render_batch(
             )
     return results
 
-
-def render_views(
-    model: GaussianModel,
-    cameras: list[Camera],
-    config: RenderConfig | None = None,
-) -> list[RenderResult]:
-    """Render a list of views (training poses or a trajectory), batched."""
-    return render_batch(model, cameras, config)

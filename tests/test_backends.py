@@ -4,7 +4,7 @@ The packed engine replaces the per-tile loops with whole-frame segmented
 span operations; these tests pin it to the reference oracle on images,
 statistics and gradients across random scenes — including zero-splat tiles,
 per-pixel sorting, non-tile-multiple resolutions, and foveated frames with
-active blend bands — plus the registry/selection machinery.
+active blend bands — plus the backend table and its selection.
 """
 
 import numpy as np
@@ -16,17 +16,14 @@ from repro.scenes import generate_scene, trace_cameras
 from repro.splat import Camera, GaussianModel, RenderConfig, random_model, render
 from repro.splat.backends import (
     DEFAULT_BACKEND,
+    RasterBackend,
     Workspace,
     available_backends,
-    backend_info,
-    backend_registry,
     describe_backends,
     get_backend,
-    register_backend,
     resolve_backend_name,
     set_default_backend,
     span_chunk_budget,
-    supports_forward_batch,
 )
 from repro.splat.backends.packed import (
     DEFAULT_SPAN_CHUNK_BUDGET,
@@ -416,9 +413,9 @@ class TestPooledSingleViewForward:
         background = np.array([0.2, 0.4, 0.6])
 
         def forward(view):
-            return lambda: engine.forward(
-                *view, model.num_points, background, True, per_pixel_sort
-            )
+            return lambda: engine.forward_batch(
+                [tuple(view)], model.num_points, background, True, per_pixel_sort
+            )[0]
 
         (img, dom), (img_again, dom_again) = _render_twice_around(
             forward(small), forward(large)
@@ -488,16 +485,16 @@ class TestPooledSingleViewForward:
         model = random_scene(6, n=300)
         projected, assignment = prepare_view(model, camera())
         engine = get_backend("packed")
-        args = (projected, assignment, model.num_points, np.zeros(3), False, False)
+        args = ([(projected, assignment)], model.num_points, np.zeros(3), False, False)
         config = RenderConfig(backend="packed")
-        expected, _ = engine.forward(*args)
+        [(expected, _)] = engine.forward_batch(*args)
         expected_fov = render_foveated(fmodel_eval, train_cameras[0], config=config)
         assert expected_fov.stats.blend_pixels > 0
         failures = []
 
         def worker():
             for _ in range(10):
-                image, _ = engine.forward(*args)
+                [(image, _)] = engine.forward_batch(*args)
                 if not np.array_equal(image, expected):
                     failures.append("forward")
                 fov = render_foveated(fmodel_eval, train_cameras[0], config=config)
@@ -521,10 +518,10 @@ class TestPooledSingleViewForward:
         model = random_scene(5)
         projected, assignment = prepare_view(model, camera())
         engine = get_backend("packed")
-        args = (projected, assignment, model.num_points, np.zeros(3), False, False)
-        first, _ = engine.forward(*args)
+        args = ([(projected, assignment)], model.num_points, np.zeros(3), False, False)
+        [(first, _)] = engine.forward_batch(*args)
         slots = dict(engine._ws._slots)
-        again, _ = engine.forward(*args)
+        [(again, _)] = engine.forward_batch(*args)
         # Same warm slots, same result: the pooled arena is actually shared.
         assert slots and all(engine._ws._slots[k] is v for k, v in slots.items())
         assert np.array_equal(first, again)
@@ -574,75 +571,32 @@ class TestWorkspace:
 
 class TestBackendRegistry:
     def test_builtin_entries(self):
-        assert {i.name for i in backend_registry()} >= {"packed", "reference"}
-        packed = backend_info("packed")
-        assert packed.has_forward_batch
-        assert packed.has_foveated_batch
-        assert backend_info("reference").has_forward_batch
+        assert set(available_backends()) >= {"packed", "reference"}
 
-    def test_unknown_backend_info_raises(self):
+    def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown rasterization backend"):
-            backend_info("does-not-exist")
+            get_backend("does-not-exist")
 
     def test_describe_lists_everything(self):
         table = describe_backends()
         for name in available_backends():
             assert name in table
-        assert table.splitlines()[0].split() == ["backend", "batch", "fov-b", "description"]
+        assert table.splitlines()[0].split() == ["backend", "description"]
 
-    def test_supports_forward_batch_flags(self):
-        assert supports_forward_batch(get_backend("packed"))
-        assert supports_forward_batch(get_backend("reference"))
-
-    def test_supports_forward_batch_probes_unregistered(self):
-        class NoBatch:
-            name = "custom-nobatch"
-
-        class WithBatch:
-            name = "custom-batch"
-
-            def forward_batch(self, *a):  # pragma: no cover - probe target
-                return []
-
-        assert not supports_forward_batch(NoBatch())
-        assert supports_forward_batch(WithBatch())
-
-    def test_flagless_registration_probes_instance(self):
-        # PR 2 semantics: a legacy two-argument registration whose engine
-        # implements forward_batch must keep its batched dispatch.
-        import repro.splat.backends as backends
-
-        class LegacyBatched:
-            name = "test-legacy-batched"
-
-            def forward_batch(self, *a):  # pragma: no cover - probe target
-                return []
-
-        name = LegacyBatched.name
-        try:
-            register_backend(name, LegacyBatched)
-            assert backend_info(name).has_forward_batch is None
-            assert supports_forward_batch(get_backend(name))
-        finally:
-            backends._REGISTRY.pop(name, None)
-            backends._instances.pop(name, None)
-
-    def test_register_with_capabilities(self):
-        import repro.splat.backends as backends
-
-        name = "test-registry-entry"
-        try:
-            register_backend(
-                name, lambda: get_backend("reference"),
-                description="test entry", has_forward_batch=False,
-            )
-            info = backend_info(name)
-            assert info.description == "test entry" and info.has_forward_batch is False
-            assert name in available_backends()
-            assert name in describe_backends()
-        finally:
-            backends._REGISTRY.pop(name, None)
-            backends._instances.pop(name, None)
+    def test_protocol_is_the_four_batch_entry_points(self):
+        # A lone frame is a batch of one: no backend has a per-frame entry
+        # point of the protocol, and both engines implement all four.
+        declared = {
+            name for name, value in vars(RasterBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert declared == {
+            "forward_batch", "foveated_frame_batch", "backward", "multi_model_frame",
+        }
+        for name in available_backends():
+            engine = get_backend(name)
+            assert isinstance(engine, RasterBackend)
+            assert get_backend(engine) is engine
 
 
 class TestSpanBudgetHardening:

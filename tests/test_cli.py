@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.splat.backends import set_default_backend
 
 
 class TestParser:
@@ -40,7 +41,7 @@ class TestBackendFlags:
         assert "description" in out
 
     def test_backend_list_flag(self, capsys):
-        # `--backend list` prints the registry and runs no command.
+        # `--backend list` prints the backend table and runs no command.
         assert main(["render", "garden", "--backend", "list"]) == 0
         out = capsys.readouterr().out
         assert "reference" in out and "description" in out
@@ -90,9 +91,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["render", "foveate"])
     def test_trace_flag_writes_backend_spans(self, command, tmp_path, capsys):
+        # Only the packed engine emits backend spans, so the run pins it
+        # (whatever REPRO_BACKEND says) and resets the override afterwards.
         path = tmp_path / "trace.json"
-        code = main([command, "bonsai", "--points", "200", "--width", "64",
-                     "--height", "48", "--trace", str(path)])
+        try:
+            code = main([command, "bonsai", "--points", "200", "--width", "64",
+                         "--height", "48", "--trace", str(path),
+                         "--backend", "packed"])
+        finally:
+            set_default_backend(None)
         assert code == 0
         assert "trace:" in capsys.readouterr().out
         events = [e for e in json.loads(path.read_text())["traceEvents"] if e["ph"] == "X"]

@@ -17,7 +17,6 @@ from repro.splat import (
     prepare_view,
     render,
     render_batch,
-    render_views,
 )
 from repro.splat.rasterizer import rasterize_batch
 
@@ -179,12 +178,6 @@ class TestBackendLayer:
                 r.assignment.intersections_per_tile(),
             )
             assert r.stats.tiles_per_point.shape == (small_scene.num_points,)
-
-    def test_render_views_uses_batch(self, small_scene, mixed_cameras):
-        views = render_views(small_scene, mixed_cameras)
-        reference = _reference_per_view(small_scene, mixed_cameras)
-        for ref, got in zip(reference, views):
-            assert np.abs(ref.image - got.image).max() < TOL
 
 
 class TestViewCache:

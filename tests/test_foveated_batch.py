@@ -5,10 +5,8 @@ path: a batch of one frame is **bit-identical** to :func:`render_foveated`
 (both route through the same staged span code), and multi-gaze /
 multi-camera batches match the per-frame ``reference`` oracle within 1e-10
 — including mixed gazes, off-screen gazes, zero-splat quality levels and
-frames without any intersections.  The registry's ``has_foveated_batch``
-capability flag, the dispatcher's per-frame fallback for backends
-without the batched entry point, and the packed engine's scanned-span work
-counter (level filtering compacts spans before the scan) are pinned here
+frames without any intersections.  The packed engine's scanned-span work
+counter (level filtering compacts spans before the scan) is pinned here
 too.
 """
 
@@ -24,13 +22,6 @@ from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
 from repro.obs import Tracer, set_active_tracer
 from repro.scenes import gaze_trajectory
 from repro.splat import Camera, RenderConfig, ViewCache, prepare_view
-from repro.splat.backends import (
-    ReferenceBackend,
-    backend_info,
-    describe_backends,
-    register_backend,
-    supports_foveated_batch,
-)
 from repro.splat.backends.segments import build_row_spans, build_segments
 
 TOL = 1e-10
@@ -306,69 +297,6 @@ class TestPreparationSharing:
 
     def test_empty_input(self, fmodel):
         assert render_foveated_batch(fmodel, []) == []
-
-
-class _ForwardingBackend:
-    """A custom engine exposing only the per-frame foveated entry point."""
-
-    name = "fovtest-loop"
-
-    def __init__(self):
-        self._ref = ReferenceBackend()
-        self.foveated_calls = 0
-
-    def forward(self, *args, **kwargs):
-        return self._ref.forward(*args, **kwargs)
-
-    def backward(self, *args, **kwargs):
-        return self._ref.backward(*args, **kwargs)
-
-    def foveated_frame(self, *args, **kwargs):
-        self.foveated_calls += 1
-        return self._ref.foveated_frame(*args, **kwargs)
-
-    def multi_model_frame(self, *args, **kwargs):
-        return self._ref.multi_model_frame(*args, **kwargs)
-
-
-class TestRegistryAndFallback:
-    def test_builtin_capability_flags(self):
-        for name in ALL_BACKENDS:
-            assert backend_info(name).has_foveated_batch is True
-
-    def test_describe_lists_foveated_batch_column(self):
-        assert "fov-b" in describe_backends()
-
-    def test_flagless_backend_without_method_probes_false(self):
-        engine = _ForwardingBackend()
-        assert not supports_foveated_batch(engine)
-
-    def test_true_flag_requires_the_method(self):
-        # A mis-flagged registration cannot crash the dispatcher.
-        register_backend(
-            "fovtest-misflagged", _ForwardingBackend, has_foveated_batch=True
-        )
-        from repro.splat.backends import get_backend
-
-        assert not supports_foveated_batch(get_backend("fovtest-misflagged"))
-
-    def test_dispatcher_loops_backends_without_batch(self, fmodel, train_cameras):
-        from repro.splat.backends import get_backend
-
-        register_backend("fovtest-loop", _ForwardingBackend)
-        engine = get_backend("fovtest-loop")
-        gazes = [None, (0.0, 0.0), (30.0, 20.0)]
-        batch = render_foveated_batch(
-            fmodel, train_cameras[0], gazes=gazes,
-            config=RenderConfig(backend="fovtest-loop"),
-        )
-        assert engine.foveated_calls == len(gazes)
-        for gaze, got in zip(gazes, batch):
-            ref = render_foveated(
-                fmodel, train_cameras[0], gaze=gaze,
-                config=RenderConfig(backend="reference"),
-            )
-            assert_frames_equal(ref, got)
 
 
 class TestLevelSpans:

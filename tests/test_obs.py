@@ -462,7 +462,7 @@ class TestActiveTracerSeam:
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.foveation import render_foveated
-        from repro.splat import render
+        from repro.splat import RenderConfig, render
         from repro.splat.backends import packed
 
         fmodel = uniform_foveated_model(
@@ -479,10 +479,14 @@ class TestActiveTracerSeam:
         tracer = Tracer()
         prev = set_active_tracer(tracer)
         try:
+            # Band pieces and their spans are the packed engine's.
+            config = RenderConfig(backend="packed")
             with tracer.span("frame"):
-                render(fmodel.base, cams[0])
+                render(fmodel.base, cams[0], config)
             with tracer.span("frame"):
-                render_foveated(fmodel, cams[0], gaze=(WIDTH / 3, HEIGHT / 2))
+                render_foveated(
+                    fmodel, cams[0], gaze=(WIDTH / 3, HEIGHT / 2), config=config
+                )
         finally:
             set_active_tracer(prev)
             pool.shutdown()

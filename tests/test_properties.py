@@ -436,10 +436,14 @@ def _batch_invariance_inputs():
     return scene, fmodel, frames, views
 
 
-@functools.lru_cache(maxsize=1)
-def _lone_foveated():
+@functools.lru_cache(maxsize=2)
+def _lone_foveated(backend=None):
     _, fmodel, frames, _ = _batch_invariance_inputs()
-    return [render_foveated(fmodel, camera, gaze=gaze) for camera, gaze in frames]
+    config = RenderConfig(backend=backend)
+    return [
+        render_foveated(fmodel, camera, gaze=gaze, config=config)
+        for camera, gaze in frames
+    ]
 
 
 @functools.lru_cache(maxsize=2)
@@ -523,6 +527,7 @@ class TestBandPieceProperties:
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_thread_count_invariance(self, threads):
+        # The render pool is the packed engine's, so both renders pin it.
         scene, fmodel, frames, views = _batch_invariance_inputs()
         pool = ThreadPoolExecutor(threads)
         interval = sys.getswitchinterval()
@@ -531,11 +536,14 @@ class TestBandPieceProperties:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(packed, "_pool", pool)
                 mp.setenv(SPAN_BUDGET_ENV, "200")  # several pieces per frame
-                full = render_batch(scene, views, RenderConfig(collect_stats=True))
+                full = render_batch(
+                    scene, views, RenderConfig(backend="packed", collect_stats=True)
+                )
                 fov = render_foveated_batch(
                     fmodel,
                     [camera for camera, _ in frames],
                     gazes=[gaze for _, gaze in frames],
+                    config=RenderConfig(backend="packed"),
                 )
         finally:
             sys.setswitchinterval(interval)
@@ -547,7 +555,7 @@ class TestBandPieceProperties:
             assert np.array_equal(
                 ref.stats.dominated_pixels, res.stats.dominated_pixels
             )
-        for ref, res in zip(_lone_foveated(), fov, strict=True):
+        for ref, res in zip(_lone_foveated("packed"), fov, strict=True):
             assert np.array_equal(ref.image, res.image)
 
     @given(budget=st.integers(1, 20000), frame=st.integers(0, 5))
@@ -560,8 +568,10 @@ class TestBandPieceProperties:
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setenv(SPAN_BUDGET_ENV, str(budget))
-                render(scene, camera)
-                render_foveated(fmodel, camera, gaze=gaze)
+                # Band pieces and their alpha-scan spans are packed's.
+                config = RenderConfig(backend="packed")
+                render(scene, camera, config)
+                render_foveated(fmodel, camera, gaze=gaze, config=config)
         finally:
             set_active_tracer(prev)
         full_scan, fov_scan = [

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.splat import RenderConfig, prepare_view, render, render_views
+from repro.splat import RenderConfig, prepare_view, render
 
 
 class TestRender:
@@ -21,11 +21,6 @@ class TestRender:
         plain = render(small_scene, train_cameras[0])
         mip = render(small_scene, train_cameras[0], RenderConfig(smoothing_3d=2.0))
         assert mip.stats.total_intersections >= plain.stats.total_intersections
-
-    def test_render_views_batches(self, small_scene, train_cameras):
-        results = render_views(small_scene, train_cameras[:2])
-        assert len(results) == 2
-        assert not np.array_equal(results[0].image, results[1].image)
 
     def test_prepare_view_matches_render(self, small_scene, train_cameras):
         projected, assignment = prepare_view(small_scene, train_cameras[0])

@@ -151,6 +151,9 @@ class TestRenderThreadPool:
         from repro.obs.trace import Tracer, set_active_tracer
         from repro.splat.backends import packed
 
+        # The render pool is the packed engine's: pin it in the parent and,
+        # through the environment, in the worker.
+        monkeypatch.setenv("REPRO_BACKEND", "packed")
         monkeypatch.setenv(packed.SPAN_BUDGET_ENV, "1")  # a piece per band
         parent_pool = ThreadPoolExecutor(2)
         monkeypatch.setattr(packed, "_pool", parent_pool)
@@ -252,6 +255,48 @@ class TestFailureHandling:
         else:
             assert other_pose.result.image.shape == (HEIGHT, WIDTH, 3)
             assert loop.requests_served == 3
+        assert loop.on_time + loop.deadline_misses == loop.requests_served
+        assert active_segments() == []
+
+    def test_arena_exhaustion_at_the_dispatch_seam(self, fmodel, cameras):
+        # An arena too small for one frame (shm_bytes=1) behind the pool
+        # executor: every rendered frame falls back to the pipe, and the
+        # fallback is invisible in the served pixels and the deadline
+        # ledger, and leaks no shared-memory segment.  Deadlines are on,
+        # degrade off, so every frame is a render at its own gaze.
+        rng = np.random.default_rng(20)
+        low, high = (4.0, 4.0), (WIDTH - 4.0, HEIGHT - 4.0)
+        requests = [
+            FrameRequest(i, camera, tuple(float(v) for v in rng.uniform(low, high)))
+            for i, camera in enumerate([cameras[0], cameras[1], cameras[2], cameras[0]])
+        ]
+        # A repeat of the first request: served, but not rendered again.
+        requests.append(FrameRequest(len(requests), cameras[0], requests[0].gaze))
+
+        async def scenario():
+            config = ServeConfig(
+                workers=1, shm_bytes=1, refresh_hz=60.0, degrade_on_deadline=False
+            )
+            async with ServeLoop(fmodel, serve_config=config) as loop:
+                responses = list(await asyncio.gather(
+                    *(loop.submit(r) for r in requests[:-1])
+                ))
+                responses.append(await loop.submit(requests[-1]))
+                stats = loop.transport_stats()
+            return loop, responses, stats
+
+        loop, responses, stats = run(scenario())
+        for response in responses:
+            ref = render_foveated(
+                fmodel, response.request.camera, gaze=response.request.gaze
+            )
+            assert np.array_equal(ref.image, response.result.image)
+        assert responses[-1].cache_hit
+        rendered = len({id(r.result) for r in responses if not r.cache_hit})
+        assert rendered >= 3
+        assert stats["transport"] == "shm" and stats["frames_via_shm"] == 0
+        assert stats["shm_fallbacks"] == stats["frames_via_pipe"] == rendered
+        assert loop.requests_served == len(requests)
         assert loop.on_time + loop.deadline_misses == loop.requests_served
         assert active_segments() == []
 
