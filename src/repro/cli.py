@@ -18,6 +18,8 @@ prints a compact report; flags control scene size and resolution.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -584,27 +586,48 @@ COMMANDS = {
 }
 
 
+def _use_profile(path: str | None) -> None:
+    """Point ``$REPRO_TUNE_PROFILE`` at ``path`` (``None`` unsets it)."""
+    from .tune import invalidate_profile_cache
+    from .tune.profile import PROFILE_ENV
+
+    if path is None:
+        os.environ.pop(PROFILE_ENV, None)
+    else:
+        os.environ[PROFILE_ENV] = path
+    invalidate_profile_cache()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.
+
+    ``--profile`` and ``--backend`` hold for this call only: the process's
+    ``$REPRO_TUNE_PROFILE`` and default backend are restored on return,
+    whether the command succeeded or not.
+    """
     args = build_parser().parse_args(argv)
-    if getattr(args, "profile", None):
-        import os
+    backend = getattr(args, "backend", None)
+    if backend == "list":
+        from .splat.backends import describe_backends
 
-        os.environ["REPRO_TUNE_PROFILE"] = args.profile
-        from .tune import invalidate_profile_cache
+        print(describe_backends())
+        return 0
+    with contextlib.ExitStack() as restore:
+        if getattr(args, "profile", None):
+            from .tune.profile import PROFILE_ENV
 
-        invalidate_profile_cache()
-    if getattr(args, "backend", None):
-        from .splat.backends import describe_backends, set_default_backend
+            restore.callback(_use_profile, os.environ.get(PROFILE_ENV))
+            _use_profile(args.profile)
+        if backend:
+            from .splat.backends import set_default_backend
 
-        if args.backend == "list":
-            print(describe_backends())
-            return 0
-        try:
-            set_default_backend(args.backend)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return COMMANDS[args.command](args)
+            try:
+                previous = set_default_backend(backend)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            restore.callback(set_default_backend, previous)
+        return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

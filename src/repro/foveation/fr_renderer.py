@@ -35,6 +35,7 @@ import numpy as np
 
 from ..splat.backends import get_backend
 from ..splat.backends.segments import RowSpans
+from ..splat.cachekey import ContentMemo, frozen
 from ..splat.camera import Camera
 from ..splat.gaussians import GaussianModel
 from ..splat.renderer import PreparedView, RenderConfig, ViewCache, prepare_view
@@ -79,14 +80,33 @@ class FRRenderResult:
     level_spans: dict[int, RowSpans] | None = None
 
 
+# The per-level tables depend on no pose or gaze: one build per version of
+# the multi-versioned parameters serves every frame.
+_LEVEL_TABLES = ContentMemo()
+
+
 def _level_tables(
     fmodel: FoveatedModel,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The multi-versioned per-level parameter tables every frame shares."""
-    n_levels = fmodel.num_levels
-    level_opacity = {t: fmodel.level_opacities(t) for t in range(1, n_levels + 1)}
-    level_delta = {t: fmodel.level_color_delta(t) for t in range(1, n_levels + 1)}
-    return level_opacity, level_delta
+    """The multi-versioned per-level parameter tables every frame shares.
+
+    Memoized on the exact bytes of the tables' inputs and the level count;
+    the arrays are read-only.
+    """
+    levels = range(1, fmodel.num_levels + 1)
+
+    def build(*_snapshots):
+        return (
+            {t: frozen(fmodel.level_opacities(t)) for t in levels},
+            {t: frozen(fmodel.level_color_delta(t)) for t in levels},
+        )
+
+    opacity, delta = _LEVEL_TABLES.get(
+        (fmodel.mv_opacity_logits, fmodel.mv_sh_dc, fmodel.base.sh),
+        build,
+        tag=fmodel.num_levels,
+    )
+    return dict(opacity), dict(delta)
 
 
 def _frame_result(
@@ -234,8 +254,8 @@ def render_foveated_batch(
     # bounds the prepared working set for many-pose batches (cf.
     # ``render_batch``).  ``cache`` extends the sharing across calls and
     # de-duplicates content-equal cameras that are distinct objects; its
-    # lookups go through ``get_batch`` per chunk so the O(parameter-bytes)
-    # model fingerprint is computed once per chunk, not once per camera.
+    # lookups go through ``get_batch`` per chunk so the model fingerprint
+    # is taken once per chunk, not once per camera.
     prepared: dict[int, PreparedView] = {}
     uses: dict[int, int] = {}
     for camera in cam_list:

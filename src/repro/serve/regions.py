@@ -333,22 +333,18 @@ class FrameCache:
         camera: Camera,
         gaze: tuple[float, float] | None,
         config: RenderConfig | None = None,
-        model_fp: tuple | None = None,
     ) -> tuple:
         """The cache key of one request.
 
-        ``model_fp`` lets a caller that knows its model cannot have
-        mutated since it last fingerprinted it (e.g. a replay over a
-        frozen model) skip the O(parameter-bytes) hash.  The serve loop
-        deliberately does *not* use it: hashing per request is the
-        mechanism that detects in-place model mutation, so no stale frame
-        is ever served.
+        The model fingerprint is recomputed for every key, but a model
+        whose parameters are byte-for-byte unchanged since its last key is
+        compared against a snapshot, not rehashed
+        (:class:`repro.splat.cachekey.ContentMemo`).  The compare is what
+        detects in-place model mutation, so no stale frame is ever served.
         """
         config = config or RenderConfig()
-        if model_fp is None:
-            model_fp = foveated_model_fingerprint(fmodel)
         return (
-            model_fp,
+            foveated_model_fingerprint(fmodel),
             camera_fingerprint(camera),
             quantize_gaze(camera, gaze, self.spec),
             render_config_fingerprint(config),

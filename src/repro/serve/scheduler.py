@@ -73,6 +73,7 @@ from ..foveation import FRRenderResult, render_foveated_batch
 from ..foveation.hierarchy import FoveatedModel
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import Tracer, set_active_tracer
+from ..splat.cachekey import digests_on_this_thread
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig, ViewCache
 from .predictor import GazePredictor, PredictorConfig
@@ -139,8 +140,11 @@ class FrameRequest:
     ``ServeConfig.refresh_hz`` (and means best-effort when that is unset).
 
     ``ServeLoop.submit`` computes the request's cache key (model, camera
-    and gaze-region fingerprints) once, hashing the model once per
-    request.
+    and gaze-region fingerprints) once.  The model is hashed only when its
+    parameters changed since the last key; an unchanged model is compared
+    byte for byte against a snapshot instead, which still detects any
+    in-place mutation.  The ``request`` trace span's ``hashed`` arg says
+    which it was.
     """
 
     client_id: int
@@ -319,6 +323,7 @@ class _Pending:
     deadline_s: float | None = None  # relative frame budget
     t_deadline: float | None = None  # absolute (perf_counter clock)
     prefetch: bool = False
+    hashed: bool = False  # the key's model fingerprint was digested
 
 
 def _pose_groups(pending: list[_Pending]) -> list[list[_Pending]]:
@@ -629,7 +634,9 @@ class ServeLoop:
         if self._queue is None:
             raise RuntimeError("ServeLoop is not running (use `async with`)")
         t0 = self._clock()
+        digests = digests_on_this_thread()
         key = self._request_key(request)
+        hashed = digests_on_this_thread() != digests
         deadline_s = self._effective_deadline(request)
         t_deadline = t0 + deadline_s if deadline_s is not None else None
         if self.predictor is not None:
@@ -644,7 +651,10 @@ class ServeLoop:
                 self.frame_cache.hits += 1
                 self._note_prefetch_use(key)
                 response = self._resolve(
-                    _Pending(request, key, None, t0, deadline_s, t_deadline),
+                    _Pending(
+                        request, key, None, t0, deadline_s, t_deadline,
+                        hashed=hashed,
+                    ),
                     result,
                     cache_hit=True,
                     batch_size=0,
@@ -654,7 +664,9 @@ class ServeLoop:
                 return response
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait(
-            _Pending(request, key, future, t0, deadline_s, t_deadline)
+            _Pending(
+                request, key, future, t0, deadline_s, t_deadline, hashed=hashed
+            )
         )
         depth = self._queue.urgent_size
         if depth > self.max_queue_depth:
@@ -1206,6 +1218,7 @@ class ServeLoop:
                     "degraded": degraded,
                     "missed": missed,
                     "batch": batch_size,
+                    "hashed": int(pending.hashed),
                 },
             )
         response = FrameResponse(

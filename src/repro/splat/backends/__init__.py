@@ -89,12 +89,16 @@ def describe_backends() -> str:
     return "\n".join(lines)
 
 
-def set_default_backend(name: str | None) -> None:
-    """Override the process-wide default backend (``None`` resets)."""
+def set_default_backend(name: str | None) -> str | None:
+    """Override the process-wide default backend (``None`` resets).
+
+    Returns the override it replaced, so a caller can restore it.
+    """
     global _default_override
     if name is not None:
         _check_name(name)
-    _default_override = name
+    previous, _default_override = _default_override, name
+    return previous
 
 
 def resolve_backend_name(name: str | None = None) -> str:

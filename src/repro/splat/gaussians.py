@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .cachekey import ContentMemo, frozen
 from .sh import MAX_SH_DEGREE, num_sh_coeffs
 
 BYTES_PER_FLOAT = 4
@@ -59,6 +60,17 @@ def quaternions_to_matrices(quats: np.ndarray) -> np.ndarray:
     rot[:, 2, 1] = 2.0 * (y * z + w * x)
     rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return rot
+
+
+def _covariances(rotations: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
+    rot = quaternions_to_matrices(rotations)
+    scaled = rot * np.exp(log_scales)[:, None, :]  # R @ diag(S)
+    return frozen(scaled @ scaled.transpose(0, 2, 1))
+
+
+# Covariances depend on no pose: one build per (rotations, log_scales)
+# version serves every frame of it.
+_COVARIANCES = ContentMemo()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -150,10 +162,12 @@ class GaussianModel:
         return self.num_points * self.params_per_point() * BYTES_PER_FLOAT
 
     def covariances(self) -> np.ndarray:
-        """World-space 3D covariances ``Σ = R S Sᵀ Rᵀ``, ``(N, 3, 3)``."""
-        rot = quaternions_to_matrices(self.rotations)
-        scaled = rot * self.scales[:, None, :]  # R @ diag(S)
-        return scaled @ scaled.transpose(0, 2, 1)
+        """World-space 3D covariances ``Σ = R S Sᵀ Rᵀ``, ``(N, 3, 3)``.
+
+        Memoized on the exact bytes of ``rotations`` and ``log_scales``
+        (rebuilt after any change to either) and returned read-only.
+        """
+        return _COVARIANCES.get((self.rotations, self.log_scales), _covariances)
 
     # ------------------------------------------------------------------
     # Structural operations

@@ -188,8 +188,9 @@ class ViewCache:
     ) -> list[PreparedView]:
         """Prepared views for many poses of one model.
 
-        The model fingerprint — an O(parameter-bytes) hash — is computed
-        once for the whole batch, not once per camera.
+        The model fingerprint is taken once for the whole batch, not once
+        per camera.  An unchanged model costs an exact compare against the
+        memoized snapshot of its parameters, not a hash.
         """
         config = config or RenderConfig()
         model_key = model_fingerprint(model)

@@ -1,11 +1,13 @@
 """CLI subcommands: parsing and end-to-end execution."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.splat.backends import set_default_backend
+from repro.splat.backends import resolve_backend_name, set_default_backend
+from repro.tune.profile import PROFILE_ENV
 
 
 class TestParser:
@@ -50,6 +52,24 @@ class TestBackendFlags:
         assert main(["render", "garden", "--backend", "vulkan"]) == 2
         assert "unknown rasterization backend" in capsys.readouterr().err
 
+    def test_overrides_end_with_the_call(self, tmp_path, monkeypatch):
+        # `--backend` and `--profile` scope to one `main` call, on the
+        # success path and on the error return alike.
+        monkeypatch.setenv(PROFILE_ENV, "off")
+        before = resolve_backend_name()
+        argv = ["--profile", str(tmp_path / "none.json"), "render", "garden",
+                "--points", "120", "--width", "32", "--height", "24"]
+        assert main([*argv, "--backend", "reference"]) == 0
+        assert resolve_backend_name() == before
+        assert os.environ[PROFILE_ENV] == "off"
+        set_default_backend("packed")
+        try:
+            assert main([*argv, "--backend", "vulkan"]) == 2
+            assert resolve_backend_name() == "packed"
+            assert os.environ[PROFILE_ENV] == "off"
+        finally:
+            set_default_backend(None)
+
 
 class TestCommands:
     def test_traces(self, capsys):
@@ -92,14 +112,11 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["render", "foveate"])
     def test_trace_flag_writes_backend_spans(self, command, tmp_path, capsys):
         # Only the packed engine emits backend spans, so the run pins it
-        # (whatever REPRO_BACKEND says) and resets the override afterwards.
+        # (whatever REPRO_BACKEND says); the pin ends with the call.
         path = tmp_path / "trace.json"
-        try:
-            code = main([command, "bonsai", "--points", "200", "--width", "64",
-                         "--height", "48", "--trace", str(path),
-                         "--backend", "packed"])
-        finally:
-            set_default_backend(None)
+        code = main([command, "bonsai", "--points", "200", "--width", "64",
+                     "--height", "48", "--trace", str(path),
+                     "--backend", "packed"])
         assert code == 0
         assert "trace:" in capsys.readouterr().out
         events = [e for e in json.loads(path.read_text())["traceEvents"] if e["ph"] == "X"]

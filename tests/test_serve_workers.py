@@ -9,6 +9,7 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -297,6 +298,42 @@ class TestFailureHandling:
         assert stats["transport"] == "shm" and stats["frames_via_shm"] == 0
         assert stats["shm_fallbacks"] == stats["frames_via_pipe"] == rendered
         assert loop.requests_served == len(requests)
+        assert loop.on_time + loop.deadline_misses == loop.requests_served
+        assert active_segments() == []
+
+    def test_slow_render_at_the_dispatch_seam(self, fmodel, cameras, monkeypatch):
+        # An inline executor that sleeps past the frame deadline: the late
+        # frame is served late (not dropped, not degraded) and is still
+        # bitwise its lone render; a repeat of it is an on-time hit, the
+        # deadline ledger balances, and no shared-memory segment leaks.
+        import repro.serve.scheduler as scheduler_mod
+
+        rng = np.random.default_rng(21)
+        gaze = tuple(
+            float(v) for v in rng.uniform((4.0, 4.0), (WIDTH - 4.0, HEIGHT - 4.0))
+        )
+        refresh_hz = 60.0
+        real = scheduler_mod.render_foveated_batch
+
+        def slow(*args, **kwargs):
+            time.sleep(3.0 / refresh_hz)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "render_foveated_batch", slow)
+
+        async def scenario():
+            config = ServeConfig(workers=0, refresh_hz=refresh_hz)
+            async with ServeLoop(fmodel, serve_config=config) as loop:
+                late = await loop.submit(FrameRequest(0, cameras[0], gaze))
+                repeat = await loop.submit(FrameRequest(1, cameras[0], gaze))
+            return loop, late, repeat
+
+        loop, late, repeat = run(scenario())
+        assert late.deadline_missed and not late.degraded and not late.cache_hit
+        ref = render_foveated(fmodel, cameras[0], gaze=gaze)
+        assert np.array_equal(ref.image, late.result.image)
+        assert repeat.cache_hit and not repeat.deadline_missed
+        assert loop.requests_served == 2 and loop.deadline_misses == 1
         assert loop.on_time + loop.deadline_misses == loop.requests_served
         assert active_segments() == []
 
