@@ -37,7 +37,7 @@ def _tuning_stamp() -> str | None:
 
 def report(title: str, lines: list[str]) -> None:
     """Print a table (visible via -s and in captured bench output) and save
-    it under benchmarks/results/<slug>.txt for EXPERIMENTS.md."""
+    it under benchmarks/results/<slug>.txt."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     slug = title.lower().replace(" ", "_").replace("/", "-")[:60]
     stamp = _tuning_stamp()

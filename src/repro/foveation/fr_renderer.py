@@ -24,6 +24,10 @@ benchmarks) render through :func:`render_foveated_batch`, which shares each
 pose's view-preparation prefix across its gaze samples and hands whole
 batches of frames to the backend's ``foveated_frame_batch``; a lone
 :func:`render_foveated` frame is a batch of one through the same call.
+The ``packed`` engine's scans restart at every tile, so a tile's pixels at
+level ``t`` depend only on the pose, the tile and ``t``: the gaze samples
+of one pose in one call share each (tile, level) render, and the gaze only
+picks each tile's levels and the band pixels' blend weights.
 """
 
 from __future__ import annotations
@@ -224,13 +228,15 @@ def render_foveated_batch(
     once per chunk and shared by all of its gaze samples (``cache``
     additionally shares it across calls); the backend's
     ``foveated_frame_batch`` then takes each chunk of frames whole (the
-    ``packed`` engine streams them through band-piece scans).
+    ``packed`` engine renders each (tile, level) pair a chunk's gaze
+    samples of one pose need once, in band-piece scans, and assembles
+    every frame from those tile renders).
     ``batch_size`` caps how many frames share one dispatch (``None``
     batches everything).
 
     Guarantees: every frame is **bit-identical** to its lone
     :func:`render_foveated`, whatever the batch size, chunking or span
-    budget (the transmittance scan restarts at every frame), and so
+    budget (the transmittance scan restarts at every tile), and so
     matches the per-frame ``reference`` oracle within 1e-10
     (``tests/test_foveated_batch.py``, ``tests/test_properties.py``).
     """

@@ -10,8 +10,8 @@ The first layer above the render dispatchers that treats frames as
    for the batch to fill (never past a pending frame deadline) — and
    dispatches each **pose's** requests as one
    :func:`repro.foveation.render_foveated_batch` call (the pose's
-   projection prefix is prepared once; its gaze samples' level passes
-   ride one concatenated span scan, which is exact per frame),
+   projection prefix is prepared once, and each (tile, level) render its
+   gaze samples need is rendered once and shared by them),
 3. de-duplicates requests that collapse onto the same cache key inside a
    batch: the key's first request is rendered at *its* gaze, later ones are
    served from that frame as hits.
@@ -42,8 +42,9 @@ requests (``prefetch_useful`` counts the hits prefetching created).
 Guarantees: a cache-miss response is **bit-identical** to a per-request
 :func:`repro.foveation.render_foveated` call at the request's own camera
 and gaze in both ``exact_frames`` modes — the transmittance scan restarts
-at every frame of a batch, so batch-of-one dispatch and one concatenated
-scan per pose group give the same bits; a hit returns a frame previously
+at every tile, so a tile's render does not depend on the frames it is
+shared with, and batch-of-one dispatch and one shared render per pose
+group give the same bits; a hit returns a frame previously
 rendered for the same (model, pose, gaze region, config) key — never
 across model mutations, backends, or poses.  A prefetch never defines a
 client miss's gaze: client requests claim key leadership before
@@ -223,11 +224,13 @@ class ServeConfig:
 
     ``exact_frames`` picks the miss-render dispatch: ``True`` (default)
     chunks each pose group to batch-of-one inside its
-    ``render_foveated_batch`` call, sharing only the pose preparation.
-    ``False`` rides the whole pose group on one concatenated span scan —
-    highest throughput.  Both modes serve frames **bit-identical** to a
-    per-request ``render_foveated``: the transmittance scan restarts at
-    every frame, so batch composition never moves a bit.
+    ``render_foveated_batch`` call, sharing only the pose preparation, so
+    a multi-gaze pose group renders every tile once per gaze.  ``False``
+    renders the whole pose group in one call, which renders each
+    (tile, level) pair its gazes need once — highest throughput.  Both
+    modes serve frames **bit-identical** to a per-request
+    ``render_foveated``: the transmittance scan restarts at every tile, so
+    batch composition never moves a bit.
 
     ``workers`` picks the executor behind the loop's one dispatch seam:
     ``0`` (default) renders inline, ``N > 0`` starts a

@@ -115,15 +115,16 @@ def segmented_cumsum_exclusive(
     single segment's range.
 
     **View restarts.**  ``group_offsets`` (sorted, e.g.
-    :attr:`SpanBatch.band_offsets`) splits the segments into views.  The
-    re-centring leaves a last-bit rounding residue that carries into the
-    next segment, so a scan run across a view boundary would make a view's
-    result depend on the views before it.  Instead each view's first
-    segment skips the re-centring subtraction and each view's columns get
-    their own ``cumsum`` on a slice of the same buffer: every view scans
-    exactly as it would alone, so batched results are bitwise equal to lone
-    ones however the views were chunked.  ``None`` is one view.  Views may
-    be empty (repeated offsets, also at either end).
+    :attr:`SpanBatch.tile_offsets`, which restarts at every tile) splits
+    the segments into views.  The re-centring leaves a last-bit rounding
+    residue that carries into the next segment, so a scan run across a
+    view boundary would make a view's result depend on the views before
+    it.  Instead each view's first segment skips the re-centring
+    subtraction and each view's columns get their own ``cumsum`` on a
+    slice of the same buffer: every view scans exactly as it would alone,
+    so a tile's result is bitwise the same whatever else shares the scan
+    and however the batch was chunked.  ``None`` is one view.  Views may be
+    empty (repeated offsets, also at either end).
 
     Length-0 segments are allowed (they own no items and report a zero
     total), as is an entirely empty index/value pair.
@@ -182,9 +183,10 @@ def segmented_cumsum_exclusive(
     (at,) = np.nonzero(recentre)
     adj[..., index.starts[at]] -= totals[..., at - 1]
     cols = np.unique(np.append(index.starts, values.shape[-1])[views]).tolist()
+    accumulate = np.add.accumulate  # ``cumsum`` without its per-call wrapper
     for lo, hi in zip(cols[:-1], cols[1:]):
         view = adj[..., lo:hi]
-        np.cumsum(view, axis=-1, out=view)
+        accumulate(view, axis=-1, out=view)
     excl = buffer("excl", adj.shape, dtype)
     excl[..., 0] = 0.0
     excl[..., 1:] = adj[..., :-1]
@@ -363,8 +365,8 @@ def batch_transmittance(
     transmittance itself rather than the transmittance before the last
     contribution.  ``group_has_tile_last`` (``(Q,)``) marks groups
     whose last span is the tile's last pair.  ``group_offsets``
-    (sorted group indices, e.g. :attr:`SpanBatch.band_offsets`) restarts the
-    scan at every entry, so each band's transmittance is bitwise what it
+    (sorted group indices, e.g. :attr:`SpanBatch.tile_offsets`) restarts the
+    scan at every entry, so each tile's transmittance is bitwise what it
     would be alone.
     """
     trans = segment_transmittance_exclusive(

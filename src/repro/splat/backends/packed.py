@@ -23,11 +23,13 @@ the backend's thread-local
 :class:`~repro.splat.backends.kernels.Workspace`, so repeated renders
 touch only warm pages.
 
-The unit of scan work is the tile-row *band*: the scans restart at every
-band, a call's bands are packed into pieces of at most
-:func:`span_chunk_budget` spans, and the pieces run on a process-wide
-thread pool (:func:`render_pool`).  A frame is bitwise the same however
-it was batched, whatever the span budget and on any number of threads.
+The scans restart at every tile, so a tile's pixels depend only on its
+own spans.  The unit of piece work is the tile-row *band*: a call's bands
+are packed into pieces of at most :func:`span_chunk_budget` spans, and the
+pieces run on a process-wide thread pool (:func:`render_pool`).  A frame
+is bitwise the same however it was batched, whatever the span budget and
+on any number of threads; the foveated frames of one view share each
+(tile, level) render, rendered once per call.
 
 Work scales with the rasterized splat area rather than
 ``intersections × tile area`` (the reference loop's cost), which is where
@@ -75,6 +77,7 @@ from .kernels import (
     batch_weights,
 )
 from .segments import (
+    LayeredSpans,
     PackedSegments,
     RowSpans,
     SpanBatch,
@@ -222,16 +225,16 @@ def _concat_tables(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]
 # ----------------------------------------------------------------------
 # Band pieces and the render pool
 #
-# The unit of scan work is the *band*: every (tile, row) group of one tile
-# row of one view.  The scans restart at every band (``SpanBatch.
-# band_offsets``), so a batch may be cut on any band boundary without
-# moving a bit.  ``_band_pieces`` packs a stream of bands into pieces of at
-# most ``span_chunk_budget()`` spans (a band over the budget is its own
-# piece); each piece runs its whole kernel chain on one thread of a
-# process-wide pool (or, for a small call, on the calling thread), and the
-# calling thread scatters the results in piece order.  Pieces write
-# disjoint pixels and winner counts are integers, so the output does not
-# depend on thread scheduling.
+# The unit of piece work is the *band*: every (tile, row) group of one tile
+# row of one view.  The scans restart at every tile (``SpanBatch.
+# tile_offsets``), so a batch may be cut on any tile boundary, and so on
+# any band boundary, without moving a bit.  ``_band_pieces`` packs a
+# stream of bands into pieces of at most ``span_chunk_budget()`` spans (a
+# band over the budget is its own piece); each piece runs its whole kernel
+# chain on one thread of a process-wide pool (or, for a small call, on the
+# calling thread), and the calling thread scatters the results in piece
+# order.  Pieces write disjoint pixels and winner counts are integers, so
+# the output does not depend on thread scheduling.
 # ----------------------------------------------------------------------
 
 _UNSET: Any = object()
@@ -408,20 +411,16 @@ class _ViewRows:
             self.seg, self.y_lo, counts, self.row_pairs[r0], self.row_pairs[r1]
         )
 
-    @functools.cached_property
-    def tables_x2(self) -> dict[str, np.ndarray]:
-        """The pair tables stacked twice: a foveated frame's two passes."""
-        return {name: np.concatenate([t, t]) for name, t in self.tables.items()}
-
 
 @dataclasses.dataclass
 class _Source:
-    """One view's (or foveated frame's) share of the band stream."""
+    """One view's share of the band stream (foveated: every level pass of
+    the frames sharing the view)."""
 
-    index: int  # position in the call's view list
+    index: int  # position in the call's view (foveated: view group) list
     rows: _ViewRows
     counts: np.ndarray  # (K,) spans each pair contributes here (0: none)
-    plan: "_FoveatedPlan | None" = None
+    passes: "_LevelPasses | None" = None
 
     def spans(self, r0: int, r1: int) -> RowSpans:
         """This source's spans of tile rows ``[r0, r1)``."""
@@ -432,13 +431,31 @@ class _Source:
 # Foveated span-stage decomposition
 #
 # The foveated frame is composed from the same span kernels as the
-# standard forward: a host-side, pair-level *plan* (level filtering keeps
-# each composite pass to the pairs passing its level's quality bound, plus
-# each pass's level opacities and colours as per-pair tables), then band
-# pieces that expand both passes' rows and run the forward kernel chain
-# over them; a final blend of the band pixels.  A lone foveated frame is a
-# batch of one through the identical code path.
+# standard forward.  Scans restart at every tile, so a tile's pixels at
+# quality level t depend only on the pose, the tile and t: the gaze only
+# chooses each tile's levels and the band pixels' blend weights.  A call
+# therefore renders every (tile, level) its frames of one view need once:
+# a host-side, pair-level plan per frame (workload statistics, the blend
+# band and the (tile, level) renders it needs), the view's *level passes*
+# (pass k renders each tile's k-th needed level, with that level's
+# opacities and colours as per-pair tables), band pieces that run the
+# forward kernel chain over the passes, and a final per-frame assembly of
+# the tile renders plus the blend of its band pixels.  A lone foveated
+# frame is a batch of one through the identical code path: its passes are
+# its primary pass and its blend pass.
 # ----------------------------------------------------------------------
+
+
+def _assemble(layers: np.ndarray, grid: TileGrid, tile_layer: np.ndarray) -> np.ndarray:
+    """A frame whose tile ``t`` is copied from ``layers[tile_layer[t]]``.
+
+    ``layers`` is ``(P, H, W, 3)``; the result is a fresh ``(H, W, 3)``.
+    """
+    pixels = grid.height * grid.width
+    rows = tile_layer[pixel_tiles(grid)].reshape(-1) * pixels
+    rows += np.arange(pixels)
+    image = layers.reshape(-1, 3).take(rows, axis=0)
+    return image.reshape(grid.height, grid.width, 3)
 
 
 @dataclasses.dataclass
@@ -471,18 +488,24 @@ class _BlendBand:
     def num_pixels(self) -> int:
         return int(self.pixels.shape[0])
 
-    def blend(self, maps: Any, image: np.ndarray, second: np.ndarray) -> None:
-        """Interpolate the band pixels of ``image`` toward ``second``, in place.
+    def blend(
+        self, maps: Any, image: np.ndarray, layers: np.ndarray, second_layer: np.ndarray
+    ) -> None:
+        """Interpolate the band pixels of ``image`` toward their second level,
+        in place.
 
-        ``image`` holds each tile's primary level, ``second`` its second
-        level (read only at the band pixels).
+        ``image`` holds each tile's primary level; a band pixel's second
+        level is read from ``layers[second_layer[tile]]`` (``layers`` is
+        ``(P, H, W, 3)`` and may hold ``image`` itself).
         """
         # Channel-flat: every operand is a contiguous (3M,) vector (a
         # trailing axis of 3 makes numpy's broadcast loops crawl).
-        channels = (self.pixels[:, None] * 3 + np.arange(3)).reshape(-1)
+        lanes = np.arange(3)
+        channels = (self.pixels[:, None] * 3 + lanes).reshape(-1)
         flat = image.reshape(-1)
         prim = flat.take(channels)
-        sec = second.reshape(-1).take(channels)
+        src = second_layer[self.tiles] * (image.size // 3) + self.pixels
+        sec = layers.reshape(-1).take((src[:, None] * 3 + lanes).reshape(-1))
         lo_is_primary = np.repeat((maps.tile_level == self.lo_t)[self.tiles], 3)
         lo = np.where(lo_is_primary, prim, sec)
         hi = np.where(lo_is_primary, sec, prim)
@@ -491,31 +514,26 @@ class _BlendBand:
 
 
 @dataclasses.dataclass
-class _FoveatedPlan:
+class _FramePlan:
     """Host-side stage decomposition of one foveated frame.
 
     Built before any span exists: the filtering-stage workload statistics,
-    the blend-band pixel selection, and each composite pass's pairs and
-    level tables.  ``pass_counts`` holds each pass's per-pair span counts,
-    zero for the pairs it drops — the primary pass keeps the pairs passing
-    their own tile's level bound, the blend pass the band tiles' pairs
-    passing the second level's bound — and ``tables`` the passes' pair
-    tables stacked in pass order (opacities and colours at the pass's
-    level), so filtered points never reach the scan.
+    the blend-band pixel selection and the (tile, level) renders the frame
+    needs — ``primary`` is each non-empty tile's own level, ``second`` the
+    second level of each tile holding band pixels (0: none).
     ``level_tiles`` are each level's non-empty tiles, whose primary spans
     feed the accelerator model.  The pair fields are ``None`` for frames
     without intersections (they render as pure background).
     """
 
     maps: Any
-    seg: PackedSegments | None
-    pass_counts: list[np.ndarray]  # (K,) per pass
-    tables: dict[str, np.ndarray] | None
     built: int  # spans built for the frame before level filtering
     sort_ints: np.ndarray  # (T,)
     raster_ints: np.ndarray  # (T,)
     band: _BlendBand | None  # pixels blending two levels (None: no pairs)
     level_tiles: dict[int, np.ndarray]
+    primary: np.ndarray | None  # (T,)
+    second: np.ndarray | None  # (T,)
 
     @property
     def blend_pixels(self) -> int:
@@ -528,7 +546,8 @@ def _level_tables(
     """Per-pair opacity and colour at each pair's level (``levels``
     aligned with the pair ``tables``).
 
-    Pairs at level 0 (no second level) read level 1; no pass scans them.
+    Pairs at level 0 (no level in their pass) read level 1; no pass scans
+    them.
     """
     flat = (np.maximum(levels, 1) - 1) * op_mat.shape[1] + tables["pids"]
     opacities = op_mat.reshape(-1).take(flat)
@@ -537,39 +556,29 @@ def _level_tables(
     return opacities, colors
 
 
-def _foveated_plan(
-    projected: ProjectedGaussians,
-    assignment: TileAssignment,
-    maps: Any,
-    bounds: np.ndarray,
-    op_mat: np.ndarray,
-    de_mat: np.ndarray,
-    rows: _ViewRows | None,
-) -> _FoveatedPlan:
+def _frame_plan(
+    maps: Any, grid: TileGrid, rows: _ViewRows | None, pair_bounds: np.ndarray | None
+) -> _FramePlan:
     """Filtering + blend-band planning of one frame (no pixel math).
 
-    Level filtering is expressed as pair selection: each pass scans only
-    the spans of pairs passing that pass's quality bound, so the alpha scan
-    only ever sees fragments that contribute.  ``op_mat`` / ``de_mat`` are
-    the ``(L, N)`` level opacities and ``(L, N, 3)`` colour deltas; ``rows``
-    is the view's gaze-independent pair structure (``None`` without
-    intersections).
+    Level filtering is expressed as pair selection: a tile's render at a
+    level scans only the spans of pairs passing that level's quality bound
+    (``pair_bounds``: the bound of each pair's point), so the alpha scan
+    only ever sees fragments that contribute.  ``rows`` is the view's
+    gaze-independent pair structure (``None`` without intersections).
     """
-    grid = assignment.grid
     num_tiles = grid.num_tiles
     if rows is None:
-        return _FoveatedPlan(
-            maps=maps, seg=None, pass_counts=[], tables=None, built=0,
+        return _FramePlan(
+            maps=maps, built=0,
             sort_ints=np.zeros(num_tiles, dtype=np.int64),
             raster_ints=np.zeros(num_tiles, dtype=np.float64),
-            band=None, level_tiles={},
+            band=None, level_tiles={}, primary=None, second=None,
         )
 
     seg = rows.seg
     tl = maps.tile_level
     second = maps.tile_second_level
-    pair_bounds = bounds[projected.point_ids[seg.pair_splats]]
-    pair_tl = tl[seg.pair_tiles]
 
     # Filtering stage: points with quality bound below a level never reach
     # sorting/rasterization for that level.
@@ -578,47 +587,108 @@ def _foveated_plan(
     sort_ints = np.bincount(seg.pair_tiles[sort_mask], minlength=num_tiles).astype(
         np.int64
     )
-    keep_primary = pair_bounds >= pair_tl
+    keep_primary = pair_bounds >= tl[seg.pair_tiles]
     raster_ints = np.bincount(
         seg.pair_tiles[keep_primary], minlength=num_tiles
     ).astype(np.float64)
-    pass_counts = [np.where(keep_primary, rows.counts, 0)]
-    tables, levels = rows.tables, pair_tl
 
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
-    nonempty = np.diff(assignment.tile_offsets) > 0
+    nonempty = seg.tile_last_pair >= 0
     band = _BlendBand.select(maps, grid, nonempty)
+    blend_level = np.zeros(num_tiles, dtype=np.int64)
     if band.num_pixels:
         mix_count = np.bincount(band.tiles, minlength=num_tiles)
         sel_tiles = mix_count > 0  # implies second > 0 and non-empty
-        pair_second = second[seg.pair_tiles]
-        mask_second = pair_bounds >= pair_second
-        # Second-level pass touches only the band pixels.
-        msec = np.bincount(seg.pair_tiles[mask_second], minlength=num_tiles)
+        # The second level's raster work counts only the band pixels.
+        msec = np.bincount(
+            seg.pair_tiles[pair_bounds >= second[seg.pair_tiles]], minlength=num_tiles
+        )
         raster_ints[sel_tiles] += (
             msec[sel_tiles] * mix_count[sel_tiles] / grid.tile_size**2
         )
-        keep_blend = sel_tiles[seg.pair_tiles] & mask_second
-        pass_counts.append(np.where(keep_blend, rows.counts, 0))
-        tables, levels = rows.tables_x2, np.concatenate([pair_tl, pair_second])
-    opacities, colors = _level_tables(tables, op_mat, de_mat, levels)
-    tables = dict(tables, opacities=opacities, colors=colors)
+        blend_level[sel_tiles] = second[sel_tiles]
 
     # Level t owns the primary spans of its non-empty tiles — exactly the
     # fragments the primary composite rasterizes there.  This is the real
     # foveated workload the accelerator model consumes
     # (accel.spans_to_tile_counts).
     level_tiles = {}
-    for t in range(1, op_mat.shape[0] + 1):
-        tiles_t = (tl == t) & nonempty
-        if tiles_t.any():
-            level_tiles[t] = tiles_t
+    for t in np.unique(tl[nonempty]).tolist():
+        level_tiles[t] = (tl == t) & nonempty
 
-    return _FoveatedPlan(
-        maps=maps, seg=seg, pass_counts=pass_counts, tables=tables,
-        built=int(rows.counts.sum()), sort_ints=sort_ints,
+    return _FramePlan(
+        maps=maps, built=int(rows.counts.sum()), sort_ints=sort_ints,
         raster_ints=raster_ints, band=band, level_tiles=level_tiles,
+        primary=np.where(nonempty, tl, 0), second=blend_level,
+    )
+
+
+@dataclasses.dataclass
+class _LevelPasses:
+    """The (tile, level) renders a view's frames need, as composite passes.
+
+    ``levels[k, t]`` is the level tile ``t`` renders in pass ``k`` (0:
+    none): pass ``k`` holds each tile's ``k``-th needed level in order of
+    first use over the frames (each frame's primary levels, then its blend
+    levels), so a lone frame's passes are its primary pass and its blend
+    pass.  ``pass_counts`` holds each pass's per-pair span counts, zero for
+    the pairs it drops (below its tile's level bound, or in a tile the pass
+    does not render), and ``tables`` the passes' pair tables stacked in pass
+    order, with opacities and colours at each pass's level.
+    """
+
+    levels: np.ndarray  # (P, T)
+    pass_counts: list[np.ndarray]  # (K,) per pass
+    tables: dict[str, np.ndarray]
+
+    @classmethod
+    def build(
+        cls,
+        rows: _ViewRows,
+        plans: list[_FramePlan],
+        pair_bounds: np.ndarray,
+        op_mat: np.ndarray,
+        de_mat: np.ndarray,
+    ) -> "_LevelPasses":
+        num_tiles = rows.seg.grid.num_tiles
+        tiles = np.arange(num_tiles)
+        levels = np.zeros((op_mat.shape[0], num_tiles), dtype=np.int64)
+        used = np.zeros(num_tiles, dtype=np.int64)
+        for plan in plans:
+            for need in (plan.primary, plan.second):
+                fresh = (need > 0) & ~(levels == need).any(axis=0)
+                levels[used[fresh], tiles[fresh]] = need[fresh]
+                used += fresh
+        levels = levels[: used.max()]
+        pair_levels = levels.take(rows.seg.pair_tiles, axis=1)  # (P, K)
+        keep = (pair_levels > 0) & (pair_bounds >= pair_levels)
+        tables = rows.tables
+        if len(levels) > 1:
+            tables = {name: np.concatenate([t] * len(levels)) for name, t in tables.items()}
+        opacities, colors = _level_tables(tables, op_mat, de_mat, pair_levels.reshape(-1))
+        return cls(
+            levels=levels,
+            pass_counts=[np.where(k, rows.counts, 0) for k in keep],
+            tables=dict(tables, opacities=opacities, colors=colors),
+        )
+
+
+def _layer_of(levels: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """The pass rendering each tile at its ``need`` level, ``(T,)``
+    (``levels`` as in :class:`_LevelPasses`; 0 where ``need`` is 0)."""
+    return np.argmax(levels == need, axis=0)
+
+
+def _foveated_frame(
+    plan: _FramePlan, image: np.ndarray, level_spans: dict[int, RowSpans]
+) -> FoveatedFrame:
+    return FoveatedFrame(
+        image=image,
+        sort_intersections_per_tile=plan.sort_ints,
+        raster_intersections_per_tile=plan.raster_ints,
+        blend_pixels=plan.blend_pixels,
+        level_spans=level_spans,
     )
 
 
@@ -766,7 +836,7 @@ class PackedBackend:
             alphas = np.take_along_axis(alphas, perm, axis=-1)
         trans, final = batch_transmittance(
             ws, alphas, batch.groups, batch.group_has_tile_last,
-            batch.band_offsets,
+            batch.tile_offsets,
         )
         return batch_weights(ws, trans, alphas), final, perm
 
@@ -811,16 +881,19 @@ class PackedBackend:
     ) -> list[FoveatedFrame]:
         """Render several foveated frames in band-piece scans.
 
-        Each frame decomposes into span-kernel stages (see
-        :func:`_foveated_plan` / :meth:`_foveated_piece`): level filtering
-        keeps each composite pass to the spans whose pair passes its
-        quality bound, and the blend-band second-level pass becomes an
-        *extra batch segment* riding the same scan as the primary
-        composite.  The frames' bands then stream into pieces of at most
+        Frames of one view (one tile assignment object: the gaze samples of
+        one pose) share every tile render.  The scans restart at every
+        tile, so a tile's pixels at level ``t`` depend only on the view,
+        the tile and ``t``: each (tile, level) pair the view's frames need
+        — every non-empty tile at its primary level, every tile holding
+        band pixels at its second level — is rendered once, in the view's
+        level passes (:class:`_LevelPasses`), and level filtering keeps
+        each render to the spans whose pair passes its quality bound.  The
+        views' bands stream into pieces of at most
         :func:`span_chunk_budget` *scanned* (post-filter) spans, exactly
-        like :meth:`forward_batch`; a piece carries both passes of its tile
-        rows.  Only the per-frame planning, the scatter into each frame and
-        the band-pixel blend remain per frame.
+        like :meth:`forward_batch`; a piece carries every pass of its tile
+        rows.  Each frame is then assembled from its tiles' renders and its
+        band pixels blended: bitwise what the frame renders alone.
         """
         if not views:
             return []
@@ -837,36 +910,35 @@ class PackedBackend:
         de_mat = np.stack([level_delta[t] for t in range(1, n_levels + 1)])  # (L, N, 3)
         budget = span_chunk_budget()
 
-        prim = [_background_frame(a.grid, background) for _, a in views]
-        sec: dict[int, np.ndarray] = {}
-        plans: list[_FoveatedPlan] = []
-
-        # Gaze samples of one pose repeat the same prepared view: its pair
-        # rows and gather tables are built once per call and dropped once
-        # the last frame of that view is planned (the pieces in flight hold
-        # what they still need).
-        view_memo: dict[int, _ViewRows] = {}
-        remaining = collections.Counter(id(a) for _, a in views)
+        members: dict[int, list[int]] = {}
+        for f, (_, assignment) in enumerate(views):
+            members.setdefault(id(assignment), []).append(f)
+        groups = list(members.values())
+        plans: list[Any] = [None] * len(views)
+        # Per view group: its pair segments and pass level tables (None
+        # without intersections).
+        layouts: list[tuple[PackedSegments, np.ndarray] | None] = [None] * len(groups)
 
         def sources():
-            for f, ((projected, assignment), maps) in enumerate(zip(views, maps_list)):
-                key = id(assignment)
-                rows = view_memo.get(key)
-                if rows is None and assignment.num_intersections:
-                    rows = view_memo[key] = _ViewRows.build(projected, assignment)
-                remaining[key] -= 1
-                if remaining[key] == 0:
-                    view_memo.pop(key, None)
-                plan = _foveated_plan(
-                    projected, assignment, maps, bounds, op_mat, de_mat, rows
-                )
-                plans.append(plan)
-                if plan.blend_pixels:
-                    sec[f] = _background_frame(assignment.grid, background)
+            # One source per view: its pair rows, gather tables and level
+            # passes are built once and dropped with the source (the pieces
+            # in flight hold what they still need).
+            for g, frames in enumerate(groups):
+                projected, assignment = views[frames[0]]
+                rows = pair_bounds = None
+                if assignment.num_intersections:
+                    rows = _ViewRows.build(projected, assignment)
+                    pair_bounds = bounds[projected.point_ids[rows.seg.pair_splats]]
+                for f in frames:
+                    plans[f] = _frame_plan(maps_list[f], assignment.grid, rows, pair_bounds)
                 if rows is None:
                     continue
-                sizes = sum(rows.band_sizes(counts) for counts in plan.pass_counts)
-                yield _Source(f, rows, plan.pass_counts[0], plan), sizes
+                passes = _LevelPasses.build(
+                    rows, [plans[f] for f in frames], pair_bounds, op_mat, de_mat
+                )
+                layouts[g] = (rows.seg, passes.levels)
+                sizes = sum(rows.band_sizes(counts) for counts in passes.pass_counts)
+                yield _Source(g, rows, passes.pass_counts[0], passes), sizes
 
         def run(parts):
             return self._foveated_piece(parts, background)
@@ -874,34 +946,57 @@ class PackedBackend:
         work: dict[str, int] = {"frames": len(views)}
         with backend_span("alpha-scan", args=work):
             results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
-        # Work counters: spans the passes scan (``spans``) vs. spans built
-        # before level filtering (the compaction saving).
+        # Work counters: spans the passes scan (``spans``) vs. spans the
+        # frames built before level filtering (the compaction and reuse
+        # saving).
         work["built"] = sum(plan.built for plan in plans)
 
         with backend_span("composite", args={"frames": len(views)}):
-            primary_parts: list[list[RowSpans]] = [[] for _ in views]
-            for scattered, primaries in results:
-                for f, second, idx, values in scattered:
-                    (sec[f] if second else prim[f]).reshape(-1, 3)[idx] = values
-                for f, spans in primaries:
-                    primary_parts[f].append(spans)
-            out = []
-            for f, plan in enumerate(plans):
-                if plan.blend_pixels:
-                    plan.band.blend(plan.maps, prim[f], sec[f])
-                level_spans = {}
-                if plan.level_tiles:
-                    primary = join_row_spans(plan.seg, primary_parts[f])
-                    level_spans = {t: primary.subset(m) for t, m in plan.level_tiles.items()}
-                out.append(
-                    FoveatedFrame(
-                        image=prim[f],
-                        sort_intersections_per_tile=plan.sort_ints,
-                        raster_intersections_per_tile=plan.raster_ints,
-                        blend_pixels=plan.blend_pixels,
-                        level_spans=level_spans,
-                    )
+            # Layer k of a group holds its pass-k tile renders.
+            layers: dict[int, np.ndarray] = {}
+            pass_parts: dict[int, list[list[RowSpans]]] = {}
+            for g, layout in enumerate(layouts):
+                if layout is not None:
+                    frame = _background_frame(layout[0].grid, background)
+                    layers[g] = np.repeat(frame[None], len(layout[1]), axis=0)
+                    pass_parts[g] = [[] for _ in layout[1]]
+            for scattered, pass_spans in results:
+                for g, k, idx, values in scattered:
+                    layers[g][k].reshape(-1, 3)[idx] = values
+                for g, k, spans in pass_spans:
+                    pass_parts[g][k].append(spans)
+
+            out: list[Any] = [None] * len(views)
+            for g, frames in enumerate(groups):
+                if layouts[g] is None:
+                    for f in frames:
+                        grid = views[f][1].grid
+                        out[f] = _foveated_frame(
+                            plans[f], _background_frame(grid, background), {}
+                        )
+                    continue
+                seg, levels = layouts[g]
+                layered = LayeredSpans(
+                    [join_row_spans(seg, parts) for parts in pass_parts[g]]
                 )
+                for f in frames:
+                    plan = plans[f]
+                    primary = _layer_of(levels, plan.primary)
+                    # A lone frame's primary levels are its first pass.
+                    image = (
+                        layers[g][0]
+                        if len(frames) == 1
+                        else _assemble(layers[g], seg.grid, primary)
+                    )
+                    if plan.blend_pixels:
+                        plan.band.blend(
+                            plan.maps, image, layers[g], _layer_of(levels, plan.second)
+                        )
+                    level_spans = {
+                        t: layered.pick(primary, mask)
+                        for t, mask in plan.level_tiles.items()
+                    }
+                    out[f] = _foveated_frame(plan, image, level_spans)
         return out
 
     def _foveated_piece(
@@ -909,40 +1004,40 @@ class PackedBackend:
         parts: list[tuple[_Source, int, int]],
         background: np.ndarray,
     ) -> tuple[list, list]:
-        """Both composite passes of some frames' tile rows (one piece).
+        """Every level pass of some views' tile rows (one piece).
 
-        Each part expands every pass of its frame straight from the pass's
-        per-pair span counts — the primary pass, then (with band pixels)
-        the blend pass — and the passes run the standard forward chain over the
-        frames' stacked per-pass pair tables, whose opacities and colours
-        sit at each pass's level.  Every pass rides one transmittance scan
-        and one compositing reduction.  Returns ``(scattered, primaries)``:
-        per pass, ``(frame, is_blend_pass, flat pixel indices, colours)``,
-        and per part, ``(frame, primary spans)`` for the frame's
-        ``level_spans``.
+        Each part expands every pass of its view straight from the pass's
+        per-pair span counts, and the passes run the standard forward chain
+        over the views' stacked per-pass pair tables, whose opacities and
+        colours sit at each pass's level.  Every pass rides one
+        transmittance scan and one compositing reduction.  Returns
+        ``(scattered, pass_spans)``: per pass, ``(group, pass, flat pixel
+        indices, colours)`` and ``(group, pass, spans)``, the spans feeding
+        the frames' ``level_spans``.
         """
         ws = self._ws
-        passes, targets, primaries = [], [], []
+        passes, targets = [], []
         for src, r0, r1 in parts:
             # Empty passes stay in the batch: they own no groups, and keep
             # each pass at its offset into the stacked tables.
-            spans = [src.rows.expand(counts, r0, r1) for counts in src.plan.pass_counts]
-            primaries.append((src.index, spans[0]))
-            passes += spans
-            targets += [(src.index, second > 0) for second in range(len(spans))]
+            for k, counts in enumerate(src.passes.pass_counts):
+                passes.append(src.rows.expand(counts, r0, r1))
+                targets.append((src.index, k))
 
         batch = concat_spans(passes)
-        bt = BatchTables.build(batch, _concat_tables([src.plan.tables for src, _, _ in parts]))
+        bt = BatchTables.build(
+            batch, _concat_tables([src.passes.tables for src, _, _ in parts])
+        )
         weights, final, _ = self._scan(bt, batch, per_pixel_sort=False)
         pixels = batch_composite(
             ws, weights, final, batch_span_colors(ws, bt), batch.groups, background
         )
         scattered = []
-        for v, (spans, (f, second)) in enumerate(zip(passes, targets)):
+        for v, (spans, (g, k)) in enumerate(zip(passes, targets)):
             if spans.num_spans:
                 idx, ok = _group_pixel_index(spans)
-                scattered.append((f, second, idx[ok], pixels[batch.view_groups(v)][ok]))
-        return scattered, primaries
+                scattered.append((g, k, idx[ok], pixels[batch.view_groups(v)][ok]))
+        return scattered, [(g, k, spans) for spans, (g, k) in zip(passes, targets)]
 
     def multi_model_frame(
         self,
@@ -970,29 +1065,24 @@ class PackedBackend:
             n_second[sel_second] * mix_count[sel_second] / grid.tile_size**2
         )
 
-        tile_map = pixel_tiles(grid)
-        prim = _background_frame(grid, background)
-        sec = _background_frame(grid, background)
+        # Layer t - 1 holds level t's model rendered on the tiles that need it.
+        layers = np.empty((len(views), grid.height, grid.width, 3))
         for level in range(1, len(views) + 1):
-            need_p = tl == level
-            need_s = sel_second & (second == level)
-            need = need_p | need_s
-            projected_v, assignment_v = views[level - 1]
-            if not need.any() or assignment_v.num_intersections == 0:
+            need = (tl == level) | (sel_second & (second == level))
+            if not need.any() or views[level - 1][1].num_intersections == 0:
+                layers[level - 1] = _background_frame(grid, background)
                 continue
-            ((img_v, _),) = self._forward_views(
+            ((image, _),) = self._forward_views(
                 [views[level - 1]], [need], 0, background, False, False
             )
-            mask_p = need_p[tile_map]
-            mask_s = need_s[tile_map]
-            prim[mask_p] = img_v[mask_p]
-            sec[mask_s] = img_v[mask_s]
+            layers[level - 1] = image
 
+        image = _assemble(layers, grid, tl - 1)
         if band.num_pixels:
-            band.blend(maps, prim, sec)
+            band.blend(maps, image, layers, np.maximum(second - 1, 0))
 
         return FoveatedFrame(
-            image=prim,
+            image=image,
             sort_intersections_per_tile=sort_ints,
             raster_intersections_per_tile=raster_ints,
             blend_pixels=band.num_pixels,

@@ -180,8 +180,10 @@ class RowSpans:
 
     def subset(self, tile_mask: np.ndarray) -> "RowSpans":
         """Restrict to the spans and groups of selected tiles."""
-        keep_spans = tile_mask[self.span_tile]
-        keep_groups = tile_mask[self.group_tile]
+        return self.select(tile_mask[self.span_tile], tile_mask[self.group_tile])
+
+    def select(self, keep_spans: np.ndarray, keep_groups: np.ndarray) -> "RowSpans":
+        """Keep the masked spans and groups (every kept group's spans)."""
         return RowSpans(
             seg=self.seg,
             span_pair=self.span_pair[keep_spans],
@@ -195,6 +197,60 @@ class RowSpans:
 
 
 @dataclasses.dataclass
+class LayeredSpans:
+    """Row spans of one view rendered as several *layers* (composite passes).
+
+    Every layer is in ``(tile, row)`` order and renders each of its tiles
+    at most once.  :meth:`pick` assembles one frame's spans taking each tile
+    from one layer, in ``(tile, row)`` order — what a lone render of that
+    frame builds, since a tile's spans depend only on the tile and the
+    pairs its layer keeps.
+    """
+
+    layers: list[RowSpans]
+
+    @functools.cached_property
+    def _merged(self) -> tuple[RowSpans, np.ndarray, np.ndarray]:
+        """Every layer's spans in ``(tile, layer, row)`` order, with the
+        layer of each span and of each group."""
+        joined = join_row_spans(self.layers[0].seg, self.layers)
+        ids = np.arange(len(self.layers))
+        span_layer = np.repeat(ids, [s.num_spans for s in self.layers])
+        group_layer = np.repeat(ids, [s.num_groups for s in self.layers])
+        num_tiles = joined.seg.grid.num_tiles
+        # Stable by tile: a tile's layers stay in layer order, each in
+        # (row, depth) order.
+        by_span = stable_key_order(joined.span_tile, num_tiles)
+        by_group = stable_key_order(joined.group_tile, num_tiles)
+        merged = RowSpans(
+            seg=joined.seg,
+            span_pair=joined.span_pair[by_span],
+            span_tile=joined.span_tile[by_span],
+            span_y=joined.span_y[by_span],
+            groups=SegmentIndex.from_lengths(joined.groups.lens[by_group]),
+            group_tile=joined.group_tile[by_group],
+            group_y=joined.group_y[by_group],
+            group_has_tile_last=joined.group_has_tile_last[by_group],
+        )
+        return merged, span_layer[by_span], group_layer[by_group]
+
+    def pick(self, tile_layer: np.ndarray, tile_mask: np.ndarray) -> RowSpans:
+        """The spans of the ``tile_mask`` tiles, tile ``t`` from layer
+        ``tile_layer[t]``, in ``(tile, row)`` order."""
+        used = np.unique(tile_layer[tile_mask])
+        if used.size == 1:
+            return self.layers[int(used[0])].subset(tile_mask)
+        merged, span_layer, group_layer = self._merged
+        keep_spans = tile_mask[merged.span_tile] & (
+            tile_layer[merged.span_tile] == span_layer
+        )
+        keep_groups = tile_mask[merged.group_tile] & (
+            tile_layer[merged.group_tile] == group_layer
+        )
+        return merged.select(keep_spans, keep_groups)
+
+
+@dataclasses.dataclass
 class SpanBatch:
     """Several views' :class:`RowSpans` concatenated into one batch scan.
 
@@ -205,10 +261,11 @@ class SpanBatch:
     segmented-scan machinery above applies to the whole batch unchanged —
     one alpha-eval / compositing / stats pass covers every frame.
 
-    A *band* is every group of one tile row of one view.  The scans restart
-    at every ``band_offsets`` entry, so a band's result never depends on
-    what else shares the batch: any cut of a batch on band boundaries scans
-    bitwise like the uncut batch.
+    The scans restart at every ``tile_offsets`` entry — the first group of
+    every tile of every view — so a tile's result depends only on its own
+    spans, never on what else shares the batch: any cut of a batch on tile
+    boundaries scans bitwise like the uncut batch, and a tile rendered at
+    one quality level is bitwise the same in every frame that needs it.
     """
 
     views: list[RowSpans]
@@ -219,7 +276,7 @@ class SpanBatch:
     span_offsets: np.ndarray  # (V + 1,) span range of each view
     group_offsets: np.ndarray  # (V + 1,) group range of each view
     pair_offsets: np.ndarray  # (V + 1,) pair range of each view
-    band_offsets: np.ndarray  # first group of every band, every view start, Q
+    tile_offsets: np.ndarray  # first group of every (view, tile), then Q
 
     @property
     def num_spans(self) -> int:
@@ -261,7 +318,8 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
 
     Views may have different grids (mixed frame sizes) but must share a tile
     size, so every span owns the same ``tile_size``-wide lane vector and the
-    whole batch composites in a single ``(tile_size, R)`` scan.
+    whole batch composites in a single ``(tile_size, R)`` scan, restarted
+    at every tile (:attr:`SpanBatch.tile_offsets`).
     """
     if not spans_list:
         raise ValueError("need at least one view to batch")
@@ -275,12 +333,12 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
     np.cumsum([s.seg.num_pairs for s in spans_list], out=pair_offsets[1:])
     np.cumsum([s.num_spans for s in spans_list], out=span_offsets[1:])
     np.cumsum([s.num_groups for s in spans_list], out=group_offsets[1:])
-    # A band starts wherever the tile row changes within a view.
-    band_starts = [
-        off + 1 + np.flatnonzero(np.diff(s.group_tile // s.seg.grid.tiles_x))
+    # A scan restarts wherever the tile changes within a view.
+    tile_starts = [
+        off + 1 + np.flatnonzero(np.diff(s.group_tile))
         for s, off in zip(spans_list, group_offsets[:-1])
     ]
-    band_offsets = np.unique(np.concatenate([group_offsets, *band_starts]))
+    tile_offsets = np.unique(np.concatenate([group_offsets, *tile_starts]))
 
     return SpanBatch(
         views=list(spans_list),
@@ -297,7 +355,7 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
         span_offsets=span_offsets,
         group_offsets=group_offsets,
         pair_offsets=pair_offsets,
-        band_offsets=band_offsets,
+        tile_offsets=tile_offsets,
     )
 
 

@@ -76,15 +76,8 @@ def assert_frames_equal(ref, got, atol=None):
     assert ref.stats.blend_pixels == got.stats.blend_pixels
 
 
-def _blend_spans_kept(fmodel, camera, maps):
-    """(blend-pass spans kept, spans built) of one frame, from first principles.
-
-    The blend pass scans the built spans of every tile holding a band pixel
-    whose pair's quality bound reaches the tile's second level.
-    """
-    projected, assignment = prepare_view(fmodel.base, camera)
-    seg = build_segments(assignment)
-    spans = build_row_spans(projected, seg)
+def _blend_tiles(maps, assignment):
+    """``(T,)`` mask of the non-empty tiles holding a pixel the frame blends."""
     grid = assignment.grid
     ts = grid.tile_size
     tile_map = (
@@ -99,7 +92,20 @@ def _blend_spans_kept(fmodel, camera, maps):
         & maps.needs_blend
         & ((second > 0) & nonempty)[tile_map]
     )
-    in_band = np.isin(spans.span_tile, np.unique(tile_map[band]))
+    return np.bincount(tile_map[band], minlength=grid.num_tiles) > 0
+
+
+def _blend_spans_kept(fmodel, camera, maps):
+    """(blend-pass spans kept, spans built) of one frame, from first principles.
+
+    The blend pass scans the built spans of every tile holding a band pixel
+    whose pair's quality bound reaches the tile's second level.
+    """
+    projected, assignment = prepare_view(fmodel.base, camera)
+    seg = build_segments(assignment)
+    spans = build_row_spans(projected, seg)
+    second = maps.tile_second_level
+    in_band = _blend_tiles(maps, assignment)[spans.span_tile]
     span_bound = fmodel.quality_bounds[projected.point_ids[seg.pair_splats]][
         spans.span_pair
     ]
@@ -353,6 +359,52 @@ class TestLevelSpans:
         assert work["spans"] < work["built"]
         if gaze == (20.0, 16.0):
             assert result.stats.blend_pixels > 0 and blend_kept > 0
+
+    def test_alpha_scan_renders_each_tile_level_once(self, fmodel, train_cameras):
+        # A gaze batch at one pose scans each needed (tile, level) render
+        # once: every non-empty tile at each frame's primary level and every
+        # blend tile at its second level, deduplicated across the frames.
+        camera = train_cameras[0]
+        config = RenderConfig(backend="packed")
+        gazes = [tuple(g) for g in gaze_trajectory(96, 64, 8, seed=13)]
+        gazes += [None, (-50.0, 500.0)]
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            batch = render_foveated_batch(fmodel, camera, gazes=gazes, config=config)
+        finally:
+            set_active_tracer(prev)
+        (work,) = [
+            args for name, _, _, _, _, _, args in tracer.spans()
+            if name == "alpha-scan" and "frames" in args
+        ]
+
+        projected, assignment = prepare_view(fmodel.base, camera)
+        seg = build_segments(assignment)
+        spans = build_row_spans(projected, seg)
+        span_bound = fmodel.quality_bounds[projected.point_ids[seg.pair_splats]][
+            spans.span_pair
+        ]
+        nonempty = np.diff(assignment.tile_offsets) > 0
+        needed = set()
+        for got in batch:
+            tl = got.maps.tile_level
+            needed |= {(t, tl[t]) for t in np.flatnonzero(nonempty)}
+            second = got.maps.tile_second_level
+            needed |= {(t, second[t]) for t in np.flatnonzero(_blend_tiles(got.maps, assignment))}
+        kept = sum(
+            int(((spans.span_tile == t) & (span_bound >= level)).sum())
+            for t, level in needed
+        )
+        assert work["spans"] == kept
+        assert work["built"] == len(gazes) * spans.num_spans
+
+        for gaze, got in zip(gazes, batch):
+            lone = render_foveated(fmodel, camera, gaze=gaze, config=config)
+            assert np.array_equal(lone.image, got.image)
+            assert {t: s.num_spans for t, s in got.level_spans.items()} == {
+                t: s.num_spans for t, s in lone.level_spans.items()
+            }
 
     def test_reference_reports_none(self, fmodel, train_cameras):
         result = render_foveated(

@@ -63,6 +63,7 @@ from repro.splat.tiling import (
     TileAssignment,
     TileGrid,
     assign_tiles,
+    pixel_tiles,
     stable_key_order,
 )
 
@@ -521,6 +522,41 @@ class TestBatchInvarianceProperties:
             )
 
 
+def _blend_tiles(maps, grid) -> np.ndarray:
+    """Tiles holding a pixel the frame blends toward a second level."""
+    tl, second = maps.tile_level, maps.tile_second_level
+    tile_map = pixel_tiles(grid)
+    inner = np.where(second > 0, np.minimum(tl, second), 0)[tile_map]
+    blended = maps.needs_blend & (second[tile_map] > 0) & (maps.band_level == inner)
+    return np.bincount(tile_map[blended], minlength=grid.num_tiles) > 0
+
+
+class TestTileRenderReuseProperties:
+    """A tile's pixels depend on the pose, the tile and its level, not on
+    the gaze: two lone frames of one pose agree bitwise on every tile they
+    render at the same level without blending."""
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_same_level_tiles_equal_across_gazes(self, seed):
+        _, fmodel, frames, _ = _batch_invariance_inputs()
+        camera = frames[0][0]
+        rng = np.random.default_rng(seed)
+        size = np.array([camera.width, camera.height])
+        gazes = [tuple(map(float, rng.uniform(-0.25, 1.25, 2) * size)) for _ in range(2)]
+        a, b = (render_foveated(fmodel, camera, gaze=g) for g in gazes)
+        grid = TileGrid(width=camera.width, height=camera.height)
+        same = (
+            (a.maps.tile_level == b.maps.tile_level)
+            & ~_blend_tiles(a.maps, grid)
+            & ~_blend_tiles(b.maps, grid)
+        )
+        tile_map = pixel_tiles(grid)
+        for t in np.flatnonzero(same):
+            pixels = tile_map == t
+            assert np.array_equal(a.image[pixels], b.image[pixels]), t
+
+
 class TestBandPieceProperties:
     """Band pieces: the thread count never moves a bit, and no scanned
     piece holds more than the span budget or one band."""
@@ -590,14 +626,16 @@ class TestBandPieceProperties:
             # Spans the two foveated passes scan: kept pairs' spans.
             maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
             levels = range(1, fmodel.num_levels + 1)
-            plan = packed._foveated_plan(
-                projected, assignment, maps, fmodel.quality_bounds,
+            rows = packed._ViewRows.build(projected, assignment)
+            pair_bounds = fmodel.quality_bounds[projected.point_ids[rows.seg.pair_splats]]
+            plan = packed._frame_plan(maps, assignment.grid, rows, pair_bounds)
+            passes = packed._LevelPasses.build(
+                rows, [plan], pair_bounds,
                 np.stack([fmodel.level_opacities(t) for t in levels]),
                 np.stack([fmodel.level_color_delta(t) for t in levels]),
-                packed._ViewRows.build(projected, assignment),
             )
             return sum(
-                (counts > 0)[spans.span_pair].astype(np.int64) for counts in plan.pass_counts
+                (counts > 0)[spans.span_pair].astype(np.int64) for counts in passes.pass_counts
             )
 
         full_bands, fov_bands = bands(scene), bands(fmodel.base, scanned)
@@ -938,7 +976,7 @@ class TestSegmentIndexProperties:
         alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
         trans, final = batch_transmittance(
             Workspace(), alphas.copy(), batch.groups,
-            batch.group_has_tile_last, batch.band_offsets,
+            batch.group_has_tile_last, batch.tile_offsets,
         )
         trans, final = trans.copy(), final.copy()
         bands = [
@@ -958,7 +996,44 @@ class TestSegmentIndexProperties:
             s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
             got_trans, got_final = batch_transmittance(
                 Workspace(), alphas[:, s0:s1].copy(), piece.groups,
-                piece.group_has_tile_last, piece.band_offsets,
+                piece.group_has_tile_last, piece.tile_offsets,
+            )
+            assert np.array_equal(got_trans, trans[:, s0:s1])
+            assert np.array_equal(got_final, final[:, g0:g1])
+            s0, g0 = s1, g1
+        assert (s0, g0) == (batch.num_spans, batch.num_groups)
+
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_tile_aligned_cut_matches_uncut_batch(self, data, seed):
+        """Any cut of a multi-view batch on tile boundaries scans bitwise
+        like the uncut batch: the scan restarts at every tile."""
+        views = [expand_row_spans(seg, y_lo, counts) for seg, y_lo, counts, _ in _band_cut_views()]
+        batch = concat_spans(views)
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
+        trans, final = batch_transmittance(
+            Workspace(), alphas.copy(), batch.groups,
+            batch.group_has_tile_last, batch.tile_offsets,
+        )
+        trans, final = trans.copy(), final.copy()
+        tiles = [(v, t) for v, s in enumerate(views) for t in np.unique(s.group_tile)]
+        cuts = data.draw(st.sets(st.integers(1, len(tiles) - 1)))
+        bounds = [0, *sorted(cuts), len(tiles)]
+        s0 = g0 = 0
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            slices = []
+            for v, spans in enumerate(views):
+                picked = [t for w, t in tiles[b0:b1] if w == v]
+                if picked:
+                    mask = np.zeros(spans.seg.grid.num_tiles, dtype=bool)
+                    mask[picked] = True
+                    slices.append(spans.subset(mask))
+            piece = concat_spans(slices)
+            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
+            got_trans, got_final = batch_transmittance(
+                Workspace(), alphas[:, s0:s1].copy(), piece.groups,
+                piece.group_has_tile_last, piece.tile_offsets,
             )
             assert np.array_equal(got_trans, trans[:, s0:s1])
             assert np.array_equal(got_final, final[:, g0:g1])
