@@ -220,10 +220,8 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         WorkloadSpec,
         default_workers,
         generate_serve_trace,
-        oracle_problem_from_trace,
         replay_naive,
         replay_trace,
-        schedule_gap,
     )
 
     setup = _setup(args)
@@ -304,17 +302,6 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
         print(
             f"trace: {len(tracer)} spans -> {args.trace_out} "
             f"(load in Perfetto / chrome://tracing)"
-        )
-    if args.refresh_hz is not None:
-        gap = schedule_gap(
-            oracle_problem_from_trace(trace, n_requests=6),
-            batch_budget=serve_config.batch_budget,
-        )
-        print(
-            f"schedule oracle ({gap['n_requests']} requests): optimal "
-            f"{gap['optimal_misses']} misses vs heuristic "
-            f"{gap['heuristic_misses']} (latency gap "
-            f"{gap['latency_gap']:+.1%})"
         )
     return 0
 

@@ -17,8 +17,6 @@ The first layer above the render dispatchers that treats frames as
 - :mod:`repro.serve.predictor` — :class:`GazePredictor`, the
   constant-velocity / saccade-aware scanpath extrapolator behind
   speculative gaze-region prefetch;
-- :mod:`repro.serve.oracle` — the exhaustive batch-schedule oracle on
-  tiny traces (≤8 requests) the greedy scheduler is compared against;
 - :mod:`repro.serve.workers` — :class:`RenderWorkerPool`, the process
   pool that renders pose groups off the event loop (``workers > 0``):
   stateful workers hold the model and a private view cache, only
@@ -54,17 +52,6 @@ from .regions import (
     ring_area_deg2,
     ring_edges,
     ring_width_deg,
-)
-from .oracle import (
-    MAX_ORACLE_REQUESTS,
-    OracleCostModel,
-    OracleRequest,
-    ScheduleOutcome,
-    exhaustive_schedule,
-    greedy_schedule,
-    oracle_problem_from_trace,
-    schedule_gap,
-    simulate_schedule,
 )
 from .predictor import GazePredictor, PredictorConfig
 from .replay import (
@@ -116,13 +103,9 @@ __all__ = [
     "GazeGridSpec",
     "GazePredictor",
     "GazeRegionKey",
-    "MAX_ORACLE_REQUESTS",
-    "OracleCostModel",
-    "OracleRequest",
     "PredictorConfig",
     "RenderWorkerPool",
     "ReplayReport",
-    "ScheduleOutcome",
     "ServeConfig",
     "ServeLoop",
     "ServeTrace",
@@ -133,13 +116,10 @@ __all__ = [
     "WorkloadSpec",
     "active_segments",
     "default_workers",
-    "exhaustive_schedule",
     "foveated_model_fingerprint",
     "frames_checksum",
     "gaze_polar",
     "generate_serve_trace",
-    "greedy_schedule",
-    "oracle_problem_from_trace",
     "polar_gaze",
     "pose_request_counts",
     "quantize_gaze",
@@ -156,7 +136,5 @@ __all__ = [
     "ring_area_deg2",
     "ring_edges",
     "ring_width_deg",
-    "schedule_gap",
-    "simulate_schedule",
     "zipf_weights",
 ]

@@ -414,17 +414,14 @@ class _ViewRows:
 
 @dataclasses.dataclass
 class _Source:
-    """One view's share of the band stream (foveated: every level pass of
-    the frames sharing the view)."""
+    """One view's share of the band stream: its passes over the view's
+    pairs (a standard view is one pass; foveated: every level pass of the
+    frames sharing the view)."""
 
     index: int  # position in the call's view (foveated: view group) list
     rows: _ViewRows
-    counts: np.ndarray  # (K,) spans each pair contributes here (0: none)
-    passes: "_LevelPasses | None" = None
-
-    def spans(self, r0: int, r1: int) -> RowSpans:
-        """This source's spans of tile rows ``[r0, r1)``."""
-        return self.rows.expand(self.counts, r0, r1)
+    pass_counts: list[np.ndarray]  # (K,) per pass: spans each pair contributes (0: none)
+    tables: dict[str, np.ndarray]  # the passes' pair tables, stacked in pass order
 
 
 # ----------------------------------------------------------------------
@@ -748,7 +745,7 @@ class PackedBackend:
 
         def sources():
             for v, ((projected, assignment), mask) in enumerate(zip(views, tile_masks)):
-                if assignment.num_intersections == 0:
+                if assignment.num_intersections == 0 or (mask is not None and not mask.any()):
                     continue
                 # Per-pixel sorting keeps every tile row: its early-termination
                 # gate sits at the per-pixel deepest splat, which the strip
@@ -758,13 +755,15 @@ class PackedBackend:
                 counts = rows.counts
                 if mask is not None:
                     counts = np.where(mask[rows.seg.pair_tiles], counts, 0)
-                yield _Source(v, rows, counts), rows.band_sizes(counts)
+                yield _Source(v, rows, [counts], rows.tables), rows.band_sizes(counts)
 
         def run(parts):
-            return self._forward_piece(
-                parts, num_points if collect_stats else None, background,
-                per_pixel_sort,
+            # The piece's spans die here, on the thread that built them.
+            scattered, _, winners = self._piece(
+                parts, background, per_pixel_sort,
+                num_points if collect_stats else None,
             )
+            return scattered, winners
 
         # ``val_stats``: whether the pieces also count Val_i winners.
         work: dict[str, int] = {"views": len(views), "val_stats": int(collect_stats)}
@@ -773,29 +772,40 @@ class PackedBackend:
 
         with backend_span("composite", args={"views": len(views)}):
             for scattered, winners in results:
-                for v, idx, values in scattered:
+                for v, _, idx, values in scattered:
                     images[v].reshape(-1, 3)[idx] = values
                 for v, counts in winners:
                     dominated[v] += counts
         return list(zip(images, dominated))
 
-    def _forward_piece(
+    def _piece(
         self,
         parts: list[tuple[_Source, int, int]],
-        num_points: int | None,
         background: np.ndarray,
-        per_pixel_sort: bool,
-    ) -> tuple[list, list]:
+        per_pixel_sort: bool = False,
+        num_points: int | None = None,
+    ) -> tuple[list, list, list]:
         """The whole kernel chain of one piece (on a pool or the calling thread).
 
-        Returns ``(scattered, winners)``: per part, the flat pixel indices
-        and colours it writes, and — given ``num_points`` — the per-point
-        Val_i winner counts.  All are fresh arrays, never workspace views.
+        Each part expands every pass of its source straight from the pass's
+        per-pair span counts, and all passes ride one transmittance scan and
+        one compositing reduction over the sources' stacked pair tables.
+        Returns ``(scattered, pass_spans, winners)``: per non-empty pass,
+        ``(source, pass, flat pixel indices, colours)``; per pass,
+        ``(source, pass, spans)``; and — given ``num_points`` — per pass
+        ``(source, per-point Val_i winner counts)``.  All are fresh arrays,
+        never workspace views.
         """
         ws = self._ws
-        pieces = [(src, src.spans(r0, r1)) for src, r0, r1 in parts]
-        batch = concat_spans([spans for _, spans in pieces])
-        pairs = _concat_tables([src.rows.tables for src, _ in pieces])
+        passes, targets = [], []
+        for src, r0, r1 in parts:
+            # Empty passes stay in the batch: they own no groups, and keep
+            # each pass at its offset into the stacked tables.
+            for k, counts in enumerate(src.pass_counts):
+                passes.append(src.rows.expand(counts, r0, r1))
+                targets.append((src.index, k))
+        batch = concat_spans(passes)
+        pairs = _concat_tables([src.tables for src, _, _ in parts])
         bt = BatchTables.build(batch, pairs)
         weights, final, perm = self._scan(bt, batch, per_pixel_sort)
         pixels = batch_composite(
@@ -803,25 +813,27 @@ class PackedBackend:
             background, perm,
         )
         scattered = []
-        for i, (src, spans) in enumerate(pieces):
-            idx, ok = _group_pixel_index(spans)
-            scattered.append((src.index, idx[ok], pixels[batch.view_groups(i)][ok]))
+        for v, (spans, (i, k)) in enumerate(zip(passes, targets)):
+            if spans.num_spans:
+                idx, ok = _group_pixel_index(spans)
+                scattered.append((i, k, idx[ok], pixels[batch.view_groups(v)][ok]))
         winners_out = []
         if num_points is not None:
             lane_ok = np.concatenate(
-                [s.seg.geometry.lane_valid[s.group_tile] for _, s in pieces]
+                [s.seg.geometry.lane_valid[s.group_tile] for s in passes]
             )  # (Q, ts)
             winners, has_any = batch_dominated_winners(
                 ws, weights, batch.groups, lane_ok, perm
             )
-            for i, (src, _) in enumerate(pieces):
-                gsl = batch.view_groups(i)
+            for v, (i, _) in enumerate(targets):
+                gsl = batch.view_groups(v)
                 sel = has_any[:, gsl]
                 winner_pairs = batch.span_pair[winners[:, gsl][sel]]
                 winners_out.append(
-                    (src.index, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
+                    (i, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
                 )
-        return scattered, winners_out
+        pass_spans = [(i, k, spans) for spans, (i, k) in zip(passes, targets)]
+        return scattered, pass_spans, winners_out
 
     def _scan(
         self, bt: BatchTables, batch: SpanBatch, per_pixel_sort: bool
@@ -938,10 +950,10 @@ class PackedBackend:
                 )
                 layouts[g] = (rows.seg, passes.levels)
                 sizes = sum(rows.band_sizes(counts) for counts in passes.pass_counts)
-                yield _Source(g, rows, passes.pass_counts[0], passes), sizes
+                yield _Source(g, rows, passes.pass_counts, passes.tables), sizes
 
         def run(parts):
-            return self._foveated_piece(parts, background)
+            return self._piece(parts, background)[:2]
 
         work: dict[str, int] = {"frames": len(views)}
         with backend_span("alpha-scan", args=work):
@@ -999,46 +1011,6 @@ class PackedBackend:
                     out[f] = _foveated_frame(plan, image, level_spans)
         return out
 
-    def _foveated_piece(
-        self,
-        parts: list[tuple[_Source, int, int]],
-        background: np.ndarray,
-    ) -> tuple[list, list]:
-        """Every level pass of some views' tile rows (one piece).
-
-        Each part expands every pass of its view straight from the pass's
-        per-pair span counts, and the passes run the standard forward chain
-        over the views' stacked per-pass pair tables, whose opacities and
-        colours sit at each pass's level.  Every pass rides one
-        transmittance scan and one compositing reduction.  Returns
-        ``(scattered, pass_spans)``: per pass, ``(group, pass, flat pixel
-        indices, colours)`` and ``(group, pass, spans)``, the spans feeding
-        the frames' ``level_spans``.
-        """
-        ws = self._ws
-        passes, targets = [], []
-        for src, r0, r1 in parts:
-            # Empty passes stay in the batch: they own no groups, and keep
-            # each pass at its offset into the stacked tables.
-            for k, counts in enumerate(src.passes.pass_counts):
-                passes.append(src.rows.expand(counts, r0, r1))
-                targets.append((src.index, k))
-
-        batch = concat_spans(passes)
-        bt = BatchTables.build(
-            batch, _concat_tables([src.passes.tables for src, _, _ in parts])
-        )
-        weights, final, _ = self._scan(bt, batch, per_pixel_sort=False)
-        pixels = batch_composite(
-            ws, weights, final, batch_span_colors(ws, bt), batch.groups, background
-        )
-        scattered = []
-        for v, (spans, (g, k)) in enumerate(zip(passes, targets)):
-            if spans.num_spans:
-                idx, ok = _group_pixel_index(spans)
-                scattered.append((g, k, idx[ok], pixels[batch.view_groups(v)][ok]))
-        return scattered, [(g, k, spans) for spans, (g, k) in zip(passes, targets)]
-
     def multi_model_frame(
         self,
         views: list[tuple[ProjectedGaussians, TileAssignment]],
@@ -1065,17 +1037,16 @@ class PackedBackend:
             n_second[sel_second] * mix_count[sel_second] / grid.tile_size**2
         )
 
-        # Layer t - 1 holds level t's model rendered on the tiles that need it.
-        layers = np.empty((len(views), grid.height, grid.width, 3))
-        for level in range(1, len(views) + 1):
-            need = (tl == level) | (sel_second & (second == level))
-            if not need.any() or views[level - 1][1].num_intersections == 0:
-                layers[level - 1] = _background_frame(grid, background)
-                continue
-            ((image, _),) = self._forward_views(
-                [views[level - 1]], [need], 0, background, False, False
-            )
-            layers[level - 1] = image
+        # Layer t - 1 holds level t's model rendered on the tiles that need
+        # it; every level rides one band-piece scan.
+        needs = [
+            (tl == level) | (sel_second & (second == level))
+            for level in range(1, len(views) + 1)
+        ]
+        layers = np.stack([
+            image
+            for image, _ in self._forward_views(views, needs, 0, background, False, False)
+        ])
 
         image = _assemble(layers, grid, tl - 1)
         if band.num_pixels:

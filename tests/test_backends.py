@@ -642,12 +642,12 @@ class TestSplitSpans:
         return spans, _ViewRows.build(projected, assignment)
 
     def _pieces(self, rows, budget):
-        source = _Source(0, rows, rows.counts)
+        source = _Source(0, rows, [rows.counts], rows.tables)
         out = []
         for parts, n in _band_pieces([(source, rows.band_sizes(rows.counts))], budget):
             ((part, r0, r1),) = parts  # one view: one part per piece
             assert part is source
-            piece = source.spans(r0, r1)
+            piece = rows.expand(rows.counts, r0, r1)
             assert piece.num_spans == n
             out.append((piece, r0, r1))
         return out

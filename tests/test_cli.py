@@ -135,6 +135,17 @@ class TestCommands:
         assert "cache-stats:" in out
         assert "serve speedup:" in out
         assert "hit rate" in out
+        assert "deadlines:" not in out
+
+        code = main(["serve-sim", "bonsai", "--points", "150", "--width", "48",
+                     "--height", "32", "--clients", "2", "--frames", "6",
+                     "--poses", "3", "--refresh-hz", "90"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "serve speedup:" in out
+        # The serve loop accounts the trace's 1/90 s frame deadlines.
+        assert "  deadlines: miss rate" in out
+        assert "schedule oracle" not in out
 
     def test_serve_sim_cache_disabled(self, capsys):
         code = main(["serve-sim", "bonsai", "--points", "150", "--width", "48",

@@ -518,6 +518,34 @@ class TestActiveTracerSeam:
         assert len(self_times) == len(spans)
         assert min(self_times) >= 0.0
 
+    def test_multi_model_frame_is_one_scan(self):
+        # Every level model rides one band-piece scan: one alpha-scan span
+        # over all of the frame's level views, not one per level.
+        from repro.foveation import render_multi_model
+        from repro.splat import RenderConfig
+
+        layout = EVAL_REGION_LAYOUT
+        levels = [
+            random_model(30 * (layout.num_levels - t), np.random.default_rng(t))
+            for t in range(layout.num_levels)
+        ]
+        _, cams = trace_cameras(
+            "kitchen", n_train=4, n_eval=1, width=WIDTH, height=HEIGHT
+        )
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            render_multi_model(
+                levels, layout, cams[0], gaze=(WIDTH / 3, HEIGHT / 2),
+                config=RenderConfig(backend="packed"),
+            )
+        finally:
+            set_active_tracer(prev)
+        scans = [s[6] for s in tracer.spans() if s[0] == "alpha-scan"]
+        assert len(scans) == 1
+        assert scans[0]["views"] == layout.num_levels
+        assert scans[0]["spans"] > 0
+
 
 # -- cache counter pins ------------------------------------------------------
 

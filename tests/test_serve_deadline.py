@@ -1,4 +1,4 @@
-"""Deadline scheduling, drop-or-degrade, gaze prefetch, and the schedule oracle."""
+"""Deadline scheduling, drop-or-degrade, gaze prefetch, and trace deadlines."""
 
 import asyncio
 import time
@@ -12,21 +12,14 @@ from repro.scenes import trace_cameras
 from repro.serve import (
     FrameRequest,
     GazePredictor,
-    OracleCostModel,
-    OracleRequest,
     PredictorConfig,
     ServeConfig,
     ServeLoop,
     WorkloadSpec,
-    exhaustive_schedule,
     generate_serve_trace,
-    greedy_schedule,
-    oracle_problem_from_trace,
     quantize_gaze,
     region_center,
     replay_trace,
-    schedule_gap,
-    simulate_schedule,
 )
 from repro.splat import random_model
 
@@ -434,76 +427,6 @@ class TestReplayMetrics:
             assert np.array_equal(base.result.image, pf.result.image)
             compared += 1
         assert compared > 0
-
-
-class TestScheduleOracle:
-    def test_simulate_schedule_hand_example(self):
-        cost = OracleCostModel(prepare_s=1.0, render_s=0.25, batch_s=0.05)
-        requests = [
-            OracleRequest(arrival_s=0.0, key=0, pose=0),
-            OracleRequest(arrival_s=0.0, key=0, pose=0),  # dedups onto key 0
-            OracleRequest(arrival_s=0.0, key=1, pose=0),  # same pose, new key
-        ]
-        outcome = simulate_schedule(requests, [(0, 1, 2)], cost)
-        # One batch: 0.05 + one prepare (1.0) + two renders (0.5) = 1.55.
-        assert outcome.completion_s == (1.55, 1.55, 1.55)
-        assert outcome.deadline_misses == 0
-        later = simulate_schedule(requests, [(0, 1), (2,)], cost)
-        # Key 0 rendered in batch 1; batch 2 pays only batch + render.
-        assert later.completion_s[2] == pytest.approx(1.3 + 0.05 + 0.25)
-
-    def test_exhaustive_never_worse_than_greedy(self):
-        rng = np.random.default_rng(11)
-        for trial in range(5):
-            requests = [
-                OracleRequest(
-                    arrival_s=float(rng.uniform(0, 2)),
-                    key=int(rng.integers(0, 4)),
-                    pose=int(rng.integers(0, 2)),
-                    deadline_s=float(rng.uniform(1, 5)),
-                )
-                for _ in range(6)
-            ]
-            optimal = exhaustive_schedule(requests)
-            heuristic = greedy_schedule(requests)
-            assert optimal.objective <= heuristic.objective
-
-    def test_gap_report_fields(self):
-        requests = [
-            OracleRequest(arrival_s=0.1 * i, key=i % 3, pose=i % 2, deadline_s=3.0)
-            for i in range(6)
-        ]
-        gap = schedule_gap(requests)
-        assert gap["n_requests"] == 6
-        assert gap["miss_gap"] >= 0  # the oracle is optimal on misses
-        if gap["miss_gap"] == 0:
-            # Same miss count: the oracle also minimizes latency.
-            assert gap["latency_gap"] >= 0
-
-    def test_request_cap_enforced(self):
-        requests = [
-            OracleRequest(arrival_s=0.0, key=i, pose=0) for i in range(9)
-        ]
-        with pytest.raises(ValueError, match="capped"):
-            exhaustive_schedule(requests)
-
-    def test_oracle_problem_from_trace(self, cameras):
-        trace = generate_serve_trace(
-            cameras,
-            WorkloadSpec(
-                n_clients=2, frames_per_client=6, refresh_hz=90.0, seed=2
-            ),
-        )
-        problem = oracle_problem_from_trace(trace, n_requests=6)
-        assert len(problem) == 6
-        for oracle_req, trace_req in zip(problem, trace.requests):
-            assert oracle_req.arrival_s == trace_req.time_s
-            # The trace's refresh deadline becomes an absolute deadline.
-            assert oracle_req.deadline_s == pytest.approx(
-                trace_req.time_s + 1.0 / 90.0
-            )
-        gap = schedule_gap(problem)
-        assert gap["heuristic"].deadline_misses >= gap["optimal"].deadline_misses
 
 
 class TestWorkloadDeadlines:
