@@ -6,8 +6,12 @@ Augments the standard PBNR pipeline with two stages:
   rasterizes points whose quality bound ``m ≥ t``.
 - **Blending** (after rasterization): pixels in the transition band between
   two regions are rendered at *both* adjacent levels and interpolated.
-  Only the band pixels are rendered twice (~25% of pixels in the paper);
-  the second-level pass runs on exactly those pixel columns.
+  Only the band pixels are blended (~25% of pixels in the paper), and the
+  workload statistics charge the second level for those pixels alone.
+  The ``packed`` engine renders a band tile's second level over the whole
+  tile (a render the gaze samples of one pose share) and blends its band
+  pixels; the ``reference`` oracle composites the second level on the band
+  pixels only.
 
 Thanks to subsetting, Projection / Tiling / Sorting run **once** for the
 whole frame (the level-t point set is a subset of the level-1 set, so the
@@ -116,7 +120,8 @@ def _level_tables(
 def _frame_result(
     fmodel: FoveatedModel, prepared: PreparedView, maps: RegionMaps, frame
 ) -> FRRenderResult:
-    """Assemble the public result from one backend frame."""
+    """Assemble the public result from one backend frame (whose fresh
+    image is clipped to [0, 1] in place)."""
     stats = FRRenderStats(
         sort_intersections_per_tile=frame.sort_intersections_per_tile,
         raster_intersections_per_tile=frame.raster_intersections_per_tile,
@@ -127,7 +132,7 @@ def _frame_result(
         num_points=fmodel.num_points,
     )
     return FRRenderResult(
-        image=np.clip(frame.image, 0.0, 1.0),
+        image=np.clip(frame.image, 0.0, 1.0, out=frame.image),
         stats=stats,
         maps=maps,
         level_spans=frame.level_spans,

@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from ..splat.camera import Camera
-from ..splat.tiling import TileGrid, pixel_tiles
+from ..splat.tiling import TileGrid, pixel_tiles, tile_center_pixels
 
 PAPER_REGION_BOUNDARIES_DEG = (0.0, 18.0, 27.0, 33.0)
 
@@ -83,8 +83,8 @@ class RegionMaps:
 
     Following the paper, a tile is assigned **one** quality level from its
     eccentricity (we use the tile centre); only tiles containing blend-band
-    pixels are rendered at a second level, and only those pixels are
-    composited twice (~25% of pixels at headset scale).
+    pixels are rendered at a second level, and only their band pixels blend
+    the two renders (~25% of pixels at headset scale).
     """
 
     pixel_level: np.ndarray  # (H, W) 1-based quality level of each pixel
@@ -122,34 +122,44 @@ def compute_region_maps(
     the primary.
     """
     ecc = camera.pixel_eccentricity(gaze)
-    pixel_level = np.ones(ecc.shape, dtype=np.int64)
-    weight_next = np.zeros(ecc.shape, dtype=np.float64)
-    # Which boundary's band each blend pixel belongs to (inner level k).
-    band_level = np.zeros(ecc.shape, dtype=np.int64)
+    n_levels = layout.num_levels
+    boundaries = layout.boundaries_deg[1:]
     h = layout.blend_band_deg
-    for k, boundary in enumerate(layout.boundaries_deg[1:], start=1):
-        pixel_level += ecc >= boundary
-        if h == 0:
-            continue
-        in_band = np.flatnonzero((ecc >= boundary - h) & (ecc < boundary + h))
-        w = (ecc.reshape(-1).take(in_band) - (boundary - h)) / (2.0 * h)  # 0 → 1
-        weight_next.reshape(-1)[in_band] = np.clip(w, 0.0, 1.0)
-        band_level.reshape(-1)[in_band] = k
-    needs_blend = band_level > 0
+    # Levels and bands are counted in narrow per-pixel maps (a byte for any
+    # sane layout), with each comparison's mask read as 0/1 bytes, and
+    # widened to the int64 maps once.
+    small = np.min_scalar_type(n_levels)
+    level = np.ones(ecc.shape, dtype=small)
+    # Which boundary's band each blend pixel belongs to (inner level k):
+    # k grows with the boundary, so a running maximum lets the later win.
+    band = np.zeros(ecc.shape, dtype=small)
+    mask = np.empty(ecc.shape, dtype=bool)
+    bits = mask.view(np.uint8)
+    for k, boundary in enumerate(boundaries, start=1):
+        np.greater_equal(ecc, boundary, out=mask)
+        level += bits
+        if h > 0:
+            np.greater_equal(ecc, boundary - h, out=mask)
+            mask &= ecc < boundary + h
+            np.maximum(band, bits * small.type(k), out=band)
+    pixel_level = level.astype(np.int64)
+    band_level = band.astype(np.int64)
+    needs_blend = band > 0
+    band_px = np.flatnonzero(needs_blend)
+    band_k = band_level.reshape(-1).take(band_px)
+    weight_next = np.zeros(ecc.shape, dtype=np.float64)
+    lower = np.array([0.0] + [boundary - h for boundary in boundaries])
+    w = (ecc.reshape(-1).take(band_px) - lower.take(band_k)) / (2.0 * h)  # 0 → 1
+    weight_next.reshape(-1)[band_px] = np.clip(w, 0.0, 1.0, out=w)
 
     # Tile level from the tile-centre eccentricity (one level per tile).
-    centers = grid.tile_centers()
-    cx = np.clip(centers[:, 0].astype(np.int64), 0, grid.width - 1)
-    cy = np.clip(centers[:, 1].astype(np.int64), 0, grid.height - 1)
-    tile_level = pixel_level[cy, cx]
+    tile_level = pixel_level.reshape(-1).take(tile_center_pixels(grid))
 
     # Band pixels per (tile, inner level): the dominant band is the first
     # maximum over levels 1..L (the argmax tie-break).
-    n_levels = layout.num_levels
-    band_px = np.flatnonzero(needs_blend)
     tiles = pixel_tiles(grid).reshape(-1).take(band_px)
     counts = np.bincount(
-        tiles * (n_levels + 1) + band_level.reshape(-1).take(band_px),
+        tiles * (n_levels + 1) + band_k,
         minlength=grid.num_tiles * (n_levels + 1),
     ).reshape(grid.num_tiles, n_levels + 1)[:, 1:]
     k = counts.argmax(axis=1) + 1

@@ -37,7 +37,7 @@ class FoveatedFrame:
     backends without a span representation (``reference``) leave ``None``.
     """
 
-    image: np.ndarray  # (H, W, 3), not yet clipped to [0, 1]
+    image: np.ndarray  # (H, W, 3), not yet clipped to [0, 1]; fresh, owned by the frame
     sort_intersections_per_tile: np.ndarray  # (T,) int64
     raster_intersections_per_tile: np.ndarray  # (T,) float64
     blend_pixels: int

@@ -51,6 +51,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -399,6 +400,11 @@ class _ViewRows:
             _pair_tables(projected, seg),
         )
 
+    @functools.cached_property
+    def num_spans(self) -> int:
+        """Spans of the whole view (every pair on all of its rows)."""
+        return int(self.counts.sum())
+
     def band_sizes(self, counts: np.ndarray) -> np.ndarray:
         """Per tile row, the spans of pairs expanding to ``counts`` rows."""
         ends = np.concatenate([[0], np.cumsum(counts)])
@@ -443,16 +449,43 @@ class _Source:
 # ----------------------------------------------------------------------
 
 
+# One RGB float64 pixel as a single 24-byte element: gathering or scattering
+# whole pixels moves each in one copy, where fancy indexing over (N, 3)
+# rows pays a strided sub-copy per pixel (~3x slower scattering band pixels).
+_PIXEL = np.dtype((np.void, 24))
+
+
+def _pixel_elements(image: np.ndarray) -> np.ndarray:
+    """A C-contiguous ``(..., 3)`` float64 image as ``(N,)`` pixel elements
+    (a view: writes land in ``image``)."""
+    if not image.flags.c_contiguous or image.dtype != np.float64:
+        raise ValueError("pixel elements need a C-contiguous float64 image")
+    return image.reshape(-1, 3).view(_PIXEL).reshape(-1)
+
+
+def _pixel_values(elements: np.ndarray) -> np.ndarray:
+    """Pixel elements back as ``(N, 3)`` float64 rows (a view)."""
+    return elements.view(np.float64).reshape(-1, 3)
+
+
 def _assemble(layers: np.ndarray, grid: TileGrid, tile_layer: np.ndarray) -> np.ndarray:
     """A frame whose tile ``t`` is copied from ``layers[tile_layer[t]]``.
 
     ``layers`` is ``(P, H, W, 3)``; the result is a fresh ``(H, W, 3)``.
+    Copied in *runs* of ``gcd(tile_size, W)`` pixels: a run divides every
+    tile's share of an image row, so each is one contiguous element of
+    one tile's layer (a whole tile row unless the last tile column is
+    ragged), and one gather moves them all.
     """
-    pixels = grid.height * grid.width
-    rows = tile_layer[pixel_tiles(grid)].reshape(-1) * pixels
-    rows += np.arange(pixels)
-    image = layers.reshape(-1, 3).take(rows, axis=0)
-    return image.reshape(grid.height, grid.width, 3)
+    height, width, ts = grid.height, grid.width, grid.tile_size
+    run = math.gcd(ts, width)
+    per_row = width // run
+    grid_layer = tile_layer.reshape(grid.tiles_y, grid.tiles_x)
+    layer = grid_layer[np.arange(height)[:, None] // ts, np.arange(0, width, run)[None, :] // ts]
+    index = (layer * height + np.arange(height)[:, None]) * per_row
+    index += np.arange(per_row)
+    runs = layers.reshape(-1, 3 * run).view(np.dtype((np.void, 24 * run)))
+    return runs.reshape(-1).take(index.reshape(-1)).view(np.float64).reshape(height, width, 3)
 
 
 @dataclasses.dataclass
@@ -493,21 +526,26 @@ class _BlendBand:
 
         ``image`` holds each tile's primary level; a band pixel's second
         level is read from ``layers[second_layer[tile]]`` (``layers`` is
-        ``(P, H, W, 3)`` and may hold ``image`` itself).
+        ``(P, H, W, 3)`` and may hold ``image`` itself).  A band pixel is
+        ``(1 − w)·lo + w·hi`` for its band's inner (``lo``) and outer
+        (``hi``) level renders: each render gets one per-pixel weight,
+        ``1 − w`` or ``w`` by which of the two it is, and IEEE addition
+        commutes, so summing primary then second is the same to the bit.
         """
-        # Channel-flat: every operand is a contiguous (3M,) vector (a
-        # trailing axis of 3 makes numpy's broadcast loops crawl).
-        lanes = np.arange(3)
-        channels = (self.pixels[:, None] * 3 + lanes).reshape(-1)
-        flat = image.reshape(-1)
-        prim = flat.take(channels)
-        src = second_layer[self.tiles] * (image.size // 3) + self.pixels
-        sec = layers.reshape(-1).take((src[:, None] * 3 + lanes).reshape(-1))
-        lo_is_primary = np.repeat((maps.tile_level == self.lo_t)[self.tiles], 3)
-        lo = np.where(lo_is_primary, prim, sec)
-        hi = np.where(lo_is_primary, sec, prim)
-        w = np.repeat(maps.weight_next.reshape(-1).take(self.pixels), 3)
-        flat[channels] = (1.0 - w) * lo + w * hi
+        w = maps.weight_next.reshape(-1).take(self.pixels)
+        rest = 1.0 - w
+        lo_is_primary = (maps.tile_level == self.lo_t)[self.tiles]
+        w_primary = np.where(lo_is_primary, rest, w)
+        w_second = np.where(lo_is_primary, w, rest)
+        elements = _pixel_elements(image)
+        src = second_layer[self.tiles] * elements.shape[0] + self.pixels
+        # Both gathers are fresh (M, 3) rows: ``layers`` may hold ``image``.
+        out = _pixel_values(elements.take(self.pixels))
+        out *= w_primary[:, None]
+        second = _pixel_values(_pixel_elements(layers).take(src))
+        second *= w_second[:, None]
+        out += second
+        elements.put(self.pixels, out.view(_PIXEL).reshape(-1))
 
 
 @dataclasses.dataclass
@@ -553,16 +591,33 @@ def _level_tables(
     return opacities, colors
 
 
+def _tile_bound_counts(
+    seg: PackedSegments, pair_bounds: np.ndarray, num_levels: int
+) -> np.ndarray:
+    """Per tile, its pairs whose quality bound is at least ``l``, ``(T, L + 1)``.
+
+    Column ``l`` is the pairs a render of the tile at level ``l`` keeps
+    (column 0: all of them).  Gaze-independent: one table per view serves
+    every frame's plan.
+    """
+    width = num_levels + 1
+    keys = seg.pair_tiles * width + np.clip(pair_bounds, 0, num_levels)
+    hist = np.bincount(keys, minlength=seg.grid.num_tiles * width).reshape(-1, width)
+    return np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
+
+
 def _frame_plan(
-    maps: Any, grid: TileGrid, rows: _ViewRows | None, pair_bounds: np.ndarray | None
+    maps: Any, grid: TileGrid, rows: _ViewRows | None, tile_pairs: np.ndarray | None
 ) -> _FramePlan:
     """Filtering + blend-band planning of one frame (no pixel math).
 
     Level filtering is expressed as pair selection: a tile's render at a
-    level scans only the spans of pairs passing that level's quality bound
-    (``pair_bounds``: the bound of each pair's point), so the alpha scan
-    only ever sees fragments that contribute.  ``rows`` is the view's
-    gaze-independent pair structure (``None`` without intersections).
+    level scans only the spans of pairs passing that level's quality bound,
+    so the alpha scan only ever sees fragments that contribute.  ``rows``
+    is the view's gaze-independent pair structure and ``tile_pairs`` its
+    :func:`_tile_bound_counts` table (both ``None`` without
+    intersections); the plan reads its pair counts from the table, in
+    O(T) work.
     """
     num_tiles = grid.num_tiles
     if rows is None:
@@ -573,37 +628,27 @@ def _frame_plan(
             band=None, level_tiles={}, primary=None, second=None,
         )
 
-    seg = rows.seg
+    tile_ids = np.arange(num_tiles)
     tl = maps.tile_level
     second = maps.tile_second_level
 
     # Filtering stage: points with quality bound below a level never reach
     # sorting/rasterization for that level.
     sort_level = np.where(second > 0, np.minimum(tl, second), tl)
-    sort_mask = pair_bounds >= sort_level[seg.pair_tiles]
-    sort_ints = np.bincount(seg.pair_tiles[sort_mask], minlength=num_tiles).astype(
-        np.int64
-    )
-    keep_primary = pair_bounds >= tl[seg.pair_tiles]
-    raster_ints = np.bincount(
-        seg.pair_tiles[keep_primary], minlength=num_tiles
-    ).astype(np.float64)
+    sort_ints = tile_pairs[tile_ids, sort_level]
+    raster_ints = tile_pairs[tile_ids, tl].astype(np.float64)
 
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
-    nonempty = seg.tile_last_pair >= 0
+    nonempty = rows.seg.tile_last_pair >= 0
     band = _BlendBand.select(maps, grid, nonempty)
     blend_level = np.zeros(num_tiles, dtype=np.int64)
     if band.num_pixels:
         mix_count = np.bincount(band.tiles, minlength=num_tiles)
-        sel_tiles = mix_count > 0  # implies second > 0 and non-empty
+        sel_tiles = np.flatnonzero(mix_count)  # implies second > 0 and non-empty
         # The second level's raster work counts only the band pixels.
-        msec = np.bincount(
-            seg.pair_tiles[pair_bounds >= second[seg.pair_tiles]], minlength=num_tiles
-        )
-        raster_ints[sel_tiles] += (
-            msec[sel_tiles] * mix_count[sel_tiles] / grid.tile_size**2
-        )
+        msec = tile_pairs[sel_tiles, second[sel_tiles]]
+        raster_ints[sel_tiles] += msec * mix_count[sel_tiles] / grid.tile_size**2
         blend_level[sel_tiles] = second[sel_tiles]
 
     # Level t owns the primary spans of its non-empty tiles — exactly the
@@ -615,7 +660,7 @@ def _frame_plan(
         level_tiles[t] = (tl == t) & nonempty
 
     return _FramePlan(
-        maps=maps, built=int(rows.counts.sum()), sort_ints=sort_ints,
+        maps=maps, built=rows.num_spans, sort_ints=sort_ints,
         raster_ints=raster_ints, band=band, level_tiles=level_tiles,
         primary=np.where(nonempty, tl, 0), second=blend_level,
     )
@@ -937,12 +982,13 @@ class PackedBackend:
             # in flight hold what they still need).
             for g, frames in enumerate(groups):
                 projected, assignment = views[frames[0]]
-                rows = pair_bounds = None
+                rows = pair_bounds = tile_pairs = None
                 if assignment.num_intersections:
                     rows = _ViewRows.build(projected, assignment)
                     pair_bounds = bounds[projected.point_ids[rows.seg.pair_splats]]
+                    tile_pairs = _tile_bound_counts(rows.seg, pair_bounds, n_levels)
                 for f in frames:
-                    plans[f] = _frame_plan(maps_list[f], assignment.grid, rows, pair_bounds)
+                    plans[f] = _frame_plan(maps_list[f], assignment.grid, rows, tile_pairs)
                 if rows is None:
                     continue
                 passes = _LevelPasses.build(
@@ -994,9 +1040,10 @@ class PackedBackend:
                 for f in frames:
                     plan = plans[f]
                     primary = _layer_of(levels, plan.primary)
-                    # A lone frame's primary levels are its first pass.
+                    # A lone frame's primary levels are its first pass (copied:
+                    # the frame owns its image, not a view of every layer).
                     image = (
-                        layers[g][0]
+                        layers[g][0].copy()
                         if len(frames) == 1
                         else _assemble(layers[g], seg.grid, primary)
                     )

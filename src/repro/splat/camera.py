@@ -10,8 +10,30 @@ point is the angle between the pixel's viewing ray and the gaze ray.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
+
+
+_DEGREES_PER_RADIAN = 180.0 / np.pi
+
+
+# Few entries: a process renders a handful of image sizes, and one
+# 1024×768 ray map is 18 MiB.
+@functools.lru_cache(maxsize=4)
+def _pixel_rays(width: int, height: int, fx: float, fy: float, cx: float, cy: float) -> np.ndarray:
+    """The read-only ray map of :meth:`Camera.pixel_rays`, one per intrinsics."""
+    xs = (np.arange(width) + 0.5 - cx) / fx
+    ys = (np.arange(height) + 0.5 - cy) / fy
+    norm = (xs * xs)[None, :] + (ys * ys)[:, None]
+    norm += 1.0
+    np.sqrt(norm, out=norm)
+    rays = np.empty((height, width, 3))
+    np.divide(xs[None, :], norm, out=rays[:, :, 0])
+    np.divide(ys[:, None], norm, out=rays[:, :, 1])
+    np.divide(1.0, norm, out=rays[:, :, 2])
+    rays.setflags(write=False)
+    return rays
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,17 +175,14 @@ class Camera:
         over its norm ``sqrt((xs² + ys²) + 1)`` — the summation order of
         ``np.linalg.norm`` over the stacked rays, so the result is the same
         to the bit without materializing the unnormalized rays.
+
+        The rays depend only on the intrinsics: they are memoized per
+        ``(width, height, fx, fy, cx, cy)`` in a small module-level cache
+        (not on the camera, which is pickled to serve workers), so every
+        pose and gaze of one image size shares one build.  The returned
+        array is shared and read-only.
         """
-        xs = (np.arange(self.width) + 0.5 - self.cx) / self.fx
-        ys = (np.arange(self.height) + 0.5 - self.cy) / self.fy
-        norm = (xs * xs)[None, :] + (ys * ys)[:, None]
-        norm += 1.0
-        np.sqrt(norm, out=norm)
-        rays = np.empty((self.height, self.width, 3))
-        np.divide(xs[None, :], norm, out=rays[:, :, 0])
-        np.divide(ys[:, None], norm, out=rays[:, :, 1])
-        np.divide(1.0, norm, out=rays[:, :, 2])
-        return rays
+        return _pixel_rays(self.width, self.height, self.fx, self.fy, self.cx, self.cy)
 
     def pixel_eccentricity(self, gaze: tuple[float, float] | None = None) -> np.ndarray:
         """Per-pixel eccentricity in degrees relative to a gaze point.
@@ -180,9 +199,13 @@ class Camera:
         gy = (gaze[1] - self.cy) / self.fy
         gaze_ray = np.array([gx, gy, 1.0])
         gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
-        rays = self.pixel_rays()
-        cos_angle = np.clip(rays @ gaze_ray, -1.0, 1.0)
-        return np.rad2deg(np.arccos(cos_angle))
+        # clip → arccos → degrees, in place on the fresh dot products.
+        # ``np.rad2deg`` is ``x * (180 / π)`` in a scalar loop; the same
+        # product through ``np.multiply`` is vectorized and bitwise equal.
+        ecc = self.pixel_rays() @ gaze_ray
+        np.clip(ecc, -1.0, 1.0, out=ecc)
+        np.arccos(ecc, out=ecc)
+        return np.multiply(ecc, _DEGREES_PER_RADIAN, out=ecc)
 
     def degrees_per_pixel(self) -> float:
         """Approximate visual angle subtended by one pixel at the centre."""

@@ -96,6 +96,18 @@ def pixel_tiles(grid: TileGrid) -> np.ndarray:
     return tiles
 
 
+@functools.lru_cache(maxsize=16)
+def tile_center_pixels(grid: TileGrid) -> np.ndarray:
+    """Flat index of the pixel under each tile centre, ``(T,)`` (cached per
+    grid, read-only)."""
+    centers = grid.tile_centers()
+    cx = np.clip(centers[:, 0].astype(np.int64), 0, grid.width - 1)
+    cy = np.clip(centers[:, 1].astype(np.int64), 0, grid.height - 1)
+    index = cy * grid.width + cx
+    index.setflags(write=False)
+    return index
+
+
 @dataclasses.dataclass
 class TileAssignment:
     """Flat (tile, splat) intersection pairs, grouped by tile.

@@ -1,9 +1,15 @@
 """Camera model: look-at construction, projection, visual-angle geometry."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.foveation.regions import RegionLayout, compute_region_maps
+from repro.splat import camera as camera_module
 from repro.splat.camera import Camera
+from repro.splat.tiling import TileGrid
 
 
 @pytest.fixture()
@@ -133,3 +139,62 @@ class TestSeparableRays:
         gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
         ecc = np.rad2deg(np.arccos(np.clip(rays @ gaze_ray, -1.0, 1.0)))
         assert np.array_equal(camera.pixel_eccentricity(gaze), ecc)
+
+
+class TestRayMemo:
+    """``pixel_rays`` is memoized per intrinsics, shared and read-only."""
+
+    @staticmethod
+    def _camera(width=96, height=64, fov=70.0, position=(0.0, 0.0, -4.0)):
+        return Camera.from_fov(width, height, fov, np.array(position), np.zeros(3))
+
+    @staticmethod
+    def _fresh(camera):
+        # The memoized function's own body, called past its cache.
+        return camera_module._pixel_rays.__wrapped__(
+            camera.width, camera.height, camera.fx, camera.fy, camera.cx, camera.cy
+        )
+
+    def test_cached_rays_equal_a_fresh_build(self):
+        camera = self._camera()
+        camera.pixel_rays()  # warm the memo
+        cached = camera.pixel_rays()
+        assert cached.tobytes() == self._fresh(camera).tobytes()
+        assert np.array_equal(cached, TestSeparableRays._stacked(camera))
+
+    def test_equal_intrinsics_share_one_read_only_array(self):
+        a = self._camera(position=(0.0, 0.0, -4.0))
+        b = self._camera(position=(1.0, -2.0, -6.0))
+        assert a.world_to_cam_translation.tolist() != b.world_to_cam_translation.tolist()
+        rays = a.pixel_rays()
+        assert b.pixel_rays() is rays
+        assert not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0, 0] = 1.0
+        # The memo lives beside the camera, not on it: a pickled camera (as
+        # shipped to serve workers) carries no rays.
+        assert len(pickle.dumps(a)) < rays.nbytes // 10
+
+    @pytest.mark.parametrize(
+        "other", [dict(fov=71.0), dict(width=97), dict(height=65)]
+    )
+    def test_other_intrinsics_get_their_own_rays(self, other):
+        base = self._camera()
+        changed = self._camera(**other)
+        rays = changed.pixel_rays()
+        assert rays is not base.pixel_rays()
+        assert rays.shape == (changed.height, changed.width, 3)
+        assert rays.tobytes() == self._fresh(changed).tobytes()
+
+    def test_region_maps_shared_across_poses(self):
+        layout = RegionLayout((0.0, 8.0, 14.0, 20.0), blend_band_deg=1.5)
+        a = self._camera(position=(0.0, 0.0, -4.0))
+        b = self._camera(position=(2.0, 1.0, -5.0))
+        grid = TileGrid(width=a.width, height=a.height, tile_size=16)
+        camera_module._pixel_rays.cache_clear()
+        for gaze in (None, (70.0, 20.0), (-96.0, -64.0)):
+            fresh = compute_region_maps(a, grid, layout, gaze)
+            shared = compute_region_maps(b, grid, layout, gaze)  # reads a's rays
+            for field in dataclasses.fields(fresh):
+                x, y = getattr(fresh, field.name), getattr(shared, field.name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name

@@ -10,19 +10,25 @@ counter (level filtering compacts spans before the scan) is pinned here
 too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.foveation import (
     render_foveated,
     render_foveated_batch,
+    render_multi_model,
     uniform_foveated_model,
 )
+from repro.foveation.regions import RegionLayout, compute_region_maps
 from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
 from repro.obs import Tracer, set_active_tracer
 from repro.scenes import gaze_trajectory
 from repro.splat import Camera, RenderConfig, ViewCache, prepare_view
+from repro.splat.backends import packed
 from repro.splat.backends.segments import build_row_spans, build_segments
+from repro.splat.tiling import TileGrid
 
 TOL = 1e-10
 ALL_BACKENDS = ("packed", "reference")
@@ -76,8 +82,10 @@ def assert_frames_equal(ref, got, atol=None):
     assert ref.stats.blend_pixels == got.stats.blend_pixels
 
 
-def _blend_tiles(maps, assignment):
-    """``(T,)`` mask of the non-empty tiles holding a pixel the frame blends."""
+def _band_pixel_counts(maps, assignment):
+    """``(T,)`` pixels the frame blends in each tile, from first principles:
+    band pixels of the tile's inner level, in non-empty tiles with a
+    second level."""
     grid = assignment.grid
     ts = grid.tile_size
     tile_map = (
@@ -92,7 +100,12 @@ def _blend_tiles(maps, assignment):
         & maps.needs_blend
         & ((second > 0) & nonempty)[tile_map]
     )
-    return np.bincount(tile_map[band], minlength=grid.num_tiles) > 0
+    return np.bincount(tile_map[band], minlength=grid.num_tiles)
+
+
+def _blend_tiles(maps, assignment):
+    """``(T,)`` mask of the non-empty tiles holding a pixel the frame blends."""
+    return _band_pixel_counts(maps, assignment) > 0
 
 
 def _blend_spans_kept(fmodel, camera, maps):
@@ -412,3 +425,158 @@ class TestLevelSpans:
         )
         assert result.level_spans is None
 
+
+
+def _plan_stats_by_bincount(fmodel, camera, maps):
+    """A frame's per-tile (sort, raster) pair counts and blend pixels from
+    the per-frame ``bincount`` formulas over all of the view's pairs."""
+    projected, assignment = prepare_view(fmodel.base, camera)
+    grid = assignment.grid
+    num_tiles = grid.num_tiles
+    pair_tiles = assignment.pair_tiles
+    bounds = fmodel.quality_bounds[projected.point_ids[assignment.pair_splats]]
+    tl, second = maps.tile_level, maps.tile_second_level
+    sort_level = np.where(second > 0, np.minimum(tl, second), tl)
+    sort_ints = np.bincount(
+        pair_tiles[bounds >= sort_level[pair_tiles]], minlength=num_tiles
+    ).astype(np.int64)
+    raster_ints = np.bincount(
+        pair_tiles[bounds >= tl[pair_tiles]], minlength=num_tiles
+    ).astype(np.float64)
+    mix_count = _band_pixel_counts(maps, assignment)
+    sel = mix_count > 0
+    msec = np.bincount(pair_tiles[bounds >= second[pair_tiles]], minlength=num_tiles)
+    raster_ints[sel] += msec[sel] * mix_count[sel] / grid.tile_size**2
+    return sort_ints, raster_ints, int(mix_count.sum())
+
+
+class TestPlanTable:
+    """Each frame's plan reads its pair counts from one per-view table of
+    the pairs of each tile whose quality bound reaches ``l``; the counts
+    are exactly the per-frame ``bincount`` formulas'."""
+
+    GAZES = [None, (76.8, 44.8), (-96.0, -64.0)]  # centre, mid, off-screen
+
+    def test_table_counts_pairs_per_tile_and_bound(self, fmodel, train_cameras):
+        projected, assignment = prepare_view(fmodel.base, train_cameras[0])
+        seg = build_segments(assignment)
+        bounds = fmodel.quality_bounds[projected.point_ids[seg.pair_splats]]
+        table = packed._tile_bound_counts(seg, bounds, fmodel.num_levels)
+        assert table.shape == (assignment.grid.num_tiles, fmodel.num_levels + 1)
+        for level in range(fmodel.num_levels + 1):
+            want = np.bincount(
+                seg.pair_tiles[bounds >= level], minlength=assignment.grid.num_tiles
+            )
+            assert np.array_equal(table[:, level], want)
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["full-view", "empty-tiles"])
+    @pytest.mark.parametrize("model", ["fmodel", "fmodel_empty_l4"])
+    def test_plan_stats_match_bincount_formulas(
+        self, request, model, tilted, train_cameras
+    ):
+        fm = request.getfixturevalue(model)
+        camera = train_cameras[0]
+        if tilted:
+            # Tilted off the scene: the top tile rows hold no pairs.
+            forward = -camera.position / np.linalg.norm(camera.position)
+            camera = Camera.from_fov(
+                camera.width, camera.height, camera.fov_x_deg, camera.position,
+                camera.position + forward + np.array([0.0, -0.5, 0.0]),
+            )
+        _, assignment = prepare_view(fm.base, camera)
+        empty = np.diff(assignment.tile_offsets) == 0
+        assert empty.any() == tilted and not empty.all()
+        frames = render_foveated_batch(
+            fm, camera, gazes=self.GAZES, config=RenderConfig(backend="packed")
+        )
+        blended = 0
+        for got in frames:
+            sort_ints, raster_ints, blend_pixels = _plan_stats_by_bincount(
+                fm, camera, got.maps
+            )
+            stats = got.stats
+            assert stats.sort_intersections_per_tile.dtype == np.int64
+            assert np.array_equal(stats.sort_intersections_per_tile, sort_ints)
+            assert stats.raster_intersections_per_tile.tobytes() == raster_ints.tobytes()
+            assert stats.blend_pixels == blend_pixels
+            blended += blend_pixels
+        assert blended > 0
+
+    def test_view_without_pairs_plans_zeros(self, fmodel, away_camera):
+        (got,) = render_foveated_batch(
+            fmodel, away_camera, gazes=[None], config=RenderConfig(backend="packed")
+        )
+        assert not got.stats.sort_intersections_per_tile.any()
+        assert not got.stats.raster_intersections_per_tile.any()
+        assert got.stats.blend_pixels == 0
+
+
+def _reference_blend(self, maps, image, layers, second_layer):
+    """``(1 − w)·lo + w·hi`` over the band pixels, channel by channel."""
+    rows = image.reshape(-1, 3)
+    primary = rows[self.pixels]
+    second = layers.reshape(-1, 3)[second_layer[self.tiles] * rows.shape[0] + self.pixels]
+    lo_is_primary = (maps.tile_level == self.lo_t)[self.tiles][:, None]
+    lo = np.where(lo_is_primary, primary, second)
+    hi = np.where(lo_is_primary, second, primary)
+    w = maps.weight_next.reshape(-1)[self.pixels][:, None]
+    rows[self.pixels] = (1.0 - w) * lo + w * hi
+
+
+class TestBlendWeights:
+    """The blend weighs the primary and the second render with one weight
+    each, ``(1 − w, w)`` or ``(w, 1 − w)``: bitwise ``(1 − w)·lo + w·hi``."""
+
+    def test_random_band_pixels_both_branches(self, train_cameras):
+        rng = np.random.default_rng(5)
+        camera = train_cameras[0]
+        layout = RegionLayout((0.0, 6.0, 12.0, 18.0), blend_band_deg=1.5)
+        grid = TileGrid(width=camera.width, height=camera.height, tile_size=16)
+        branches = set()
+        for gaze in [None, (76.8, 44.8), (10.0, 60.0), (-20.0, 30.0)]:
+            maps = compute_region_maps(camera, grid, layout, gaze)
+            # Random weights, exact 0 and 1 among them.
+            weight = rng.uniform(0.0, 1.0, maps.weight_next.shape)
+            weight.reshape(-1)[::7] = 0.0
+            weight.reshape(-1)[3::7] = 1.0
+            maps = dataclasses.replace(maps, weight_next=weight)
+            tile_ok = rng.random(grid.num_tiles) < 0.8
+            for band in (
+                packed._BlendBand.select(maps, grid),  # multi-model selection
+                packed._BlendBand.select(maps, grid, tile_ok),  # foveated
+            ):
+                assert band.num_pixels
+                branches |= set((maps.tile_level == band.lo_t)[band.tiles].tolist())
+                layers = rng.uniform(-0.5, 1.5, (3, grid.height, grid.width, 3))
+                primary = rng.integers(0, 3, grid.num_tiles)
+                second = rng.integers(0, 3, grid.num_tiles)
+                image = packed._assemble(layers, grid, primary)
+                want = image.copy()
+                band.blend(maps, image, layers, second)
+                _reference_blend(band, maps, want, layers, second)
+                assert image.tobytes() == want.tobytes()
+        assert branches == {True, False}
+
+    def test_frames_equal_the_reference_formula(
+        self, fmodel, train_cameras, monkeypatch
+    ):
+        camera = train_cameras[0]
+        gazes = [None, (76.8, 44.8), (30.0, 50.0)]
+        config = RenderConfig(backend="packed")
+        levels = [fmodel.level_model(t) for t in range(1, fmodel.num_levels + 1)]
+
+        def frames():
+            return (
+                [r.image for r in render_foveated_batch(fmodel, camera, gazes, config)]
+                + [render_foveated(fmodel, camera, gazes[1], config).image]
+                + [
+                    render_multi_model(levels, fmodel.layout, camera, g, config).image
+                    for g in gazes
+                ]
+            )
+
+        got = frames()
+        monkeypatch.setattr(packed._BlendBand, "blend", _reference_blend)
+        want = frames()
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()

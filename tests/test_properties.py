@@ -628,7 +628,8 @@ class TestBandPieceProperties:
             levels = range(1, fmodel.num_levels + 1)
             rows = packed._ViewRows.build(projected, assignment)
             pair_bounds = fmodel.quality_bounds[projected.point_ids[rows.seg.pair_splats]]
-            plan = packed._frame_plan(maps, assignment.grid, rows, pair_bounds)
+            tile_pairs = packed._tile_bound_counts(rows.seg, pair_bounds, fmodel.num_levels)
+            plan = packed._frame_plan(maps, assignment.grid, rows, tile_pairs)
             passes = packed._LevelPasses.build(
                 rows, [plan], pair_bounds,
                 np.stack([fmodel.level_opacities(t) for t in levels]),
