@@ -128,8 +128,8 @@ def replay_rows(serve_env, scale):
     _, serve_report_2 = replay_trace(fmodel, trace, serve_config=serve_config)
 
     # Report-only: exact_frames=False rides each pose group on one
-    # concatenated span scan (frames still bit-identical: the scan restarts
-    # at every frame).
+    # concatenated span scan (frames still bit-identical: each pixel row
+    # scans only its own spans).
     fast_config = ServeConfig(batch_budget=BATCH_BUDGET, exact_frames=False)
     replay_trace(fmodel, trace, serve_config=fast_config)  # warm-up
     t0 = time.perf_counter()

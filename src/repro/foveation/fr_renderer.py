@@ -28,8 +28,8 @@ benchmarks) render through :func:`render_foveated_batch`, which shares each
 pose's view-preparation prefix across its gaze samples and hands whole
 batches of frames to the backend's ``foveated_frame_batch``; a lone
 :func:`render_foveated` frame is a batch of one through the same call.
-The ``packed`` engine's scans restart at every tile, so a tile's pixels at
-level ``t`` depend only on the pose, the tile and ``t``: the gaze samples
+The ``packed`` engine's scans are local to each pixel row of a tile, so a
+tile's pixels at level ``t`` depend only on the pose, the tile and ``t``: the gaze samples
 of one pose in one call share each (tile, level) render, and the gaze only
 picks each tile's levels and the band pixels' blend weights.
 """
@@ -241,7 +241,8 @@ def render_foveated_batch(
 
     Guarantees: every frame is **bit-identical** to its lone
     :func:`render_foveated`, whatever the batch size, chunking or span
-    budget (the transmittance scan restarts at every tile), and so
+    budget (each pixel row's transmittance scan sees only its own
+    spans), and so
     matches the per-frame ``reference`` oracle within 1e-10
     (``tests/test_foveated_batch.py``, ``tests/test_properties.py``).
     """

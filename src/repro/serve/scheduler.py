@@ -41,10 +41,10 @@ requests (``prefetch_useful`` counts the hits prefetching created).
 
 Guarantees: a cache-miss response is **bit-identical** to a per-request
 :func:`repro.foveation.render_foveated` call at the request's own camera
-and gaze in both ``exact_frames`` modes — the transmittance scan restarts
-at every tile, so a tile's render does not depend on the frames it is
-shared with, and batch-of-one dispatch and one shared render per pose
-group give the same bits; a hit returns a frame previously
+and gaze in both ``exact_frames`` modes — every pixel row's
+transmittance scan sees only its own spans, so a tile's render does not
+depend on the frames it is shared with, and batch-of-one dispatch and
+one shared render per pose group give the same bits; a hit returns a frame previously
 rendered for the same (model, pose, gaze region, config) key — never
 across model mutations, backends, or poses.  A prefetch never defines a
 client miss's gaze: client requests claim key leadership before
@@ -229,8 +229,8 @@ class ServeConfig:
     renders the whole pose group in one call, which renders each
     (tile, level) pair its gazes need once — highest throughput.  Both
     modes serve frames **bit-identical** to a per-request
-    ``render_foveated``: the transmittance scan restarts at every tile, so
-    batch composition never moves a bit.
+    ``render_foveated``: every pixel row's transmittance scan sees only
+    its own spans, so batch composition never moves a bit.
 
     ``workers`` picks the executor behind the loop's one dispatch seam:
     ``0`` (default) renders inline, ``N > 0`` starts a

@@ -26,11 +26,7 @@ import os
 from typing import Callable
 
 from .base import FoveatedFrame, RasterBackend
-from .kernels import (
-    Workspace,
-    segment_transmittance_exclusive,
-    segmented_cumsum_exclusive,
-)
+from .kernels import Workspace
 from .packed import PackedBackend, render_threads, set_render_threads, span_chunk_budget
 from .reference import ReferenceBackend
 from .segments import (
@@ -138,8 +134,6 @@ __all__ = [
     "describe_backends",
     "get_backend",
     "resolve_backend_name",
-    "segment_transmittance_exclusive",
-    "segmented_cumsum_exclusive",
     "render_threads",
     "set_default_backend",
     "set_render_threads",

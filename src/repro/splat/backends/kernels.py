@@ -8,10 +8,10 @@ ndarrays.
 The contract (see also ``backends/README.md``):
 
 - **Host-side structure, pooled math.**  Span/group index construction
-  (``build_row_spans``, ``concat_spans``) and the per-pair gather tables
-  are built by :mod:`repro.splat.backends.segments`; :class:`BatchTables`
-  bundles one chunk's span rows with them, and the kernels run the
-  rate-matched scans over that bundle.
+  (``build_row_spans``, ``concat_spans``, ``LengthClasses``) and the
+  per-pair gather tables are built by :mod:`repro.splat.backends.segments`;
+  :class:`BatchTables` bundles one chunk's span rows, in class order, with
+  them, and the kernels run the scans over that bundle.
 - **One kernel family, pooled scratch.**  The standard, batched,
   foveated, multi-model and backward passes all run on the ``batch_*``
   kernels below.  Their scratch lives in a :class:`Workspace`: named slots
@@ -19,11 +19,17 @@ The contract (see also ``backends/README.md``):
   them with ``out=``, so steady-state rendering touches only warm pages.
   Gathers into a slot pass ``mode="clip"``: under the default
   ``mode="raise"`` numpy buffers ``out`` and the slot buys nothing.
+- **Scans are per length class.**  A chunk's groups are ordered stably by
+  length (:class:`~repro.splat.backends.segments.LengthClasses`), so the
+  transmittance and the backward suffix sums are one axis-wise
+  ``accumulate`` per class on its ``(ts, n, L)`` block.  Each group's scan
+  starts at an exact value and sees no other group: the transmittance is
+  the sequential product ``np.cumprod`` forms, bitwise the reference's.
 - **Segment reductions are** ``ufunc.reduceat``.  Sums, maxima and minima
-  over CSR-style segments of the last axis run as
+  over the groups of the last axis run as
   ``np.add/maximum/minimum.reduceat(values, index.starts, axis=-1)`` on
-  the :class:`SegmentIndex` itself; everything else is elementwise,
-  ``cumsum``, gathers and fancy-index assignment.
+  the class-order :class:`SegmentIndex`; everything else is elementwise,
+  gathers and fancy-index assignment.
 
 The kernels are pinned to the ``reference`` backend within 1e-10 by
 ``tests/test_backends.py`` (via ``packed``).
@@ -40,7 +46,7 @@ import numpy as np
 
 from ..projection import ALPHA_EPS
 from ..rasterizer import ALPHA_CLAMP, TRANSMITTANCE_EPS, RasterGradients
-from .segments import SegmentIndex, SpanBatch
+from .segments import LengthClasses, SegmentIndex, SpanBatch
 
 
 # ---------------------------------------------------------------------------
@@ -89,139 +95,6 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Segmented scans
-#
-# The one exclusive scan behind the transmittance of every pass and the
-# backward suffix sums.  Given a workspace it writes into named slots, so a
-# steady-state render allocates nothing here.
-# ---------------------------------------------------------------------------
-
-
-def segmented_cumsum_exclusive(
-    values: np.ndarray,
-    index: SegmentIndex,
-    consume: bool = False,
-    ws: Workspace | None = None,
-    slot: str = "scan",
-    group_offsets: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment exclusive cumulative sum of ``values`` along the last axis.
-
-    Returns ``(exclusive_cumsum, segment_totals)``.  One ``cumsum`` per
-    view, re-centred at every segment boundary: the running total is reset
-    by subtracting the previous segment's (exactly re-computed) total, so
-    intermediate magnitudes — and with them the floating-point drift a naive
-    global scan accumulates across thousands of segments — stay bounded by a
-    single segment's range.
-
-    **View restarts.**  ``group_offsets`` (sorted, e.g.
-    :attr:`SpanBatch.tile_offsets`, which restarts at every tile) splits
-    the segments into views.  The re-centring leaves a last-bit rounding
-    residue that carries into the next segment, so a scan run across a
-    view boundary would make a view's result depend on the views before
-    it.  Instead each view's first segment skips the re-centring
-    subtraction and each view's columns get their own ``cumsum`` on a
-    slice of the same buffer: every view scans exactly as it would alone,
-    so a tile's result is bitwise the same whatever else shares the scan
-    and however the batch was chunked.  ``None`` is one view.  Views may be
-    empty (repeated offsets, also at either end).
-
-    Length-0 segments are allowed (they own no items and report a zero
-    total), as is an entirely empty index/value pair.
-
-    ``consume=True`` lets the scan scribble over ``values``.  With ``ws``
-    the outputs (and the copy of ``values`` unless ``consume``) live in the
-    workspace slots named after ``slot``; they stay valid until the next
-    scan with the same ``slot`` on the same thread.
-    """
-    totals_shape = values.shape[:-1] + (index.num_segments,)
-    if values.shape[-1] == 0 or index.num_segments == 0:
-        return np.zeros(values.shape, dtype=values.dtype), np.zeros(totals_shape)
-    empty = index.lens == 0
-    if empty.any():
-        # Segment-sum primitives misread duplicated starts; scan the
-        # non-empty segments (which still cover every item) and widen the
-        # totals.  View offsets are renumbered onto the kept segments.
-        sub_lens = index.lens[~empty]
-        sub = SegmentIndex(
-            starts=index.starts[~empty],
-            lens=sub_lens,
-            of_item=np.repeat(np.arange(sub_lens.shape[0], dtype=np.int64), sub_lens),
-        )
-        if group_offsets is not None:
-            kept_before = np.concatenate([[0], np.cumsum(~empty)])
-            group_offsets = kept_before[np.asarray(group_offsets)]
-        excl, sub_totals = segmented_cumsum_exclusive(
-            values, sub, consume=consume, ws=ws, slot=slot,
-            group_offsets=group_offsets,
-        )
-        totals = np.zeros(totals_shape)
-        totals[..., ~empty] = sub_totals
-        return excl, totals
-
-    def buffer(name, shape, dtype):
-        if ws is None:
-            return np.empty(shape, dtype=dtype)
-        return ws.take(f"{slot}.{name}", shape, dtype)
-
-    dtype = values.dtype
-    totals = np.add.reduceat(
-        values, index.starts, axis=-1, out=buffer("totals", totals_shape, dtype)
-    )
-    adj = values
-    if not consume:
-        adj = buffer("adj", values.shape, dtype)
-        adj[...] = values
-    # Re-centre at every segment start but each view's first, then scan
-    # each view's columns on their own.
-    views = np.asarray(
-        [0, index.num_segments] if group_offsets is None else group_offsets,
-        dtype=np.int64,
-    )
-    recentre = np.ones(index.num_segments, dtype=bool)
-    recentre[views[views < index.num_segments]] = False
-    (at,) = np.nonzero(recentre)
-    adj[..., index.starts[at]] -= totals[..., at - 1]
-    cols = np.unique(np.append(index.starts, values.shape[-1])[views]).tolist()
-    accumulate = np.add.accumulate  # ``cumsum`` without its per-call wrapper
-    for lo, hi in zip(cols[:-1], cols[1:]):
-        view = adj[..., lo:hi]
-        accumulate(view, axis=-1, out=view)
-    excl = buffer("excl", adj.shape, dtype)
-    excl[..., 0] = 0.0
-    excl[..., 1:] = adj[..., :-1]
-    # The shifted scan leaks the previous segment's (re-centred) running
-    # total into each segment's first slot; an exclusive scan starts at zero.
-    excl[..., index.starts] = 0.0
-    return excl, totals
-
-
-def segment_transmittance_exclusive(
-    alphas: np.ndarray,
-    index: SegmentIndex,
-    ws: Workspace | None = None,
-    group_offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Front-to-back exclusive transmittance ``T_i = Π_{j<i} (1 − α_j)``.
-
-    Computed per segment (along the last axis) in log space; alphas are
-    clamped below 1, so the logs are finite (``log1p(0) = 0`` keeps zero
-    alphas out of the scan), and every segment starts at an exact 1.0.
-    ``group_offsets`` restarts the scan at every view boundary (see
-    :func:`segmented_cumsum_exclusive`).
-    """
-    logt = None if ws is None else ws.take("logt", alphas.shape)
-    log_one_minus = np.negative(alphas, out=logt)
-    np.log1p(log_one_minus, out=log_one_minus)
-    log_excl, _ = segmented_cumsum_exclusive(
-        log_one_minus, index, consume=True, ws=ws, slot="trans",
-        group_offsets=group_offsets,
-    )
-    np.minimum(log_excl, 0.0, out=log_excl)
-    return np.exp(log_excl, out=log_excl)
-
-
-# ---------------------------------------------------------------------------
 # Span kernels
 #
 # Every pass of the packed engine runs on these: the standard and batched
@@ -232,20 +105,36 @@ def segment_transmittance_exclusive(
 # ---------------------------------------------------------------------------
 
 
+# The per-pair tables a chunk's kernels gather from (see BatchTables.build).
+_PAIR_COLUMNS = (
+    "means_x", "means_y", "conic_a", "conic_b", "conic_c",
+    "opacities", "colors", "origin_x", "depths",
+)
+
+
 @dataclasses.dataclass
 class BatchTables:
     """Span rows and per-pair gather tables of one chunk.
 
-    ``span_pair`` indexes the pair tables, which concatenate every view of
-    the chunk, so one flat gather serves spans from any frame.
+    The span rows are in class order (``classes``): groups stably by
+    length, spans moving with their group.  ``span_pair`` indexes the pair
+    tables, which concatenate every view of the chunk, so one flat gather
+    serves spans from any frame.  The pair tables are contiguous columns:
+    ``np.take`` from a strided column of a ``(K, 2)``/``(K, 3)`` table
+    first copies the whole column, O(pairs) per gather.
     """
 
     tile_size: int
     num_spans: int
-    span_pair: np.ndarray  # (R,) int64 rows into the pair tables
-    span_y: np.ndarray  # (R,) float64 pixel rows (exact integers)
-    means: np.ndarray  # (K, 2)
-    conics: np.ndarray  # (K, 3)
+    classes: LengthClasses
+    span_pair: np.ndarray  # (R,) int64 rows into the pair tables, class order
+    span_y: np.ndarray  # (R,) float64 pixel rows (exact integers), class order
+    group_has_tile_last: np.ndarray  # (Q,) class order
+    means_x: np.ndarray  # (K,)
+    means_y: np.ndarray  # (K,)
+    conic_a: np.ndarray  # (K,)
+    conic_b: np.ndarray  # (K,)
+    conic_c: np.ndarray  # (K,)
     opacities: np.ndarray  # (K,)
     colors: np.ndarray  # (K, 3)
     origin_x: np.ndarray  # (K,)
@@ -253,23 +142,22 @@ class BatchTables:
 
     @staticmethod
     def build(batch: SpanBatch, pairs: Mapping[str, np.ndarray]) -> "BatchTables":
-        """Bundle a batch's span rows with its pair tables.
+        """Bundle a batch's span rows, in class order, with its pair tables.
 
-        ``pairs`` holds the tables by name (``means``, ``conics``,
-        ``opacities``, ``colors``, ``origin_x``, ``depths``); other entries
-        are ignored.
+        ``pairs`` holds the tables by name (``means_x``, ``means_y``,
+        ``conic_a``, ``conic_b``, ``conic_c``, ``opacities``, ``colors``,
+        ``origin_x``, ``depths``); other entries are ignored.
         """
+        classes = LengthClasses.of(batch.groups)
+        order = classes.span_order
         return BatchTables(
             tile_size=batch.views[0].seg.grid.tile_size,
             num_spans=batch.num_spans,
-            span_pair=batch.span_pair,
-            span_y=np.asarray(batch.span_y, dtype=np.float64),
-            means=pairs["means"],
-            conics=pairs["conics"],
-            opacities=pairs["opacities"],
-            colors=pairs["colors"],
-            origin_x=pairs["origin_x"],
-            depths=pairs["depths"],
+            classes=classes,
+            span_pair=batch.span_pair.take(order),
+            span_y=batch.span_y.take(order).astype(np.float64),
+            group_has_tile_last=batch.group_has_tile_last.take(classes.group_order),
+            **{name: pairs[name] for name in _PAIR_COLUMNS},
         )
 
 
@@ -288,26 +176,26 @@ def batch_span_quad(ws: Workspace, bt: BatchTables) -> np.ndarray:
 
     gather = ws.take("span_gather", (r,))
     dx = ws.take("dx", (ts, r))
-    np.take(bt.origin_x, sp, axis=0, out=gather, mode="clip")
+    np.take(bt.origin_x, sp, out=gather, mode="clip")
     np.add(lane_x[:, None], gather[None, :], out=dx)
-    np.take(bt.means[:, 0], sp, axis=0, out=gather, mode="clip")
+    np.take(bt.means_x, sp, out=gather, mode="clip")
     dx -= gather[None, :]
 
     dy = ws.take("dy", (r,))
     np.add(bt.span_y, 0.5, out=dy)
-    np.take(bt.means[:, 1], sp, axis=0, out=gather, mode="clip")
+    np.take(bt.means_y, sp, out=gather, mode="clip")
     dy -= gather
 
     quad = ws.take("quad", (ts, r))
-    np.take(bt.conics[:, 1], sp, axis=0, out=gather, mode="clip")
+    np.take(bt.conic_b, sp, out=gather, mode="clip")
     gather *= 2.0
     np.multiply(gather[None, :], dx, out=quad)
     quad *= dy[None, :]
     dx *= dx
-    np.take(bt.conics[:, 0], sp, axis=0, out=gather, mode="clip")
+    np.take(bt.conic_a, sp, out=gather, mode="clip")
     dx *= gather[None, :]
     quad += dx
-    np.take(bt.conics[:, 2], sp, axis=0, out=gather, mode="clip")
+    np.take(bt.conic_c, sp, out=gather, mode="clip")
     dy *= dy
     gather *= dy
     quad += gather[None, :]
@@ -353,31 +241,50 @@ def batch_span_alphas(ws: Workspace, bt: BatchTables, quad: np.ndarray) -> np.nd
 def batch_transmittance(
     ws: Workspace,
     alphas: np.ndarray,
-    groups: SegmentIndex,
+    classes: LengthClasses,
     group_has_tile_last: np.ndarray,
-    group_offsets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transmittance scan: ``(trans (ts, R), final (ts, Q))``.
+    """Transmittance scan: ``(trans (ts, R), final (ts, Q))``, class order.
+
+    ``T_i = Π_{j<i} (1 − α_j)`` per group, one ``multiply.accumulate`` per
+    length class: every group starts at an exact 1.0 and multiplies in
+    depth order, the sequential product the reference's ``np.cumprod``
+    forms, so ``T`` and everything gated on it are bitwise the reference's
+    (a span the strip bound or a level filter dropped has zero alpha, and
+    multiplying by ``1 − 0`` is exact).
 
     ``final`` replicates the reference early-termination rule exactly: the
     reference evaluates ``active`` at the *tile's* last splat, which for a
     pixel whose trailing splats carry no span is the group's final
     transmittance itself rather than the transmittance before the last
-    contribution.  ``group_has_tile_last`` (``(Q,)``) marks groups
-    whose last span is the tile's last pair.  ``group_offsets``
-    (sorted group indices, e.g. :attr:`SpanBatch.tile_offsets`) restarts the
-    scan at every entry, so each tile's transmittance is bitwise what it
-    would be alone.
+    contribution.  ``group_has_tile_last`` (``(Q,)``, class order) marks
+    groups whose last span is the tile's last pair.
     """
-    trans = segment_transmittance_exclusive(
-        alphas, groups, ws=ws, group_offsets=group_offsets
-    )
-    last = groups.last
+    one_minus = np.subtract(1.0, alphas, out=ws.take("one_minus", alphas.shape))
+    trans = ws.take("trans", alphas.shape)
+    trans[:, classes.groups.starts] = 1.0
+    accumulate = np.multiply.accumulate  # ``cumprod`` without its per-call wrapper
+    for t, om in classes.views(trans, one_minus):
+        accumulate(om[..., :-1], axis=-1, out=t[..., 1:])
+    last = classes.groups.last
     trans_last = trans[:, last]
-    tau = trans_last * (1.0 - alphas[:, last])
+    tau = trans_last * one_minus[:, last]
     gate = np.where(group_has_tile_last[None, :], trans_last, tau)
     final = np.where(gate >= TRANSMITTANCE_EPS, tau, 0.0)
     return trans, final
+
+
+def suffix_sums(ws: Workspace, values: np.ndarray, classes: LengthClasses) -> np.ndarray:
+    """Per-group exclusive suffix sums ``S_i = Σ_{j>i} v_j`` (class order).
+
+    One ``add.accumulate`` per length class, back to front; the last span
+    of every group sums nothing, an exact 0.0.
+    """
+    out = ws.take("suffix", values.shape)
+    out[..., classes.groups.last] = 0.0
+    for s, v in classes.views(out, values):
+        np.add.accumulate(v[..., :0:-1], axis=-1, out=s[..., -2::-1])
+    return out
 
 
 def batch_weights(
@@ -395,10 +302,17 @@ def batch_weights(
     return np.multiply(weights, active, out=weights)
 
 
+# One RGB float64 colour as a single 24-byte element: a gather moves each
+# in one copy instead of a strided sub-copy per row.
+_RGB = np.dtype((np.void, 24))
+
+
 def batch_span_colors(ws: Workspace, bt: BatchTables) -> np.ndarray:
     """Per-span colours ``(R, 3)`` gathered from the pair table."""
     span_colors = ws.take("span_colors", (bt.num_spans, 3))
-    return np.take(bt.colors, bt.span_pair, axis=0, out=span_colors, mode="clip")
+    colors = np.ascontiguousarray(bt.colors).view(_RGB).reshape(-1)
+    np.take(colors, bt.span_pair, out=span_colors.view(_RGB).reshape(-1), mode="clip")
+    return span_colors
 
 
 def batch_per_pixel_permutation(
@@ -409,8 +323,8 @@ def batch_per_pixel_permutation(
     Matches the reference backend exactly (including ties): a stable sort by
     per-pixel depth followed by a stable sort by group id keeps groups
     contiguous while ordering each lane by depth with original-order
-    tie-breaking.  Group ids increase across views, so each view of a batch
-    gets exactly the ordering it would get alone.
+    tie-breaking.  A group's ordering depends only on its own spans, so
+    each view of a batch gets exactly the ordering it would get alone.
     """
     base = bt.depths[bt.span_pair]
     depths = base[None, :] * (1.0 + 0.01 * quad)
@@ -428,7 +342,7 @@ def batch_composite(
     background: np.ndarray,
     perm: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-group composited colours, ``(Q, ts, 3)``.
+    """Per-group composited colours, ``(Q, ts, 3)``, in ``groups`` order.
 
     The per-channel reduction ``Σ w_i c_i`` over every pixel-row group plus
     the final-transmittance background term; ``span_colors`` is the
@@ -492,9 +406,7 @@ def batch_dominated_winners(
 def backward_grads(
     ws: Workspace,
     bt: BatchTables,
-    groups: SegmentIndex,
-    group_has_tile_last: np.ndarray,
-    span_pids: np.ndarray,
+    pids: np.ndarray,
     grad_image: np.ndarray,
     background: np.ndarray,
     num_points: int,
@@ -503,18 +415,21 @@ def backward_grads(
 ) -> RasterGradients:
     """Analytic backward over one view's spans (see ``rasterize_backward``).
 
-    ``span_pids`` is the model point id of every span; ``lane_index``
-    / ``lane_ok`` are the ``(Q, ts)`` flat-image index and on-image
-    mask of every group lane.
+    ``pids`` is the model point id of every pair; ``lane_index`` /
+    ``lane_ok`` are the ``(Q, ts)`` flat-image index and on-image mask of
+    every group lane, in batch order.
     """
+    groups = bt.classes.groups
+    order = bt.classes.group_order
     quad = batch_span_quad(ws, bt)
     alphas = batch_span_alphas(ws, bt, quad)
-    trans, final = batch_transmittance(ws, alphas, groups, group_has_tile_last)
+    trans, final = batch_transmittance(ws, alphas, bt.classes, bt.group_has_tile_last)
     weights = batch_weights(ws, trans, alphas, keep_trans=True)
 
     # dL/dimage per group lane (zero on off-image lanes), lanes-first.
+    lane_ok = lane_ok[order]
     g_group = np.zeros((groups.num_segments, bt.tile_size, 3))
-    g_group[lane_ok] = grad_image.reshape(-1, 3)[lane_index[lane_ok]]
+    g_group[lane_ok] = grad_image.reshape(-1, 3)[lane_index[order][lane_ok]]
     g_lanes = np.ascontiguousarray(g_group.transpose(1, 0, 2))  # (ts, Q, 3)
 
     span_colors = batch_span_colors(ws, bt)  # (R, 3)
@@ -527,11 +442,9 @@ def backward_grads(
         span_grad_color[:, c] = (weights * g_c).sum(axis=0)
 
     # Suffix sums S_i = Σ_{j>i} contrib_j + T_N (g·bg), per pixel.
-    contrib = weights * gc
-    excl, totals = segmented_cumsum_exclusive(contrib, groups, ws=ws, slot="suffix")
+    suffix_after = suffix_sums(ws, weights * gc, bt.classes)
     bg_term = g_lanes @ background  # (ts, Q)
     np.multiply(final, bg_term, out=bg_term)
-    suffix_after = np.take(totals, of_item, axis=1, mode="clip") - (excl + contrib)
     suffix_after += np.take(bg_term, of_item, axis=1, mode="clip")
 
     grad_alpha = trans * gc
@@ -544,6 +457,7 @@ def backward_grads(
     grad_color = np.zeros((num_points, 3))
     grad_opacity = np.zeros(num_points)
     grad_log_scale = np.zeros(num_points)
+    span_pids = pids[bt.span_pair]
     np.add.at(grad_color, span_pids, span_grad_color)
     np.add.at(grad_opacity, span_pids, (grad_alpha * exp_term).sum(axis=0))
     np.add.at(grad_log_scale, span_pids, (grad_alpha * alphas * quad).sum(axis=0))
@@ -558,8 +472,8 @@ def batch_scan_bytes_per_span(tile_size: int = 16) -> int:
     The residency unit behind ``span_chunk_budget`` and the tuner's cost
     model (:mod:`repro.tune.model`): a batched forward keeps about five
     ``(tile_size, R)`` float64 lane matrices live across one pass over the
-    spans (``quad``, ``alphas``, the log-transmittance scan buffer, its
-    exclusive shift, and the compositing scratch), two bool lane matrices
+    spans (``quad``, ``alphas``, ``1 − α``, the transmittance scan, and
+    the compositing scratch), two bool lane matrices
     (the intersect-test ``keep`` and the early-termination ``active``
     gates), plus O(1)-per-span scalars (span→pair index, pixel row, the
     gathered colour row and group bookkeeping).  At the default 16-px

@@ -23,8 +23,10 @@ the backend's thread-local
 :class:`~repro.splat.backends.kernels.Workspace`, so repeated renders
 touch only warm pages.
 
-The scans restart at every tile, so a tile's pixels depend only on its
-own spans.  The unit of piece work is the tile-row *band*: a call's bands
+Every scan is group-local: a piece's ``(tile, row)`` groups are ordered
+by length and scanned one length class at a time, each group from an
+exact start, so a tile's pixels depend only on its own spans.  The unit
+of piece work is the tile-row *band*: a call's bands
 are packed into pieces of at most :func:`span_chunk_budget` spans, and the
 pieces run on a process-wide thread pool (:func:`render_pool`).  A frame
 is bitwise the same however it was batched, whatever the span budget and
@@ -34,13 +36,11 @@ on any number of threads; the foveated frames of one view share each
 Work scales with the rasterized splat area rather than
 ``intersections × tile area`` (the reference loop's cost), which is where
 the speedup comes from; results match ``reference`` to within 1e-10.  The
-alpha values and their intersect-test thresholding are bit-identical; the
-transmittance comes from a log-space segmented scan and agrees with the
-reference cumprod only to the last ulp, so the early-termination gates
-(``trans >= TRANSMITTANCE_EPS``) could in principle flip on a pixel whose
-transmittance lands within an ulp of the threshold — astronomically rare,
-but if an equivalence test ever fails by ~1e-4 on an unrelated change,
-look here first.
+alpha values and their intersect-test thresholding, the transmittance (the
+same sequential product as the reference ``cumprod``), the blend weights,
+the early-termination gates and the final transmittance are all
+bit-identical; only the colour sums differ in the last bits (per-group
+``reduceat`` sums against the reference's matrix product).
 
 All span matrices are laid out lanes-first, ``(tile_size, R)``, so the
 segmented scans and reductions run along the contiguous axis.
@@ -81,7 +81,6 @@ from .segments import (
     LayeredSpans,
     PackedSegments,
     RowSpans,
-    SpanBatch,
     build_row_spans,
     build_segments,
     concat_spans,
@@ -205,9 +204,15 @@ def _pair_tables(projected: ProjectedGaussians, seg: PackedSegments) -> dict[str
     piece's span rows.
     """
     sel = seg.pair_splats
+    # Contiguous columns: the span kernels gather each per span.
+    means = projected.means2d[sel].T.copy()
+    conics = projected.conics[sel].T.copy()
     return {
-        "means": projected.means2d[sel],
-        "conics": projected.conics[sel],
+        "means_x": means[0],
+        "means_y": means[1],
+        "conic_a": conics[0],
+        "conic_b": conics[1],
+        "conic_c": conics[2],
         "opacities": projected.opacities[sel],
         "colors": projected.colors[sel],
         "pids": projected.point_ids[sel],
@@ -227,9 +232,9 @@ def _concat_tables(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]
 # Band pieces and the render pool
 #
 # The unit of piece work is the *band*: every (tile, row) group of one tile
-# row of one view.  The scans restart at every tile (``SpanBatch.
-# tile_offsets``), so a batch may be cut on any tile boundary, and so on
-# any band boundary, without moving a bit.  ``_band_pieces`` packs a
+# row of one view.  The scans are group-local (``LengthClasses``), so a
+# batch may be cut on any group boundary, and so on any band boundary,
+# without moving a bit.  ``_band_pieces`` packs a
 # stream of bands into pieces of at most ``span_chunk_budget()`` spans (a
 # band over the budget is its own piece); each piece runs its whole kernel
 # chain on one thread of a process-wide pool (or, for a small call, on the
@@ -434,8 +439,8 @@ class _Source:
 # Foveated span-stage decomposition
 #
 # The foveated frame is composed from the same span kernels as the
-# standard forward.  Scans restart at every tile, so a tile's pixels at
-# quality level t depend only on the pose, the tile and t: the gaze only
+# standard forward.  Scans are group-local, so a tile's pixels at quality
+# level t depend only on the pose, the tile and t: the gaze only
 # chooses each tile's levels and the band pixels' blend weights.  A call
 # therefore renders every (tile, level) its frames of one view need once:
 # a host-side, pair-level plan per frame (workload statistics, the blend
@@ -816,9 +821,10 @@ class PackedBackend:
             results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
 
         with backend_span("composite", args={"views": len(views)}):
+            pixels = [_pixel_elements(image) for image in images]
             for scattered, winners in results:
                 for v, _, idx, values in scattered:
-                    images[v].reshape(-1, 3)[idx] = values
+                    pixels[v][idx] = values
                 for v, counts in winners:
                     dominated[v] += counts
         return list(zip(images, dominated))
@@ -836,7 +842,8 @@ class PackedBackend:
         per-pair span counts, and all passes ride one transmittance scan and
         one compositing reduction over the sources' stacked pair tables.
         Returns ``(scattered, pass_spans, winners)``: per non-empty pass,
-        ``(source, pass, flat pixel indices, colours)``; per pass,
+        ``(source, pass, flat pixel indices, colours as pixel elements)``
+        (:func:`_pixel_elements`); per pass,
         ``(source, pass, spans)``; and — given ``num_points`` — per pass
         ``(source, per-point Val_i winner counts)``.  All are fresh arrays,
         never workspace views.
@@ -852,28 +859,35 @@ class PackedBackend:
         batch = concat_spans(passes)
         pairs = _concat_tables([src.tables for src, _, _ in parts])
         bt = BatchTables.build(batch, pairs)
-        weights, final, perm = self._scan(bt, batch, per_pixel_sort)
+        classes = bt.classes
+        weights, final, perm = self._scan(bt, per_pixel_sort)
         pixels = batch_composite(
-            ws, weights, final, batch_span_colors(ws, bt), batch.groups,
+            ws, weights, final, batch_span_colors(ws, bt), classes.groups,
             background, perm,
         )
+        # Group g's lanes are rows group_rank[g]·ts + lane of the class-order
+        # pixel elements.
+        ts = bt.tile_size
+        lanes = np.arange(ts, dtype=np.int64)
+        elements = _pixel_elements(pixels)
         scattered = []
         for v, (spans, (i, k)) in enumerate(zip(passes, targets)):
             if spans.num_spans:
                 idx, ok = _group_pixel_index(spans)
-                scattered.append((i, k, idx[ok], pixels[batch.view_groups(v)][ok]))
+                at = classes.group_rank[batch.view_groups(v), None] * ts + lanes
+                scattered.append((i, k, idx[ok], elements.take(at[ok])))
         winners_out = []
         if num_points is not None:
             lane_ok = np.concatenate(
                 [s.seg.geometry.lane_valid[s.group_tile] for s in passes]
-            )  # (Q, ts)
+            )[classes.group_order]  # (Q, ts)
             winners, has_any = batch_dominated_winners(
-                ws, weights, batch.groups, lane_ok, perm
+                ws, weights, classes.groups, lane_ok, perm
             )
             for v, (i, _) in enumerate(targets):
-                gsl = batch.view_groups(v)
-                sel = has_any[:, gsl]
-                winner_pairs = batch.span_pair[winners[:, gsl][sel]]
+                cols = classes.group_rank[batch.view_groups(v)]
+                sel = has_any[:, cols]
+                winner_pairs = bt.span_pair[winners[:, cols][sel]]
                 winners_out.append(
                     (i, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
                 )
@@ -881,19 +895,19 @@ class PackedBackend:
         return scattered, pass_spans, winners_out
 
     def _scan(
-        self, bt: BatchTables, batch: SpanBatch, per_pixel_sort: bool
+        self, bt: BatchTables, per_pixel_sort: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Alphas and transmittance of one piece: ``(weights, final, perm)``."""
+        """Alphas and transmittance of one piece: ``(weights, final, perm)``,
+        in class order."""
         ws = self._ws
         quad = batch_span_quad(ws, bt)
         alphas = batch_span_alphas(ws, bt, quad)
         perm = None
         if per_pixel_sort:
-            perm = batch_per_pixel_permutation(bt, quad, batch.groups)
+            perm = batch_per_pixel_permutation(bt, quad, bt.classes.groups)
             alphas = np.take_along_axis(alphas, perm, axis=-1)
         trans, final = batch_transmittance(
-            ws, alphas, batch.groups, batch.group_has_tile_last,
-            batch.tile_offsets,
+            ws, alphas, bt.classes, bt.group_has_tile_last
         )
         return batch_weights(ws, trans, alphas), final, perm
 
@@ -916,15 +930,12 @@ class PackedBackend:
         spans = build_row_spans(projected, build_segments(assignment))
         if spans.num_spans == 0:
             return result
-        # One piece on the calling thread: the suffix sums span the frame.
-        batch = concat_spans([spans])
+        # One piece on the calling thread: the gradients sum over the frame.
         pairs = _pair_tables(projected, spans.seg)
         lane_index, lane_ok = _group_pixel_index(spans)
         return backward_grads(
-            self._ws, BatchTables.build(batch, pairs),
-            batch.groups, batch.group_has_tile_last,
-            pairs["pids"][batch.span_pair], grad_image, background,
-            num_points, lane_index, lane_ok,
+            self._ws, BatchTables.build(concat_spans([spans]), pairs),
+            pairs["pids"], grad_image, background, num_points, lane_index, lane_ok,
         )
 
     def foveated_frame_batch(
@@ -939,8 +950,8 @@ class PackedBackend:
         """Render several foveated frames in band-piece scans.
 
         Frames of one view (one tile assignment object: the gaze samples of
-        one pose) share every tile render.  The scans restart at every
-        tile, so a tile's pixels at level ``t`` depend only on the view,
+        one pose) share every tile render.  The scans are group-local, so
+        a tile's pixels at level ``t`` depend only on the view,
         the tile and ``t``: each (tile, level) pair the view's frames need
         — every non-empty tile at its primary level, every tile holding
         band pixels at its second level — is rendered once, in the view's
@@ -1020,7 +1031,7 @@ class PackedBackend:
                     pass_parts[g] = [[] for _ in layout[1]]
             for scattered, pass_spans in results:
                 for g, k, idx, values in scattered:
-                    layers[g][k].reshape(-1, 3)[idx] = values
+                    _pixel_elements(layers[g][k])[idx] = values
                 for g, k, spans in pass_spans:
                     pass_parts[g][k].append(spans)
 

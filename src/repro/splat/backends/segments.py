@@ -257,15 +257,14 @@ class SpanBatch:
     Pair rows of view ``v`` are shifted by ``pair_offsets[v]`` so the batch
     owns one flat pair-index space; the per-view structures stay available
     for the scatter back into each view's frame.  Group segments remain
-    non-empty and contiguous (empty views simply contribute no rows), so the
-    segmented-scan machinery above applies to the whole batch unchanged —
-    one alpha-eval / compositing / stats pass covers every frame.
+    non-empty and contiguous (empty views simply contribute no rows), so one
+    alpha-eval / compositing / stats pass covers every frame.
 
-    The scans restart at every ``tile_offsets`` entry — the first group of
-    every tile of every view — so a tile's result depends only on its own
-    spans, never on what else shares the batch: any cut of a batch on tile
-    boundaries scans bitwise like the uncut batch, and a tile rendered at
-    one quality level is bitwise the same in every frame that needs it.
+    Every scan over the batch is group-local (see :class:`LengthClasses`):
+    a group's result depends only on its own spans, never on what else
+    shares the batch, so any cut of a batch scans bitwise like the uncut
+    batch, and a tile rendered at one quality level is bitwise the same in
+    every frame that needs it.
     """
 
     views: list[RowSpans]
@@ -276,7 +275,6 @@ class SpanBatch:
     span_offsets: np.ndarray  # (V + 1,) span range of each view
     group_offsets: np.ndarray  # (V + 1,) group range of each view
     pair_offsets: np.ndarray  # (V + 1,) pair range of each view
-    tile_offsets: np.ndarray  # first group of every (view, tile), then Q
 
     @property
     def num_spans(self) -> int:
@@ -289,6 +287,63 @@ class SpanBatch:
     def view_groups(self, v: int) -> slice:
         """Group range of view ``v`` in the concatenated arrays."""
         return slice(int(self.group_offsets[v]), int(self.group_offsets[v + 1]))
+
+
+@dataclasses.dataclass(frozen=True)
+class LengthClasses:
+    """A batch's groups reordered stably by length, spans moving with them.
+
+    The groups of one length sit side by side as a *class*, each group
+    still contiguous and in depth order, so the columns of a class of
+    ``n`` groups of length ``L`` view as an ``(..., n, L)`` block and every
+    per-group scan is one axis-wise ``accumulate`` per class: it starts
+    at an exact value in every group, with no restarts and no carry
+    between groups.  ``groups`` indexes the reordered spans; the
+    permutations map between the class order and the batch order.
+    """
+
+    groups: SegmentIndex  # the groups in class order
+    group_order: np.ndarray  # (Q,) batch group at each class position
+    group_rank: np.ndarray  # (Q,) class position of each batch group
+    span_order: np.ndarray  # (R,) batch span at each class column
+    blocks: tuple[tuple[int, int, int], ...]  # (first column, groups, length), length >= 2
+
+    @staticmethod
+    def of(groups: SegmentIndex) -> "LengthClasses":
+        """The class layout of non-empty ``groups``."""
+        lens = groups.lens
+        order = np.argsort(lens, kind="stable")
+        ordered = SegmentIndex.from_lengths(lens[order])
+        shift = groups.starts[order] - ordered.starts
+        span_order = np.repeat(shift, ordered.lens)
+        span_order += np.arange(span_order.shape[0], dtype=np.int64)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0], dtype=order.dtype)
+        first = np.flatnonzero(np.diff(ordered.lens, prepend=-1))
+        counts = np.diff(first, append=order.shape[0])
+        blocks = tuple(
+            (c0, n, length)
+            for c0, n, length in zip(
+                ordered.starts[first].tolist(), counts.tolist(),
+                ordered.lens[first].tolist(),
+            )
+            if length > 1
+        )
+        return LengthClasses(
+            groups=ordered, group_order=order, group_rank=rank,
+            span_order=span_order, blocks=blocks,
+        )
+
+    def views(self, *matrices: np.ndarray):
+        """Per class of length >= 2, each matrix's ``(..., n, L)`` block view.
+
+        The matrices hold one column per span in class order (last axis);
+        writes into a block land in its matrix.
+        """
+        lead = matrices[0].shape[:-1]
+        for c0, n, length in self.blocks:
+            cols, shape = slice(c0, c0 + n * length), (*lead, n, length)
+            yield [m[..., cols].reshape(shape) for m in matrices]
 
 
 def join_row_spans(seg: PackedSegments, parts: list[RowSpans]) -> RowSpans:
@@ -318,8 +373,7 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
 
     Views may have different grids (mixed frame sizes) but must share a tile
     size, so every span owns the same ``tile_size``-wide lane vector and the
-    whole batch composites in a single ``(tile_size, R)`` scan, restarted
-    at every tile (:attr:`SpanBatch.tile_offsets`).
+    whole batch composites in a single ``(tile_size, R)`` scan.
     """
     if not spans_list:
         raise ValueError("need at least one view to batch")
@@ -333,12 +387,6 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
     np.cumsum([s.seg.num_pairs for s in spans_list], out=pair_offsets[1:])
     np.cumsum([s.num_spans for s in spans_list], out=span_offsets[1:])
     np.cumsum([s.num_groups for s in spans_list], out=group_offsets[1:])
-    # A scan restarts wherever the tile changes within a view.
-    tile_starts = [
-        off + 1 + np.flatnonzero(np.diff(s.group_tile))
-        for s, off in zip(spans_list, group_offsets[:-1])
-    ]
-    tile_offsets = np.unique(np.concatenate([group_offsets, *tile_starts]))
 
     return SpanBatch(
         views=list(spans_list),
@@ -355,7 +403,6 @@ def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:
         span_offsets=span_offsets,
         group_offsets=group_offsets,
         pair_offsets=pair_offsets,
-        tile_offsets=tile_offsets,
     )
 
 

@@ -30,22 +30,21 @@ from repro.splat.gaussians import (
     random_model,
     sigmoid,
 )
-from repro.splat.backends import (
-    segment_transmittance_exclusive,
-    segmented_cumsum_exclusive,
-)
 from repro.splat.backends.kernels import (
     BatchTables,
     Workspace,
     batch_composite,
+    batch_per_pixel_permutation,
     batch_span_alphas,
     batch_span_quad,
     batch_transmittance,
     batch_weights,
+    suffix_sums,
 )
 from repro.splat.backends import packed, segments
 from repro.splat.backends.packed import SPAN_BUDGET_ENV
 from repro.splat.backends.segments import (
+    LengthClasses,
     RowSpans,
     SegmentIndex,
     build_row_spans,
@@ -55,7 +54,7 @@ from repro.splat.backends.segments import (
     pair_row_ranges,
 )
 from repro.splat.camera import Camera
-from repro.splat.rasterizer import composite
+from repro.splat.rasterizer import TRANSMITTANCE_EPS, _transmittance_weights, composite
 from repro.splat.renderer import RenderConfig, prepare_view, render, render_batch
 from repro.splat.sh import sh_basis
 from repro.splat.tiling import (
@@ -169,17 +168,27 @@ class TestSpanSubsetProperties:
         keep_pair[emptied[seg.pair_tiles]] = False
         mask = keep_pair[spans.span_pair]
 
-        def composite(alphas, colors, spans):
+        def scan(alphas, colors, spans):
+            """Weights and final transmittance (batch order), and pixels."""
+            classes = LengthClasses.of(spans.groups)
+            alphas = alphas[:, classes.span_order]
             trans, final = batch_transmittance(
-                ws, alphas, spans.groups, spans.group_has_tile_last
+                ws, alphas, classes, spans.group_has_tile_last[classes.group_order]
             )
             weights = batch_weights(ws, trans, alphas)
-            # Copy out of the workspace: the next composite reuses the slot.
-            return batch_composite(
-                ws, weights, final, colors, spans.groups, background
-            ).copy()
+            pixels = batch_composite(
+                ws, weights, final, colors[classes.span_order], classes.groups,
+                background,
+            )
+            # Out of the workspace (the next scan reuses the slots), back in
+            # batch order.
+            return (
+                weights[:, np.argsort(classes.span_order)],
+                final[:, classes.group_rank],
+                pixels[classes.group_rank],
+            )
 
-        full = composite(alphas * mask[None, :], pair_colors[spans.span_pair], spans)
+        full = scan(alphas * mask[None, :], pair_colors[spans.span_pair], spans)
 
         sub = expand_row_spans(seg, y_lo, np.where(keep_pair, counts, 0))
         kept_groups = np.add.reduceat(mask.astype(np.int64), spans.groups.starts) > 0
@@ -198,10 +207,17 @@ class TestSpanSubsetProperties:
             assert not sub.group_has_tile_last.any()
 
         if sub.num_spans:
-            got = composite(alphas[:, mask], pair_colors[sub.span_pair], sub)
-            assert np.abs(got - full[kept_groups]).max() <= 1e-12
+            weights, final, pixels = scan(
+                alphas[:, mask], pair_colors[sub.span_pair], sub
+            )
+            # A dropped span multiplies the transmittance by exactly 1.0.
+            assert np.array_equal(weights, full[0][:, mask])
+            assert np.array_equal(final, full[1][:, kept_groups])
+            # The colour sums are pairwise (blocks of 8): a dropped zero
+            # term moves which partial sum the later terms join.
+            assert np.abs(pixels - full[2][kept_groups]).max() <= 1e-15
         # Groups with no surviving span composite to pure background.
-        dropped = full[~kept_groups]
+        dropped = full[2][~kept_groups]
         assert np.abs(dropped - background).max(initial=0.0) <= 1e-12
 
 
@@ -212,19 +228,14 @@ def _live_span_keys(projected, seg, spans) -> np.ndarray:
     scans (model and level opacities are sigmoids) stays below.
     """
     ws = Workspace()
-    sel = seg.pair_splats
-    pairs = {
-        "means": projected.means2d[sel],
-        "conics": projected.conics[sel],
-        "opacities": np.ones(seg.num_pairs),
-        "colors": projected.colors[sel],
-        "origin_x": seg.geometry.origin_x[seg.pair_tiles],
-        "depths": projected.depths[sel],
-    }
+    pairs = dict(
+        packed._pair_tables(projected, seg), opacities=np.ones(seg.num_pairs)
+    )
     bt = BatchTables.build(concat_spans([spans]), pairs)
     alphas = batch_span_alphas(ws, bt, batch_span_quad(ws, bt))
-    on_image = seg.geometry.lane_valid[spans.span_tile].T  # (ts, R)
-    live = ((alphas > 0.0) & on_image).any(axis=0)
+    span_order = bt.classes.span_order
+    on_image = seg.geometry.lane_valid[spans.span_tile[span_order]].T  # (ts, R)
+    live = span_order[((alphas > 0.0) & on_image).any(axis=0)]
     return spans.span_pair[live] * seg.grid.height + spans.span_y[live]
 
 
@@ -467,7 +478,7 @@ span_budgets = st.one_of(st.integers(1, 4096), st.integers(4096, 10**7))
 class TestBatchInvarianceProperties:
     """Batching never moves a bit: every frame equals its lone render.
 
-    The transmittance scan restarts at every frame of a batch, so how
+    Each pixel row's transmittance scan sees only its own spans, so how
     frames are partitioned into calls, chunked by ``batch_size`` and cut
     by the span budget must not change any frame.
     """
@@ -836,21 +847,16 @@ class TestTileGridProperties:
 
 
 @functools.lru_cache(maxsize=1)
-def _band_cut_views():
-    """Pair rows of three differently sized views of one small scene:
-    ``(seg, y_lo, counts, first pair of each tile row)``."""
+def _multi_view_batch():
+    """Row spans of three differently sized views of one small scene, in
+    one batch."""
     scene, _, _, views = _batch_invariance_inputs()
     small = trace_cameras("kitchen", n_train=1, n_eval=1, width=70, height=52)[1]
-    out = []
+    spans = []
     for camera in (views[0], small[0], views[1]):
         projected, assignment = prepare_view(scene, camera)
-        seg = build_segments(assignment)
-        grid = seg.grid
-        row_pairs = np.searchsorted(
-            seg.pair_tiles, np.arange(grid.tiles_y + 1) * grid.tiles_x
-        )
-        out.append((seg, *pair_row_ranges(projected, seg), row_pairs))
-    return out
+        spans.append(build_row_spans(projected, build_segments(assignment)))
+    return concat_spans(spans)
 
 
 # Segment length vectors: empty batches, empty segments, and singletons all
@@ -858,19 +864,26 @@ def _band_cut_views():
 segment_lens = hnp.arrays(
     np.int64, st.integers(0, 12), elements=st.integers(0, 6)
 )
+# Span groups are never empty.
+group_lens = hnp.arrays(np.int64, st.integers(0, 12), elements=st.integers(1, 6))
 
 
-def _naive_exclusive_cumsum(values, lens):
-    """Per-segment exclusive scan + totals via an explicit Python loop."""
-    excl = np.zeros_like(values)
-    totals = np.zeros(values.shape[:-1] + (lens.shape[0],))
-    start = 0
-    for s, n in enumerate(lens):
-        seg = values[..., start : start + n]
-        excl[..., start : start + n] = np.cumsum(seg, axis=-1) - seg
-        totals[..., s] = seg.sum(axis=-1)
-        start += n
-    return excl, totals
+def _group_columns(index: SegmentIndex, groups: np.ndarray) -> np.ndarray:
+    """The item columns of ``groups`` (in that order), concatenated."""
+    lens = index.lens[groups]
+    out = np.repeat(index.starts[groups] - (np.cumsum(lens) - lens), lens)
+    return out + np.arange(out.shape[0])
+
+
+def _class_scan(alphas, groups, has_last):
+    """:func:`batch_transmittance` on batch-order inputs, results in batch
+    order: ``(trans, final)``."""
+    classes = LengthClasses.of(groups)
+    trans, final = batch_transmittance(
+        Workspace(), alphas[:, classes.span_order], classes,
+        has_last[classes.group_order],
+    )
+    return trans[:, np.argsort(classes.span_order)], final[:, classes.group_rank]
 
 
 class TestSegmentIndexProperties:
@@ -890,170 +903,192 @@ class TestSegmentIndexProperties:
             np.bincount(index.of_item, minlength=lens.shape[0]), lens
         )
 
-    @given(lens=segment_lens, seed=st.integers(0, 2**16))
+    @given(lens=group_lens)
+    @settings(max_examples=60, deadline=None)
+    def test_length_class_layout(self, lens):
+        """Groups move stably by length; each keeps its spans in order."""
+        index = SegmentIndex.from_lengths(lens)
+        classes = LengthClasses.of(index)
+        order = classes.group_order
+        assert np.array_equal(order, np.argsort(lens, kind="stable"))
+        assert np.array_equal(classes.group_rank[order], np.arange(lens.shape[0]))
+        assert np.array_equal(classes.groups.lens, lens[order])
+        assert np.array_equal(classes.span_order, _group_columns(index, order))
+        # The blocks are the classes of length >= 2, side by side.
+        for c0, n, length in classes.blocks:
+            at = np.searchsorted(classes.groups.starts, c0)
+            assert np.all(classes.groups.lens[at : at + n] == length)
+        assert sum(n * length for _, n, length in classes.blocks) == int(
+            lens[lens > 1].sum()
+        )
+
+    @given(lens=group_lens, seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
     def test_cumsum_matches_naive(self, lens, seed):
+        """The class suffix sums are each group's sequential back-to-front
+        sums, bit for bit."""
         rng = np.random.default_rng(seed)
+        classes = LengthClasses.of(SegmentIndex.from_lengths(lens))
         values = rng.normal(size=int(lens.sum()))
-        index = SegmentIndex.from_lengths(lens)
-        excl, totals = segmented_cumsum_exclusive(values, index)
-        naive_excl, naive_totals = _naive_exclusive_cumsum(values, lens)
-        assert np.allclose(excl, naive_excl, atol=1e-12)
-        assert np.allclose(totals, naive_totals, atol=1e-12)
-        # Empty segments own no items and report an exact zero total.
-        assert np.all(totals[lens == 0] == 0.0)
+        got = suffix_sums(Workspace(), values, classes)
+        for start, n in zip(classes.groups.starts, classes.groups.lens):
+            seg = values[start : start + n]
+            naive = np.append(np.cumsum(seg[:0:-1])[::-1], 0.0)
+            assert np.array_equal(got[start : start + n], naive)
 
-    @given(lens=segment_lens, seed=st.integers(0, 2**16))
+    @given(lens=group_lens, seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_cumsum_2d_lanes(self, lens, seed):
-        """The scan runs along the last axis of a lanes-first matrix."""
+        """The suffix sums run along the last axis of a lanes-first matrix."""
         rng = np.random.default_rng(seed)
+        classes = LengthClasses.of(SegmentIndex.from_lengths(lens))
         values = rng.normal(size=(3, int(lens.sum())))
-        index = SegmentIndex.from_lengths(lens)
-        excl, totals = segmented_cumsum_exclusive(values, index)
-        naive_excl, naive_totals = _naive_exclusive_cumsum(values, lens)
-        assert np.allclose(excl, naive_excl, atol=1e-12)
-        assert np.allclose(totals, naive_totals, atol=1e-12)
+        got = suffix_sums(Workspace(), values, classes)
+        for lane in range(3):
+            alone = suffix_sums(Workspace(), values[lane].copy(), classes)
+            assert np.array_equal(got[lane], alone)
 
-    @given(lens=segment_lens, seed=st.integers(0, 2**16))
+    @given(lens=group_lens, seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
     def test_transmittance_matches_naive_cumprod(self, lens, seed):
+        """The class scan is each group's ``np.cumprod``, bit for bit."""
         rng = np.random.default_rng(seed)
-        alphas = rng.uniform(0.0, 0.999, size=int(lens.sum()))
-        index = SegmentIndex.from_lengths(lens)
-        trans = segment_transmittance_exclusive(alphas.copy(), index)
-        start = 0
-        for n in lens:
-            seg = alphas[start : start + n]
-            naive = np.concatenate([[1.0], np.cumprod(1.0 - seg)[:-1]])
-            assert np.allclose(trans[start : start + n], naive, atol=1e-12)
-            start += n
-        # Every segment starts at an exact 1.0 and never exceeds it.
-        if index.starts.size and alphas.size:
-            nonzero = index.lens > 0
-            assert np.all(trans[index.starts[nonzero]] == 1.0)
-        assert np.all((trans >= 0.0) & (trans <= 1.0))
-
-    @given(
-        lens=segment_lens,
-        cuts=st.lists(st.integers(0, 12), max_size=4),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_view_restart_matches_lone_scans(self, lens, cuts, seed):
-        """With view offsets, every view's scan is bitwise its lone scan.
-
-        Offsets may repeat (empty views, also at either end) and views may
-        hold empty segments or no items at all.
-        """
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=(2, int(lens.sum())))
-        num_segments = lens.shape[0]
-        offsets = np.array(
-            [0, *sorted(min(c, num_segments) for c in cuts), num_segments]
+        alphas = rng.uniform(0.0, 0.999, size=(2, int(lens.sum())))
+        alphas[rng.random(alphas.shape) < 0.2] = 0.0
+        classes = LengthClasses.of(SegmentIndex.from_lengths(lens))
+        trans, _ = batch_transmittance(
+            Workspace(), alphas, classes, np.zeros(lens.shape[0], dtype=bool)
         )
-        excl, totals = segmented_cumsum_exclusive(
-            values, SegmentIndex.from_lengths(lens), group_offsets=offsets
-        )
-        item_at = np.concatenate([[0], np.cumsum(lens)])
-        for g0, g1 in zip(offsets[:-1], offsets[1:]):
-            c0, c1 = item_at[g0], item_at[g1]
-            lone_excl, lone_totals = segmented_cumsum_exclusive(
-                values[:, c0:c1].copy(), SegmentIndex.from_lengths(lens[g0:g1])
-            )
-            assert np.array_equal(excl[:, c0:c1], lone_excl)
-            assert np.array_equal(totals[:, g0:g1], lone_totals)
+        for start, n in zip(classes.groups.starts, classes.groups.lens):
+            seg = alphas[:, start : start + n]
+            naive = np.hstack([np.ones((2, 1)), np.cumprod(1.0 - seg, axis=1)[:, :-1]])
+            assert np.array_equal(trans[:, start : start + n], naive)
 
-    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @given(data=st.data(), seed=st.integers(0, 2**16), shuffle=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_band_aligned_cut_matches_uncut_batch(self, data, seed):
-        """Any cut of a multi-view batch on band boundaries scans bitwise
-        like the uncut batch: the scan restarts at every band."""
-        views = _band_cut_views()
-        batch = concat_spans(
-            [expand_row_spans(seg, y_lo, counts) for seg, y_lo, counts, _ in views]
-        )
+    def test_group_partition_scans_like_uncut_batch(self, data, seed, shuffle):
+        """Any partition of a multi-view batch at group boundaries, its
+        groups in any order, scans bitwise like the uncut batch: a group's
+        scan sees no other group."""
+        batch = _multi_view_batch()
+        groups, q = batch.groups, batch.num_groups
         rng = np.random.default_rng(seed)
         alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
-        trans, final = batch_transmittance(
-            Workspace(), alphas.copy(), batch.groups,
-            batch.group_has_tile_last, batch.tile_offsets,
-        )
-        trans, final = trans.copy(), final.copy()
-        bands = [
-            (v, r) for v, (seg, *_) in enumerate(views) for r in range(seg.grid.tiles_y)
-        ]
-        cuts = data.draw(st.sets(st.integers(1, len(bands) - 1)))
-        bounds = [0, *sorted(cuts), len(bands)]
-        s0 = g0 = 0
-        for b0, b1 in zip(bounds[:-1], bounds[1:]):
-            slices = []
-            for v, (seg, y_lo, counts, row_pairs) in enumerate(views):
-                rows = [r for w, r in bands[b0:b1] if w == v]
-                if rows:
-                    p0, p1 = row_pairs[rows[0]], row_pairs[rows[-1] + 1]
-                    slices.append(expand_row_spans(seg, y_lo, counts, p0, p1))
-            piece = concat_spans(slices)
-            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
-            got_trans, got_final = batch_transmittance(
-                Workspace(), alphas[:, s0:s1].copy(), piece.groups,
-                piece.group_has_tile_last, piece.tile_offsets,
+        alphas[rng.random(alphas.shape) < 0.2] = 0.0
+        trans, final = _class_scan(alphas, groups, batch.group_has_tile_last)
+        order = rng.permutation(q) if shuffle else np.arange(q)
+        cuts = data.draw(st.sets(st.integers(1, q - 1), max_size=12))
+        for part in np.split(order, sorted(cuts)):
+            cols = _group_columns(groups, part)
+            got_trans, got_final = _class_scan(
+                alphas[:, cols], SegmentIndex.from_lengths(groups.lens[part]),
+                batch.group_has_tile_last[part],
             )
-            assert np.array_equal(got_trans, trans[:, s0:s1])
-            assert np.array_equal(got_final, final[:, g0:g1])
-            s0, g0 = s1, g1
-        assert (s0, g0) == (batch.num_spans, batch.num_groups)
-
-    @given(data=st.data(), seed=st.integers(0, 2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_tile_aligned_cut_matches_uncut_batch(self, data, seed):
-        """Any cut of a multi-view batch on tile boundaries scans bitwise
-        like the uncut batch: the scan restarts at every tile."""
-        views = [expand_row_spans(seg, y_lo, counts) for seg, y_lo, counts, _ in _band_cut_views()]
-        batch = concat_spans(views)
-        rng = np.random.default_rng(seed)
-        alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
-        trans, final = batch_transmittance(
-            Workspace(), alphas.copy(), batch.groups,
-            batch.group_has_tile_last, batch.tile_offsets,
-        )
-        trans, final = trans.copy(), final.copy()
-        tiles = [(v, t) for v, s in enumerate(views) for t in np.unique(s.group_tile)]
-        cuts = data.draw(st.sets(st.integers(1, len(tiles) - 1)))
-        bounds = [0, *sorted(cuts), len(tiles)]
-        s0 = g0 = 0
-        for b0, b1 in zip(bounds[:-1], bounds[1:]):
-            slices = []
-            for v, spans in enumerate(views):
-                picked = [t for w, t in tiles[b0:b1] if w == v]
-                if picked:
-                    mask = np.zeros(spans.seg.grid.num_tiles, dtype=bool)
-                    mask[picked] = True
-                    slices.append(spans.subset(mask))
-            piece = concat_spans(slices)
-            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
-            got_trans, got_final = batch_transmittance(
-                Workspace(), alphas[:, s0:s1].copy(), piece.groups,
-                piece.group_has_tile_last, piece.tile_offsets,
-            )
-            assert np.array_equal(got_trans, trans[:, s0:s1])
-            assert np.array_equal(got_final, final[:, g0:g1])
-            s0, g0 = s1, g1
-        assert (s0, g0) == (batch.num_spans, batch.num_groups)
+            assert np.array_equal(got_trans, trans[:, cols])
+            assert np.array_equal(got_final, final[:, part])
 
     def test_length_zero_batch(self):
-        index = SegmentIndex.from_lengths(np.empty(0, dtype=np.int64))
-        excl, totals = segmented_cumsum_exclusive(np.empty(0), index)
-        assert excl.shape == (0,)
-        assert totals.shape == (0,)
-        trans = segment_transmittance_exclusive(np.empty(0), index)
-        assert trans.shape == (0,)
+        classes = LengthClasses.of(SegmentIndex.from_lengths(np.empty(0, dtype=np.int64)))
+        assert classes.blocks == ()
+        trans, final = batch_transmittance(
+            Workspace(), np.empty((4, 0)), classes, np.empty(0, dtype=bool)
+        )
+        assert trans.shape == (4, 0)
+        assert final.shape == (4, 0)
+        assert suffix_sums(Workspace(), np.empty(0), classes).shape == (0,)
 
-    def test_all_segments_empty(self):
-        index = SegmentIndex.from_lengths(np.zeros(4, dtype=np.int64))
-        excl, totals = segmented_cumsum_exclusive(np.empty(0), index)
-        assert excl.shape == (0,)
-        assert np.array_equal(totals, np.zeros(4))
+
+class TestReferenceTransmittanceProperties:
+    """On a single tile, the class scan is bitwise the reference's.
+
+    The reference composites a tile's whole ``(S, P)`` alpha stack with
+    ``np.cumprod``; the packed engine scans each pixel row's group of
+    spans, without the splats that miss the row.  Transmittance, weights
+    and the final transmittance (with its early-termination gate at the
+    tile's last splat) must agree to the bit.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        splats=st.integers(1, 30),
+        ts=st.sampled_from([2, 4, 8]),
+        drop_last=st.booleans(),
+        per_pixel_sort=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_single_tile_matches_reference(
+        self, seed, splats, ts, drop_last, per_pixel_sort
+    ):
+        rng = np.random.default_rng(seed)
+        # (S, rows, lanes): opaque-leaning, so pixels cross
+        # TRANSMITTANCE_EPS mid-stack; some slots fail the intersect test.
+        stack = rng.uniform(0.0, 0.999, size=(splats, ts, ts))
+        stack[rng.random(stack.shape) < 0.2] = 0.0
+        # Pixel (0, 0) crosses the threshold next to its edge: 0.1^4.
+        stack[:, 0, 0] = 0.9
+        if per_pixel_sort:
+            # Every row keeps every splat (``full_rows``): the gate sits at
+            # the per-pixel deepest one.  Coarse depths make ties.
+            base = rng.integers(1, 4, splats).astype(np.float64)
+            quad = rng.integers(0, 3, size=stack.shape) * 50.0
+            keep = np.ones((splats, ts), dtype=bool)
+        else:
+            # Splats missing a whole row (but row 0) have no span there.
+            miss = rng.random((splats, ts)) < 0.3
+            miss[:, 0] = False
+            stack[miss] = 0.0
+            if drop_last:
+                stack[-1] = 0.0
+            keep = stack.any(axis=2)
+        ref_alphas = stack.reshape(splats, -1)  # (S, P), row-major pixels
+        if per_pixel_sort:
+            depths = base[:, None] * (1.0 + 0.01 * quad.reshape(splats, -1))
+            order = np.argsort(depths, axis=0, kind="stable")
+            ref_alphas = np.take_along_axis(ref_alphas, order, axis=0)
+        ref_weights, ref_final = _transmittance_weights(ref_alphas)
+        ref_trans = np.vstack(
+            [np.ones((1, ref_alphas.shape[1])), np.cumprod(1.0 - ref_alphas, axis=0)[:-1]]
+        )
+        assert splats < 6 or (ref_trans[:, 0] < TRANSMITTANCE_EPS).any()
+
+        # Group y: the splats with a span on row y, in depth order.
+        rows = np.flatnonzero(keep.any(axis=0))
+        span_row, span_splat = np.nonzero(keep.T)
+        index = SegmentIndex.from_lengths(keep[:, rows].sum(axis=0))
+        has_last = span_splat[index.last] == splats - 1
+        classes = LengthClasses.of(index)
+        span_splat = span_splat[classes.span_order]
+        span_row = span_row[classes.span_order]
+        alphas = stack[span_splat, span_row].T.copy()  # (ts, R), class order
+        if per_pixel_sort:
+            fake_tables = types.SimpleNamespace(depths=base, span_pair=span_splat)
+            perm = batch_per_pixel_permutation(
+                fake_tables, quad[span_splat, span_row].T, classes.groups
+            )
+            alphas = np.take_along_axis(alphas, perm, axis=-1)
+        ws = Workspace()
+        trans, final = batch_transmittance(
+            ws, alphas, classes, has_last[classes.group_order]
+        )
+        trans = trans.copy()
+        weights = batch_weights(ws, trans.copy(), alphas)
+
+        ref_pixel = rows[classes.group_order][:, None] * ts + np.arange(ts)  # (Q, ts)
+        assert np.array_equal(final, ref_final[ref_pixel].T)
+        for g, (start, n) in enumerate(zip(classes.groups.starts, classes.groups.lens)):
+            cols = slice(start, start + n)
+            pix = ref_pixel[g]
+            # Slot i of a group is the i-th of its kept splats (per pixel
+            # order when sorted); the reference scans every splat.
+            if per_pixel_sort:
+                slots = np.arange(splats)[:, None]
+            else:
+                slots = span_splat[cols][:, None]
+            assert np.array_equal(trans[:, cols], ref_trans[slots, pix].T)
+            assert np.array_equal(weights[:, cols], ref_weights[slots, pix].T)
+        # Rows without a span see no splat: the reference leaves them clear.
+        missed = np.setdiff1d(np.arange(ts), rows)
+        assert np.all(ref_final.reshape(ts, ts)[missed] == 1.0)
 
 
 class TestSigmoidProperties:

@@ -188,8 +188,9 @@ class TestBatchingAndCaching:
 
     def test_throughput_mode_is_bit_identical(self, fmodel, cameras):
         # exact_frames=False rides a whole pose group on one concatenated
-        # scan; the transmittance scan restarts at every frame, so each
-        # frame is still bit-identical to its per-request render.
+        # scan; each pixel row's transmittance scan sees only its own
+        # spans, so each frame is still bit-identical to its per-request
+        # render.
         async def scenario():
             async with ServeLoop(
                 fmodel,
