@@ -847,16 +847,28 @@ class TestTileGridProperties:
 
 
 @functools.lru_cache(maxsize=1)
-def _multi_view_batch():
-    """Row spans of three differently sized views of one small scene, in
-    one batch."""
+def _band_cut_views():
+    """Pair rows of three differently sized views of one small scene:
+    ``(seg, y_lo, counts, first pair of each tile row)``."""
     scene, _, _, views = _batch_invariance_inputs()
     small = trace_cameras("kitchen", n_train=1, n_eval=1, width=70, height=52)[1]
-    spans = []
+    out = []
     for camera in (views[0], small[0], views[1]):
         projected, assignment = prepare_view(scene, camera)
-        spans.append(build_row_spans(projected, build_segments(assignment)))
-    return concat_spans(spans)
+        seg = build_segments(assignment)
+        grid = seg.grid
+        row_pairs = np.searchsorted(
+            seg.pair_tiles, np.arange(grid.tiles_y + 1) * grid.tiles_x
+        )
+        out.append((seg, *pair_row_ranges(projected, seg), row_pairs))
+    return out
+
+
+def _multi_view_batch():
+    """Row spans of the :func:`_band_cut_views` views, in one batch."""
+    return concat_spans(
+        [expand_row_spans(seg, y_lo, counts) for seg, y_lo, counts, _ in _band_cut_views()]
+    )
 
 
 # Segment length vectors: empty batches, empty segments, and singletons all
@@ -963,6 +975,99 @@ class TestSegmentIndexProperties:
             seg = alphas[:, start : start + n]
             naive = np.hstack([np.ones((2, 1)), np.cumprod(1.0 - seg, axis=1)[:, :-1]])
             assert np.array_equal(trans[:, start : start + n], naive)
+
+    @given(
+        lens=group_lens,
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_view_restart_matches_lone_scans(self, lens, cuts, seed):
+        """Every view of a batch scans bitwise like the view alone.
+
+        View bounds may repeat (empty views, also at either end).
+        """
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 0.99, size=(2, int(lens.sum())))
+        has_last = rng.random(lens.shape[0]) < 0.5
+        index = SegmentIndex.from_lengths(lens)
+        trans, final = _class_scan(alphas, index, has_last)
+        num_groups = lens.shape[0]
+        offsets = [0, *sorted(min(c, num_groups) for c in cuts), num_groups]
+        item_at = np.concatenate([[0], np.cumsum(lens)])
+        for g0, g1 in zip(offsets[:-1], offsets[1:]):
+            c0, c1 = item_at[g0], item_at[g1]
+            lone_trans, lone_final = _class_scan(
+                alphas[:, c0:c1], SegmentIndex.from_lengths(lens[g0:g1]),
+                has_last[g0:g1],
+            )
+            assert np.array_equal(trans[:, c0:c1], lone_trans)
+            assert np.array_equal(final[:, g0:g1], lone_final)
+
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_band_aligned_cut_matches_uncut_batch(self, data, seed):
+        """Any cut of a multi-view batch on band boundaries scans bitwise
+        like the uncut batch."""
+        views = _band_cut_views()
+        batch = _multi_view_batch()
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
+        trans, final = _class_scan(alphas, batch.groups, batch.group_has_tile_last)
+        bands = [
+            (v, r) for v, (seg, *_) in enumerate(views) for r in range(seg.grid.tiles_y)
+        ]
+        cuts = data.draw(st.sets(st.integers(1, len(bands) - 1)))
+        bounds = [0, *sorted(cuts), len(bands)]
+        s0 = g0 = 0
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            slices = []
+            for v, (seg, y_lo, counts, row_pairs) in enumerate(views):
+                rows = [r for w, r in bands[b0:b1] if w == v]
+                if rows:
+                    p0, p1 = row_pairs[rows[0]], row_pairs[rows[-1] + 1]
+                    slices.append(expand_row_spans(seg, y_lo, counts, p0, p1))
+            piece = concat_spans(slices)
+            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
+            got_trans, got_final = _class_scan(
+                alphas[:, s0:s1], piece.groups, piece.group_has_tile_last
+            )
+            assert np.array_equal(got_trans, trans[:, s0:s1])
+            assert np.array_equal(got_final, final[:, g0:g1])
+            s0, g0 = s1, g1
+        assert (s0, g0) == (batch.num_spans, batch.num_groups)
+
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_tile_aligned_cut_matches_uncut_batch(self, data, seed):
+        """Any cut of a multi-view batch on tile boundaries scans bitwise
+        like the uncut batch."""
+        batch = _multi_view_batch()
+        views = batch.views
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 0.99, size=(4, batch.num_spans))
+        trans, final = _class_scan(alphas, batch.groups, batch.group_has_tile_last)
+        tiles = [(v, t) for v, s in enumerate(views) for t in np.unique(s.group_tile)]
+        cuts = data.draw(st.sets(st.integers(1, len(tiles) - 1)))
+        bounds = [0, *sorted(cuts), len(tiles)]
+        s0 = g0 = 0
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            slices = []
+            for v, spans in enumerate(views):
+                picked = [t for w, t in tiles[b0:b1] if w == v]
+                if picked:
+                    mask = np.zeros(spans.seg.grid.num_tiles, dtype=bool)
+                    mask[picked] = True
+                    slices.append(spans.subset(mask))
+            piece = concat_spans(slices)
+            s1, g1 = s0 + piece.num_spans, g0 + piece.num_groups
+            got_trans, got_final = _class_scan(
+                alphas[:, s0:s1], piece.groups, piece.group_has_tile_last
+            )
+            assert np.array_equal(got_trans, trans[:, s0:s1])
+            assert np.array_equal(got_final, final[:, g0:g1])
+            s0, g0 = s1, g1
+        assert (s0, g0) == (batch.num_spans, batch.num_groups)
 
     @given(data=st.data(), seed=st.integers(0, 2**16), shuffle=st.booleans())
     @settings(max_examples=40, deadline=None)
