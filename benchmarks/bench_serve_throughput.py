@@ -287,7 +287,7 @@ def prefetch_rows():
 def test_prefetch_lifts_hits_and_cuts_deadline_misses(prefetch_rows, quick):
     base, pf = prefetch_rows["base"], prefetch_rows["pf"]
     report(
-        "Serve prefetch vs no-prefetch (paced replay)",
+        f"Serve prefetch vs no-prefetch (paced replay){' [quick]' if quick else ''}",
         [
             f"{prefetch_rows['trace'].n_requests} requests, "
             f"{PREFETCH_REFRESH_HZ:.0f} Hz refresh "
@@ -423,7 +423,7 @@ def test_transport_shm_vs_pipe(transport_rows, quick):
             f"{s['bytes_via_pipe'] / 1e6:8.1f} {s['shm_fallbacks']:9d}"
         )
     lines.append(f"shm speedup: {speedup:.2f}x")
-    report("Serve frame transport", lines)
+    report(f"Serve frame transport{' [quick]' if quick else ''}", lines)
 
     # Correctness is unconditional: both transports serve the identical
     # frame stream, frames really rode the transport they claim, and no

@@ -5,7 +5,8 @@ procedural scenes, 96×64 px — see DESIGN.md).  Model construction is cached
 per session so each figure's bench times only its own pipeline.
 
 Run with ``pytest benchmarks/ --benchmark-only``; each bench also prints the
-paper-style table and appends it to ``benchmarks/results/``.
+paper-style table and archives it under ``benchmarks/results/`` (``--quick``
+tables go to the untracked ``benchmarks/out/``).
 """
 
 from __future__ import annotations

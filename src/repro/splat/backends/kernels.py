@@ -25,11 +25,15 @@ The contract (see also ``backends/README.md``):
   ``accumulate`` per class on its ``(ts, n, L)`` block.  Each group's scan
   starts at an exact value and sees no other group: the transmittance is
   the sequential product ``np.cumprod`` forms, bitwise the reference's.
-- **Segment reductions are** ``ufunc.reduceat``.  Sums, maxima and minima
-  over the groups of the last axis run as
-  ``np.add/maximum/minimum.reduceat(values, index.starts, axis=-1)`` on
-  the class-order :class:`SegmentIndex`; everything else is elementwise,
-  gathers and fancy-index assignment.
+- **The composite is a matmul per length class.**  Each group's colour
+  sum is its own ``(ts, L) @ (L, 3)`` product, one batched ``np.matmul``
+  per class, so its bits depend only on the group (a premise on the BLAS
+  build, tested in ``tests/test_properties.py``).
+- **Other segment reductions are** ``ufunc.reduceat``.  Maxima and minima
+  over the groups of the last axis, and the per-pixel-sorted composite's
+  sums, run as ``np.add/maximum/minimum.reduceat(values, index.starts,
+  axis=-1)`` on the class-order :class:`SegmentIndex`; everything else is
+  elementwise, gathers and fancy-index assignment.
 
 The kernels are pinned to the ``reference`` backend within 1e-10 by
 ``tests/test_backends.py`` (via ``packed``).
@@ -338,29 +342,43 @@ def batch_composite(
     weights: np.ndarray,
     final: np.ndarray,
     span_colors: np.ndarray,
-    groups: SegmentIndex,
+    classes: LengthClasses,
     background: np.ndarray,
     perm: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-group composited colours, ``(Q, ts, 3)``, in ``groups`` order.
+    """Per-group composited colours, ``(Q, ts, 3)``, in class order.
 
-    The per-channel reduction ``Σ w_i c_i`` over every pixel-row group plus
-    the final-transmittance background term; ``span_colors`` is the
-    ``(R, 3)`` colour of each span and ``perm`` the per-pixel ordering, if
-    any.  The caller scatters the result into its frame(s) before the next
-    kernel call reuses the buffer.
+    ``Σ w_i c_i`` over every pixel-row group plus the final-transmittance
+    background term; ``span_colors`` is the ``(R, 3)`` colour of each span
+    and ``perm`` the per-pixel ordering, if any.  Without a per-pixel
+    ordering each length class is one batched ``np.matmul`` of its
+    ``(n, ts, L)`` weights with its ``(n, L, 3)`` colours: a group's
+    colour sum is its own ``(ts, L) @ (L, 3)`` product, whatever else
+    shares the batch.  ``weights`` and ``span_colors`` are C-order, as
+    the workspace slots are: a Fortran-order copy would take another BLAS
+    path and other bits.  The leading length-1 groups are the single
+    product ``w·c``.  A per-pixel ordering needs per-lane colours, so that
+    path sums each channel with ``np.add.reduceat``.  The caller scatters
+    the result into its frame(s) before the next kernel call reuses the
+    buffer.
     """
-    ts, q = weights.shape[0], groups.num_segments
-    scratch = ws.take("scratch", weights.shape)
-    pixel = ws.take("pixel", (ts, q))
+    ts, q = weights.shape[0], classes.groups.num_segments
     pixels = ws.take("pixels", (q, ts, 3))
-    for c in range(3):
-        channel = span_colors[:, c]
-        slot = channel[None, :] if perm is None else channel[perm]
-        np.multiply(weights, slot, out=scratch)
-        np.add.reduceat(scratch, groups.starts, axis=-1, out=pixel)  # (ts, Q)
-        pixel += final * background[c]
-        pixels[:, :, c] = pixel.T
+    if perm is not None:
+        scratch = ws.take("scratch", weights.shape)
+        pixel = ws.take("pixel", (ts, q))
+        for c in range(3):
+            np.multiply(weights, span_colors[:, c][perm], out=scratch)
+            np.add.reduceat(scratch, classes.groups.starts, axis=-1, out=pixel)
+            pixel += final * background[c]
+            pixels[:, :, c] = pixel.T
+        return pixels
+    n1 = classes.blocks[0][1] if classes.blocks else q
+    np.multiply(weights[:, :n1].T[..., None], span_colors[:n1, None], out=pixels[:n1])
+    for (c0, g0, n, length), (w,) in zip(classes.blocks, classes.views(weights)):
+        colors = span_colors[c0 : c0 + n * length].reshape(n, length, 3)
+        np.matmul(w.transpose(1, 0, 2), colors, out=pixels[g0 : g0 + n])
+    pixels += final.T[..., None] * background
     return pixels
 
 
@@ -483,7 +501,10 @@ def batch_scan_bytes_per_span(tile_size: int = 16) -> int:
 
     An estimate, not an audit: workspace slots persist between calls, so
     the figure counts bytes *touched per scan pass* (what residency is
-    about), not allocated bytes.
+    about), not allocated bytes.  Only the per-pixel-sorted composite
+    still fills a ``(tile_size, R)`` scratch; the matmul composite reads
+    the weights in place.  The figure keeps it, so the tuner's cost model
+    and the budgets it picked stay as they were measured.
     """
     f64_lane_matrices = 5
     bool_lane_matrices = 2

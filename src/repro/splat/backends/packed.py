@@ -39,8 +39,8 @@ the speedup comes from; results match ``reference`` to within 1e-10.  The
 alpha values and their intersect-test thresholding, the transmittance (the
 same sequential product as the reference ``cumprod``), the blend weights,
 the early-termination gates and the final transmittance are all
-bit-identical; only the colour sums differ in the last bits (per-group
-``reduceat`` sums against the reference's matrix product).
+bit-identical; only the colour sums differ in the last bits (each group's
+own matrix product against the reference's whole-tile product).
 
 All span matrices are laid out lanes-first, ``(tile_size, R)``, so the
 segmented scans and reductions run along the contiguous axis.
@@ -862,8 +862,7 @@ class PackedBackend:
         classes = bt.classes
         weights, final, perm = self._scan(bt, per_pixel_sort)
         pixels = batch_composite(
-            ws, weights, final, batch_span_colors(ws, bt), classes.groups,
-            background, perm,
+            ws, weights, final, batch_span_colors(ws, bt), classes, background, perm
         )
         # Group g's lanes are rows group_rank[g]·ts + lane of the class-order
         # pixel elements.

@@ -298,15 +298,17 @@ class LengthClasses:
     ``n`` groups of length ``L`` view as an ``(..., n, L)`` block and every
     per-group scan is one axis-wise ``accumulate`` per class: it starts
     at an exact value in every group, with no restarts and no carry
-    between groups.  ``groups`` indexes the reordered spans; the
-    permutations map between the class order and the batch order.
+    between groups.  Groups of length 1 lead the order and own no block.
+    ``groups`` indexes the reordered spans; the permutations map between
+    the class order and the batch order.
     """
 
     groups: SegmentIndex  # the groups in class order
     group_order: np.ndarray  # (Q,) batch group at each class position
     group_rank: np.ndarray  # (Q,) class position of each batch group
     span_order: np.ndarray  # (R,) batch span at each class column
-    blocks: tuple[tuple[int, int, int], ...]  # (first column, groups, length), length >= 2
+    # (first column, first group, groups, length) per class, length >= 2
+    blocks: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
     def of(groups: SegmentIndex) -> "LengthClasses":
@@ -322,9 +324,9 @@ class LengthClasses:
         first = np.flatnonzero(np.diff(ordered.lens, prepend=-1))
         counts = np.diff(first, append=order.shape[0])
         blocks = tuple(
-            (c0, n, length)
-            for c0, n, length in zip(
-                ordered.starts[first].tolist(), counts.tolist(),
+            (c0, g0, n, length)
+            for c0, g0, n, length in zip(
+                ordered.starts[first].tolist(), first.tolist(), counts.tolist(),
                 ordered.lens[first].tolist(),
             )
             if length > 1
@@ -341,7 +343,7 @@ class LengthClasses:
         writes into a block land in its matrix.
         """
         lead = matrices[0].shape[:-1]
-        for c0, n, length in self.blocks:
+        for c0, _, n, length in self.blocks:
             cols, shape = slice(c0, c0 + n * length), (*lead, n, length)
             yield [m[..., cols].reshape(shape) for m in matrices]
 

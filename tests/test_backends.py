@@ -42,8 +42,9 @@ from repro.splat.renderer import prepare_view
 
 TOL = 1e-10
 # What packed frames actually agree to: transmittance, weights and gates are
-# bitwise the reference's, so only the colour sums differ (per-group
-# ``reduceat`` against the reference's matrix product), in the last bits.
+# bitwise the reference's, so only the colour sums differ (each group's own
+# ``(ts, L) @ (L, 3)`` product against the reference's whole-tile product),
+# in the last bits.
 EXACT_TOL = 2e-15
 
 PACKED_BACKENDS = ("packed",)

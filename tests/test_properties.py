@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -177,8 +177,7 @@ class TestSpanSubsetProperties:
             )
             weights = batch_weights(ws, trans, alphas)
             pixels = batch_composite(
-                ws, weights, final, colors[classes.span_order], classes.groups,
-                background,
+                ws, weights, final, colors[classes.span_order], classes, background
             )
             # Out of the workspace (the next scan reuses the slots), back in
             # batch order.
@@ -213,8 +212,9 @@ class TestSpanSubsetProperties:
             # A dropped span multiplies the transmittance by exactly 1.0.
             assert np.array_equal(weights, full[0][:, mask])
             assert np.array_equal(final, full[1][:, kept_groups])
-            # The colour sums are pairwise (blocks of 8): a dropped zero
-            # term moves which partial sum the later terms join.
+            # Each group's colour sum is its own matrix product: a dropped
+            # zero term shortens the product's inner length, which moves
+            # how the BLAS kernel splits and fuses the later terms.
             assert np.abs(pixels - full[2][kept_groups]).max() <= 1e-15
         # Groups with no surviving span composite to pure background.
         dropped = full[2][~kept_groups]
@@ -898,6 +898,33 @@ def _class_scan(alphas, groups, has_last):
     return trans[:, np.argsort(classes.span_order)], final[:, classes.group_rank]
 
 
+def _misaligned(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` one float64 past the start of its own allocation."""
+    out = np.empty(a.size + 1)[1:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _class_composite(
+    weights, final, colors, groups, background, place=np.ascontiguousarray
+):
+    """:func:`batch_composite` on batch-order inputs, pixels in batch order.
+
+    ``place`` copies each class-order input into the C-order buffer the
+    kernel reads, as the engine's workspace slots are.
+    """
+    classes = LengthClasses.of(groups)
+    pixels = batch_composite(
+        Workspace(),
+        place(weights[:, classes.span_order]),
+        place(final[:, classes.group_order]),
+        place(colors[classes.span_order]),
+        classes,
+        background,
+    )
+    return pixels[classes.group_rank]
+
+
 class TestSegmentIndexProperties:
     @given(lens=segment_lens)
     @settings(max_examples=60, deadline=None)
@@ -926,11 +953,15 @@ class TestSegmentIndexProperties:
         assert np.array_equal(classes.group_rank[order], np.arange(lens.shape[0]))
         assert np.array_equal(classes.groups.lens, lens[order])
         assert np.array_equal(classes.span_order, _group_columns(index, order))
-        # The blocks are the classes of length >= 2, side by side.
-        for c0, n, length in classes.blocks:
-            at = np.searchsorted(classes.groups.starts, c0)
-            assert np.all(classes.groups.lens[at : at + n] == length)
-        assert sum(n * length for _, n, length in classes.blocks) == int(
+        # The blocks are the classes of length >= 2, side by side, after
+        # the length-1 groups; each names its first group and column.
+        g_end = int((lens == 1).sum())
+        for c0, g0, n, length in classes.blocks:
+            assert g0 == g_end and c0 == classes.groups.starts[g0]
+            assert np.all(classes.groups.lens[g0 : g0 + n] == length)
+            g_end = g0 + n
+        assert g_end == lens.shape[0]
+        assert sum(n * length for *_, n, length in classes.blocks) == int(
             lens[lens > 1].sum()
         )
 
@@ -1101,6 +1132,49 @@ class TestSegmentIndexProperties:
         assert trans.shape == (4, 0)
         assert final.shape == (4, 0)
         assert suffix_sums(Workspace(), np.empty(0), classes).shape == (0,)
+
+
+class TestCompositePremise:
+    """A group's composited pixels are its own ``(ts, L) @ (L, 3)`` product.
+
+    The packed composite runs one batched ``np.matmul`` per length class,
+    so batch invariance rests on the BLAS giving each group the same bits
+    whatever batch, class neighbours or buffer offset it comes with.
+    """
+
+    @given(
+        lens=hnp.arrays(np.int64, st.integers(0, 24), elements=st.integers(1, 64)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lens=np.empty(0, dtype=np.int64), seed=0)
+    @example(lens=np.ones(9, dtype=np.int64), seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_group_pixels_independent_of_batch_and_offset(self, lens, seed):
+        rng = np.random.default_rng(seed)
+        ts, q, r = 16, lens.shape[0], int(lens.sum())
+        groups = SegmentIndex.from_lengths(lens)
+        weights = rng.uniform(size=(ts, r))
+        weights[rng.random(weights.shape) < 0.2] = 0.0
+        colors = rng.uniform(size=(r, 3))
+        final = rng.uniform(size=(ts, q))
+        background = rng.uniform(size=3)
+
+        whole = _class_composite(weights, final, colors, groups, background)
+        assert whole.shape == (q, ts, 3)
+        shifted = _class_composite(
+            weights, final, colors, groups, background, place=_misaligned
+        )
+        assert np.array_equal(shifted, whole)
+        # Any partition at group boundaries, groups reordered.
+        order = rng.permutation(q)
+        cuts = np.sort(rng.choice(np.arange(1, q), size=rng.integers(0, q), replace=False)) if q else []
+        for part in np.split(order, cuts):
+            cols = _group_columns(groups, part)
+            got = _class_composite(
+                weights[:, cols], final[:, part], colors[cols],
+                SegmentIndex.from_lengths(lens[part]), background,
+            )
+            assert np.array_equal(got, whole[part])
 
 
 class TestReferenceTransmittanceProperties:
