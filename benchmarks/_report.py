@@ -30,11 +30,12 @@ def _blas_stamp() -> str:
 def _tuning_stamp() -> str | None:
     """One line describing the knob state a benchmark actually ran under.
 
-    Tuned hosts and untuned hosts produce different numbers for the same
-    code; stamping the resolved span budget, render threads, cache bytes,
-    batch budget, profile source and numpy/BLAS build into every archived
-    table makes results comparable across machines.  Guarded: a broken
-    tuning stack must never take the benchmarks down with it.
+    An env override or a hand-written host profile changes the numbers
+    the same code produces; stamping the resolved span budget, render
+    threads, cache bytes, batch budget, profile source and numpy/BLAS
+    build into every archived table makes results comparable across
+    machines.  Guarded: a broken knob resolver must never take the
+    benchmarks down with it.
     """
     try:
         from repro.serve.regions import resolved_cache_bytes

@@ -9,7 +9,6 @@
     python -m repro.cli serve-sim kitchen --clients 4
     python -m repro.cli serve-sim kitchen --trace /tmp/serve-trace.json
     python -m repro.cli metrics kitchen
-    python -m repro.cli tune --quick
 
 Each subcommand builds the relevant models at a small evaluation scale and
 prints a compact report; flags control scene size and resolution.
@@ -343,23 +342,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    from .tune import autotune
-
-    report = autotune(
-        quick=args.quick,
-        seed=args.seed,
-        save=not args.no_save,
-        path=args.output,
-        include_serve=not args.no_serve,
-    )
-    for line in report.lines():
-        print(line)
-    if args.no_save:
-        print("(dry run: profile not saved)")
-    return 0
-
-
 def cmd_accel(args: argparse.Namespace) -> int:
     from .accel import (
         GSCORE,
@@ -412,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         default=None,
         metavar="PATH",
-        help="tuning profile to consult for knob defaults (sets "
+        help="hand-written JSON profile to consult for knob defaults (sets "
         "$REPRO_TUNE_PROFILE for this run; 'off' disables profiles; "
-        "default: the per-host cache path — see `tune`)",
+        "default: the per-host cache path)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -531,32 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0, help="render worker processes"
     )
 
-    p_tune = sub.add_parser(
-        "tune",
-        help="autotune kernel/cache/scheduler knobs for this host and "
-        "persist them as its profile",
-    )
-    p_tune.add_argument(
-        "--quick", action="store_true", help="CI-sized sweeps (seconds, not minutes)"
-    )
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument(
-        "--no-save",
-        action="store_true",
-        help="measure and report without writing the profile",
-    )
-    p_tune.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the serve-tier sweeps (batch budget/deadline, cache bytes)",
-    )
-    p_tune.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="where to write the profile (default: $REPRO_TUNE_PROFILE "
-        "or the per-host cache path)",
-    )
     return parser
 
 
@@ -569,14 +525,12 @@ COMMANDS = {
     "accel": cmd_accel,
     "serve-sim": cmd_serve_sim,
     "metrics": cmd_metrics,
-    "tune": cmd_tune,
 }
 
 
 def _use_profile(path: str | None) -> None:
     """Point ``$REPRO_TUNE_PROFILE`` at ``path`` (``None`` unsets it)."""
-    from .tune import invalidate_profile_cache
-    from .tune.profile import PROFILE_ENV
+    from .tune.profile import PROFILE_ENV, invalidate_profile_cache
 
     if path is None:
         os.environ.pop(PROFILE_ENV, None)

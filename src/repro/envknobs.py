@@ -5,11 +5,11 @@ Every performance knob that can arrive through the environment
 ``REPRO_FRAME_CACHE_BYTES``, ...) goes through these helpers and shares one
 failure policy: a malformed or out-of-range value **warns and falls back**
 to the caller-supplied default instead of raising.  A typo in a deployment
-manifest must never crash the render or serve path — these are tuning
-knobs, and the safe interpretation of a bad tuning knob is "untuned".
+manifest must never crash the render or serve path — these are
+performance knobs, and the safe interpretation of a bad one is "unset".
 
 The fallback the caller passes is the *next* step of the resolution
-precedence (persisted host profile, then built-in default — see
+precedence (a hand-written host profile, then the built-in default — see
 :mod:`repro.tune.profile`), so the warning names the value actually used.
 """
 

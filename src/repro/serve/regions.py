@@ -42,6 +42,7 @@ from ..splat.cachekey import (
 )
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
+from ..tune.profile import profile_value
 
 # A gaze pixel's ray is always strictly less than 90° off the optical axis
 # (`atan` of a finite tangent-plane radius), so rings are generated up to
@@ -260,25 +261,18 @@ DEFAULT_FRAME_CACHE_BYTES = 64 << 20
 FRAME_CACHE_BYTES_ENV = "REPRO_FRAME_CACHE_BYTES"
 
 
-def _profile_knob(name: str):
-    """Tuned knob from the active host profile (lazy: tune is optional)."""
-    from ..tune.profile import profile_value
-
-    return profile_value(name)
-
-
 def resolved_cache_bytes(max_bytes: int | None = None) -> int | None:
     """The effective frame-cache byte budget (``None`` = cache disabled).
 
     Precedence: explicit ``max_bytes`` > ``$REPRO_FRAME_CACHE_BYTES`` >
-    the host tuning profile's ``cache_max_bytes`` (:mod:`repro.tune`) >
+    the host profile's ``cache_max_bytes`` (:mod:`repro.tune`) >
     the built-in default (64 MiB).  An env value ``<= 0`` disables the
     cache (returns ``None``); a malformed env value warns and falls
     through to the profile-or-default.
     """
     if max_bytes is not None:
         return int(max_bytes)
-    fallback = _profile_knob("cache_max_bytes") or DEFAULT_FRAME_CACHE_BYTES
+    fallback = profile_value("cache_max_bytes") or DEFAULT_FRAME_CACHE_BYTES
     value = env_int(FRAME_CACHE_BYTES_ENV, int(fallback))
     return None if value <= 0 else value
 

@@ -77,6 +77,7 @@ from ..obs.trace import Tracer, set_active_tracer
 from ..splat.cachekey import digests_on_this_thread
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig, ViewCache
+from ..tune.profile import profile_value
 from .predictor import GazePredictor, PredictorConfig
 from .regions import FrameCache, GazeGridSpec, quantize_gaze, resolved_cache_bytes
 from .shm import resolved_shm_bytes
@@ -93,25 +94,18 @@ BATCH_DEADLINE_ENV = "REPRO_SERVE_BATCH_DEADLINE"
 TRACE_ENV = "REPRO_TRACE"
 
 
-def _profile_knob(name: str):
-    """Tuned knob from the active host profile (lazy: tune is optional)."""
-    from ..tune.profile import profile_value
-
-    return profile_value(name)
-
-
 def resolved_batch_budget(budget: int | None = None) -> int:
     """The effective batcher coalescing cap.
 
     Precedence: explicit ``budget`` > ``$REPRO_SERVE_BATCH_BUDGET`` > the
-    host tuning profile's ``batch_budget`` > the built-in default (8).
+    host profile's ``batch_budget`` > the built-in default (8).
     A malformed or out-of-range env value warns and falls through.
     """
     if budget is not None:
         if budget < 1:
             raise ValueError("batch_budget must be at least 1")
         return int(budget)
-    fallback = _profile_knob("batch_budget") or DEFAULT_BATCH_BUDGET
+    fallback = profile_value("batch_budget") or DEFAULT_BATCH_BUDGET
     return env_int(BATCH_BUDGET_ENV, int(fallback), minimum=1)
 
 
@@ -119,14 +113,14 @@ def resolved_batch_deadline(deadline_s: float | None = None) -> float:
     """The effective batch-fill deadline in seconds.
 
     Precedence: explicit ``deadline_s`` > ``$REPRO_SERVE_BATCH_DEADLINE``
-    > the host tuning profile's ``batch_deadline_s`` > the built-in
+    > the host profile's ``batch_deadline_s`` > the built-in
     default (0 — batch only what is already pending).
     """
     if deadline_s is not None:
         if deadline_s < 0:
             raise ValueError("batch_deadline_s must be non-negative")
         return float(deadline_s)
-    fallback = _profile_knob("batch_deadline_s")
+    fallback = profile_value("batch_deadline_s")
     if fallback is None:
         fallback = DEFAULT_BATCH_DEADLINE_S
     return env_float(BATCH_DEADLINE_ENV, float(fallback), minimum=0.0)
@@ -206,7 +200,7 @@ class ServeConfig:
     ``"auto"``) handled in ``__post_init__`` with the repo-wide
     precedence: explicit argument > environment variable
     (``$REPRO_SERVE_BATCH_BUDGET`` / ``$REPRO_SERVE_BATCH_DEADLINE`` /
-    ``$REPRO_FRAME_CACHE_BYTES``) > the host tuning profile
+    ``$REPRO_FRAME_CACHE_BYTES``) > a hand-written host profile
     (:mod:`repro.tune`) > built-in defaults (8 / 0 / 64 MiB).  A
     constructed config always carries concrete values — resolution
     happens once, not per request.
@@ -243,7 +237,7 @@ class ServeConfig:
     (:mod:`repro.serve.shm`): workers write frame planes into one slab
     arena and return tiny handles instead of pickling megabytes through
     the executor pipe.  The ``"auto"`` sentinel resolves explicit
-    argument > ``$REPRO_SERVE_SHM`` > the host tuning profile's
+    argument > ``$REPRO_SERVE_SHM`` > the host profile's
     ``shm_bytes`` > 64 MiB; ``0`` (or ``None``) disables the arena and
     every frame rides the pickle path.  Transport never changes pixels —
     an exhausted or unavailable arena falls back to pickle per frame.

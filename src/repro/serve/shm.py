@@ -48,10 +48,9 @@ was handed out, so handle-backed frames stay valid after the pool that
 rendered them is gone.
 
 Knob precedence (repo-wide convention): explicit ``shm_bytes`` argument >
-``$REPRO_SERVE_SHM`` > the host tuning profile's ``shm_bytes`` (the
-transport sweep in :mod:`repro.tune.sweep`) > the built-in 64 MiB
-default; ``0`` at any level disables the arena and serves every frame
-over the pickle path.
+``$REPRO_SERVE_SHM`` > a hand-written host profile's ``shm_bytes``
+(:mod:`repro.tune.profile`) > the built-in 64 MiB default; ``0`` at any
+level disables the arena and serves every frame over the pickle path.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from multiprocessing.shared_memory import SharedMemory
 import numpy as np
 
 from ..envknobs import env_int
+from ..tune.profile import profile_value
 
 __all__ = [
     "ArenaExhausted",
@@ -112,18 +112,11 @@ class ShmTransportError(RuntimeError):
     """A handle could not be materialized (checksum/layout mismatch)."""
 
 
-def _profile_knob(name: str):
-    """Tuned knob from the active host profile (lazy: tune is optional)."""
-    from ..tune.profile import profile_value
-
-    return profile_value(name)
-
-
 def resolved_shm_bytes(shm_bytes: int | None = None) -> int:
     """The effective transport arena size in bytes (``0`` = pickle only).
 
     Precedence: explicit ``shm_bytes`` > ``$REPRO_SERVE_SHM`` > the host
-    tuning profile's ``shm_bytes`` > the built-in default (64 MiB).  A
+    profile's ``shm_bytes`` > the built-in default (64 MiB).  A
     malformed or negative env value warns and falls through; an explicit
     negative argument raises.
     """
@@ -131,7 +124,7 @@ def resolved_shm_bytes(shm_bytes: int | None = None) -> int:
         if shm_bytes < 0:
             raise ValueError("shm_bytes must be non-negative (0 disables)")
         return int(shm_bytes)
-    fallback = _profile_knob("shm_bytes")
+    fallback = profile_value("shm_bytes")
     if fallback is None:
         fallback = DEFAULT_SHM_BYTES
     return env_int(SHM_ENV, int(fallback), minimum=0)

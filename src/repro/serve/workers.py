@@ -49,7 +49,7 @@ falls back to ``spawn``; ``REPRO_SERVE_MP_START`` overrides.
 ``REPRO_SERVE_WORKERS`` sets the default worker count for the CLI and
 benchmarks (0 = render inline on the event loop);
 ``REPRO_WORKER_VIEWCACHE`` sizes each worker's private pose-prefix
-:class:`~repro.splat.renderer.ViewCache` (arg > env > tune profile >
+:class:`~repro.splat.renderer.ViewCache` (arg > env > host profile >
 default 64, like every other knob).
 """
 
@@ -69,6 +69,7 @@ from ..obs.trace import NULL_SPAN, Tracer, set_active_tracer
 from ..splat.backends.packed import set_render_threads, usable_cpus
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
+from ..tune.profile import profile_value
 from .shm import (
     ArenaExhausted,
     FrameHandle,
@@ -117,7 +118,7 @@ def resolved_worker_viewcache(maxsize: int | None = None) -> int:
     """The effective per-worker ``ViewCache`` capacity (pose prefixes).
 
     Precedence: explicit ``maxsize`` > ``$REPRO_WORKER_VIEWCACHE`` > the
-    host tuning profile's ``worker_viewcache`` > the built-in default
+    host profile's ``worker_viewcache`` > the built-in default
     (64).  A malformed or out-of-range env value warns and falls through;
     an explicit out-of-range argument raises.
     """
@@ -125,8 +126,6 @@ def resolved_worker_viewcache(maxsize: int | None = None) -> int:
         if maxsize < 1:
             raise ValueError("worker viewcache maxsize must be at least 1")
         return int(maxsize)
-    from ..tune.profile import profile_value
-
     fallback = profile_value("worker_viewcache") or DEFAULT_WORKER_VIEWCACHE
     return env_int(VIEWCACHE_ENV, int(fallback), minimum=1)
 
@@ -160,7 +159,7 @@ def _worker_init(
     from ..splat.renderer import ViewCache
     from .regions import foveated_model_fingerprint
 
-    # The viewcache size arrives resolved by the parent (arg > env > tune
+    # The viewcache size arrives resolved by the parent (arg > env > host
     # profile > default), so workers never consult env/profile themselves
     # — spawn-started workers see the pool creator's knobs, not their own.
     arena = None

@@ -487,7 +487,7 @@ def backward_grads(
 def batch_scan_bytes_per_span(tile_size: int = 16) -> int:
     """Peak scan working-set bytes one span contributes to a batch chunk.
 
-    The residency unit behind ``span_chunk_budget`` and the tuner's cost
+    The residency unit behind ``span_chunk_budget`` and the LLC cost
     model (:mod:`repro.tune.model`): a batched forward keeps about five
     ``(tile_size, R)`` float64 lane matrices live across one pass over the
     spans (``quad``, ``alphas``, ``1 − α``, the transmittance scan, and
@@ -496,15 +496,15 @@ def batch_scan_bytes_per_span(tile_size: int = 16) -> int:
     gates), plus O(1)-per-span scalars (span→pair index, pixel row, the
     gathered colour row and group bookkeeping).  At the default 16-px
     tiles this is ~0.8 KB per span — the measured 8k-span default budget
-    of PR 2 puts one chunk at ~6.5 MB, squarely inside the 12–32 MB LLCs
-    it was tuned on.
+    puts one chunk at ~6.5 MB, squarely inside the 12–32 MB LLCs it was
+    measured on.
 
     An estimate, not an audit: workspace slots persist between calls, so
     the figure counts bytes *touched per scan pass* (what residency is
     about), not allocated bytes.  Only the per-pixel-sorted composite
     still fills a ``(tile_size, R)`` scratch; the matmul composite reads
-    the weights in place.  The figure keeps it, so the tuner's cost model
-    and the budgets it picked stay as they were measured.
+    the weights in place.  The figure keeps it, so the cost model's
+    prediction (the recorded ``tile_span_budget``) stays as it was.
     """
     f64_lane_matrices = 5
     bool_lane_matrices = 2

@@ -60,6 +60,7 @@ from typing import Any
 import numpy as np
 
 from ...obs.trace import backend_span
+from ...tune.profile import profile_value
 from ..projection import ProjectedGaussians
 from ..rasterizer import RasterGradients
 from ..tiling import TileAssignment, TileGrid, pixel_tiles
@@ -114,8 +115,8 @@ def _group_pixel_index(spans: RowSpans) -> tuple[np.ndarray, np.ndarray]:
 # sweep across frame sizes and view counts — while still amortizing the
 # fixed per-piece kernel overhead across several small views.  Pieces cut
 # only at tile-row bands, so a band over the budget is a piece of its own.
-# ``repro.cli tune`` re-measures the knee per machine and persists it to a
-# host profile; ``REPRO_BATCH_SPAN_BUDGET`` overrides both.
+# A hand-written host profile's ``span_budget`` replaces the default, and
+# ``REPRO_BATCH_SPAN_BUDGET`` overrides both.
 DEFAULT_SPAN_CHUNK_BUDGET = 8192
 SPAN_BUDGET_ENV = "REPRO_BATCH_SPAN_BUDGET"
 
@@ -126,18 +127,6 @@ DEFAULT_TILE_SPAN_BUDGET = 4 * DEFAULT_SPAN_CHUNK_BUDGET
 TILE_BUDGET_ENV = "REPRO_TILE_SPAN_BUDGET"
 
 
-def _profile_knob(name: str) -> int | float | None:
-    """A knob from the persisted host profile (``None`` when untuned).
-
-    Lazy import: :mod:`repro.tune.profile` is a leaf module, but keeping it
-    off the backend import path means the render engine never pays for (or
-    cycles through) the tuner unless a knob is actually resolved.
-    """
-    from ...tune.profile import profile_value
-
-    return profile_value(name)
-
-
 def span_chunk_budget(budget: int | None = None) -> int:
     """The per-chunk span budget: explicit > env > host profile > default.
 
@@ -145,7 +134,7 @@ def span_chunk_budget(budget: int | None = None) -> int:
     their own workload).  Otherwise ``REPRO_BATCH_SPAN_BUDGET`` applies —
     hardened: non-integer or non-positive settings fall back with a warning
     instead of crashing the render path (or silently degenerating to
-    zero-view chunks) — then the host profile's tuned ``span_budget``
+    zero-view chunks) — then the host profile's ``span_budget``
     (see :mod:`repro.tune`), then :data:`DEFAULT_SPAN_CHUNK_BUDGET`.
     """
     if budget is not None:
@@ -154,7 +143,7 @@ def span_chunk_budget(budget: int | None = None) -> int:
         return int(budget)
     from ...envknobs import env_int
 
-    fallback = _profile_knob("span_budget") or DEFAULT_SPAN_CHUNK_BUDGET
+    fallback = profile_value("span_budget") or DEFAULT_SPAN_CHUNK_BUDGET
     return env_int(SPAN_BUDGET_ENV, int(fallback), minimum=1)
 
 
@@ -188,7 +177,7 @@ def tile_span_budget(budget: int | None = None) -> int:
     from ...envknobs import env_int
 
     fallback = (
-        _profile_knob("tile_spans")
+        profile_value("tile_spans")
         or _predicted_tile_spans()
         or DEFAULT_TILE_SPAN_BUDGET
     )

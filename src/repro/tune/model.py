@@ -1,27 +1,27 @@
-"""Cache-geometry cost model: *predict* the span-budget knee.
+"""Cache-geometry cost model: *predict* a span budget from the LLC.
 
-The measured story (PR 2, ``bench_batch_render``): one batched scan's
-temporaries are ``(tile_size, R)`` matrices, and once their combined
-working set outgrows the last-level cache every whole-batch operation
-streams from DRAM at ~2x the cache-resident per-element cost.  The span
-chunk budget is therefore a *residency* knob, and its knee is predictable
-from first principles — the application-specific cache-simulation
-methodology of PAPERS.md (arXiv:1406.5000) rather than sweep-only tuning:
+One batched scan's temporaries are ``(tile_size, R)`` matrices, and once
+their combined working set outgrows the last-level cache every
+whole-batch operation streams from DRAM.  The model predicts the span
+count whose scan working set fills a share of the LLC, from first
+principles (the cache-simulation methodology of PAPERS.md,
+arXiv:1406.5000):
 
-    knee ≈ residency_fraction · LLC_bytes / bytes_per_span
+    budget ≈ residency_fraction · LLC_bytes / bytes_per_span
 
 ``bytes_per_span`` is the peak live scan footprint of one span column
 (:func:`repro.splat.backends.kernels.batch_scan_bytes_per_span`);
 ``residency_fraction`` discounts the LLC for everything else contending
 for it (pair tables, the images being scattered into, other processes).
 
-This module mirrors ``accel/dram.py``: a small frozen dataclass holding
-the geometry, pure-function estimates on top, and zero hard dependencies —
-cache detection reads sysfs and degrades to ``None`` on hosts without it
-(macOS, containers masking ``/sys``), in which case prediction is
-unavailable and the sweep stands alone.  :mod:`repro.tune.sweep` measures
-the real knee; ``benchmarks/bench_tune.py`` reports the predicted-vs-
-measured gap as a paper-style result.
+The prediction is the fallback of
+:func:`repro.splat.backends.packed.tile_span_budget`, a recorded knob
+that no render reads.  Measured span-budget sweeps put it 22–90x off
+on a VM whose sysfs reports a 300 MiB L3.
+
+Cache detection reads sysfs and degrades to ``None`` on hosts without it
+(macOS, containers masking ``/sys``), in which case there is no
+prediction.  The module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -125,19 +125,6 @@ class SpanCostModel:
         """Spans whose scan working set fills the LLC's residency share."""
         raw = int(self.llc_bytes * self.residency_fraction / self.bytes_per_span)
         return max(raw, 1)
-
-    def working_set_bytes(self, num_spans: int) -> int:
-        """Peak scan working set of a chunk of ``num_spans`` spans."""
-        return num_spans * self.bytes_per_span
-
-    def overflows_llc(self, num_spans: int, margin: float = 1.25) -> bool:
-        """Whether a whole-frame scan of ``num_spans`` spans exceeds the LLC.
-
-        ``margin`` guards the boundary region where streaming and residency
-        costs blend — the cache-tiled backend's benefit gate uses it to skip
-        informationally on hosts where the LLC isn't the bottleneck.
-        """
-        return self.working_set_bytes(num_spans) > margin * self.llc_bytes
 
 
 def span_cost_model(

@@ -1,12 +1,19 @@
-"""Persisted per-host tuning profiles.
+"""Per-host knob profiles: hand-written JSON files the resolvers read.
 
-The tuner (:mod:`repro.tune.sweep`) measures each hot-path knob's knee on
-the machine it runs on and writes the selections to a small JSON file
-keyed by a **host fingerprint** under ``~/.cache/repro/``.  The consumers
+A profile sets knob defaults for one machine.  Nothing in the repo writes
+one; a user who wants different defaults on a host writes the file by
+hand::
+
+    {"host": "...", "knobs": {"span_budget": 4096, "shm_bytes": 0}}
+
+Only the ``knobs`` table is read (the keys in ``_KNOBS``); ``host``,
+``created``, ``source`` and ``meta`` are kept as labels.  The default path
+is ``$XDG_CACHE_HOME/repro/tune-<host fingerprint>.json``.  The consumers
 — :func:`repro.splat.backends.packed.span_chunk_budget` /
-``tile_span_budget``, :class:`repro.serve.regions.FrameCache` and
-:class:`repro.serve.scheduler.ServeConfig` — consult the profile at
-resolution time with one precedence everywhere:
+``tile_span_budget``, :class:`repro.serve.regions.FrameCache`,
+:class:`repro.serve.scheduler.ServeConfig`, the shm arena and the worker
+view cache — consult the profile at resolution time with one precedence
+everywhere:
 
     explicit argument  >  environment variable  >  host profile  >  default
 
@@ -16,8 +23,7 @@ entirely.  A corrupted or partially-invalid profile warns and degrades:
 unreadable files resolve as "no profile", individually invalid knobs are
 dropped while the valid ones still apply.  Loads are memoized on the
 file's ``(mtime, size, inode)`` so per-request resolution never re-reads
-or re-parses; :func:`save_host_profile` and
-:func:`invalidate_profile_cache` drop the memo.
+or re-parses; :func:`invalidate_profile_cache` drops the memo.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .model import llc_bytes
 
 __all__ = [
     "PROFILE_ENV",
-    "PROFILE_VERSION",
     "HostProfile",
     "default_profile_path",
     "host_fingerprint",
@@ -42,14 +47,12 @@ __all__ = [
     "profile_path",
     "profile_source",
     "profile_value",
-    "save_host_profile",
 ]
 
 PROFILE_ENV = "REPRO_TUNE_PROFILE"
-PROFILE_VERSION = 1
 _DISABLED = {"off", "none", "0"}
 
-# Tuned knobs a profile may carry: name -> (type, inclusive minimum).
+# Knobs a profile may carry: name -> (type, inclusive minimum).
 # Anything else in the file's "knobs" table is ignored (forward
 # compatibility); values of the wrong type or below the minimum are
 # dropped with a warning while the rest of the profile still applies.
@@ -59,8 +62,8 @@ _KNOBS: dict[str, tuple[type, float]] = {
     "cache_max_bytes": (int, 1),
     "batch_budget": (int, 1),
     "batch_deadline_s": (float, 0.0),
-    # Serve worker-pool transport/worker knobs (PR 9): shm_bytes = 0 is a
-    # meaningful tuned value ("pickle beats the arena on this host").
+    # Serve worker-pool transport/worker knobs: shm_bytes = 0 is a
+    # meaningful value ("pickle beats the arena on this host").
     "shm_bytes": (int, 0),
     "worker_viewcache": (int, 1),
 }
@@ -68,7 +71,7 @@ _KNOBS: dict[str, tuple[type, float]] = {
 
 @dataclasses.dataclass(frozen=True)
 class HostProfile:
-    """One host's tuned knob selections (``None`` = not tuned here)."""
+    """One host's knob values (``None`` = not set here)."""
 
     span_budget: int | None = None
     tile_spans: int | None = None
@@ -83,7 +86,7 @@ class HostProfile:
     meta: dict = dataclasses.field(default_factory=dict)
 
     def knobs(self) -> dict[str, int | float]:
-        """The tuned knobs as a plain dict (``None`` entries omitted)."""
+        """The set knobs as a plain dict (``None`` entries omitted)."""
         out: dict[str, int | float] = {}
         for name in _KNOBS:
             value = getattr(self, name)
@@ -227,30 +230,8 @@ def load_host_profile(path: str | None = None) -> HostProfile | None:
     return profile
 
 
-def save_host_profile(profile: HostProfile, path: str | None = None) -> str:
-    """Write ``profile`` as JSON (creating directories), return the path."""
-    if path is None:
-        path = profile_path() or default_profile_path()
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    payload = {
-        "version": PROFILE_VERSION,
-        "host": profile.host or host_fingerprint(),
-        "created": profile.created,
-        "source": profile.source,
-        "knobs": profile.knobs(),
-        "meta": profile.meta,
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-    _cache.pop(path, None)
-    return path
-
-
 def profile_value(name: str) -> int | float | None:
-    """Knob ``name`` from the active profile, ``None`` when untuned.
+    """Knob ``name`` from the active profile, ``None`` when it is not set.
 
     This is the hook the consumers call in their resolution chains; it is
     cheap (one memoized stat) and never raises.

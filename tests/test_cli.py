@@ -171,17 +171,6 @@ class TestCommands:
             ["serve-sim", "garden"]
         ).batch_budget is None
 
-    def test_tune_flags(self):
-        # Parse-only: the sweep itself is exercised by tests/test_tune.py.
-        args = build_parser().parse_args(
-            ["tune", "--quick", "--seed", "3", "--no-serve", "--no-save"]
-        )
-        assert args.quick and args.seed == 3
-        assert args.no_serve and args.no_save
-        defaults = build_parser().parse_args(["tune"])
-        assert not defaults.quick and defaults.seed == 0
-        assert not defaults.no_save and defaults.output is None
-
     def test_global_profile_flag(self):
         args = build_parser().parse_args(["--profile", "off", "traces"])
         assert args.profile == "off"

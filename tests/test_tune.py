@@ -1,15 +1,17 @@
-"""The autotuning stack: cost model, profiles, knee fits, knob precedence.
+"""Knob resolution: cost model, hand-written profiles, precedence, stamp.
 
 The load-bearing contract is the resolution precedence every consumer
 shares — explicit argument > environment variable > host profile >
 built-in default — plus the degrade-don't-crash rules: malformed env
 values warn and fall through, corrupted profiles warn and resolve as
 "untuned", individually invalid profile knobs are dropped while the rest
-still apply.
+still apply.  The benchmark's knob record (``perfbench/stamp.py``) reads
+the same resolvers, so its sources are pinned here too.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import warnings
@@ -30,6 +32,12 @@ from repro.serve.scheduler import (
     resolved_batch_budget,
     resolved_batch_deadline,
 )
+from repro.serve.shm import DEFAULT_SHM_BYTES, SHM_ENV, resolved_shm_bytes
+from repro.serve.workers import (
+    DEFAULT_WORKER_VIEWCACHE,
+    VIEWCACHE_ENV,
+    resolved_worker_viewcache,
+)
 from repro.splat.backends.packed import (
     DEFAULT_SPAN_CHUNK_BUDGET,
     DEFAULT_TILE_SPAN_BUDGET,
@@ -38,7 +46,7 @@ from repro.splat.backends.packed import (
     span_chunk_budget,
     tile_span_budget,
 )
-from repro.tune import fit_knee, invalidate_profile_cache, profile_source
+from repro.tune import invalidate_profile_cache, profile_source
 from repro.tune.model import (
     CacheLevel,
     SpanCostModel,
@@ -52,7 +60,6 @@ from repro.tune.profile import (
     host_fingerprint,
     load_host_profile,
     profile_value,
-    save_host_profile,
 )
 
 
@@ -118,17 +125,10 @@ class TestCacheDetection:
         assert model is not None
         expected = int((8 << 20) * 0.5 / model.bytes_per_span)
         assert model.predicted_span_budget == expected
-        assert model.working_set_bytes(expected) <= 8 << 20
-        assert model.overflows_llc(10 * expected)
-        assert not model.overflows_llc(expected)
 
     def test_model_math(self):
         m = SpanCostModel(llc_bytes=1000, bytes_per_span=100)
         assert m.predicted_span_budget == 5
-        assert m.working_set_bytes(7) == 700
-        # margin 1.25: overflow needs > 1250 bytes of working set
-        assert not m.overflows_llc(12)
-        assert m.overflows_llc(13)
 
     def test_bytes_per_span_matches_kernels(self):
         from repro.splat.backends.kernels import batch_scan_bytes_per_span
@@ -140,48 +140,12 @@ class TestCacheDetection:
 
 
 # ----------------------------------------------------------------------
-# Knee fitting
-# ----------------------------------------------------------------------
-
-
-class TestKneeFit:
-    def test_picks_smallest_on_plateau(self):
-        fit = fit_knee([1, 2, 4, 8], [50.0, 97.0, 100.0, 99.0], tolerance=0.05)
-        assert fit.selected == 2
-        assert fit.best == 4
-        assert fit.relative >= 0.95
-
-    def test_argmax_when_tolerance_zero(self):
-        fit = fit_knee([1, 2, 4], [50.0, 97.0, 100.0], tolerance=0.0)
-        assert fit.selected == 4
-
-    def test_unsorted_and_duplicate_settings(self):
-        fit = fit_knee([8, 2, 2, 4], [99.0, 60.0, 98.0, 100.0])
-        assert fit.settings == (2.0, 4.0, 8.0)
-        assert fit.metrics[0] == 98.0  # duplicates keep their best metric
-        assert fit.selected == 2
-
-    def test_guarantee_holds_by_construction(self):
-        fit = fit_knee([1, 2, 3], [10.0, 9.6, 10.1], tolerance=0.05)
-        assert fit.selected_metric >= 0.95 * fit.best_metric
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="one metric per setting"):
-            fit_knee([1, 2], [1.0])
-        with pytest.raises(ValueError, match="at least one"):
-            fit_knee([], [])
-        with pytest.raises(ValueError, match="tolerance"):
-            fit_knee([1], [1.0], tolerance=1.0)
-
-
-# ----------------------------------------------------------------------
 # Profiles
 # ----------------------------------------------------------------------
 
 
 class TestHostProfile:
     def test_save_and_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "prof.json")
         profile = HostProfile(
             span_budget=4096,
             tile_spans=32768,
@@ -191,7 +155,12 @@ class TestHostProfile:
             host=host_fingerprint(),
             source="test",
         )
-        assert save_host_profile(profile, path) == path
+        path = _write_profile(
+            tmp_path / "prof.json",
+            profile.knobs(),
+            host=profile.host,
+            source=profile.source,
+        )
         loaded = load_host_profile(path)
         assert loaded is not None
         assert loaded.knobs() == profile.knobs()
@@ -290,6 +259,8 @@ class TestPrecedence:
                 "cache_max_bytes": 5 << 20,
                 "batch_budget": 6,
                 "batch_deadline_s": 0.007,
+                "shm_bytes": 0,
+                "worker_viewcache": 5,
             },
         )
         monkeypatch.setenv(PROFILE_ENV, path)
@@ -304,8 +275,15 @@ class TestPrecedence:
              DEFAULT_BATCH_BUDGET),
             (resolved_cache_bytes, FRAME_CACHE_BYTES_ENV, 7 << 20, 5 << 20,
              DEFAULT_FRAME_CACHE_BYTES),
+            # A profile's 0 means pickle only, not "unset": no 64 MiB arena.
+            (resolved_shm_bytes, SHM_ENV, 1 << 20, 0, DEFAULT_SHM_BYTES),
+            (resolved_worker_viewcache, VIEWCACHE_ENV, 7, 5,
+             DEFAULT_WORKER_VIEWCACHE),
         ],
-        ids=["span_budget", "batch_budget", "cache_bytes"],
+        ids=[
+            "span_budget", "batch_budget", "cache_bytes", "shm_bytes",
+            "worker_viewcache",
+        ],
     )
     def test_chain(
         self, monkeypatch, profile_path, resolve, env, explicit, from_profile,
@@ -459,57 +437,69 @@ class TestEnvKnobHarmonization:
 
 
 # ----------------------------------------------------------------------
-# Sweep plumbing (fast paths only; the real sweeps run in bench_tune)
+# The benchmark's knob record reads these resolvers by name
 # ----------------------------------------------------------------------
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-class TestSweepPlumbing:
-    def test_env_context_restores(self):
-        from repro.tune.sweep import _env
 
-        os.environ.pop("REPRO_TEST_KNOB", None)
-        with _env("REPRO_TEST_KNOB", 42):
-            assert os.environ["REPRO_TEST_KNOB"] == "42"
-        assert "REPRO_TEST_KNOB" not in os.environ
-        os.environ["REPRO_TEST_KNOB"] = "old"
-        try:
-            with _env("REPRO_TEST_KNOB", 1):
-                assert os.environ["REPRO_TEST_KNOB"] == "1"
-            assert os.environ["REPRO_TEST_KNOB"] == "old"
-        finally:
-            del os.environ["REPRO_TEST_KNOB"]
-
-    def test_sweep_result_reporting(self):
-        from repro.tune.sweep import SweepResult
-
-        result = SweepResult(
-            knob="span_budget",
-            unit="views/s",
-            settings=(1024.0, 4096.0),
-            metrics=(10.0, 11.0),
-            fit=fit_knee([1024, 4096], [10.0, 11.0]),
-            predicted=2048,
-        )
-        text = "\n".join(result.lines())
-        assert "span_budget" in text and "<- selected" in text
-        assert result.prediction_gap == 2048 / result.fit.selected
-
-    def test_autotune_quick_smoke(self, monkeypatch, tmp_path):
-        # Render-side knobs only: the serve sweeps are covered by the CLI
-        # tune leg and bench_tune; this pins the report/profile plumbing.
-        from repro.tune.sweep import autotune
-
-        path = str(tmp_path / "prof.json")
+class TestPerfbenchStamp:
+    @pytest.fixture()
+    def stamp(self, monkeypatch):
+        # The repo root on the path, as when pytest collects perfbench/.
+        monkeypatch.syspath_prepend(ROOT)
+        # What perfbench's pin_environment does, undone after the test.
+        for key in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(key)
         monkeypatch.setenv(PROFILE_ENV, "off")
-        report = autotune(
-            quick=True, seed=0, path=path, include_serve=False
+        return importlib.import_module("perfbench.stamp")
+
+    @staticmethod
+    def _record(stamp):
+        knobs = stamp.resolved_knobs(ServeConfig())
+        return {name: row["source"] for name, row in knobs.items()}, knobs
+
+    def test_profile_off_reads_defaults(self, stamp):
+        sources, knobs = self._record(stamp)
+        tile = "llc-model" if span_cost_model() is not None else "default"
+        assert sources.pop("tile_span_budget") == tile
+        assert set(sources.values()) == {"default"}, sources
+        assert knobs["span_chunk_budget"]["value"] == DEFAULT_SPAN_CHUNK_BUDGET
+        assert knobs["shm_bytes"]["value"] == DEFAULT_SHM_BYTES
+        assert knobs["serve.batch_budget"]["value"] == DEFAULT_BATCH_BUDGET
+        assert stamp.environment_stamp(ROOT, {})["tune_profile"] == "off"
+
+    def test_hand_written_profile_reads_profile(
+        self, stamp, monkeypatch, tmp_path
+    ):
+        path = _write_profile(
+            tmp_path / "p.json",
+            {
+                "span_budget": 3333,
+                "tile_spans": 4444,
+                "shm_bytes": 0,
+                "worker_viewcache": 5,
+                "batch_budget": 6,
+            },
         )
-        assert report.path == path
-        assert report.profile.span_budget >= 1
-        assert report.profile.tile_spans is None  # no tile-extent sweep
-        assert report.profile.batch_budget is None  # serve sweeps skipped
-        assert "span_budget" in "\n".join(report.lines())
-        loaded = load_host_profile(path)
-        assert loaded is not None
-        assert loaded.span_budget == report.profile.span_budget
-        assert loaded.meta["sweeps"]["span_budget"]["settings"]
+        monkeypatch.setenv(PROFILE_ENV, path)
+        sources, knobs = self._record(stamp)
+        for name in (
+            "span_chunk_budget", "tile_span_budget", "shm_bytes",
+            "worker_viewcache", "serve.batch_budget", "serve.shm_bytes",
+        ):
+            assert sources.pop(name) == "profile", name
+        assert set(sources.values()) <= {"default"}, sources
+        assert knobs["span_chunk_budget"]["value"] == 3333
+        assert knobs["tile_span_budget"]["value"] == 4444
+        assert knobs["serve.shm_bytes"]["value"] == 0
+        assert stamp.environment_stamp(ROOT, {})["tune_profile"] == path
+
+    def test_env_override_reads_env(self, stamp, monkeypatch):
+        monkeypatch.setenv(SPAN_BUDGET_ENV, "2222")
+        sources, knobs = self._record(stamp)
+        assert sources.pop("span_chunk_budget") == "env"
+        assert knobs["span_chunk_budget"]["value"] == 2222
+        sources.pop("tile_span_budget")
+        assert set(sources.values()) == {"default"}, sources
+        assert stamp.environment_stamp(ROOT, {})["tune_profile"] == "off"
