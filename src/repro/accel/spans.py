@@ -1,27 +1,37 @@
 """Bridge from the render engine's span lists to the accelerator model.
 
-:func:`repro.accel.pipeline_sim.simulate_pipeline` is driven by a per-tile
-workload array.  Historically that array was the tiling stage's
+:func:`repro.accel.pipeline_sim.simulate_pipeline` is driven by per-tile
+workload arrays.  Historically these were the tiling stage's
 *intersection* counts — a synthetic aggregate that charges every
 tile–splat pair the full tile area.  The packed render engine knows
 better: its :class:`~repro.splat.backends.segments.RowSpans` carry exactly
-the per-row fragments the paper's Sorting/Rasterization stages stream, so
-the accelerator simulator can be fed the rasterized workload a real frame
-actually produces.
+the per-row fragments the paper's Sorting/Rasterization stages stream.
+The simulator reads two per-tile arrays of them, which
+:class:`~repro.splat.backends.segments.TileWork` holds: the spans of each
+tile and the sorting work of its ``(tile, row)`` groups.  A foveated frame
+surfaces one per quality level (``level_spans``) and keeps no span list.
 
-:func:`spans_to_tile_counts` is that adapter.  In ``units="spans"`` it
-returns the raw span-row count per tile (each span is one
-``tile_size``-wide lane vector of work); ``units="intersections"`` divides
-by the tile's row count, yielding tile-equivalent units directly
-comparable to — and on realistic footprints smaller than — the synthetic
-``intersections_per_tile`` aggregates.
+In ``units="spans"`` the rasterization workload is the raw span-row count
+per tile (each span is one ``tile_size``-wide lane vector of work);
+``units="intersections"`` divides by the tile's row count, yielding
+tile-equivalent units directly comparable to — and on realistic
+footprints smaller than — the synthetic ``intersections_per_tile``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..splat.backends.segments import RowSpans
+from ..splat.backends.segments import RowSpans, TileWork
+
+
+def _in_units(work: TileWork, units: str) -> np.ndarray:
+    counts = work.spans.astype(np.float64)
+    if units == "spans":
+        return counts
+    if units == "intersections":
+        return counts / float(work.tile_size)
+    raise ValueError(f"unknown units {units!r}; expected 'spans' or 'intersections'")
 
 
 def spans_to_tile_counts(
@@ -40,13 +50,7 @@ def spans_to_tile_counts(
     3/16 of a synthetic intersection, which is exactly the work-
     proportionality the paper's rate-matched pipeline exploits.
     """
-    grid = spans.seg.grid
-    counts = np.bincount(spans.span_tile, minlength=grid.num_tiles).astype(np.float64)
-    if units == "spans":
-        return counts
-    if units == "intersections":
-        return counts / float(grid.tile_size)
-    raise ValueError(f"unknown units {units!r}; expected 'spans' or 'intersections'")
+    return _in_units(TileWork.of(spans), units)
 
 
 def spans_to_sort_work(spans: RowSpans) -> np.ndarray:
@@ -61,51 +65,39 @@ def spans_to_sort_work(spans: RowSpans) -> np.ndarray:
     ``sort_work_per_tile=`` to price sorting from the fragment lists a real
     frame streams.
     """
-    grid = spans.seg.grid
-    out = np.zeros(grid.num_tiles, dtype=np.float64)
-    if spans.num_spans == 0:
-        return out
-    lens = spans.groups.lens.astype(np.float64)
-    work = lens * np.ceil(np.log2(np.maximum(lens, 2.0)))
-    np.add.at(out, spans.group_tile, work)
-    return out
+    return TileWork.of(spans).sort_work
+
+
+def _frame_work(level_spans: dict[int, TileWork]) -> TileWork:
+    """The level-partitioned work of a foveated frame, summed over levels."""
+    if not level_spans:
+        raise ValueError(
+            "empty level_spans; the selected backend does not surface "
+            "foveated span work (the reference oracle reports None)"
+        )
+    levels = list(level_spans.values())
+    return TileWork(
+        sum(w.spans for w in levels), sum(w.sort_work for w in levels), levels[0].tile_size
+    )
 
 
 def foveated_tile_counts(
-    level_spans: dict[int, RowSpans], units: str = "intersections"
+    level_spans: dict[int, TileWork], units: str = "intersections"
 ) -> np.ndarray:
     """Per-tile rasterization workload of a real *foveated* frame.
 
-    ``level_spans`` is the per-level filtered span dict a span-based
-    backend surfaces on :class:`repro.foveation.FRRenderResult` — level
-    ``t`` holds exactly the fragments the primary pass rasterized in
-    level-``t`` tiles after quality-bound filtering.  Levels partition the
-    tile grid, so summing their per-tile counts yields the frame's true
+    ``level_spans`` is the per-level work dict a span-based backend
+    surfaces on :class:`repro.foveation.FRRenderResult` — level ``t``
+    holds exactly the fragments the primary pass rasterized in level-``t``
+    tiles after quality-bound filtering.  Levels partition the tile grid,
+    so summing their per-tile counts yields the frame's true
     post-filtering workload (blend-band second passes are charged via the
     frame's ``raster_intersections_per_tile`` statistics instead).
     """
-    if not level_spans:
-        raise ValueError(
-            "empty level_spans; the selected backend does not surface "
-            "foveated span lists (the reference oracle reports None)"
-        )
-    total = None
-    for spans in level_spans.values():
-        counts = spans_to_tile_counts(spans, units=units)
-        total = counts if total is None else total + counts
-    return total
+    return _in_units(_frame_work(level_spans), units)
 
 
-def foveated_sort_work(level_spans: dict[int, RowSpans]) -> np.ndarray:
+def foveated_sort_work(level_spans: dict[int, TileWork]) -> np.ndarray:
     """Per-tile sorting workload of a real foveated frame (see
     :func:`spans_to_sort_work`), summed over the level-partitioned tiles."""
-    if not level_spans:
-        raise ValueError(
-            "empty level_spans; the selected backend does not surface "
-            "foveated span lists (the reference oracle reports None)"
-        )
-    total = None
-    for spans in level_spans.values():
-        work = spans_to_sort_work(spans)
-        total = work if total is None else total + work
-    return total
+    return _frame_work(level_spans).sort_work

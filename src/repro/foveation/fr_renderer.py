@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ..splat.backends import get_backend
-from ..splat.backends.segments import RowSpans
+from ..splat.backends.segments import TileWork
 from ..splat.cachekey import ContentMemo, frozen
 from ..splat.camera import Camera
 from ..splat.gaussians import GaussianModel
@@ -76,16 +76,16 @@ class FRRenderStats:
 class FRRenderResult:
     """One foveated frame: clipped image, workload stats, region maps.
 
-    ``level_spans`` surfaces the per-level filtered row-span lists the
-    backend actually rasterized (span-based engines only; ``None`` on the
-    ``reference`` oracle) — the real foveated workload
-    :func:`repro.accel.spans_to_tile_counts` consumes.
+    ``level_spans`` surfaces, per level, the spans and sort work per tile
+    the backend actually rasterized in that level's tiles (span-based
+    engines only; ``None`` on the ``reference`` oracle) — the real
+    foveated workload :func:`repro.accel.foveated_tile_counts` consumes.
     """
 
     image: np.ndarray  # (H, W, 3)
     stats: FRRenderStats
     maps: RegionMaps
-    level_spans: dict[int, RowSpans] | None = None
+    level_spans: dict[int, TileWork] | None = None
 
 
 # The per-level tables depend on no pose or gaze: one build per version of

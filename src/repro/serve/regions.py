@@ -43,6 +43,7 @@ from ..splat.cachekey import (
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
 from ..tune.profile import profile_value
+from .shm import result_arrays
 
 # A gaze pixel's ray is always strictly less than 90° off the optical axis
 # (`atan` of a finite tangent-plane radius), so rings are generated up to
@@ -242,19 +243,11 @@ def result_nbytes(obj) -> int:
     pool's shared-memory transport (:mod:`repro.serve.shm`) is a tree of
     zero-copy views over the arena, and each view's ``nbytes`` is the
     plane's real size — so the cache budget charges shm-resident frames
-    exactly what they pin, the same as heap-resident ones.
+    exactly what they pin, the same as heap-resident ones.  An array
+    referenced from several places in the tree counts once, as
+    :func:`~repro.serve.shm.export_result` stores it once.
     """
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return sum(
-            result_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
-    if isinstance(obj, dict):
-        return sum(result_nbytes(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return sum(result_nbytes(v) for v in obj)
-    return 0
+    return sum(a.nbytes for a in result_arrays(obj))
 
 
 DEFAULT_FRAME_CACHE_BYTES = 64 << 20

@@ -449,6 +449,15 @@ def _map_leaves(obj, leaf_type, fn):
     return obj
 
 
+def result_arrays(result) -> list[np.ndarray]:
+    """Every array of a result tree once, in walk order: the planes
+    :func:`export_result` stores (an array referenced from several places
+    in the tree is one plane)."""
+    arrays: dict[int, np.ndarray] = {}
+    _map_leaves(result, np.ndarray, lambda a: arrays.setdefault(id(a), a))
+    return list(arrays.values())
+
+
 def export_result(arena: SlabArena, result) -> FrameHandle:
     """Copy every array of ``result`` into a leased slot (worker side).
 
@@ -457,20 +466,12 @@ def export_result(arena: SlabArena, result) -> FrameHandle:
     falls back to returning ``result`` itself over the pickle path).
     Arrays referenced from several places in the tree are stored once.
     """
-    planes: list[np.ndarray] = []
-    memo: dict[int, _PlaneRef] = {}
-
-    def capture(a: np.ndarray) -> _PlaneRef:
-        ref = memo.get(id(a))
-        if ref is None:
-            if a.dtype.hasobject:
-                raise ShmTransportError("object arrays cannot ride shared memory")
-            ref = _PlaneRef(len(planes))
-            memo[id(a)] = ref
-            planes.append(np.ascontiguousarray(a))
-        return ref
-
-    skeleton = _map_leaves(result, np.ndarray, capture)
+    arrays = result_arrays(result)
+    if any(a.dtype.hasobject for a in arrays):
+        raise ShmTransportError("object arrays cannot ride shared memory")
+    refs = {id(a): _PlaneRef(i) for i, a in enumerate(arrays)}
+    skeleton = _map_leaves(result, np.ndarray, lambda a: refs[id(a)])
+    planes = [np.ascontiguousarray(a) for a in arrays]
     offsets: list[int] = []
     cursor = 0
     for a in planes:

@@ -23,25 +23,25 @@ if TYPE_CHECKING:
     from ..projection import ProjectedGaussians
     from ..rasterizer import RasterGradients
     from ..tiling import TileAssignment
-    from .segments import RowSpans
+    from .segments import TileWork
 
 
 @dataclasses.dataclass
 class FoveatedFrame:
     """Raw output of one foveated / multi-model frame (pre-clipping).
 
-    ``level_spans`` surfaces the per-level *filtered* row-span lists the
-    primary pass actually rasterized (level ``t`` → spans in level-``t``
-    tiles whose pair passes the quality bound) so the accelerator model can
-    be driven from the real foveated workload.  Span-based engines fill it;
-    backends without a span representation (``reference``) leave ``None``.
+    ``level_spans`` surfaces the per-tile work (:class:`TileWork`) of the
+    *filtered* spans the primary pass actually rasterized (level ``t`` →
+    spans in level-``t`` tiles whose pair passes the quality bound) so the
+    accelerator model can be driven from the real foveated workload.
+    Span-based engines fill it; backends without spans leave ``None``.
     """
 
     image: np.ndarray  # (H, W, 3), not yet clipped to [0, 1]; fresh, owned by the frame
     sort_intersections_per_tile: np.ndarray  # (T,) int64
     raster_intersections_per_tile: np.ndarray  # (T,) float64
     blend_pixels: int
-    level_spans: "dict[int, RowSpans] | None" = None
+    level_spans: "dict[int, TileWork] | None" = None
 
 
 @runtime_checkable

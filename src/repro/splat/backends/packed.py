@@ -79,14 +79,13 @@ from .kernels import (
     batch_weights,
 )
 from .segments import (
-    LayeredSpans,
     PackedSegments,
     RowSpans,
+    TileWork,
     build_row_spans,
     build_segments,
     concat_spans,
     expand_row_spans,
-    join_row_spans,
     pair_row_ranges,
 )
 
@@ -550,8 +549,8 @@ class _FramePlan:
     the blend-band pixel selection and the (tile, level) renders the frame
     needs — ``primary`` is each non-empty tile's own level, ``second`` the
     second level of each tile holding band pixels (0: none).
-    ``level_tiles`` are each level's non-empty tiles, whose primary spans
-    feed the accelerator model.  The pair fields are ``None`` for frames
+    ``level_tiles`` are each level's non-empty tiles, whose primary-pass
+    work feeds the accelerator model.  The pair fields are ``None`` for frames
     without intersections (they render as pure background).
     """
 
@@ -645,10 +644,10 @@ def _frame_plan(
         raster_ints[sel_tiles] += msec * mix_count[sel_tiles] / grid.tile_size**2
         blend_level[sel_tiles] = second[sel_tiles]
 
-    # Level t owns the primary spans of its non-empty tiles — exactly the
-    # fragments the primary composite rasterizes there.  This is the real
-    # foveated workload the accelerator model consumes
-    # (accel.spans_to_tile_counts).
+    # Level t owns the primary-pass work of its non-empty tiles — exactly
+    # the fragments the primary composite rasterizes there.  This is the
+    # real foveated workload the accelerator model consumes
+    # (accel.foveated_tile_counts).
     level_tiles = {}
     for t in np.unique(tl[nonempty]).tolist():
         level_tiles[t] = (tl == t) & nonempty
@@ -717,14 +716,18 @@ def _layer_of(levels: np.ndarray, need: np.ndarray) -> np.ndarray:
 
 
 def _foveated_frame(
-    plan: _FramePlan, image: np.ndarray, level_spans: dict[int, RowSpans]
+    plan: _FramePlan, image: np.ndarray, work: TileWork | None = None
 ) -> FoveatedFrame:
+    """The frame of ``plan``; its levels mask ``work``, the primary pass's."""
     return FoveatedFrame(
         image=image,
         sort_intersections_per_tile=plan.sort_ints,
         raster_intersections_per_tile=plan.raster_ints,
         blend_pixels=plan.blend_pixels,
-        level_spans=level_spans,
+        level_spans={
+            t: dataclasses.replace(work, tiles=tiles)
+            for t, tiles in plan.level_tiles.items()
+        },
     )
 
 
@@ -998,7 +1001,9 @@ class PackedBackend:
                 yield _Source(g, rows, passes.pass_counts, passes.tables), sizes
 
         def run(parts):
-            return self._piece(parts, background)[:2]
+            # Each pass's spans die here, reduced to their per-tile work.
+            scattered, pass_spans, _ = self._piece(parts, background)
+            return scattered, [(g, k, TileWork.of(spans)) for g, k, spans in pass_spans]
 
         work: dict[str, int] = {"frames": len(views)}
         with backend_span("alpha-scan", args=work):
@@ -1009,33 +1014,33 @@ class PackedBackend:
         work["built"] = sum(plan.built for plan in plans)
 
         with backend_span("composite", args={"frames": len(views)}):
-            # Layer k of a group holds its pass-k tile renders.
+            # Layer k of a group holds its pass-k tile renders, and row k
+            # of its work tables the pass's spans and sort work per tile.
             layers: dict[int, np.ndarray] = {}
-            pass_parts: dict[int, list[list[RowSpans]]] = {}
+            tile_work: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             for g, layout in enumerate(layouts):
                 if layout is not None:
                     frame = _background_frame(layout[0].grid, background)
                     layers[g] = np.repeat(frame[None], len(layout[1]), axis=0)
-                    pass_parts[g] = [[] for _ in layout[1]]
-            for scattered, pass_spans in results:
+                    shape = layout[1].shape
+                    tile_work[g] = (np.zeros(shape, np.int64), np.zeros(shape))
+            for scattered, pass_work in results:
                 for g, k, idx, values in scattered:
                     _pixel_elements(layers[g][k])[idx] = values
-                for g, k, spans in pass_spans:
-                    pass_parts[g][k].append(spans)
+                for g, k, w in pass_work:
+                    tile_work[g][0][k] += w.grid_spans
+                    tile_work[g][1][k] += w.grid_sort_work
 
             out: list[Any] = [None] * len(views)
             for g, frames in enumerate(groups):
                 if layouts[g] is None:
                     for f in frames:
                         grid = views[f][1].grid
-                        out[f] = _foveated_frame(
-                            plans[f], _background_frame(grid, background), {}
-                        )
+                        out[f] = _foveated_frame(plans[f], _background_frame(grid, background))
                     continue
                 seg, levels = layouts[g]
-                layered = LayeredSpans(
-                    [join_row_spans(seg, parts) for parts in pass_parts[g]]
-                )
+                spans_table, sort_table = tile_work[g]
+                tile_ids = np.arange(seg.grid.num_tiles)
                 for f in frames:
                     plan = plans[f]
                     primary = _layer_of(levels, plan.primary)
@@ -1050,11 +1055,9 @@ class PackedBackend:
                         plan.band.blend(
                             plan.maps, image, layers[g], _layer_of(levels, plan.second)
                         )
-                    level_spans = {
-                        t: layered.pick(primary, mask)
-                        for t, mask in plan.level_tiles.items()
-                    }
-                    out[f] = _foveated_frame(plan, image, level_spans)
+                    at = (primary, tile_ids)
+                    frame_work = TileWork(spans_table[at], sort_table[at], seg.grid.tile_size)
+                    out[f] = _foveated_frame(plan, image, frame_work)
         return out
 
     def multi_model_frame(

@@ -180,10 +180,8 @@ class RowSpans:
 
     def subset(self, tile_mask: np.ndarray) -> "RowSpans":
         """Restrict to the spans and groups of selected tiles."""
-        return self.select(tile_mask[self.span_tile], tile_mask[self.group_tile])
-
-    def select(self, keep_spans: np.ndarray, keep_groups: np.ndarray) -> "RowSpans":
-        """Keep the masked spans and groups (every kept group's spans)."""
+        keep_spans = tile_mask[self.span_tile]
+        keep_groups = tile_mask[self.group_tile]
         return RowSpans(
             seg=self.seg,
             span_pair=self.span_pair[keep_spans],
@@ -196,58 +194,46 @@ class RowSpans:
         )
 
 
-@dataclasses.dataclass
-class LayeredSpans:
-    """Row spans of one view rendered as several *layers* (composite passes).
+@dataclasses.dataclass(frozen=True)
+class TileWork:
+    """The per-tile work of a span list that the accelerator model prices.
 
-    Every layer is in ``(tile, row)`` order and renders each of its tiles
-    at most once.  :meth:`pick` assembles one frame's spans taking each tile
-    from one layer, in ``(tile, row)`` order — what a lone render of that
-    frame builds, since a tile's spans depend only on the tile and the
-    pairs its layer keeps.
+    ``spans`` counts each tile's spans; ``sort_work`` sums
+    ``n · ceil(log2 max(n, 2))`` over its ``(tile, row)`` groups of ``n``
+    spans.  A ``tiles`` mask restricts both without a copy, so the levels
+    of a foveated frame share one pair of ``grid_*`` arrays.
     """
 
-    layers: list[RowSpans]
+    grid_spans: np.ndarray  # (T,) int64
+    grid_sort_work: np.ndarray  # (T,) float64
+    tile_size: int
+    tiles: np.ndarray | None = None  # (T,) bool mask, None: every tile
 
-    @functools.cached_property
-    def _merged(self) -> tuple[RowSpans, np.ndarray, np.ndarray]:
-        """Every layer's spans in ``(tile, layer, row)`` order, with the
-        layer of each span and of each group."""
-        joined = join_row_spans(self.layers[0].seg, self.layers)
-        ids = np.arange(len(self.layers))
-        span_layer = np.repeat(ids, [s.num_spans for s in self.layers])
-        group_layer = np.repeat(ids, [s.num_groups for s in self.layers])
-        num_tiles = joined.seg.grid.num_tiles
-        # Stable by tile: a tile's layers stay in layer order, each in
-        # (row, depth) order.
-        by_span = stable_key_order(joined.span_tile, num_tiles)
-        by_group = stable_key_order(joined.group_tile, num_tiles)
-        merged = RowSpans(
-            seg=joined.seg,
-            span_pair=joined.span_pair[by_span],
-            span_tile=joined.span_tile[by_span],
-            span_y=joined.span_y[by_span],
-            groups=SegmentIndex.from_lengths(joined.groups.lens[by_group]),
-            group_tile=joined.group_tile[by_group],
-            group_y=joined.group_y[by_group],
-            group_has_tile_last=joined.group_has_tile_last[by_group],
+    @classmethod
+    def of(cls, spans: RowSpans) -> "TileWork":
+        grid = spans.seg.grid
+        lens = spans.groups.lens.astype(np.float64)
+        steps = lens * np.ceil(np.log2(np.maximum(lens, 2.0)))
+        return cls(
+            np.bincount(spans.span_tile, minlength=grid.num_tiles).astype(np.int64),
+            np.bincount(spans.group_tile, weights=steps, minlength=grid.num_tiles),
+            grid.tile_size,
         )
-        return merged, span_layer[by_span], group_layer[by_group]
 
-    def pick(self, tile_layer: np.ndarray, tile_mask: np.ndarray) -> RowSpans:
-        """The spans of the ``tile_mask`` tiles, tile ``t`` from layer
-        ``tile_layer[t]``, in ``(tile, row)`` order."""
-        used = np.unique(tile_layer[tile_mask])
-        if used.size == 1:
-            return self.layers[int(used[0])].subset(tile_mask)
-        merged, span_layer, group_layer = self._merged
-        keep_spans = tile_mask[merged.span_tile] & (
-            tile_layer[merged.span_tile] == span_layer
-        )
-        keep_groups = tile_mask[merged.group_tile] & (
-            tile_layer[merged.group_tile] == group_layer
-        )
-        return merged.select(keep_spans, keep_groups)
+    def _on_tiles(self, values: np.ndarray) -> np.ndarray:
+        return values if self.tiles is None else np.where(self.tiles, values, 0)
+
+    @property
+    def spans(self) -> np.ndarray:
+        return self._on_tiles(self.grid_spans)
+
+    @property
+    def sort_work(self) -> np.ndarray:
+        return self._on_tiles(self.grid_sort_work)
+
+    @property
+    def num_spans(self) -> int:
+        return int(self.spans.sum())
 
 
 @dataclasses.dataclass
@@ -346,28 +332,6 @@ class LengthClasses:
         for c0, _, n, length in self.blocks:
             cols, shape = slice(c0, c0 + n * length), (*lead, n, length)
             yield [m[..., cols].reshape(shape) for m in matrices]
-
-
-def join_row_spans(seg: PackedSegments, parts: list[RowSpans]) -> RowSpans:
-    """One view's row spans from consecutive pieces of it (tile-row order)."""
-    if len(parts) == 1:
-        return parts[0]
-
-    def cat(name: str, dtype=np.int64) -> np.ndarray:
-        return np.concatenate([getattr(p, name) for p in parts] or [np.empty(0, dtype)])
-
-    return RowSpans(
-        seg=seg,
-        span_pair=cat("span_pair"),
-        span_tile=cat("span_tile"),
-        span_y=cat("span_y"),
-        groups=SegmentIndex.from_lengths(
-            np.concatenate([p.groups.lens for p in parts] or [np.empty(0, np.int64)])
-        ),
-        group_tile=cat("group_tile"),
-        group_y=cat("group_y"),
-        group_has_tile_last=cat("group_has_tile_last", bool),
-    )
 
 
 def concat_spans(spans_list: list[RowSpans]) -> SpanBatch:

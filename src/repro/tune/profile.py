@@ -29,6 +29,7 @@ or re-parses; :func:`invalidate_profile_cache` drops the memo.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -95,6 +96,7 @@ class HostProfile:
         return out
 
 
+@functools.cache
 def host_fingerprint() -> str:
     """A stable identifier of the tuning-relevant hardware.
 
@@ -102,6 +104,8 @@ def host_fingerprint() -> str:
     actually depend on — so a profile follows the *machine shape*, not the
     hostname: re-imaged machines keep their profile, and a home directory
     shared across different machines keeps one profile per shape.
+    Memoized: the machine shape cannot change within a process, and the
+    default profile path is resolved on every render call.
     """
     llc = llc_bytes() or 0
     return "-".join(

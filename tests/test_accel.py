@@ -328,7 +328,7 @@ class TestSpanDrivenSorting:
 
 
 class TestFoveatedSpanWorkloads:
-    """Per-level filtered spans from the real foveated frame drive the sim."""
+    """Per-level filtered span work from the real foveated frame drives the sim."""
 
     @pytest.fixture(scope="class")
     def fr_result(self):
@@ -347,22 +347,25 @@ class TestFoveatedSpanWorkloads:
         )
 
     def test_level_partition_and_bounds(self, fr_result):
-        from repro.accel import foveated_tile_counts
+        from repro.accel import foveated_sort_work, foveated_tile_counts
 
         counts = foveated_tile_counts(fr_result.level_spans)
-        # Levels partition the tile grid: each tile's spans come from its
-        # own level only, and the filtered workload never exceeds charging
-        # every surviving intersection a full tile.
-        per_level = {
-            t: np.flatnonzero(
-                np.bincount(
-                    sp.span_tile, minlength=fr_result.maps.tile_level.shape[0]
-                )
-            )
-            for t, sp in fr_result.level_spans.items()
-        }
-        for t, tiles in per_level.items():
-            assert np.all(fr_result.maps.tile_level[tiles] == t)
+        # Levels partition the tile grid: each tile's work comes from its
+        # own level only, the frame's work is the sum of its levels', and
+        # the filtered workload never exceeds charging every surviving
+        # intersection a full tile.
+        tile_level = fr_result.maps.tile_level
+        for t, work in fr_result.level_spans.items():
+            assert np.all(tile_level[np.flatnonzero(work.spans)] == t)
+            assert np.all(tile_level[np.flatnonzero(work.sort_work)] == t)
+        levels = fr_result.level_spans.values()
+        assert np.array_equal(
+            foveated_tile_counts(fr_result.level_spans, units="spans"),
+            sum(w.spans for w in levels),
+        )
+        assert np.array_equal(
+            foveated_sort_work(fr_result.level_spans), sum(w.sort_work for w in levels)
+        )
         assert 0 < counts.sum() <= (
             fr_result.stats.raster_intersections_per_tile.sum() + 1e-9
         )

@@ -318,35 +318,77 @@ class TestPreparationSharing:
         assert render_foveated_batch(fmodel, []) == []
 
 
+GAZES = [None, (20.0, 16.0), (-50.0, 500.0)]  # centre, mid-periphery, off-screen
+
+
+def _level_work_oracle(fmodel, camera, maps):
+    """Per level ``t``: the ``(spans, sort_work)`` per tile of the built
+    spans in the non-empty level-``t`` tiles whose pair bound is at least
+    ``t``, from one full :func:`build_row_spans` and a naive group loop."""
+    projected, assignment = prepare_view(fmodel.base, camera)
+    seg = build_segments(assignment)
+    spans = build_row_spans(projected, seg)
+    num_tiles = assignment.grid.num_tiles
+    span_bound = fmodel.quality_bounds[projected.point_ids[seg.pair_splats]][
+        spans.span_pair
+    ]
+    tl = maps.tile_level
+    nonempty = np.diff(assignment.tile_offsets) > 0
+    oracle = {}
+    for t in np.unique(tl[nonempty]).tolist():
+        keep = (tl[spans.span_tile] == t) & (span_bound >= t)
+        counts = np.bincount(spans.span_tile[keep], minlength=num_tiles)
+        sort_work = np.zeros(num_tiles)
+        groups, lens = np.unique(
+            np.stack([spans.span_tile[keep], spans.span_y[keep]]), axis=1,
+            return_counts=True,
+        )
+        for tile, n in zip(groups[0].tolist(), lens.tolist()):
+            sort_work[tile] += n * np.ceil(np.log2(max(n, 2)))
+        oracle[t] = (counts, sort_work)
+    return oracle
+
+
+def _assert_level_work(fmodel, camera, result):
+    oracle = _level_work_oracle(fmodel, camera, result.maps)
+    assert result.level_spans.keys() == oracle.keys()
+    for t, work in result.level_spans.items():
+        spans, sort_work = oracle[t]
+        assert work.spans.dtype == np.int64 and work.sort_work.dtype == np.float64
+        assert np.array_equal(work.spans, spans)
+        assert np.array_equal(work.sort_work, sort_work)
+        assert work.num_spans == spans.sum()
+
+
 class TestLevelSpans:
     def test_packed_surfaces_filtered_levels(self, fmodel, train_cameras):
-        result = render_foveated(
-            fmodel, train_cameras[0], config=RenderConfig(backend="packed")
-        )
-        assert result.level_spans
-        tl = result.maps.tile_level
-        for t, spans in result.level_spans.items():
-            assert 1 <= t <= fmodel.num_levels
-            if spans.num_spans:
-                # Every surfaced span sits in a tile of its own level, and
-                # every surviving pair passed the level's quality bound.
-                assert np.all(tl[np.unique(spans.span_tile)] == t)
+        # Level t of a lone frame carries the spans and sort work per tile
+        # of the primary pass in its own tiles: the spans of level-t tiles
+        # whose pair passed the level's quality bound.
+        camera = train_cameras[0]
+        config = RenderConfig(backend="packed")
+        for gaze in GAZES:
+            result = render_foveated(fmodel, camera, gaze=gaze, config=config)
+            assert result.level_spans
+            _assert_level_work(fmodel, camera, result)
 
     def test_level_filtering_prunes_spans(self, fmodel, train_cameras):
-        # The coarsest level keeps only bound >= L points: its filtered
-        # span list must be no larger than the unfiltered tile subset.
-        config = RenderConfig(backend="packed")
-        result = render_foveated(fmodel, train_cameras[0], config=config)
-        batch = render_foveated_batch(fmodel, train_cameras[0], config=config)
-        got = {t: s.num_spans for t, s in batch[0].level_spans.items()}
-        want = {t: s.num_spans for t, s in result.level_spans.items()}
-        assert got == want
-        total = sum(got.values())
-        assert total > 0
+        # Every frame of a gaze batch reads its own primary level per tile
+        # from the passes the frames share, and keeps fewer spans than its
+        # view built.
+        camera = train_cameras[0]
+        batch = render_foveated_batch(
+            fmodel, camera, gazes=GAZES, config=RenderConfig(backend="packed")
+        )
+        assert len({tuple(r.maps.tile_level) for r in batch}) == len(GAZES)
+        projected, assignment = prepare_view(fmodel.base, camera)
+        built = build_row_spans(projected, build_segments(assignment)).num_spans
+        for got in batch:
+            _assert_level_work(fmodel, camera, got)
+            assert 0 < sum(w.num_spans for w in got.level_spans.values()) < built
 
     @pytest.mark.parametrize(
-        "gaze", [None, (20.0, 16.0), (-50.0, 500.0)],
-        ids=["centre", "mid-periphery", "off-screen"],
+        "gaze", GAZES, ids=["centre", "mid-periphery", "off-screen"]
     )
     def test_alpha_scan_counts_scanned_spans(self, fmodel, train_cameras, gaze):
         # The foveated alpha-scan span reports the spans its composite
@@ -415,9 +457,10 @@ class TestLevelSpans:
         for gaze, got in zip(gazes, batch):
             lone = render_foveated(fmodel, camera, gaze=gaze, config=config)
             assert np.array_equal(lone.image, got.image)
-            assert {t: s.num_spans for t, s in got.level_spans.items()} == {
-                t: s.num_spans for t, s in lone.level_spans.items()
-            }
+            assert got.level_spans.keys() == lone.level_spans.keys()
+            for t, work in got.level_spans.items():
+                assert np.array_equal(work.spans, lone.level_spans[t].spans)
+                assert np.array_equal(work.sort_work, lone.level_spans[t].sort_work)
 
     def test_reference_reports_none(self, fmodel, train_cameras):
         result = render_foveated(

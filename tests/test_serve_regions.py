@@ -224,6 +224,17 @@ class TestFrameCache:
         assert cache.peek((0,)) is not None
         assert cache.current_bytes == 3 * nbytes
 
+    def test_shared_array_counts_once(self):
+        # The shm transport stores an array referenced twice as one plane
+        # (as it does a frame's ``stats.tile_levels`` and
+        # ``maps.tile_level``); the cache charges it once too.
+        shared = np.zeros(64)
+        frame = FRRenderResult(
+            image=np.zeros((8, 8, 3)), stats=shared, maps=shared, level_spans=None
+        )
+        assert result_nbytes(frame) == 8 * 8 * 3 * 8 + shared.nbytes
+        assert result_nbytes([frame, frame]) == result_nbytes(frame)
+
     def test_oversized_frame_not_cached(self):
         frame = _fake_frame(64)
         cache = FrameCache(max_bytes=result_nbytes(frame) - 1)

@@ -315,6 +315,13 @@ class TestPoolTransport:
         for gaze, result in zip(gazes, results):
             ref = render_foveated(fmodel, cameras[1], gaze=gaze)
             assert np.array_equal(ref.image, result.image)
+            if ref.level_spans is None:  # the reference oracle keeps no spans
+                assert result.level_spans is None
+                continue
+            assert result.level_spans.keys() == ref.level_spans.keys()
+            for t, work in ref.level_spans.items():
+                assert np.array_equal(work.spans, result.level_spans[t].spans)
+                assert np.array_equal(work.sort_work, result.level_spans[t].sort_work)
         assert active_segments() == []
 
     def test_exhaustion_falls_back_to_pipe_bit_identically(self, fmodel, cameras):

@@ -169,6 +169,17 @@ class TestHostProfile:
     def test_missing_file_is_none(self, tmp_path):
         assert load_host_profile(str(tmp_path / "absent.json")) is None
 
+    def test_fingerprint_is_probed_once(self, monkeypatch):
+        # The default profile path is resolved on every render call; the
+        # machine shape is read once per process.
+        first = host_fingerprint()
+        calls = []
+        monkeypatch.setattr(
+            "platform.system", lambda: calls.append("system") or "other"
+        )
+        assert host_fingerprint() == first
+        assert calls == []
+
     def test_corrupt_file_warns_and_degrades(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
