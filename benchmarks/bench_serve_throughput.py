@@ -126,23 +126,12 @@ def replay_rows(serve_env, scale):
     serve_s = time.perf_counter() - t0
 
     _, serve_report_2 = replay_trace(fmodel, trace, serve_config=serve_config)
-
-    # Report-only: exact_frames=False rides each pose group on one
-    # concatenated span scan (frames still bit-identical: each pixel row
-    # scans only its own spans).
-    fast_config = ServeConfig(batch_budget=BATCH_BUDGET, exact_frames=False)
-    replay_trace(fmodel, trace, serve_config=fast_config)  # warm-up
-    t0 = time.perf_counter()
-    _, fast_report = replay_trace(fmodel, trace, serve_config=fast_config)
-    fast_s = time.perf_counter() - t0
     return dict(
         naive_s=naive_s,
         serve_s=serve_s,
-        fast_s=fast_s,
         naive_report=naive_report,
         serve_report=serve_report,
         serve_report_2=serve_report_2,
-        fast_report=fast_report,
         responses=responses,
         fmodel=fmodel,
         trace=trace,
@@ -163,8 +152,6 @@ def test_serve_throughput(replay_rows, quick):
             *naive.lines(),
             *served.lines(),
             f"serve speedup: {speedup:.2f}x",
-            f"throughput mode (exact_frames=False, bit-identical frames): "
-            f"{r['naive_s'] / r['fast_s']:.2f}x",
         ],
     )
     # The cache really served a meaningful share of the skewed trace, and

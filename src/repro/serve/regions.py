@@ -30,7 +30,7 @@ import functools
 
 import numpy as np
 
-from ..envknobs import env_int
+from ..envknobs import KNOBS
 from ..foveation.hierarchy import FoveatedModel
 from ..obs.metrics import Counter, MetricsRegistry
 from ..hvs.eccentricity import PoolingModel
@@ -42,7 +42,6 @@ from ..splat.cachekey import (
 )
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
-from ..tune.profile import profile_value
 from .shm import result_arrays
 
 # A gaze pixel's ray is always strictly less than 90° off the optical axis
@@ -250,24 +249,12 @@ def result_nbytes(obj) -> int:
     return sum(a.nbytes for a in result_arrays(obj))
 
 
-DEFAULT_FRAME_CACHE_BYTES = 64 << 20
-FRAME_CACHE_BYTES_ENV = "REPRO_FRAME_CACHE_BYTES"
-
-
-def resolved_cache_bytes(max_bytes: int | None = None) -> int | None:
-    """The effective frame-cache byte budget (``None`` = cache disabled).
-
-    Precedence: explicit ``max_bytes`` > ``$REPRO_FRAME_CACHE_BYTES`` >
-    the host profile's ``cache_max_bytes`` (:mod:`repro.tune`) >
-    the built-in default (64 MiB).  An env value ``<= 0`` disables the
-    cache (returns ``None``); a malformed env value warns and falls
-    through to the profile-or-default.
-    """
-    if max_bytes is not None:
-        return int(max_bytes)
-    fallback = profile_value("cache_max_bytes") or DEFAULT_FRAME_CACHE_BYTES
-    value = env_int(FRAME_CACHE_BYTES_ENV, int(fallback))
-    return None if value <= 0 else value
+# The frame cache's byte budget: explicit > ``$REPRO_FRAME_CACHE_BYTES``
+# > the host profile's ``cache_max_bytes`` > 64 MiB.  An env value ``<= 0``
+# disables the cache (``None``).
+DEFAULT_FRAME_CACHE_BYTES = KNOBS["cache_max_bytes"].default
+FRAME_CACHE_BYTES_ENV = KNOBS["cache_max_bytes"].env
+resolved_cache_bytes = KNOBS["cache_max_bytes"].resolve
 
 
 class FrameCache:

@@ -41,11 +41,9 @@ requests (``prefetch_useful`` counts the hits prefetching created).
 
 Guarantees: a cache-miss response is **bit-identical** to a per-request
 :func:`repro.foveation.render_foveated` call at the request's own camera
-and gaze in both ``exact_frames`` modes — every pixel row's
-transmittance scan sees only its own spans, so a tile's render does not
-depend on the frames it is shared with, and batch-of-one dispatch and
-one shared render per pose group give the same bits; a hit returns a frame previously
-rendered for the same (model, pose, gaze region, config) key — never
+and gaze — every pixel row's transmittance scan sees only its own spans,
+so a tile's render does not depend on the frames it is shared with; a
+hit returns a frame previously rendered for the same (model, pose, gaze region, config) key — never
 across model mutations, backends, or poses.  A prefetch never defines a
 client miss's gaze: client requests claim key leadership before
 prefetches, so exactness is unaffected by speculation.
@@ -67,9 +65,9 @@ import collections
 import dataclasses
 import math
 import time
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from ..envknobs import env_flag, env_float, env_int
+from ..envknobs import KNOBS
 from ..foveation import FRRenderResult, render_foveated_batch
 from ..foveation.hierarchy import FoveatedModel
 from ..obs.metrics import Histogram, MetricsRegistry
@@ -77,53 +75,23 @@ from ..obs.trace import Tracer, set_active_tracer
 from ..splat.cachekey import digests_on_this_thread
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig, ViewCache
-from ..tune.profile import profile_value
 from .predictor import GazePredictor, PredictorConfig
-from .regions import FrameCache, GazeGridSpec, quantize_gaze, resolved_cache_bytes
-from .shm import resolved_shm_bytes
+from .regions import FrameCache, GazeGridSpec, quantize_gaze
 from .workers import RenderWorkerPool
 
 # EWMA weight of the newest per-frame render measurement (the estimator
 # behind the degrade policy and the deadline-capped straggler wait).
 _RENDER_EWMA_ALPHA = 0.4
 
-DEFAULT_BATCH_BUDGET = 8
-DEFAULT_BATCH_DEADLINE_S = 0.0
-BATCH_BUDGET_ENV = "REPRO_SERVE_BATCH_BUDGET"
-BATCH_DEADLINE_ENV = "REPRO_SERVE_BATCH_DEADLINE"
-TRACE_ENV = "REPRO_TRACE"
-
-
-def resolved_batch_budget(budget: int | None = None) -> int:
-    """The effective batcher coalescing cap.
-
-    Precedence: explicit ``budget`` > ``$REPRO_SERVE_BATCH_BUDGET`` > the
-    host profile's ``batch_budget`` > the built-in default (8).
-    A malformed or out-of-range env value warns and falls through.
-    """
-    if budget is not None:
-        if budget < 1:
-            raise ValueError("batch_budget must be at least 1")
-        return int(budget)
-    fallback = profile_value("batch_budget") or DEFAULT_BATCH_BUDGET
-    return env_int(BATCH_BUDGET_ENV, int(fallback), minimum=1)
-
-
-def resolved_batch_deadline(deadline_s: float | None = None) -> float:
-    """The effective batch-fill deadline in seconds.
-
-    Precedence: explicit ``deadline_s`` > ``$REPRO_SERVE_BATCH_DEADLINE``
-    > the host profile's ``batch_deadline_s`` > the built-in
-    default (0 — batch only what is already pending).
-    """
-    if deadline_s is not None:
-        if deadline_s < 0:
-            raise ValueError("batch_deadline_s must be non-negative")
-        return float(deadline_s)
-    fallback = profile_value("batch_deadline_s")
-    if fallback is None:
-        fallback = DEFAULT_BATCH_DEADLINE_S
-    return env_float(BATCH_DEADLINE_ENV, float(fallback), minimum=0.0)
+# The batcher's coalescing cap (8 by default), its batch-fill wait in
+# seconds (0 by default: batch only what is already pending), and
+# per-request tracing (off by default).
+BATCH_BUDGET_ENV = KNOBS["batch_budget"].env
+DEFAULT_BATCH_BUDGET = KNOBS["batch_budget"].default
+resolved_batch_budget = KNOBS["batch_budget"].resolve
+BATCH_DEADLINE_ENV = KNOBS["batch_deadline_s"].env
+resolved_batch_deadline = KNOBS["batch_deadline_s"].resolve
+TRACE_ENV = KNOBS["trace"].env
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,14 +164,14 @@ class ServeConfig:
     ``cache_max_bytes = None`` disables the frame cache entirely (every
     request renders).
 
-    These three knobs default to *resolution sentinels* (``None`` /
-    ``"auto"``) handled in ``__post_init__`` with the repo-wide
-    precedence: explicit argument > environment variable
-    (``$REPRO_SERVE_BATCH_BUDGET`` / ``$REPRO_SERVE_BATCH_DEADLINE`` /
-    ``$REPRO_FRAME_CACHE_BYTES``) > a hand-written host profile
-    (:mod:`repro.tune`) > built-in defaults (8 / 0 / 64 MiB).  A
-    constructed config always carries concrete values — resolution
-    happens once, not per request.
+    The knob fields (``batch_budget``, ``batch_deadline_s``,
+    ``cache_max_bytes``, ``shm_bytes``, ``trace``) default to *resolution
+    sentinels* (``None`` / ``"auto"``), which ``__post_init__`` resolves
+    through their rows of the knob table (:mod:`repro.envknobs`):
+    explicit argument > environment variable > a hand-written host
+    profile (:mod:`repro.tune`) > built-in default.  A constructed config
+    always carries concrete values — resolution happens once, not per
+    request.
 
     ``refresh_hz`` derives the default per-request frame budget
     (``1/refresh_hz`` seconds — 72/90/120 Hz VR refreshes) for requests
@@ -216,31 +184,26 @@ class ServeConfig:
     ``prefetch`` (a :class:`~repro.serve.predictor.PredictorConfig`)
     enables speculative gaze prefetch; ``None`` disables it.
 
-    ``exact_frames`` picks the miss-render dispatch: ``True`` (default)
-    chunks each pose group to batch-of-one inside its
-    ``render_foveated_batch`` call, sharing only the pose preparation, so
-    a multi-gaze pose group renders every tile once per gaze.  ``False``
-    renders the whole pose group in one call, which renders each
-    (tile, level) pair its gazes need once — highest throughput.  Both
-    modes serve frames **bit-identical** to a per-request
-    ``render_foveated``: every pixel row's transmittance scan sees only
-    its own spans, so batch composition never moves a bit.
+    Every pose group of misses renders as one ``render_foveated_batch``
+    call, which renders each (tile, level) pair its gazes need once; every
+    frame is still **bit-identical** to a per-request ``render_foveated``,
+    because every pixel row's transmittance scan sees only its own spans.
+    ``exact_frames`` is a class constant ``True`` that only the benchmark
+    record reads; it is not a constructor field.
 
     ``workers`` picks the executor behind the loop's one dispatch seam:
     ``0`` (default) renders inline, ``N > 0`` starts a
     ``RenderWorkerPool`` of N processes and dispatches each pose group to
-    a worker — same frames (workers run the identical dispatch,
-    bit-identical in either mode), but ``submit()`` stays responsive
-    during renders and client pose groups parallelize across cores.
+    a worker — same frames, but ``submit()`` stays responsive during
+    renders and client pose groups parallelize across cores.
 
     ``shm_bytes`` sizes the pool's shared-memory frame transport
     (:mod:`repro.serve.shm`): workers write frame planes into one slab
     arena and return tiny handles instead of pickling megabytes through
-    the executor pipe.  The ``"auto"`` sentinel resolves explicit
-    argument > ``$REPRO_SERVE_SHM`` > the host profile's
-    ``shm_bytes`` > 64 MiB; ``0`` (or ``None``) disables the arena and
-    every frame rides the pickle path.  Transport never changes pixels —
-    an exhausted or unavailable arena falls back to pickle per frame.
+    the executor pipe.  ``"auto"`` resolves to 64 MiB by default; ``0``
+    (or ``None``) disables the arena and every frame rides the pickle
+    path.  Transport never changes pixels — an exhausted or unavailable
+    arena falls back to pickle per frame.
 
     ``trace`` enables per-request span tracing (:mod:`repro.obs.trace`):
     the loop builds (or is handed) a :class:`~repro.obs.Tracer` and
@@ -255,7 +218,6 @@ class ServeConfig:
     batch_deadline_s: float | None = None
     cache_max_bytes: int | str | None = "auto"
     grid: GazeGridSpec = GazeGridSpec()
-    exact_frames: bool = True
     workers: int = 0
     refresh_hz: float | None = None
     degrade_on_deadline: bool = True
@@ -263,47 +225,39 @@ class ServeConfig:
     shm_bytes: int | str | None = "auto"
     trace: bool | None = None
 
+    exact_frames: ClassVar[bool] = True
+
+    # Knob fields, named as their rows of the knob table: field -> (the
+    # sentinel that means "resolve", what an explicit None stands for).
+    _KNOB_FIELDS: ClassVar[dict] = {
+        "batch_budget": (None, None),
+        "batch_deadline_s": (None, None),
+        "cache_max_bytes": ("auto", None),
+        "shm_bytes": ("auto", 0),
+        "trace": (None, None),
+    }
+
     def __post_init__(self) -> None:
-        # Resolve the tunable knobs' sentinels once, at construction (the
-        # dataclass is frozen, hence object.__setattr__).  The resolvers
-        # re-raise on explicit out-of-range values, preserving the old
-        # constructor validation errors.
-        object.__setattr__(
-            self, "batch_budget", resolved_batch_budget(self.batch_budget)
-        )
-        object.__setattr__(
-            self,
-            "batch_deadline_s",
-            resolved_batch_deadline(self.batch_deadline_s),
-        )
-        if self.cache_max_bytes == "auto":
-            object.__setattr__(self, "cache_max_bytes", resolved_cache_bytes())
-        elif isinstance(self.cache_max_bytes, str):
-            raise ValueError(
-                "cache_max_bytes must be an int, None, or the sentinel 'auto'"
-            )
-        elif self.cache_max_bytes is not None and self.cache_max_bytes <= 0:
-            raise ValueError("cache_max_bytes must be positive (or None)")
+        # Resolve the knob sentinels once, at construction (the dataclass
+        # is frozen, hence object.__setattr__).  An explicit value goes
+        # through its row too, which raises on an out-of-range one.
+        for field, (sentinel, unset) in self._KNOB_FIELDS.items():
+            knob, value = KNOBS[field], getattr(self, field)
+            if isinstance(value, str) and value != sentinel:
+                raise ValueError(
+                    f"{field} must be an int, None, or the sentinel {sentinel!r}"
+                )
+            if value == sentinel:
+                value = knob.resolve()
+            elif value is None:
+                value = unset
+            else:
+                value = knob.resolve(value)
+            object.__setattr__(self, field, value)
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
         if self.refresh_hz is not None and self.refresh_hz <= 0:
             raise ValueError("refresh_hz must be positive")
-        if self.shm_bytes == "auto":
-            object.__setattr__(self, "shm_bytes", resolved_shm_bytes())
-        elif isinstance(self.shm_bytes, str):
-            raise ValueError(
-                "shm_bytes must be an int, None, or the sentinel 'auto'"
-            )
-        elif self.shm_bytes is None:
-            object.__setattr__(self, "shm_bytes", 0)
-        else:
-            # Re-run the resolver on the explicit value for its validation
-            # (negative sizes raise, matching the other knob resolvers).
-            object.__setattr__(
-                self, "shm_bytes", resolved_shm_bytes(self.shm_bytes)
-            )
-        if self.trace is None:
-            object.__setattr__(self, "trace", env_flag(TRACE_ENV, False))
 
     @property
     def frame_budget_s(self) -> float | None:
@@ -557,7 +511,6 @@ class ServeLoop:
                 self.fmodel,
                 self.render_config,
                 workers=self.serve_config.workers,
-                exact_frames=self.serve_config.exact_frames,
                 shm_bytes=self.serve_config.shm_bytes,
             )
             self._owns_pool = True
@@ -860,7 +813,6 @@ class ServeLoop:
                 camera,
                 gazes=gazes,
                 config=self.render_config,
-                batch_size=1 if self.serve_config.exact_frames else None,
                 cache=self.view_cache,
             )
         finally:

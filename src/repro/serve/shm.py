@@ -65,8 +65,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-from ..envknobs import env_int
-from ..tune.profile import profile_value
+from ..envknobs import KNOBS
 
 __all__ = [
     "ArenaExhausted",
@@ -83,8 +82,11 @@ __all__ = [
     "shm_available",
 ]
 
-SHM_ENV = "REPRO_SERVE_SHM"
-DEFAULT_SHM_BYTES = 64 << 20
+# The transport arena size in bytes (``0`` = pickle only): explicit >
+# ``$REPRO_SERVE_SHM`` > the host profile's ``shm_bytes`` > 64 MiB.
+SHM_ENV = KNOBS["shm_bytes"].env
+DEFAULT_SHM_BYTES = KNOBS["shm_bytes"].default
+resolved_shm_bytes = KNOBS["shm_bytes"].resolve
 
 #: Every arena segment's name starts with this, so tests and benchmarks can
 #: assert "zero leaked segments" by listing ``/dev/shm``.
@@ -110,24 +112,6 @@ class ArenaExhausted(RuntimeError):
 
 class ShmTransportError(RuntimeError):
     """A handle could not be materialized (checksum/layout mismatch)."""
-
-
-def resolved_shm_bytes(shm_bytes: int | None = None) -> int:
-    """The effective transport arena size in bytes (``0`` = pickle only).
-
-    Precedence: explicit ``shm_bytes`` > ``$REPRO_SERVE_SHM`` > the host
-    profile's ``shm_bytes`` > the built-in default (64 MiB).  A
-    malformed or negative env value warns and falls through; an explicit
-    negative argument raises.
-    """
-    if shm_bytes is not None:
-        if shm_bytes < 0:
-            raise ValueError("shm_bytes must be non-negative (0 disables)")
-        return int(shm_bytes)
-    fallback = profile_value("shm_bytes")
-    if fallback is None:
-        fallback = DEFAULT_SHM_BYTES
-    return env_int(SHM_ENV, int(fallback), minimum=0)
 
 
 def shm_available() -> bool:

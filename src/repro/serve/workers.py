@@ -1,8 +1,7 @@
 """Off-loop render workers: a process pool behind the serve scheduler.
 
-The PR 5 :class:`~repro.serve.scheduler.ServeLoop` rendered misses inline
-on the event loop — every miss blocked ``submit()`` for the full render
-time and the whole tier was pinned to one core.  This module moves the
+Rendering inline on the event loop blocks ``submit()`` for the full
+render time and pins the serve tier to one core.  This module moves the
 render hot path into a ``concurrent.futures.ProcessPoolExecutor`` whose
 workers are *stateful*:
 
@@ -19,11 +18,11 @@ workers are *stateful*:
   threads, so the pool as a whole runs about one render thread per CPU;
   a worker builds its own thread pool, never the parent's (a thread pool
   does not survive fork);
-- renders stay **bit-identical** to the inline path: workers run the same
-  :func:`repro.foveation.render_foveated_batch` with the same chunking
-  (``exact_frames``), and frames are pure functions of ``(model, camera,
-  gaze, config)`` — crossing a process boundary changes nothing about the
-  pixels.
+- renders stay **bit-identical** to the inline path: a worker renders a
+  pose group as one :func:`repro.foveation.render_foveated_batch` call,
+  as the inline path does, and frames are pure functions of ``(model,
+  camera, gaze, config)`` — crossing a process boundary changes nothing
+  about the pixels.
 
 Workers snapshot the model when the pool starts its processes.  The
 scheduler's fingerprint-keyed caches detect in-place model mutation, but a
@@ -49,8 +48,8 @@ falls back to ``spawn``; ``REPRO_SERVE_MP_START`` overrides.
 ``REPRO_SERVE_WORKERS`` sets the default worker count for the CLI and
 benchmarks (0 = render inline on the event loop);
 ``REPRO_WORKER_VIEWCACHE`` sizes each worker's private pose-prefix
-:class:`~repro.splat.renderer.ViewCache` (arg > env > host profile >
-default 64, like every other knob).
+:class:`~repro.splat.renderer.ViewCache`.  Both are rows of the knob
+table (:mod:`repro.envknobs`).
 """
 
 from __future__ import annotations
@@ -62,14 +61,13 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from ..envknobs import env_int
+from ..envknobs import KNOBS
 from ..foveation.hierarchy import FoveatedModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SPAN, Tracer, set_active_tracer
 from ..splat.backends.packed import set_render_threads, usable_cpus
 from ..splat.camera import Camera
 from ..splat.renderer import RenderConfig
-from ..tune.profile import profile_value
 from .shm import (
     ArenaExhausted,
     FrameHandle,
@@ -88,10 +86,7 @@ __all__ = [
     "resolved_worker_viewcache",
 ]
 
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
 MP_START_ENV = "REPRO_SERVE_MP_START"
-VIEWCACHE_ENV = "REPRO_WORKER_VIEWCACHE"
-DEFAULT_WORKER_VIEWCACHE = 64
 
 
 class StaleWorkerModelError(RuntimeError):
@@ -104,30 +99,13 @@ class StaleWorkerModelError(RuntimeError):
     """
 
 
-def default_workers() -> int:
-    """The ``REPRO_SERVE_WORKERS`` default (0 = inline rendering).
-
-    A malformed or negative env value warns and falls back to 0 — the
-    same degrade-don't-crash contract as every other env knob
-    (:mod:`repro.envknobs`).
-    """
-    return env_int(WORKERS_ENV, 0, minimum=0)
-
-
-def resolved_worker_viewcache(maxsize: int | None = None) -> int:
-    """The effective per-worker ``ViewCache`` capacity (pose prefixes).
-
-    Precedence: explicit ``maxsize`` > ``$REPRO_WORKER_VIEWCACHE`` > the
-    host profile's ``worker_viewcache`` > the built-in default
-    (64).  A malformed or out-of-range env value warns and falls through;
-    an explicit out-of-range argument raises.
-    """
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("worker viewcache maxsize must be at least 1")
-        return int(maxsize)
-    fallback = profile_value("worker_viewcache") or DEFAULT_WORKER_VIEWCACHE
-    return env_int(VIEWCACHE_ENV, int(fallback), minimum=1)
+# The default worker count (0 = inline rendering) and each worker's
+# ViewCache capacity in pose prefixes (64 by default).
+WORKERS_ENV = KNOBS["workers"].env
+default_workers = KNOBS["workers"].resolve
+VIEWCACHE_ENV = KNOBS["worker_viewcache"].env
+DEFAULT_WORKER_VIEWCACHE = KNOBS["worker_viewcache"].default
+resolved_worker_viewcache = KNOBS["worker_viewcache"].resolve
 
 
 def _mp_context(start: str | None = None):
@@ -150,7 +128,6 @@ _WORKER_STATE: dict | None = None
 def _worker_init(
     fmodel: FoveatedModel,
     config: RenderConfig,
-    exact_frames: bool,
     viewcache: int = DEFAULT_WORKER_VIEWCACHE,
     shm_name: str | None = None,
     shm_lock=None,
@@ -176,7 +153,6 @@ def _worker_init(
     _WORKER_STATE = {
         "fmodel": fmodel,
         "config": config,
-        "exact_frames": exact_frames,
         "cache": ViewCache(maxsize=viewcache),
         "model_fp": foveated_model_fingerprint(fmodel),
         "arena": arena,
@@ -221,7 +197,6 @@ def _worker_render(camera: Camera, gazes: tuple, model_fp: tuple | None, trace: 
                 camera,
                 gazes=list(gazes),
                 config=_WORKER_STATE["config"],
-                batch_size=1 if _WORKER_STATE["exact_frames"] else None,
                 cache=_WORKER_STATE["cache"],
             )
         arena = _WORKER_STATE["arena"]
@@ -248,8 +223,10 @@ def _worker_render(camera: Camera, gazes: tuple, model_fp: tuple | None, trace: 
 class RenderWorkerPool:
     """A process pool rendering pose-grouped gaze batches off the event loop.
 
-    One pool serves one ``(fmodel, config, exact_frames)`` triple.  It
-    is the executor behind a :class:`~repro.serve.scheduler.ServeLoop`'s
+    One pool serves one ``(fmodel, config)`` pair, and a worker renders
+    each pose group as one ``render_foveated_batch`` call, which renders
+    every (tile, level) pair the group's gazes need once.  It is the
+    executor behind a :class:`~repro.serve.scheduler.ServeLoop`'s
     dispatch seam (the loop's own, or one shared across loops):
     :meth:`render` awaits the executor future without blocking the loop,
     so ``submit()`` latency decouples from render time and concurrent
@@ -261,7 +238,6 @@ class RenderWorkerPool:
         fmodel: FoveatedModel,
         config: RenderConfig | None = None,
         workers: int = 1,
-        exact_frames: bool = True,
         mp_start: str | None = None,
         shm_bytes: int | None = None,
         worker_viewcache: int | None = None,
@@ -271,7 +247,6 @@ class RenderWorkerPool:
         self.fmodel = fmodel
         self.render_config = config or RenderConfig()
         self.workers = workers
-        self.exact_frames = exact_frames
         ctx = _mp_context(mp_start)
         self.shm_bytes = resolved_shm_bytes(shm_bytes)
         self._arena: SlabArena | None = None
@@ -297,7 +272,6 @@ class RenderWorkerPool:
             initargs=(
                 self.fmodel,
                 self.render_config,
-                exact_frames,
                 resolved_worker_viewcache(worker_viewcache),
                 shm_name,
                 shm_lock,

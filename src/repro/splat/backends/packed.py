@@ -59,8 +59,8 @@ from typing import Any
 
 import numpy as np
 
+from ...envknobs import KNOBS
 from ...obs.trace import backend_span
-from ...tune.profile import profile_value
 from ..projection import ProjectedGaussians
 from ..rasterizer import RasterGradients
 from ..tiling import TileAssignment, TileGrid, pixel_tiles
@@ -106,81 +106,20 @@ def _group_pixel_index(spans: RowSpans) -> tuple[np.ndarray, np.ndarray]:
     return idx, geom.lane_valid[spans.group_tile]
 
 
-# Cache-residency budget of one scan piece, in spans.  A scan's
-# temporaries are ``(tile_size, R)``; once they outgrow the fast cache
-# levels every operation streams from DRAM, which measured ~2x slower per
-# element than cache-resident pieces.  8k spans keeps each scan matrix
-# around 1 MB (at the default 16-px tiles) — the best point of a 6k–24k
-# sweep across frame sizes and view counts — while still amortizing the
-# fixed per-piece kernel overhead across several small views.  Pieces cut
-# only at tile-row bands, so a band over the budget is a piece of its own.
-# A hand-written host profile's ``span_budget`` replaces the default, and
-# ``REPRO_BATCH_SPAN_BUDGET`` overrides both.
-DEFAULT_SPAN_CHUNK_BUDGET = 8192
-SPAN_BUDGET_ENV = "REPRO_BATCH_SPAN_BUDGET"
+# The per-piece span budget (:data:`repro.envknobs.KNOBS`
+# ``span_budget``, 8192 by default: about 1 MB per scan matrix at 16-px
+# tiles).  Pieces cut only at tile-row bands, so a band over the budget is
+# a piece of its own.
+DEFAULT_SPAN_CHUNK_BUDGET = KNOBS["span_budget"].default
+SPAN_BUDGET_ENV = KNOBS["span_budget"].env
+span_chunk_budget = KNOBS["span_budget"].resolve
 
 # The span extent of the retired cache-tiled backend.  Nothing renders
 # with it any more (band pieces bound every scan); it still resolves
 # because ``perfbench/stamp.py`` records it with the other knobs.
-DEFAULT_TILE_SPAN_BUDGET = 4 * DEFAULT_SPAN_CHUNK_BUDGET
-TILE_BUDGET_ENV = "REPRO_TILE_SPAN_BUDGET"
-
-
-def span_chunk_budget(budget: int | None = None) -> int:
-    """The per-chunk span budget: explicit > env > host profile > default.
-
-    An explicit ``budget`` argument wins outright (callers that measured
-    their own workload).  Otherwise ``REPRO_BATCH_SPAN_BUDGET`` applies —
-    hardened: non-integer or non-positive settings fall back with a warning
-    instead of crashing the render path (or silently degenerating to
-    zero-view chunks) — then the host profile's ``span_budget``
-    (see :mod:`repro.tune`), then :data:`DEFAULT_SPAN_CHUNK_BUDGET`.
-    """
-    if budget is not None:
-        if budget < 1:
-            raise ValueError(f"span budget must be positive, got {budget}")
-        return int(budget)
-    from ...envknobs import env_int
-
-    fallback = profile_value("span_budget") or DEFAULT_SPAN_CHUNK_BUDGET
-    return env_int(SPAN_BUDGET_ENV, int(fallback), minimum=1)
-
-
-@functools.lru_cache(maxsize=1)
-def _predicted_tile_spans() -> int | None:
-    """The LLC cost model's tile extent, clamped to a sane range.
-
-    Memoized: cache geometry cannot change within a process, and the
-    prediction sits on the per-render resolution path.
-    """
-    from ...tune.model import span_cost_model
-
-    model = span_cost_model()
-    if model is None:
-        return None
-    return min(max(model.predicted_span_budget, DEFAULT_SPAN_CHUNK_BUDGET), 1 << 20)
-
-
-def tile_span_budget(budget: int | None = None) -> int:
-    """The retired tile extent, in spans (recorded, not used to render).
-
-    Precedence: explicit > ``REPRO_TILE_SPAN_BUDGET`` (hardened like
-    :func:`span_chunk_budget`) > host profile ``tile_spans`` > the LLC
-    cost-model prediction (:func:`repro.tune.model.span_cost_model`) >
-    :data:`DEFAULT_TILE_SPAN_BUDGET`.
-    """
-    if budget is not None:
-        if budget < 1:
-            raise ValueError(f"tile span budget must be positive, got {budget}")
-        return int(budget)
-    from ...envknobs import env_int
-
-    fallback = (
-        profile_value("tile_spans")
-        or _predicted_tile_spans()
-        or DEFAULT_TILE_SPAN_BUDGET
-    )
-    return env_int(TILE_BUDGET_ENV, int(fallback), minimum=1)
+DEFAULT_TILE_SPAN_BUDGET = KNOBS["tile_spans"].default
+TILE_BUDGET_ENV = KNOBS["tile_spans"].env
+tile_span_budget = KNOBS["tile_spans"].resolve
 
 
 def _pair_tables(projected: ProjectedGaussians, seg: PackedSegments) -> dict[str, np.ndarray]:

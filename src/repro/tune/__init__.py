@@ -1,18 +1,20 @@
 """Host profiles and the cache model behind the knob defaults.
 
 A host profile (:mod:`.profile`) is a hand-written JSON file of knob
-values; the knob resolvers read it, and nothing in the repo writes one.
-Every resolver uses one precedence::
+values; nothing in the repo writes one.  The knob table
+(:mod:`repro.envknobs`) owns which knobs exist and the one precedence
+every knob resolves with::
 
     explicit argument  >  environment variable  >  host profile  >  default
 
-Point the resolvers at a profile with
-``REPRO_TUNE_PROFILE=/path/to/profile.json`` (or ``off`` to disable), or
-with the CLI's global ``--profile`` flag.  An analytic LLC model
-(:mod:`.model`) predicts the tile-span budget from cache geometry.
+and the profile reader takes its keys, types and minimums from it.  Point
+the table at a profile with ``REPRO_TUNE_PROFILE=/path/to/profile.json``
+(or ``off`` to disable), or with the CLI's global ``--profile`` flag.  An
+analytic LLC model (:mod:`.model`) predicts the tile-span budget from
+cache geometry.
 
-Both modules import only the standard library, so ``import repro.tune``
-is cheap enough for the render path's resolvers.
+Both modules import only the standard library and the knob table, so
+``import repro.tune`` is cheap enough for the render path's resolvers.
 """
 
 from __future__ import annotations

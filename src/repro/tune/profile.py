@@ -1,4 +1,4 @@
-"""Per-host knob profiles: hand-written JSON files the resolvers read.
+"""Per-host knob profiles: hand-written JSON files the knob table reads.
 
 A profile sets knob defaults for one machine.  Nothing in the repo writes
 one; a user who wants different defaults on a host writes the file by
@@ -6,16 +6,13 @@ hand::
 
     {"host": "...", "knobs": {"span_budget": 4096, "shm_bytes": 0}}
 
-Only the ``knobs`` table is read (the keys in ``_KNOBS``); ``host``,
-``created``, ``source`` and ``meta`` are kept as labels.  The default path
-is ``$XDG_CACHE_HOME/repro/tune-<host fingerprint>.json``.  The consumers
-— :func:`repro.splat.backends.packed.span_chunk_budget` /
-``tile_span_budget``, :class:`repro.serve.regions.FrameCache`,
-:class:`repro.serve.scheduler.ServeConfig`, the shm arena and the worker
-view cache — consult the profile at resolution time with one precedence
-everywhere:
-
-    explicit argument  >  environment variable  >  host profile  >  default
+Only the ``knobs`` table is read; its keys, types and minimums are the
+rows of :data:`repro.envknobs.KNOBS` that have a profile step.
+``host``, ``created``, ``source`` and ``meta`` are kept as labels.  The
+default path is ``$XDG_CACHE_HOME/repro/tune-<host fingerprint>.json``.
+:meth:`repro.envknobs.Knob.resolve` consults the profile at resolution
+time, below an explicit argument and the environment and above the
+built-in default.
 
 ``REPRO_TUNE_PROFILE`` overrides the profile *path* (useful for CI and
 tests); the values ``off`` / ``none`` / ``0`` disable profile consultation
@@ -23,7 +20,9 @@ entirely.  A corrupted or partially-invalid profile warns and degrades:
 unreadable files resolve as "no profile", individually invalid knobs are
 dropped while the valid ones still apply.  Loads are memoized on the
 file's ``(mtime, size, inode)`` so per-request resolution never re-reads
-or re-parses; :func:`invalidate_profile_cache` drops the memo.
+or re-parses; :func:`invalidate_profile_cache` drops the memo.  The
+default path is memoized on ``(XDG_CACHE_HOME, HOME)``, so a render call
+pays one ``os.stat`` of it.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import platform
 import warnings
 from typing import Any
 
+from ..envknobs import KNOBS
 from .model import llc_bytes
 
 __all__ = [
@@ -53,47 +53,36 @@ __all__ = [
 PROFILE_ENV = "REPRO_TUNE_PROFILE"
 _DISABLED = {"off", "none", "0"}
 
-# Knobs a profile may carry: name -> (type, inclusive minimum).
-# Anything else in the file's "knobs" table is ignored (forward
-# compatibility); values of the wrong type or below the minimum are
-# dropped with a warning while the rest of the profile still applies.
+# Knobs a profile may carry: name -> (type, inclusive minimum), from the
+# knob table.  Anything else in the file's "knobs" table is ignored
+# (forward compatibility); values of the wrong type or below the minimum
+# are dropped with a warning while the rest of the profile still applies.
 _KNOBS: dict[str, tuple[type, float]] = {
-    "span_budget": (int, 1),
-    "tile_spans": (int, 1),
-    "cache_max_bytes": (int, 1),
-    "batch_budget": (int, 1),
-    "batch_deadline_s": (float, 0.0),
-    # Serve worker-pool transport/worker knobs: shm_bytes = 0 is a
-    # meaningful value ("pickle beats the arena on this host").
-    "shm_bytes": (int, 0),
-    "worker_viewcache": (int, 1),
+    knob.name: (knob.parse, knob.minimum)
+    for knob in KNOBS.values()
+    if knob.profile
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class HostProfile:
-    """One host's knob values (``None`` = not set here)."""
+def _knobs(self) -> dict[str, int | float]:
+    """The set knobs as a plain dict (``None`` entries omitted)."""
+    values = {name: getattr(self, name) for name in _KNOBS}
+    return {name: value for name, value in values.items() if value is not None}
 
-    span_budget: int | None = None
-    tile_spans: int | None = None
-    cache_max_bytes: int | None = None
-    batch_budget: int | None = None
-    batch_deadline_s: float | None = None
-    shm_bytes: int | None = None
-    worker_viewcache: int | None = None
-    host: str = ""
-    created: str = ""
-    source: str = ""
-    meta: dict = dataclasses.field(default_factory=dict)
 
-    def knobs(self) -> dict[str, int | float]:
-        """The set knobs as a plain dict (``None`` entries omitted)."""
-        out: dict[str, int | float] = {}
-        for name in _KNOBS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+# One field per profile knob (``None`` = not set here), plus the labels.
+HostProfile = dataclasses.make_dataclass(
+    "HostProfile",
+    [(name, "int | float | None", None) for name in _KNOBS]
+    + [
+        ("host", str, ""),
+        ("created", str, ""),
+        ("source", str, ""),
+        ("meta", dict, dataclasses.field(default_factory=dict)),
+    ],
+    namespace={"knobs": _knobs, "__doc__": "One host's knob values."},
+    frozen=True,
+)
 
 
 @functools.cache
@@ -120,9 +109,16 @@ def host_fingerprint() -> str:
 
 def default_profile_path() -> str:
     """``$XDG_CACHE_HOME/repro/tune-<host fingerprint>.json``."""
-    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
+    return _default_profile_path(
+        os.environ.get("XDG_CACHE_HOME"), os.environ.get("HOME")
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _default_profile_path(cache_home: str | None, home: str | None) -> str:
+    # Keyed on the two variables the path reads (``expanduser`` reads
+    # HOME), so a changed environment still gets a new path.
+    cache_home = cache_home or os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(cache_home, "repro", f"tune-{host_fingerprint()}.json")
 
 
@@ -160,14 +156,11 @@ def _stat_signature(path: str) -> tuple | None:
 
 def _coerce_knob(name: str, value: Any) -> int | float | None:
     kind, minimum = _KNOBS[name]
-    # bool is an int subclass but never a meaningful knob value.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # An int knob takes only ints, a float knob ints or floats; bool is an
+    # int subclass but never a meaningful knob value.
+    if type(value) not in ((int,) if kind is int else (int, float)):
         return None
-    if kind is int and not isinstance(value, int):
-        return None
-    if value < minimum:
-        return None
-    return kind(value)
+    return None if value < minimum else kind(value)
 
 
 def _parse(path: str, data: Any) -> HostProfile:

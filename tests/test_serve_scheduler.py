@@ -9,17 +9,19 @@ import pytest
 
 from repro.foveation import render_foveated, uniform_foveated_model
 from repro.harness import EVAL_LEVEL_FRACTIONS, EVAL_REGION_LAYOUT
+from repro.obs.trace import Tracer
 from repro.scenes import trace_cameras
 from repro.serve import (
     FrameRequest,
     GazeGridSpec,
+    RenderWorkerPool,
     ServeConfig,
     ServeLoop,
     region_center,
     quantize_gaze,
 )
 from repro.serve.scheduler import _Pending, _TwoClassQueue
-from repro.splat import random_model
+from repro.splat import RenderConfig, random_model
 
 WIDTH, HEIGHT = 64, 48
 
@@ -187,29 +189,49 @@ class TestBatchingAndCaching:
             assert np.array_equal(r.result.image, misses[0].result.image)
 
     def test_throughput_mode_is_bit_identical(self, fmodel, cameras):
-        # exact_frames=False rides a whole pose group on one concatenated
-        # scan; each pixel row's transmittance scan sees only its own
-        # spans, so each frame is still bit-identical to its per-request
-        # render.
-        async def scenario():
+        # The default config renders a pose group's misses as one backend
+        # call — one alpha-scan over all three frames, which renders each
+        # (tile, level) once — inline and on a worker pool.  Each pixel
+        # row's transmittance scan sees only its own spans, so every frame
+        # is still bit-identical to its lone render.  The packed engine is
+        # the one that traces its scans.
+        config = RenderConfig(backend="packed")
+        gazes = [(5.0, 5.0), (60.0, 40.0), (32.0, 24.0)]
+
+        async def scenario(pool):
+            tracer = Tracer()
             async with ServeLoop(
-                fmodel,
-                serve_config=ServeConfig(exact_frames=False, cache_max_bytes=None),
+                fmodel, config=config, worker_pool=pool, tracer=tracer
             ) as loop:
-                return await asyncio.gather(
+                responses = await asyncio.gather(
                     *(
                         loop.submit(FrameRequest(i, cameras[0], gaze))
-                        for i, gaze in enumerate(
-                            [(5.0, 5.0), (60.0, 40.0), (32.0, 24.0)]
-                        )
+                        for i, gaze in enumerate(gazes)
                     )
                 )
+            return loop, tracer, responses
 
-        for response in run(scenario()):
-            ref = render_foveated(
-                fmodel, response.request.camera, gaze=response.request.gaze
-            )
-            assert np.array_equal(ref.image, response.result.image)
+        for workers in (0, 1):
+            pool = RenderWorkerPool(fmodel, config, workers=1) if workers else None
+            try:
+                loop, tracer, responses = run(scenario(pool))
+            finally:
+                if pool is not None:
+                    pool.close()
+            assert loop.batch_sizes == [3], workers
+            scans = [args for name, *_, args in tracer.spans() if name == "alpha-scan"]
+            assert [args["frames"] for args in scans] == [3], workers
+            for response in responses:
+                ref = render_foveated(
+                    fmodel, response.request.camera, gaze=response.request.gaze,
+                    config=config,
+                )
+                assert np.array_equal(ref.image, response.result.image)
+        # There is no other mode to ask for.
+        with pytest.raises(TypeError):
+            ServeConfig(exact_frames=False)
+        with pytest.raises(TypeError):
+            RenderWorkerPool(fmodel, config, workers=1, exact_frames=True)
 
     def test_pose_change_misses(self, fmodel, cameras):
         async def scenario():

@@ -28,10 +28,22 @@ from repro.serve import (
     active_segments,
     default_workers,
 )
+from repro.serve.shm import SEGMENT_PREFIX
 from repro.splat import random_model
 
 WIDTH, HEIGHT = 64, 48
 TIMEOUT_S = 120
+
+
+def own_segments() -> list[str]:
+    """This process's arena segments (``repro-serve-<pid>-*``).
+
+    Only the process that builds a pool or arena creates a segment, so
+    this probe misses no leak of the test's own and ignores arenas of
+    other processes on the host (a live benchmark's, say).
+    """
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    return [name for name in active_segments() if name.startswith(prefix)]
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +99,7 @@ class TestWorkerFrames:
         # The acceptance-critical property: moving rendering into worker
         # processes changes scheduling, never pixels — every worker-pool
         # miss matches a per-request render_foveated bit for bit (and so,
-        # transitively, the inline exact_frames serve path).
+        # transitively, the inline serve path).
         requests = [
             FrameRequest(i, cameras[i % 3], (10.0 * i + 5.0, 12.0 + 3.0 * i))
             for i in range(5)
@@ -257,7 +269,7 @@ class TestFailureHandling:
             assert other_pose.result.image.shape == (HEIGHT, WIDTH, 3)
             assert loop.requests_served == 3
         assert loop.on_time + loop.deadline_misses == loop.requests_served
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_arena_exhaustion_at_the_dispatch_seam(self, fmodel, cameras):
         # An arena too small for one frame (shm_bytes=1) behind the pool
@@ -299,7 +311,7 @@ class TestFailureHandling:
         assert stats["shm_fallbacks"] == stats["frames_via_pipe"] == rendered
         assert loop.requests_served == len(requests)
         assert loop.on_time + loop.deadline_misses == loop.requests_served
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_slow_render_at_the_dispatch_seam(self, fmodel, cameras, monkeypatch):
         # An inline executor that sleeps past the frame deadline: the late
@@ -335,7 +347,7 @@ class TestFailureHandling:
         assert repeat.cache_hit and not repeat.deadline_missed
         assert loop.requests_served == 2 and loop.deadline_misses == 1
         assert loop.on_time + loop.deadline_misses == loop.requests_served
-        assert active_segments() == []
+        assert own_segments() == []
 
     def test_stale_model_snapshot_raises(self, fmodel, cameras):
         # Workers snapshot the model at process start; mutating it

@@ -14,10 +14,12 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import warnings
 
 import pytest
 
+from repro.envknobs import KNOBS, Knob, _predicted_tile_spans
 from repro.serve.regions import (
     DEFAULT_FRAME_CACHE_BYTES,
     FRAME_CACHE_BYTES_ENV,
@@ -28,6 +30,7 @@ from repro.serve.scheduler import (
     BATCH_BUDGET_ENV,
     BATCH_DEADLINE_ENV,
     DEFAULT_BATCH_BUDGET,
+    TRACE_ENV,
     ServeConfig,
     resolved_batch_budget,
     resolved_batch_deadline,
@@ -36,6 +39,8 @@ from repro.serve.shm import DEFAULT_SHM_BYTES, SHM_ENV, resolved_shm_bytes
 from repro.serve.workers import (
     DEFAULT_WORKER_VIEWCACHE,
     VIEWCACHE_ENV,
+    WORKERS_ENV,
+    default_workers,
     resolved_worker_viewcache,
 )
 from repro.splat.backends.packed import (
@@ -180,6 +185,27 @@ class TestHostProfile:
         assert host_fingerprint() == first
         assert calls == []
 
+    def test_default_path_memoized_on_environment(self, monkeypatch, tmp_path):
+        # The default path is resolved on every render call: an unchanged
+        # environment reads the fingerprint once, a new XDG_CACHE_HOME
+        # gives a new path.
+        from repro.tune import profile
+
+        calls = []
+        monkeypatch.setattr(
+            profile, "host_fingerprint", lambda: calls.append(1) or "shape"
+        )
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "a"))
+        first = profile.default_profile_path()
+        assert first == str(tmp_path / "a" / "repro" / "tune-shape.json")
+        assert profile.default_profile_path() == first
+        assert len(calls) == 1
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "b"))
+        assert profile.default_profile_path() == str(
+            tmp_path / "b" / "repro" / "tune-shape.json"
+        )
+        assert len(calls) == 2
+
     def test_corrupt_file_warns_and_degrades(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -272,68 +298,97 @@ class TestPrecedence:
                 "batch_deadline_s": 0.007,
                 "shm_bytes": 0,
                 "worker_viewcache": 5,
+                # Rows without a profile step: a profile cannot set them.
+                "workers": 3,
+                "trace": 1,
             },
         )
         monkeypatch.setenv(PROFILE_ENV, path)
         return path
 
+    # One case per row of the knob table: the resolver and env variable
+    # the consumers name, an explicit value, the profile's value (None: no
+    # profile step), the default, a valid env value with what it parses
+    # to, a malformed one with its warning, and an out-of-range explicit
+    # value with its ValueError.
     @pytest.mark.parametrize(
-        "resolve,env,explicit,from_profile,default",
+        "resolve,env,explicit,from_profile,default,env_value,bad_env,"
+        "problem,bad_explicit,error",
         [
             (span_chunk_budget, SPAN_BUDGET_ENV, 1111, 3333,
-             DEFAULT_SPAN_CHUNK_BUDGET),
-            (resolved_batch_budget, BATCH_BUDGET_ENV, 11, 6,
-             DEFAULT_BATCH_BUDGET),
+             DEFAULT_SPAN_CHUNK_BUDGET, ("2222", 2222), "banana",
+             "non-integer", 0, "span budget must be positive, got 0"),
+            # Without a profile, the LLC model's prediction comes before
+            # the default.
+            (tile_span_budget, TILE_BUDGET_ENV, 9999, 4444,
+             _predicted_tile_spans() or DEFAULT_TILE_SPAN_BUDGET,
+             ("2222", 2222), "lots", "non-integer", 0,
+             "tile span budget must be positive, got 0"),
             (resolved_cache_bytes, FRAME_CACHE_BYTES_ENV, 7 << 20, 5 << 20,
-             DEFAULT_FRAME_CACHE_BYTES),
+             DEFAULT_FRAME_CACHE_BYTES, ("2222", 2222), "big", "non-integer",
+             0, "cache_max_bytes must be positive (or None)"),
+            (resolved_batch_budget, BATCH_BUDGET_ENV, 11, 6,
+             DEFAULT_BATCH_BUDGET, ("2222", 2222), "many", "non-integer", 0,
+             "batch_budget must be at least 1"),
+            # A profile's 0 counts: it is not "unset".
+            (resolved_batch_deadline, BATCH_DEADLINE_ENV, 0.1, 0.007, 0.0,
+             ("0.05", 0.05), "soon", "non-numeric", -1.0,
+             "batch_deadline_s must be non-negative"),
             # A profile's 0 means pickle only, not "unset": no 64 MiB arena.
-            (resolved_shm_bytes, SHM_ENV, 1 << 20, 0, DEFAULT_SHM_BYTES),
+            (resolved_shm_bytes, SHM_ENV, 1 << 20, 0, DEFAULT_SHM_BYTES,
+             ("2222", 2222), "lots", "non-integer", -1,
+             "shm_bytes must be non-negative (0 disables)"),
             (resolved_worker_viewcache, VIEWCACHE_ENV, 7, 5,
-             DEFAULT_WORKER_VIEWCACHE),
+             DEFAULT_WORKER_VIEWCACHE, ("2222", 2222), "zero", "non-integer",
+             0, "worker viewcache maxsize must be at least 1"),
+            (default_workers, WORKERS_ENV, 3, None, 0, ("2", 2), "nope",
+             "non-integer", -1, "workers must be non-negative"),
+            (KNOBS["trace"].resolve, TRACE_ENV, False, None, False,
+             ("on", True), "maybe", "non-boolean", None, None),
         ],
         ids=[
-            "span_budget", "batch_budget", "cache_bytes", "shm_bytes",
-            "worker_viewcache",
+            "span_budget", "tile_spans", "cache_bytes", "batch_budget",
+            "batch_deadline_s", "shm_bytes", "worker_viewcache", "workers",
+            "trace",
         ],
     )
     def test_chain(
-        self, monkeypatch, profile_path, resolve, env, explicit, from_profile,
-        default,
+        self, monkeypatch, profile_path, resolve, env, explicit,
+        from_profile, default, env_value, bad_env, problem, bad_explicit,
+        error,
     ):
-        # profile beats default
-        assert resolve() == from_profile
+        # The consumer's resolver and env variable are its row's.
+        knob = resolve.__self__
+        assert KNOBS[knob.name] is knob and knob.env == env
+        # The profile accepts exactly the rows with a profile step.
+        assert set(load_host_profile().knobs()) == {
+            k.name for k in KNOBS.values() if k.profile
+        }
+        # profile beats default (rows without a profile step ignore it)
+        step = default if from_profile is None else from_profile
+        assert resolve() == step
+        # a malformed env value warns and falls back one step
+        monkeypatch.setenv(env, bad_env)
+        message = (
+            f"ignoring {problem} {env}={bad_env!r}; using the default of {step}"
+        )
+        with pytest.warns(RuntimeWarning, match=re.escape(message)):
+            assert resolve() == step
         # env beats profile
-        monkeypatch.setenv(env, "2222")
-        assert resolve() == 2222
+        raw, from_env = env_value
+        monkeypatch.setenv(env, raw)
+        assert from_env != step
+        assert resolve() == from_env
         # explicit beats env
         assert resolve(explicit) == explicit
+        # an out-of-range explicit value raises
+        if bad_explicit is not None:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                resolve(bad_explicit)
         # no profile, no env -> default
         monkeypatch.delenv(env)
         monkeypatch.setenv(PROFILE_ENV, "off")
         assert resolve() == default
-
-    def test_tile_budget_chain(self, monkeypatch, profile_path):
-        assert tile_span_budget() == 4444
-        monkeypatch.setenv(TILE_BUDGET_ENV, "2222")
-        assert tile_span_budget() == 2222
-        assert tile_span_budget(9999) == 9999
-        monkeypatch.delenv(TILE_BUDGET_ENV)
-        monkeypatch.setenv(PROFILE_ENV, "off")
-        # fallback: model prediction where detectable, else the default
-        from repro.splat.backends.packed import _predicted_tile_spans
-
-        assert tile_span_budget() == (
-            _predicted_tile_spans() or DEFAULT_TILE_SPAN_BUDGET
-        )
-
-    def test_batch_deadline_chain(self, monkeypatch, profile_path):
-        assert resolved_batch_deadline() == 0.007
-        monkeypatch.setenv(BATCH_DEADLINE_ENV, "0.05")
-        assert resolved_batch_deadline() == 0.05
-        assert resolved_batch_deadline(0.1) == 0.1
-        monkeypatch.delenv(BATCH_DEADLINE_ENV)
-        monkeypatch.setenv(PROFILE_ENV, "off")
-        assert resolved_batch_deadline() == 0.0
 
     def test_serve_config_resolves_at_construction(
         self, monkeypatch, profile_path
@@ -425,26 +480,24 @@ class TestEnvKnobHarmonization:
         assert default_workers() == 2
 
     def test_env_float_nan_rejected(self, monkeypatch):
-        from repro.envknobs import env_float
-
+        knob = Knob("test", "REPRO_TEST_KNOB", 1.5, parse=float, minimum=0.0,
+                    profile=False)
         monkeypatch.setenv("REPRO_TEST_KNOB", "nan")
         with pytest.warns(RuntimeWarning, match="out-of-range"):
-            assert env_float("REPRO_TEST_KNOB", 1.5, minimum=0.0) == 1.5
+            assert knob.resolve() == 1.5
 
     def test_env_int_below_one_warns_non_positive(self, monkeypatch):
-        from repro.envknobs import env_int
-
+        knob = Knob("test", "REPRO_TEST_KNOB", 1, minimum=1, profile=False)
         monkeypatch.setenv("REPRO_TEST_KNOB", "0")
         with pytest.warns(RuntimeWarning, match="non-positive"):
-            assert env_int("REPRO_TEST_KNOB", 1, minimum=1) == 1
+            assert knob.resolve() == 1
 
     def test_env_int_blank_is_silent_fallback(self, monkeypatch):
-        from repro.envknobs import env_int
-
+        knob = Knob("test", "REPRO_TEST_KNOB", 7, profile=False)
         monkeypatch.setenv("REPRO_TEST_KNOB", "   ")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert env_int("REPRO_TEST_KNOB", 7) == 7
+            assert knob.resolve() == 7
 
 
 # ----------------------------------------------------------------------
