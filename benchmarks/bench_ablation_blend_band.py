@@ -48,7 +48,7 @@ def sweep(env):
     return rows
 
 
-def test_blend_band_ablation(sweep, benchmark, env):
+def test_blend_band_ablation(sweep, benchmark, env, quick):
     setup = env.setup(TRACE)
     l1 = env.l1_model(TRACE)
     layout = RegionLayout(boundaries_deg=(0.0, 12.0, 20.0, 28.0), blend_band_deg=1.5)
@@ -61,7 +61,7 @@ def test_blend_band_ablation(sweep, benchmark, env):
             f"{row['band']:8.2f} {row['blend_pixels']:9d} "
             f"{row['raster']:12.0f} {row['seam']:8.4f}"
         )
-    report("Ablation blend band width", lines)
+    report(f"Ablation blend band width{' [quick]' if quick else ''}", lines)
 
     by_band = {row["band"]: row for row in sweep}
     # No band → zero double-render overhead.

@@ -49,6 +49,7 @@ from repro.serve import (
     replay_trace,
     shm_available,
 )
+from repro.serve.shm import SEGMENT_PREFIX
 from repro.splat import random_model
 
 from _report import report
@@ -56,6 +57,13 @@ from _report import report
 # Acceptance scale: a real serving burst over a handful of hot poses.
 SCALE = dict(size=128, points=1200, clients=6, frames=32, poses=8)
 QUICK_SCALE = dict(size=64, points=400, clients=4, frames=16, poses=5)
+
+def own_segments() -> list[str]:
+    """This process's arena segments (``repro-serve-<pid>-*``): the leak
+    probe ignores the arenas of other processes on the host."""
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    return [name for name in active_segments() if name.startswith(prefix)]
+
 
 BATCH_BUDGET = 8
 ZIPF_S = 1.1
@@ -386,7 +394,7 @@ def transport_rows():
         )
 
     rows = {"pipe": measure(0), "shm": measure(256 << 20)}
-    assert active_segments() == [], "transport bench leaked shm segments"
+    assert own_segments() == [], "transport bench leaked shm segments"
     return rows
 
 
@@ -421,7 +429,7 @@ def test_transport_shm_vs_pipe(transport_rows, quick):
     assert shm["stats"]["shm_fallbacks"] == 0
     assert pipe["stats"]["frames_via_shm"] == 0
     assert pipe["stats"]["bytes_via_pipe"] > 0
-    assert active_segments() == []
+    assert own_segments() == []
 
     if CORES < TRANSPORT_GATE_MIN_CORES:
         pytest.skip(

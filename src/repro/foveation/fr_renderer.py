@@ -32,6 +32,12 @@ The ``packed`` engine's scans are local to each pixel row of a tile, so a
 tile's pixels at level ``t`` depend only on the pose, the tile and ``t``: the gaze samples
 of one pose in one call share each (tile, level) render, and the gaze only
 picks each tile's levels and the band pixels' blend weights.
+
+Foveated and multi-model frames come back from the backend clipped to
+[0, 1], so nothing here clips.  The ``packed`` engine clips a view's tile
+renders once for all of its gaze samples and each frame's blended band
+pixels, not each frame's whole image; a frame is bitwise its unclipped
+pixels clipped.
 """
 
 from __future__ import annotations
@@ -120,8 +126,8 @@ def _level_tables(
 def _frame_result(
     fmodel: FoveatedModel, prepared: PreparedView, maps: RegionMaps, frame
 ) -> FRRenderResult:
-    """Assemble the public result from one backend frame (whose fresh
-    image is clipped to [0, 1] in place)."""
+    """Assemble the public result from one backend frame (its image comes
+    clipped to [0, 1])."""
     stats = FRRenderStats(
         sort_intersections_per_tile=frame.sort_intersections_per_tile,
         raster_intersections_per_tile=frame.raster_intersections_per_tile,
@@ -132,7 +138,7 @@ def _frame_result(
         num_points=fmodel.num_points,
     )
     return FRRenderResult(
-        image=np.clip(frame.image, 0.0, 1.0, out=frame.image),
+        image=frame.image,
         stats=stats,
         maps=maps,
         level_spans=frame.level_spans,
@@ -366,4 +372,4 @@ def render_multi_model(
         projection_runs=layout.num_levels,
         num_points=sum(m.num_points for m in level_models),
     )
-    return FRRenderResult(image=np.clip(frame.image, 0.0, 1.0), stats=stats, maps=maps)
+    return FRRenderResult(image=frame.image, stats=stats, maps=maps)

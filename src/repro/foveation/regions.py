@@ -12,15 +12,22 @@ quality levels).  A tile renders one level (its centre pixel's) plus, when
 it holds band pixels, the other level of its dominant band — the band with
 the most of its pixels, ties going to the inner-most (see
 :func:`compute_region_maps`).
+
+:class:`RegionMaps` holds what a render reads, in O(tiles + band pixels):
+each tile's levels and each band pixel's index, tile, inner level and
+weight.  The full-resolution maps (eccentricity, per-pixel level, band
+level, blend mask and weight) are derived from those on first read, for
+the ``reference`` oracle, analyses and tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from ..splat.camera import Camera
+from ..splat.camera import Camera, pixel_eccentricity
 from ..splat.tiling import TileGrid, pixel_tiles, tile_center_pixels
 
 PAPER_REGION_BOUNDARIES_DEG = (0.0, 18.0, 27.0, 33.0)
@@ -79,26 +86,75 @@ class RegionLayout:
 
 @dataclasses.dataclass
 class RegionMaps:
-    """Precomputed per-pixel and per-tile foveation maps for one view.
+    """Foveation maps for one view: per tile, and per band pixel.
 
     Following the paper, a tile is assigned **one** quality level from its
     eccentricity (we use the tile centre); only tiles containing blend-band
     pixels are rendered at a second level, and only their band pixels blend
     the two renders (~25% of pixels at headset scale).
+
+    The fields are what a render reads: the two tile fields and, for each
+    band pixel (in row-major order), its flat image index, tile, inner
+    band level ``k`` and blend weight toward level ``k + 1``, clipped to
+    [0, 1].  The full-resolution maps — ``eccentricity``, ``pixel_level``,
+    ``band_level``, ``needs_blend`` and ``weight_next`` — are derived on
+    first read from the band arrays and from the camera ``intrinsics``,
+    ``layout`` and ``gaze`` the maps were computed for, and cached on the
+    object.  They are not fields: pickling, :func:`dataclasses.replace`
+    and the serve tier's shared-memory walk carry the eager arrays only.
     """
 
-    pixel_level: np.ndarray  # (H, W) 1-based quality level of each pixel
-    needs_blend: np.ndarray  # (H, W) pixels rendered twice
-    weight_next: np.ndarray  # (H, W) blend factor toward the outer level
-    band_level: np.ndarray  # (H, W) inner level k of the band a pixel is in (0 = none)
     tile_level: np.ndarray  # (T,) the level each tile is rendered at
     tile_second_level: np.ndarray  # (T,) extra level for blending (0 = none)
-    eccentricity: np.ndarray  # (H, W) degrees
+    band_pixels: np.ndarray  # (M,) flat image index of each band pixel
+    band_tiles: np.ndarray  # (M,) its tile
+    band_inner: np.ndarray  # (M,) inner level k of its band (narrow unsigned)
+    band_weight: np.ndarray  # (M,) blend factor toward level k + 1, in [0, 1]
+    intrinsics: tuple  # the camera's (width, height, fx, fy, cx, cy)
+    layout: RegionLayout
+    gaze: tuple[float, float] | None = None
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields, not the derived maps cached in ``__dict__``.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    def _plane(self, dtype, values) -> np.ndarray:
+        """An ``(H, W)`` map, zero except ``values`` at the band pixels."""
+        width, height = self.intrinsics[:2]
+        plane = np.zeros((height, width), dtype=dtype)
+        plane.reshape(-1)[self.band_pixels] = values
+        return plane
+
+    @functools.cached_property
+    def eccentricity(self) -> np.ndarray:
+        """(H, W) degrees from the gaze."""
+        return pixel_eccentricity(self.intrinsics, self.gaze)
+
+    @functools.cached_property
+    def pixel_level(self) -> np.ndarray:
+        """(H, W) 1-based quality level of each pixel."""
+        return self.layout.level_of(self.eccentricity)
+
+    @functools.cached_property
+    def band_level(self) -> np.ndarray:
+        """(H, W) inner level k of the band a pixel is in (0 = none)."""
+        return self._plane(np.int64, self.band_inner)
+
+    @functools.cached_property
+    def needs_blend(self) -> np.ndarray:
+        """(H, W) pixels in a blend band."""
+        return self._plane(bool, True)
+
+    @functools.cached_property
+    def weight_next(self) -> np.ndarray:
+        """(H, W) blend factor toward the outer level (0 off the bands)."""
+        return self._plane(np.float64, self.band_weight)
 
     @property
     def blend_fraction(self) -> float:
         """Fraction of pixels rendered twice (the paper reports ≈ 25%)."""
-        return float(self.needs_blend.mean())
+        width, height = self.intrinsics[:2]
+        return self.band_pixels.shape[0] / (width * height)
 
 
 def compute_region_maps(
@@ -107,11 +163,13 @@ def compute_region_maps(
     layout: RegionLayout,
     gaze: tuple[float, float] | None = None,
 ) -> RegionMaps:
-    """Per-pixel levels / blend weights and per-tile render levels.
+    """Per-tile render levels and the band pixels' levels and weights.
 
-    One pass over the boundaries fills every per-pixel map (the arithmetic
-    of :meth:`RegionLayout.level_of` and :meth:`RegionLayout.blend_weights`,
-    pixel for pixel); where two bands overlap, the later boundary wins.
+    A tile's level is :meth:`RegionLayout.level_of` its centre pixel's
+    eccentricity.  One pass over the boundaries finds each band pixel's
+    inner level ``k`` (the band ``[b_k − h, b_k + h)`` it lies in; where
+    two bands overlap, the later boundary wins) and its weight, the
+    arithmetic of :meth:`RegionLayout.blend_weights` pixel for pixel.
 
     **Dominant-band rule.**  A tile with band pixels is rendered at a second
     level picked by its *dominant* band — the inner level ``k`` holding the
@@ -125,35 +183,28 @@ def compute_region_maps(
     n_levels = layout.num_levels
     boundaries = layout.boundaries_deg[1:]
     h = layout.blend_band_deg
-    # Levels and bands are counted in narrow per-pixel maps (a byte for any
-    # sane layout), with each comparison's mask read as 0/1 bytes, and
-    # widened to the int64 maps once.
+    flat = ecc.reshape(-1)
+    # Tile level from the tile-centre eccentricity (one level per tile).
+    tile_level = layout.level_of(flat.take(tile_center_pixels(grid)))
+
+    # Which boundary's band each pixel belongs to (inner level k, 0 =
+    # none), in a narrow map (a byte for any sane layout) with each band
+    # test's mask read as 0/1 bytes: k grows with the boundary, so a
+    # running maximum lets the later win.
     small = np.min_scalar_type(n_levels)
-    level = np.ones(ecc.shape, dtype=small)
-    # Which boundary's band each blend pixel belongs to (inner level k):
-    # k grows with the boundary, so a running maximum lets the later win.
     band = np.zeros(ecc.shape, dtype=small)
-    mask = np.empty(ecc.shape, dtype=bool)
-    bits = mask.view(np.uint8)
-    for k, boundary in enumerate(boundaries, start=1):
-        np.greater_equal(ecc, boundary, out=mask)
-        level += bits
-        if h > 0:
+    if h > 0:
+        mask = np.empty(ecc.shape, dtype=bool)
+        bits = mask.view(np.uint8)
+        for k, boundary in enumerate(boundaries, start=1):
             np.greater_equal(ecc, boundary - h, out=mask)
             mask &= ecc < boundary + h
             np.maximum(band, bits * small.type(k), out=band)
-    pixel_level = level.astype(np.int64)
-    band_level = band.astype(np.int64)
-    needs_blend = band > 0
-    band_px = np.flatnonzero(needs_blend)
-    band_k = band_level.reshape(-1).take(band_px)
-    weight_next = np.zeros(ecc.shape, dtype=np.float64)
+    band_px = np.flatnonzero(band > 0)  # a bool scan is ~3x a byte scan's speed
+    band_k = band.reshape(-1).take(band_px)
     lower = np.array([0.0] + [boundary - h for boundary in boundaries])
-    w = (ecc.reshape(-1).take(band_px) - lower.take(band_k)) / (2.0 * h)  # 0 → 1
-    weight_next.reshape(-1)[band_px] = np.clip(w, 0.0, 1.0, out=w)
-
-    # Tile level from the tile-centre eccentricity (one level per tile).
-    tile_level = pixel_level.reshape(-1).take(tile_center_pixels(grid))
+    w = (flat.take(band_px) - lower.take(band_k)) / (2.0 * h)  # 0 → 1
+    np.clip(w, 0.0, 1.0, out=w)
 
     # Band pixels per (tile, inner level): the dominant band is the first
     # maximum over levels 1..L (the argmax tie-break).
@@ -168,13 +219,15 @@ def compute_region_maps(
     tile_second_level = np.where(has_band & (second != tile_level), second, 0)
 
     return RegionMaps(
-        pixel_level=pixel_level,
-        needs_blend=needs_blend,
-        weight_next=weight_next,
-        band_level=band_level,
         tile_level=tile_level,
         tile_second_level=tile_second_level,
-        eccentricity=ecc,
+        band_pixels=band_px,
+        band_tiles=tiles,
+        band_inner=band_k,
+        band_weight=w,
+        intrinsics=camera.intrinsics,
+        layout=layout,
+        gaze=gaze,
     )
 
 

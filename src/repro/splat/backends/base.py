@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 @dataclasses.dataclass
 class FoveatedFrame:
-    """Raw output of one foveated / multi-model frame (pre-clipping).
+    """Output of one foveated / multi-model frame, its image clipped to [0, 1].
 
     ``level_spans`` surfaces the per-tile work (:class:`TileWork`) of the
     *filtered* spans the primary pass actually rasterized (level ``t`` →
@@ -37,7 +37,7 @@ class FoveatedFrame:
     Span-based engines fill it; backends without spans leave ``None``.
     """
 
-    image: np.ndarray  # (H, W, 3), not yet clipped to [0, 1]; fresh, owned by the frame
+    image: np.ndarray  # (H, W, 3), clipped to [0, 1]; fresh, owned by the frame
     sort_intersections_per_tile: np.ndarray  # (T,) int64
     raster_intersections_per_tile: np.ndarray  # (T,) float64
     blend_pixels: int

@@ -63,7 +63,7 @@ from ...envknobs import KNOBS
 from ...obs.trace import backend_span
 from ..projection import ProjectedGaussians
 from ..rasterizer import RasterGradients
-from ..tiling import TileAssignment, TileGrid, pixel_tiles
+from ..tiling import TileAssignment, TileGrid
 from .base import FoveatedFrame
 from .kernels import (
     BatchTables,
@@ -400,24 +400,29 @@ def _pixel_values(elements: np.ndarray) -> np.ndarray:
     return elements.view(np.float64).reshape(-1, 3)
 
 
-def _assemble(layers: np.ndarray, grid: TileGrid, tile_layer: np.ndarray) -> np.ndarray:
-    """A frame whose tile ``t`` is copied from ``layers[tile_layer[t]]``.
+def _assemble(
+    image: np.ndarray, layers: np.ndarray, grid: TileGrid, tile_layer: np.ndarray
+) -> None:
+    """Copy each tile ``t`` with ``tile_layer[t] > 0`` into ``image`` from
+    ``layers[tile_layer[t]]``, clipped to [0, 1], in place.
 
-    ``layers`` is ``(P, H, W, 3)``; the result is a fresh ``(H, W, 3)``.
+    ``layers`` is ``(P, H, W, 3)`` and ``image`` holds ``layers[0]``
+    clipped, so a frame pays only for its tiles that read another layer.
     Copied in *runs* of ``gcd(tile_size, W)`` pixels: a run divides every
-    tile's share of an image row, so each is one contiguous element of
-    one tile's layer (a whole tile row unless the last tile column is
-    ragged), and one gather moves them all.
+    tile's share of an image row, so each is one contiguous piece of one
+    tile's layer, and one gather moves them all.
     """
+    if not tile_layer.any():
+        return
     height, width, ts = grid.height, grid.width, grid.tile_size
     run = math.gcd(ts, width)
-    per_row = width // run
     grid_layer = tile_layer.reshape(grid.tiles_y, grid.tiles_x)
-    layer = grid_layer[np.arange(height)[:, None] // ts, np.arange(0, width, run)[None, :] // ts]
-    index = (layer * height + np.arange(height)[:, None]) * per_row
-    index += np.arange(per_row)
-    runs = layers.reshape(-1, 3 * run).view(np.dtype((np.void, 24 * run)))
-    return runs.reshape(-1).take(index.reshape(-1)).view(np.float64).reshape(height, width, 3)
+    layer = grid_layer[
+        np.arange(height)[:, None] // ts, np.arange(0, width, run)[None, :] // ts
+    ].reshape(-1)
+    moved = np.flatnonzero(layer)
+    runs = layers.reshape(-1, 3 * run).take(layer.take(moved) * layer.size + moved, axis=0)
+    image.reshape(-1, 3 * run)[moved] = np.clip(runs, 0.0, 1.0, out=runs)
 
 
 @dataclasses.dataclass
@@ -425,59 +430,70 @@ class _BlendBand:
     """The pixels a foveated or multi-model frame renders at two levels.
 
     ``pixels`` are flat image indices (row-major) of the band pixels whose
-    tile renders a second level, ``tiles`` their tiles; ``lo_t`` is the
-    inner level of each tile's level pair (0 without a second level).
+    tile renders a second level, ``tiles`` their tiles and ``index`` their
+    positions in the maps' band arrays; ``lo_t`` is the inner level of
+    each blending tile's level pair (0 for the other tiles).
     """
 
     lo_t: np.ndarray  # (T,)
     pixels: np.ndarray  # (M,)
     tiles: np.ndarray  # (M,)
+    index: np.ndarray  # (M,)
 
     @classmethod
-    def select(
-        cls, maps: Any, grid: TileGrid, tile_ok: np.ndarray | None = None
-    ) -> "_BlendBand":
-        """Band pixels of the tiles with a second level (and ``tile_ok``)."""
+    def select(cls, maps: Any, tile_ok: np.ndarray | None = None) -> "_BlendBand":
+        """Band pixels of the tiles with a second level (and ``tile_ok``)
+        whose band is the tile's level pair (its inner level is ``lo_t``)."""
         tl, second = maps.tile_level, maps.tile_second_level
-        lo_t = np.where(second > 0, np.minimum(tl, second), 0)
-        candidates = np.flatnonzero(maps.needs_blend)
-        tiles = pixel_tiles(grid).reshape(-1).take(candidates)
         blends = second > 0 if tile_ok is None else (second > 0) & tile_ok
-        mix = (maps.band_level.reshape(-1).take(candidates) == lo_t[tiles]) & blends[tiles]
-        return cls(lo_t=lo_t, pixels=candidates[mix], tiles=tiles[mix])
+        lo_t = np.where(blends, np.minimum(tl, second), 0)
+        # A band pixel's inner level is at least 1, so no pixel of a tile
+        # with ``lo_t`` 0 is kept.
+        index = np.flatnonzero(maps.band_inner == lo_t.take(maps.band_tiles))
+        return cls(
+            lo_t=lo_t,
+            pixels=maps.band_pixels.take(index),
+            tiles=maps.band_tiles.take(index),
+            index=index,
+        )
 
     @property
     def num_pixels(self) -> int:
         return int(self.pixels.shape[0])
 
     def blend(
-        self, maps: Any, image: np.ndarray, layers: np.ndarray, second_layer: np.ndarray
+        self,
+        maps: Any,
+        image: np.ndarray,
+        layers: np.ndarray,
+        primary_layer: np.ndarray,
+        second_layer: np.ndarray,
     ) -> None:
-        """Interpolate the band pixels of ``image`` toward their second level,
-        in place.
+        """Write the band pixels of ``image``, blended and clipped to [0, 1].
 
-        ``image`` holds each tile's primary level; a band pixel's second
-        level is read from ``layers[second_layer[tile]]`` (``layers`` is
-        ``(P, H, W, 3)`` and may hold ``image`` itself).  A band pixel is
-        ``(1 − w)·lo + w·hi`` for its band's inner (``lo``) and outer
-        (``hi``) level renders: each render gets one per-pixel weight,
-        ``1 − w`` or ``w`` by which of the two it is, and IEEE addition
-        commutes, so summing primary then second is the same to the bit.
+        A band pixel's primary render is read from
+        ``layers[primary_layer[tile]]`` and its second from
+        ``layers[second_layer[tile]]`` (``layers`` is ``(P, H, W, 3)``,
+        unclipped).  A band pixel is ``(1 − w)·lo + w·hi`` for its band's
+        inner (``lo``) and outer (``hi``) level renders: each render gets
+        one per-pixel weight, ``1 − w`` or ``w`` by which of the two it is,
+        and IEEE addition commutes, so summing primary then second is the
+        same to the bit.
         """
-        w = maps.weight_next.reshape(-1).take(self.pixels)
+        w = maps.band_weight.take(self.index)
         rest = 1.0 - w
         lo_is_primary = (maps.tile_level == self.lo_t)[self.tiles]
         w_primary = np.where(lo_is_primary, rest, w)
         w_second = np.where(lo_is_primary, w, rest)
-        elements = _pixel_elements(image)
-        src = second_layer[self.tiles] * elements.shape[0] + self.pixels
-        # Both gathers are fresh (M, 3) rows: ``layers`` may hold ``image``.
-        out = _pixel_values(elements.take(self.pixels))
+        elements = _pixel_elements(layers)
+        plane = image.shape[0] * image.shape[1]
+        out = _pixel_values(elements.take(primary_layer[self.tiles] * plane + self.pixels))
         out *= w_primary[:, None]
-        second = _pixel_values(_pixel_elements(layers).take(src))
+        second = _pixel_values(elements.take(second_layer[self.tiles] * plane + self.pixels))
         second *= w_second[:, None]
         out += second
-        elements.put(self.pixels, out.view(_PIXEL).reshape(-1))
+        np.clip(out, 0.0, 1.0, out=out)
+        _pixel_elements(image).put(self.pixels, out.view(_PIXEL).reshape(-1))
 
 
 @dataclasses.dataclass
@@ -573,7 +589,7 @@ def _frame_plan(
     # Blending stage selection: band pixels of tiles with a second level are
     # rendered at both levels and interpolated.
     nonempty = rows.seg.tile_last_pair >= 0
-    band = _BlendBand.select(maps, grid, nonempty)
+    band = _BlendBand.select(maps, nonempty)
     blend_level = np.zeros(num_tiles, dtype=np.int64)
     if band.num_pixels:
         mix_count = np.bincount(band.tiles, minlength=num_tiles)
@@ -952,7 +968,8 @@ class PackedBackend:
         # saving).
         work["built"] = sum(plan.built for plan in plans)
 
-        with backend_span("composite", args={"frames": len(views)}):
+        composite_args = {"frames": len(views), "clipped_layers": 0, "blend_pixels": 0}
+        with backend_span("composite", args=composite_args):
             # Layer k of a group holds its pass-k tile renders, and row k
             # of its work tables the pass's spans and sort work per tile.
             layers: dict[int, np.ndarray] = {}
@@ -975,25 +992,33 @@ class PackedBackend:
                 if layouts[g] is None:
                     for f in frames:
                         grid = views[f][1].grid
-                        out[f] = _foveated_frame(plans[f], _background_frame(grid, background))
+                        image = _background_frame(grid, background)
+                        np.clip(image, 0.0, 1.0, out=image)
+                        out[f] = _foveated_frame(plans[f], image)
                     continue
                 seg, levels = layouts[g]
                 spans_table, sort_table = tile_work[g]
                 tile_ids = np.arange(seg.grid.num_tiles)
-                for f in frames:
+                # Pass 0 holds every tile's primary level in the view's
+                # first frame, so each frame starts from pass 0 clipped
+                # once per view (the last frame takes it, the others copy
+                # it) and copies in the few tiles whose primary level lies
+                # in another pass.  A lone frame is pass 0 clipped.  The
+                # blend reads the unclipped layers and clips its band
+                # pixels alone.
+                base = np.clip(layers[g][0], 0.0, 1.0)
+                composite_args["clipped_layers"] += 1
+                for i, f in enumerate(frames):
                     plan = plans[f]
                     primary = _layer_of(levels, plan.primary)
-                    # A lone frame's primary levels are its first pass (copied:
-                    # the frame owns its image, not a view of every layer).
-                    image = (
-                        layers[g][0].copy()
-                        if len(frames) == 1
-                        else _assemble(layers[g], seg.grid, primary)
-                    )
+                    image = base if i == len(frames) - 1 else base.copy()
+                    _assemble(image, layers[g], seg.grid, primary)
                     if plan.blend_pixels:
                         plan.band.blend(
-                            plan.maps, image, layers[g], _layer_of(levels, plan.second)
+                            plan.maps, image, layers[g], primary,
+                            _layer_of(levels, plan.second),
                         )
+                        composite_args["blend_pixels"] += plan.blend_pixels
                     at = (primary, tile_ids)
                     frame_work = TileWork(spans_table[at], sort_table[at], seg.grid.tile_size)
                     out[f] = _foveated_frame(plan, image, frame_work)
@@ -1017,7 +1042,7 @@ class PackedBackend:
         sort_ints = n_primary.astype(np.int64)
         raster_ints = n_primary.astype(np.float64)
 
-        band = _BlendBand.select(maps, grid)
+        band = _BlendBand.select(maps)
         mix_count = np.bincount(band.tiles, minlength=num_tiles)
         sel_second = mix_count > 0  # implies second > 0
         n_second = ints[np.maximum(second - 1, 0), tile_ids]
@@ -1036,9 +1061,10 @@ class PackedBackend:
             for image, _ in self._forward_views(views, needs, 0, background, False, False)
         ])
 
-        image = _assemble(layers, grid, tl - 1)
+        image = np.clip(layers[0], 0.0, 1.0)
+        _assemble(image, layers, grid, tl - 1)
         if band.num_pixels:
-            band.blend(maps, image, layers, np.maximum(second - 1, 0))
+            band.blend(maps, image, layers, tl - 1, np.maximum(second - 1, 0))
 
         return FoveatedFrame(
             image=image,

@@ -251,7 +251,7 @@ class ReferenceBackend:
             image[y0:y1, x0:x1] = out
 
         return FoveatedFrame(
-            image=image,
+            image=np.clip(image, 0.0, 1.0, out=image),
             sort_intersections_per_tile=sort_ints,
             raster_intersections_per_tile=raster_ints,
             blend_pixels=blend_pixels,
@@ -327,7 +327,7 @@ class ReferenceBackend:
             image[y0:y1, x0:x1] = out
 
         return FoveatedFrame(
-            image=image,
+            image=np.clip(image, 0.0, 1.0, out=image),
             sort_intersections_per_tile=sort_ints,
             raster_intersections_per_tile=raster_ints,
             blend_pixels=blend_pixels,

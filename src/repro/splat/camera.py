@@ -36,6 +36,26 @@ def _pixel_rays(width: int, height: int, fx: float, fy: float, cx: float, cy: fl
     return rays
 
 
+def pixel_eccentricity(
+    intrinsics: tuple[int, int, float, float, float, float],
+    gaze: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """:meth:`Camera.pixel_eccentricity` of any camera with ``intrinsics``
+    (:attr:`Camera.intrinsics`): the map depends on no pose."""
+    _, _, fx, fy, cx, cy = intrinsics
+    if gaze is None:
+        gaze = (cx, cy)
+    gaze_ray = np.array([(gaze[0] - cx) / fx, (gaze[1] - cy) / fy, 1.0])
+    gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
+    # clip → arccos → degrees, in place on the fresh dot products.
+    # ``np.rad2deg`` is ``x * (180 / π)`` in a scalar loop; the same
+    # product through ``np.multiply`` is vectorized and bitwise equal.
+    ecc = _pixel_rays(*intrinsics) @ gaze_ray
+    np.clip(ecc, -1.0, 1.0, out=ecc)
+    np.arccos(ecc, out=ecc)
+    return np.multiply(ecc, _DEGREES_PER_RADIAN, out=ecc)
+
+
 @dataclasses.dataclass(frozen=True)
 class Camera:
     """A pinhole camera with a world-to-camera rigid transform.
@@ -182,7 +202,13 @@ class Camera:
         pose and gaze of one image size shares one build.  The returned
         array is shared and read-only.
         """
-        return _pixel_rays(self.width, self.height, self.fx, self.fy, self.cx, self.cy)
+        return _pixel_rays(*self.intrinsics)
+
+    @property
+    def intrinsics(self) -> tuple[int, int, float, float, float, float]:
+        """``(width, height, fx, fy, cx, cy)``: all the visual-angle
+        geometry depends on."""
+        return (self.width, self.height, self.fx, self.fy, self.cx, self.cy)
 
     def pixel_eccentricity(self, gaze: tuple[float, float] | None = None) -> np.ndarray:
         """Per-pixel eccentricity in degrees relative to a gaze point.
@@ -193,19 +219,7 @@ class Camera:
             ``(x, y)`` pixel coordinates of the gaze; defaults to the image
             centre (the principal point).
         """
-        if gaze is None:
-            gaze = (self.cx, self.cy)
-        gx = (gaze[0] - self.cx) / self.fx
-        gy = (gaze[1] - self.cy) / self.fy
-        gaze_ray = np.array([gx, gy, 1.0])
-        gaze_ray = gaze_ray / np.linalg.norm(gaze_ray)
-        # clip → arccos → degrees, in place on the fresh dot products.
-        # ``np.rad2deg`` is ``x * (180 / π)`` in a scalar loop; the same
-        # product through ``np.multiply`` is vectorized and bitwise equal.
-        ecc = self.pixel_rays() @ gaze_ray
-        np.clip(ecc, -1.0, 1.0, out=ecc)
-        np.arccos(ecc, out=ecc)
-        return np.multiply(ecc, _DEGREES_PER_RADIAN, out=ecc)
+        return pixel_eccentricity(self.intrinsics, gaze)
 
     def degrees_per_pixel(self) -> float:
         """Approximate visual angle subtended by one pixel at the centre."""

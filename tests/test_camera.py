@@ -191,10 +191,14 @@ class TestRayMemo:
         a = self._camera(position=(0.0, 0.0, -4.0))
         b = self._camera(position=(2.0, 1.0, -5.0))
         grid = TileGrid(width=a.width, height=a.height, tile_size=16)
+        derived = ["eccentricity", "pixel_level", "band_level", "needs_blend", "weight_next"]
         camera_module._pixel_rays.cache_clear()
         for gaze in (None, (70.0, 20.0), (-96.0, -64.0)):
             fresh = compute_region_maps(a, grid, layout, gaze)
             shared = compute_region_maps(b, grid, layout, gaze)  # reads a's rays
-            for field in dataclasses.fields(fresh):
-                x, y = getattr(fresh, field.name), getattr(shared, field.name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+            for name in [f.name for f in dataclasses.fields(fresh)] + derived:
+                x, y = getattr(fresh, name), getattr(shared, name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                else:
+                    assert x == y, name

@@ -554,16 +554,19 @@ class TestPlanTable:
         assert got.stats.blend_pixels == 0
 
 
-def _reference_blend(self, maps, image, layers, second_layer):
-    """``(1 − w)·lo + w·hi`` over the band pixels, channel by channel."""
+def _reference_blend(self, maps, image, layers, primary_layer, second_layer, clip=True):
+    """``(1 − w)·lo + w·hi`` over the band pixels, channel by channel, from
+    the unclipped ``layers``, and clipped to [0, 1] unless ``clip`` is off."""
     rows = image.reshape(-1, 3)
-    primary = rows[self.pixels]
-    second = layers.reshape(-1, 3)[second_layer[self.tiles] * rows.shape[0] + self.pixels]
+    renders = layers.reshape(-1, 3)
+    primary = renders[primary_layer[self.tiles] * rows.shape[0] + self.pixels]
+    second = renders[second_layer[self.tiles] * rows.shape[0] + self.pixels]
     lo_is_primary = (maps.tile_level == self.lo_t)[self.tiles][:, None]
     lo = np.where(lo_is_primary, primary, second)
     hi = np.where(lo_is_primary, second, primary)
     w = maps.weight_next.reshape(-1)[self.pixels][:, None]
-    rows[self.pixels] = (1.0 - w) * lo + w * hi
+    mixed = (1.0 - w) * lo + w * hi
+    rows[self.pixels] = np.clip(mixed, 0.0, 1.0) if clip else mixed
 
 
 class TestBlendWeights:
@@ -578,25 +581,33 @@ class TestBlendWeights:
         branches = set()
         for gaze in [None, (76.8, 44.8), (10.0, 60.0), (-20.0, 30.0)]:
             maps = compute_region_maps(camera, grid, layout, gaze)
-            # Random weights, exact 0 and 1 among them.
-            weight = rng.uniform(0.0, 1.0, maps.weight_next.shape)
-            weight.reshape(-1)[::7] = 0.0
-            weight.reshape(-1)[3::7] = 1.0
-            maps = dataclasses.replace(maps, weight_next=weight)
+            # Random band weights, exact 0 and 1 among them; the derived
+            # ``weight_next`` the reference formula reads follows them.
+            weight = rng.uniform(0.0, 1.0, maps.band_weight.shape)
+            weight[::7] = 0.0
+            weight[3::7] = 1.0
+            maps = dataclasses.replace(maps, band_weight=weight)
             tile_ok = rng.random(grid.num_tiles) < 0.8
             for band in (
-                packed._BlendBand.select(maps, grid),  # multi-model selection
-                packed._BlendBand.select(maps, grid, tile_ok),  # foveated
+                packed._BlendBand.select(maps),  # multi-model selection
+                packed._BlendBand.select(maps, tile_ok),  # foveated
             ):
                 assert band.num_pixels
                 branches |= set((maps.tile_level == band.lo_t)[band.tiles].tolist())
+                # Renders overshoot [0, 1] on both sides, so the clip bites.
                 layers = rng.uniform(-0.5, 1.5, (3, grid.height, grid.width, 3))
                 primary = rng.integers(0, 3, grid.num_tiles)
                 second = rng.integers(0, 3, grid.num_tiles)
-                image = packed._assemble(layers, grid, primary)
-                want = image.copy()
-                band.blend(maps, image, layers, second)
-                _reference_blend(band, maps, want, layers, second)
+                image = np.clip(layers[0], 0.0, 1.0)
+                packed._assemble(image, layers, grid, primary)
+                band.blend(maps, image, layers, primary, second)
+                # The unclipped frame blended as ever, then one clip.
+                want = np.empty_like(layers[0])
+                for tile in range(grid.num_tiles):
+                    x0, y0, x1, y1 = grid.tile_pixel_bounds(tile)
+                    want[y0:y1, x0:x1] = layers[primary[tile], y0:y1, x0:x1]
+                _reference_blend(band, maps, want, layers, primary, second, clip=False)
+                np.clip(want, 0.0, 1.0, out=want)
                 assert image.tobytes() == want.tobytes()
         assert branches == {True, False}
 

@@ -1,6 +1,7 @@
 """Foveation quality regions: level maps, blending bands, tile assignment."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -118,7 +119,8 @@ def _stacked_rays(camera):
 
 
 def _looped_region_maps(camera, grid, layout, gaze=None):
-    """Oracle: the region maps built map by map, with a loop over tiles."""
+    """Oracle: every region-map field, eager and derived, built map by map
+    with a loop over tiles."""
     if gaze is None:
         gaze = (camera.cx, camera.cy)
     gaze_ray = np.array(
@@ -156,15 +158,29 @@ def _looped_region_maps(camera, grid, layout, gaze=None):
         if tile_second_level[tile_id] == primary:
             tile_second_level[tile_id] = 0
 
-    return RegionMaps(
-        pixel_level=pixel_level,
-        needs_blend=needs_blend,
-        weight_next=weight_next,
-        band_level=band_level,
-        tile_level=tile_level,
-        tile_second_level=tile_second_level,
-        eccentricity=ecc,
-    )
+    band_pixels = np.flatnonzero(band_level)
+    ts = grid.tile_size
+    ys, xs = np.divmod(band_pixels, grid.width)
+    return {
+        "tile_level": tile_level,
+        "tile_second_level": tile_second_level,
+        "band_pixels": band_pixels,
+        "band_tiles": (ys // ts) * grid.tiles_x + xs // ts,
+        # Inner levels fit the narrowest unsigned type of the level count.
+        "band_inner": band_level.reshape(-1)[band_pixels].astype(
+            np.min_scalar_type(layout.num_levels)
+        ),
+        "band_weight": weight_next.reshape(-1)[band_pixels],
+        "eccentricity": ecc,
+        "pixel_level": pixel_level,
+        "band_level": band_level,
+        "needs_blend": needs_blend,
+        "weight_next": weight_next,
+    }
+
+
+# The full-resolution maps derived on first read (not dataclass fields).
+DERIVED_FIELDS = ("eccentricity", "pixel_level", "band_level", "needs_blend", "weight_next")
 
 
 ORACLE_LAYOUTS = {
@@ -176,8 +192,16 @@ ORACLE_LAYOUTS = {
 }
 
 
+def _assert_fields_equal(got, want: dict, names) -> None:
+    for name in names:
+        a, b = getattr(got, name), want[name]
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
 class TestRegionMapsOracle:
-    """Every field equals the map-by-map, tile-loop build, bit for bit."""
+    """Every eager and derived field equals the map-by-map, tile-loop
+    build, bit for bit and dtype for dtype."""
 
     @pytest.mark.parametrize("size", [(64, 48), (70, 45), (256, 192)])
     @pytest.mark.parametrize("layout_name", sorted(ORACLE_LAYOUTS))
@@ -195,7 +219,29 @@ class TestRegionMapsOracle:
         pixel_gaze = None if gaze is None else (gaze[0] * width, gaze[1] * height)
         got = compute_region_maps(camera, grid, layout, pixel_gaze)
         want = _looped_region_maps(camera, grid, layout, pixel_gaze)
-        for field in dataclasses.fields(RegionMaps):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a.dtype == b.dtype, field.name
-            assert np.array_equal(a, b), field.name
+        arrays = [
+            f.name for f in dataclasses.fields(RegionMaps)
+            if isinstance(getattr(got, f.name), np.ndarray)
+        ]
+        assert set(arrays) | set(DERIVED_FIELDS) == set(want)
+        _assert_fields_equal(got, want, want)
+
+    @pytest.mark.parametrize("copy", ["pickle", "replace"])
+    def test_copies_carry_no_derived_array(self, copy):
+        camera = Camera.from_fov(70, 45, 90.0, np.array([0.0, 0.0, -4.0]), np.zeros(3))
+        grid = TileGrid(70, 45)
+        layout = ORACLE_LAYOUTS["overlap"]
+        maps = compute_region_maps(camera, grid, layout, (20.0, 30.0))
+        size = len(pickle.dumps(maps))
+        derived = {name: getattr(maps, name) for name in DERIVED_FIELDS}
+        assert set(DERIVED_FIELDS) <= set(vars(maps))  # cached on first read
+        assert len(pickle.dumps(maps)) == size
+        clone = (
+            pickle.loads(pickle.dumps(maps))
+            if copy == "pickle"
+            else dataclasses.replace(maps)
+        )
+        assert not set(DERIVED_FIELDS) & set(vars(clone))
+        _assert_fields_equal(clone, derived, DERIVED_FIELDS)
+        want = _looped_region_maps(camera, grid, layout, (20.0, 30.0))
+        _assert_fields_equal(clone, want, want)

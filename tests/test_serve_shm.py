@@ -293,6 +293,32 @@ class TestExportMaterialize:
         finally:
             arena.close()
 
+    def test_foveated_frame_ships_no_full_resolution_map(self, fmodel, cameras):
+        # The region maps ride as their tile and band-pixel arrays: the
+        # image is the one full-resolution plane, and the materialized
+        # maps derive every per-pixel map the lone render derives.
+        ref = render_foveated(fmodel, cameras[0], gaze=(20.0, 15.0))
+        arena = make_arena(4 << 20)
+        try:
+            handle = export_result(arena, ref)
+            big = [spec.shape for spec in handle.planes if np.prod(spec.shape) >= WIDTH * HEIGHT]
+            assert big == [(HEIGHT, WIDTH, 3)]
+            rebuilt = materialize_handle(arena, handle)
+            assert rebuilt.image.tobytes() == ref.image.tobytes()
+            fields = [f.name for f in dataclasses.fields(ref.maps)]
+            derived = ["eccentricity", "pixel_level", "band_level", "needs_blend", "weight_next"]
+            for name in fields + derived:
+                want, got = getattr(ref.maps, name), getattr(rebuilt.maps, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), name
+                else:
+                    assert got == want, name
+            del rebuilt
+            gc.collect()
+        finally:
+            arena.close()
+
     def test_object_arrays_are_rejected(self):
         arena = make_arena()
         try:
