@@ -7,9 +7,9 @@ depth-sorted tile assignments.  The batch entry points are the only way
 in: a lone frame is a batch of one (:func:`repro.splat.rasterize`,
 :func:`repro.foveation.render_foveated`), so a frame's pixels never depend
 on how it was batched.  Everything around those operations (stage prefix,
-stats assembly, clipping, region maps) lives in the callers, so backends
-stay interchangeable: ``reference`` is the per-tile loop kept for
-regression, ``packed`` the vectorized segment engine.
+stats assembly, clipping standard frames, region maps) lives in the
+callers, so backends stay interchangeable: ``reference`` is the per-tile
+loop kept for regression, ``packed`` the vectorized segment engine.
 """
 
 from __future__ import annotations
