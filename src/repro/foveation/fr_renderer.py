@@ -31,7 +31,10 @@ batches of frames to the backend's ``foveated_frame_batch``; a lone
 The ``packed`` engine's scans are local to each pixel row of a tile, so a
 tile's pixels at level ``t`` depend only on the pose, the tile and ``t``: the gaze samples
 of one pose in one call share each (tile, level) render, and the gaze only
-picks each tile's levels and the band pixels' blend weights.
+picks each tile's levels and the band pixels' blend weights.  A pose
+prepared through a :class:`~repro.splat.ViewCache` keeps those renders
+(its entry's tile store), so a later call at that pose renders only the
+pairs no earlier call rendered.
 
 Foveated and multi-model frames come back from the backend clipped to
 [0, 1], so nothing here clips.  The ``packed`` engine clips a view's tile
@@ -47,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..splat.backends import get_backend
+from ..splat.backends import TileStore, get_backend
 from ..splat.backends.segments import TileWork
 from ..splat.cachekey import ContentMemo, frozen
 from ..splat.camera import Camera
@@ -155,7 +158,8 @@ def render_foveated(
     """Render one foveated frame from a hierarchical subset model.
 
     ``prepared`` reuses a cached view prefix for ``fmodel.base`` (e.g. a
-    :class:`repro.splat.ViewCache` entry) instead of re-projecting.
+    :class:`repro.splat.ViewCache` entry, whose stored tile renders the
+    frame then reuses) instead of re-projecting.
     """
     config = config or RenderConfig()
     background = np.asarray(config.background, dtype=np.float64)
@@ -163,13 +167,12 @@ def render_foveated(
     # Projection + tiling + sorting run once on the full (L1) point set.
     if prepared is None:
         prepared = prepare_view(fmodel.base, camera, config)
-    projected, assignment = prepared
-    maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
+    maps = compute_region_maps(camera, prepared.assignment.grid, fmodel.layout, gaze)
     level_opacity, level_delta = _level_tables(fmodel)
 
     # A lone frame is a batch of one, so it runs the code every batch runs.
     [frame] = get_backend(config.backend).foveated_frame_batch(
-        [(projected, assignment)], [maps], fmodel.quality_bounds,
+        [prepared], [maps], fmodel.quality_bounds,
         level_opacity, level_delta, background,
     )
     return _frame_result(fmodel, prepared, maps, frame)
@@ -236,8 +239,9 @@ def render_foveated_batch(
     ``cameras[i]`` at ``gazes[i]``, with single-item broadcasting on either
     side (one camera across a gaze trajectory is the canonical workload).
     Each distinct camera's Projection/Tiling/Sorting prefix is prepared
-    once per chunk and shared by all of its gaze samples (``cache``
-    additionally shares it across calls); the backend's
+    once per call and shared by all of its gaze samples, and so are its
+    (tile, level) renders, across chunks (``cache`` additionally shares
+    both across calls); the backend's
     ``foveated_frame_batch`` then takes each chunk of frames whole (the
     ``packed`` engine renders each (tile, level) pair a chunk's gaze
     samples of one pose need once, in band-piece scans, and assembles
@@ -289,11 +293,14 @@ def render_foveated_batch(
                 seen.add(key)
                 new_cams.append(camera)
         if new_cams:
-            new_views = (
-                cache.get_batch(fmodel.base, new_cams, config)
-                if cache is not None
-                else [prepare_view(fmodel.base, c, config) for c in new_cams]
-            )
+            if cache is not None:
+                new_views = cache.get_batch(fmodel.base, new_cams, config)
+            else:
+                new_views = [prepare_view(fmodel.base, c, config) for c in new_cams]
+                for view in new_views:
+                    # Kept for this call: its chunks share the pose's tile
+                    # renders.
+                    view.tile_store = TileStore()
             prepared.update(
                 {id(camera): view for camera, view in zip(new_cams, new_views)}
             )
@@ -302,9 +309,8 @@ def render_foveated_batch(
             compute_region_maps(camera, view.assignment.grid, fmodel.layout, gaze)
             for camera, view, gaze in zip(chunk_cams, views, chunk_gazes)
         ]
-        view_tuples = [(v.projected, v.assignment) for v in views]
         frames = engine.foveated_frame_batch(
-            view_tuples, maps_list, fmodel.quality_bounds, level_opacity,
+            views, maps_list, fmodel.quality_bounds, level_opacity,
             level_delta, background,
         )
         results.extend(

@@ -412,11 +412,13 @@ class ServeLoop:
     ``close()`` drains the queue before returning, so every submitted
     request is answered — render failures (including a crashed worker
     pool) resolve their requests' futures with the exception rather than
-    hanging the drain.  One ``ViewCache`` (shared or private) memoizes
-    pose prefixes across batches; the ``FrameCache`` holds whole frames per
-    gaze region.  ``worker_pool`` lets several loops (one after another,
-    or side by side) share one pool; a loop only owns — creates and
-    closes — a pool it built itself from ``serve_config.workers``.
+    hanging the drain.  One ``ViewCache`` (shared or private; by default
+    sized by the ``worker_viewcache`` knob, like a worker's) memoizes pose
+    prefixes and their tile renders across batches; the ``FrameCache``
+    holds whole frames per gaze region.  ``worker_pool`` lets several
+    loops (one after another, or side by side) share one pool; a loop only
+    owns — creates and closes — a pool it built itself from
+    ``serve_config.workers``.
     """
 
     def __init__(
@@ -470,7 +472,13 @@ class ServeLoop:
         self._keyer = self.frame_cache or FrameCache(
             max_bytes=1, spec=self.serve_config.grid
         )
-        self.view_cache = view_cache or ViewCache(maxsize=256)
+        # Sized like a worker's private cache, so one knob bounds the
+        # pose tile renders either executor keeps.
+        self.view_cache = (
+            view_cache
+            if view_cache is not None
+            else ViewCache(maxsize=KNOBS["worker_viewcache"].resolve())
+        )
         self.predictor = (
             GazePredictor(self.serve_config.prefetch)
             if self.serve_config.prefetch is not None

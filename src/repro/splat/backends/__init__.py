@@ -27,7 +27,13 @@ from typing import Callable
 
 from .base import FoveatedFrame, RasterBackend
 from .kernels import Workspace
-from .packed import PackedBackend, render_threads, set_render_threads, span_chunk_budget
+from .packed import (
+    PackedBackend,
+    TileStore,
+    render_threads,
+    set_render_threads,
+    span_chunk_budget,
+)
 from .reference import ReferenceBackend
 from .segments import (
     QUAD_CUTOFF,
@@ -126,6 +132,7 @@ __all__ = [
     "SegmentIndex",
     "SpanBatch",
     "TileLaneGeometry",
+    "TileStore",
     "Workspace",
     "available_backends",
     "build_row_spans",

@@ -91,7 +91,10 @@ class RasterBackend(Protocol):
         """Render several foveated frames of one model, one result per frame.
 
         ``views`` holds each frame's shared view prefix (gaze samples of one
-        pose typically repeat the same prepared view object), ``maps_list``
+        pose typically repeat the same prepared view object; a
+        :class:`~repro.splat.renderer.PreparedView` may carry a
+        ``tile_store`` the ``packed`` engine keeps its tile renders in
+        across calls), ``maps_list``
         the per-frame :class:`~repro.foveation.regions.RegionMaps`; the
         hierarchy tables (``bounds`` / ``level_opacity`` / ``level_delta``)
         are per-model and shared by every frame.  The ``packed`` engine

@@ -31,7 +31,8 @@ are packed into pieces of at most :func:`span_chunk_budget` spans, and the
 pieces run on a process-wide thread pool (:func:`render_pool`).  A frame
 is bitwise the same however it was batched, whatever the span budget and
 on any number of threads; the foveated frames of one view share each
-(tile, level) render, rendered once per call.
+(tile, level) render, kept in the view's :class:`TileStore` (across calls
+for a :class:`~repro.splat.renderer.ViewCache` entry).
 
 Work scales with the rasterized splat area rather than
 ``intersections × tile area`` (the reference loop's cost), which is where
@@ -61,6 +62,7 @@ import numpy as np
 
 from ...envknobs import KNOBS
 from ...obs.trace import backend_span
+from ..cachekey import same_bytes, snapshot
 from ..projection import ProjectedGaussians
 from ..rasterizer import RasterGradients
 from ..tiling import TileAssignment, TileGrid
@@ -90,8 +92,12 @@ from .segments import (
 )
 
 
-def _background_frame(grid: TileGrid, background: np.ndarray) -> np.ndarray:
-    image = np.empty((grid.height, grid.width, 3))
+def _background_frame(
+    grid: TileGrid, background: np.ndarray, image: np.ndarray | None = None
+) -> np.ndarray:
+    """A frame of ``background`` (written into ``image`` when given)."""
+    if image is None:
+        image = np.empty((grid.height, grid.width, 3))
     # Row by row: broadcasting a 3-vector over every pixel is ~10x slower.
     image.reshape(grid.height, -1)[:] = np.tile(background, grid.width)
     return image
@@ -126,8 +132,8 @@ def _pair_tables(projected: ProjectedGaussians, seg: PackedSegments) -> dict[str
     """Per-pair gather tables of one view, aligned with its pair rows.
 
     Every band piece of the view indexes these through ``span_pair``, so
-    they are gathered once per view (and once per call for the gaze
-    samples of one pose); :meth:`BatchTables.build` bundles them with a
+    they are gathered once per view (and, for foveated frames, once per
+    :class:`TileStore`); :meth:`BatchTables.build` bundles them with a
     piece's span rows.
     """
     sel = seg.pair_splats
@@ -353,13 +359,16 @@ class _ViewRows:
 @dataclasses.dataclass
 class _Source:
     """One view's share of the band stream: its passes over the view's
-    pairs (a standard view is one pass; foveated: every level pass of the
-    frames sharing the view)."""
+    pairs (a standard view is one pass; foveated: the passes rendering the
+    (tile, level) pairs the view's store lacks)."""
 
     index: int  # position in the call's view (foveated: view group) list
     rows: _ViewRows
     pass_counts: list[np.ndarray]  # (K,) per pass: spans each pair contributes (0: none)
     tables: dict[str, np.ndarray]  # the passes' pair tables, stacked in pass order
+    # (T,) per pass: added to the flat pixel indices of each tile (foveated:
+    # the offset of the plane of the level the pass renders the tile at).
+    pass_offsets: list[np.ndarray] | None = None
 
 
 # ----------------------------------------------------------------------
@@ -368,16 +377,17 @@ class _Source:
 # The foveated frame is composed from the same span kernels as the
 # standard forward.  Scans are group-local, so a tile's pixels at quality
 # level t depend only on the pose, the tile and t: the gaze only
-# chooses each tile's levels and the band pixels' blend weights.  A call
-# therefore renders every (tile, level) its frames of one view need once:
-# a host-side, pair-level plan per frame (workload statistics, the blend
-# band and the (tile, level) renders it needs), the view's *level passes*
-# (pass k renders each tile's k-th needed level, with that level's
-# opacities and colours as per-pair tables), band pieces that run the
-# forward kernel chain over the passes, and a final per-frame assembly of
-# the tile renders plus the blend of its band pixels.  A lone foveated
-# frame is a batch of one through the identical code path: its passes are
-# its primary pass and its blend pass.
+# chooses each tile's levels and the band pixels' blend weights.  Each
+# view's (tile, level) renders therefore live in its ``TileStore``, one
+# plane per level, and a call renders only the pairs its frames need that
+# the store lacks: a host-side, pair-level plan per frame (workload
+# statistics, the blend band and the (tile, level) renders it needs), the
+# *level passes* over the missing pairs (pass k renders each tile's k-th
+# missing level, with those levels' opacities and colours as per-pair
+# tables), band pieces that run the forward kernel chain over the passes,
+# and a final per-frame assembly from the planes plus the blend of its
+# band pixels.  A lone foveated frame is a batch of
+# one through the identical code path.
 # ----------------------------------------------------------------------
 
 
@@ -400,28 +410,46 @@ def _pixel_values(elements: np.ndarray) -> np.ndarray:
     return elements.view(np.float64).reshape(-1, 3)
 
 
-def _assemble(
-    image: np.ndarray, layers: np.ndarray, grid: TileGrid, tile_layer: np.ndarray
-) -> None:
-    """Copy each tile ``t`` with ``tile_layer[t] > 0`` into ``image`` from
-    ``layers[tile_layer[t]]``, clipped to [0, 1], in place.
+@functools.lru_cache(maxsize=8)
+def _run_tiles(height: int, width: int, tile_size: int) -> np.ndarray:
+    """The tile of each pixel *run* of an image, row-major (read-only).
 
-    ``layers`` is ``(P, H, W, 3)`` and ``image`` holds ``layers[0]``
-    clipped, so a frame pays only for its tiles that read another layer.
-    Copied in *runs* of ``gcd(tile_size, W)`` pixels: a run divides every
-    tile's share of an image row, so each is one contiguous piece of one
-    tile's layer, and one gather moves them all.
+    A run is ``gcd(tile_size, W)`` pixels: it divides every tile's share of
+    an image row, so each run is one contiguous piece of one tile.
     """
-    if not tile_layer.any():
+    run = math.gcd(tile_size, width)
+    tiles_x = -(-width // tile_size)
+    run_tile = (
+        (np.arange(height)[:, None] // tile_size) * tiles_x
+        + np.arange(0, width, run)[None, :] // tile_size
+    ).reshape(-1)
+    run_tile.setflags(write=False)
+    return run_tile
+
+
+def _assemble(
+    image: np.ndarray,
+    layers: np.ndarray,
+    grid: TileGrid,
+    tile_layer: np.ndarray,
+    tiles: np.ndarray | None = None,
+) -> None:
+    """Copy each tile ``t`` of ``tiles`` (default: ``tile_layer > 0``) into
+    ``image`` from ``layers[tile_layer[t]]``, clipped to [0, 1], in place.
+
+    ``layers`` is ``(P, H, W, 3)``, so a frame pays only for the tiles it
+    does not already hold.  One gather moves all of their pixel runs
+    (:func:`_run_tiles`).
+    """
+    if tiles is None:
+        tiles = tile_layer > 0
+    if not tiles.any():
         return
-    height, width, ts = grid.height, grid.width, grid.tile_size
-    run = math.gcd(ts, width)
-    grid_layer = tile_layer.reshape(grid.tiles_y, grid.tiles_x)
-    layer = grid_layer[
-        np.arange(height)[:, None] // ts, np.arange(0, width, run)[None, :] // ts
-    ].reshape(-1)
-    moved = np.flatnonzero(layer)
-    runs = layers.reshape(-1, 3 * run).take(layer.take(moved) * layer.size + moved, axis=0)
+    run_tile = _run_tiles(grid.height, grid.width, grid.tile_size)
+    run = math.gcd(grid.tile_size, grid.width)
+    moved = np.flatnonzero(tiles.take(run_tile))
+    source = tile_layer.take(run_tile.take(moved)) * run_tile.size + moved
+    runs = layers.reshape(-1, 3 * run).take(source, axis=0)
     image.reshape(-1, 3 * run)[moved] = np.clip(runs, 0.0, 1.0, out=runs)
 
 
@@ -522,6 +550,13 @@ class _FramePlan:
     def blend_pixels(self) -> int:
         return 0 if self.band is None else self.band.num_pixels
 
+    def mark_needs(self, need: np.ndarray) -> None:
+        """Set the frame's (tile, level) renders in an ``(L, T)`` mask."""
+        for level in (self.primary, self.second):
+            if level is not None:
+                tiles = np.flatnonzero(level)
+                need[level[tiles] - 1, tiles] = True
+
 
 def _level_tables(
     tables: dict[str, np.ndarray], op_mat: np.ndarray, de_mat: np.ndarray, levels: np.ndarray
@@ -614,60 +649,109 @@ def _frame_plan(
     )
 
 
-@dataclasses.dataclass
-class _LevelPasses:
-    """The (tile, level) renders a view's frames need, as composite passes.
+class TileStore:
+    """One view's unclipped (tile, level) renders, kept across foveated calls.
 
-    ``levels[k, t]`` is the level tile ``t`` renders in pass ``k`` (0:
-    none): pass ``k`` holds each tile's ``k``-th needed level in order of
-    first use over the frames (each frame's primary levels, then its blend
-    levels), so a lone frame's passes are its primary pass and its blend
-    pass.  ``pass_counts`` holds each pass's per-pair span counts, zero for
-    the pairs it drops (below its tile's level bound, or in a tile the pass
-    does not render), and ``tables`` the passes' pair tables stacked in pass
-    order, with opacities and colours at each pass's level.
+    A tile's render at level ``t`` depends only on the view, the tile and
+    ``t``, so it serves every later frame of the view that needs that
+    pair.  A :class:`~repro.splat.renderer.ViewCache` entry carries a store
+    (``PreparedView.tile_store``), so a frame at a cached pose scans only
+    the pairs its store lacks; a view without one gets a store per call.
+
+    ``planes[t - 1]`` holds level ``t``'s renders, unclipped, over the
+    background: the ``(L, H, W, 3)`` block is allocated at the view's first
+    render and each plane is filled on its level's first use, so a view
+    holds at most ``L·H·W·24`` bytes.  ``rendered`` marks the ``(L, T)``
+    pairs rendered, and ``spans``/``sort_work`` hold each render's
+    :class:`TileWork` row.
+    The store also keeps the view's gaze-independent tables: its pair rows,
+    each pair's quality bound and :func:`_tile_bound_counts`.
+
+    Renders are valid only for the tables they were made with (quality
+    bounds, level opacities and colour deltas, background): :meth:`bind`
+    drops everything on any difference.  One call renders with a store at a
+    time (``lock``); a call that finds it taken renders with its own.
     """
 
-    levels: np.ndarray  # (P, T)
-    pass_counts: list[np.ndarray]  # (K,) per pass
-    tables: dict[str, np.ndarray]
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._tables: tuple[np.ndarray, ...] = ()
 
-    @classmethod
-    def build(
-        cls,
-        rows: _ViewRows,
-        plans: list[_FramePlan],
-        pair_bounds: np.ndarray,
-        op_mat: np.ndarray,
-        de_mat: np.ndarray,
-    ) -> "_LevelPasses":
-        num_tiles = rows.seg.grid.num_tiles
-        tiles = np.arange(num_tiles)
-        levels = np.zeros((op_mat.shape[0], num_tiles), dtype=np.int64)
-        used = np.zeros(num_tiles, dtype=np.int64)
-        for plan in plans:
-            for need in (plan.primary, plan.second):
-                fresh = (need > 0) & ~(levels == need).any(axis=0)
-                levels[used[fresh], tiles[fresh]] = need[fresh]
-                used += fresh
-        levels = levels[: used.max()]
+    def bind(
+        self,
+        projected: ProjectedGaussians,
+        assignment: TileAssignment,
+        tables: tuple[np.ndarray, ...],
+        num_levels: int,
+    ) -> None:
+        """Keep the renders if they were made with ``tables`` (the bounds,
+        every level's opacities, then colour deltas, then the background),
+        else start empty for them."""
+        if len(tables) == len(self._tables) and all(
+            new is old or same_bytes(new, old) for new, old in zip(tables, self._tables)
+        ):
+            return
+        # A read-only array that owns its data (the memoized level tables)
+        # is kept by reference; anything a caller may still edit, as a copy.
+        self._tables = tuple(
+            a if a.base is None and not a.flags.writeable else snapshot(a) for a in tables
+        )
+        self.rows: _ViewRows | None = None
+        self.pair_bounds = self.tile_pairs = None
+        if assignment.num_intersections:
+            self.rows = _ViewRows.build(projected, assignment)
+            self.pair_bounds = tables[0][projected.point_ids[self.rows.seg.pair_splats]]
+            self.tile_pairs = _tile_bound_counts(self.rows.seg, self.pair_bounds, num_levels)
+        shape = (num_levels, assignment.grid.num_tiles)
+        self.planes: np.ndarray | None = None
+        self.filled = np.zeros(num_levels, dtype=bool)
+        self.rendered = np.zeros(shape, dtype=bool)
+        self.spans = np.zeros(shape, dtype=np.int64)
+        self.sort_work = np.zeros(shape)
+
+    def fill(self, levels: np.ndarray) -> np.ndarray:
+        """The planes, each of ``levels`` (a ``(L,)`` mask) filled with the
+        background on its first use."""
+        grid = self.rows.seg.grid
+        if self.planes is None:
+            self.planes = np.empty((len(levels), grid.height, grid.width, 3))
+        for t in np.flatnonzero(levels & ~self.filled):
+            _background_frame(grid, self._tables[-1], self.planes[t])
+        self.filled |= levels
+        return self.planes
+
+    def passes(
+        self, missing: np.ndarray, op_mat: np.ndarray, de_mat: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], dict[str, np.ndarray]]:
+        """The composite passes rendering the ``missing`` ``(L, T)`` pairs.
+
+        Returns ``(levels, pass_counts, tables)``.  ``levels[k, t]`` is the
+        level tile ``t`` renders in pass ``k`` (0: none): pass ``k`` holds
+        each tile's ``k``-th missing level, so a lone frame, whose tiles
+        need at most two levels, renders in two passes (one pass per level
+        would scan the same spans at more per-pass cost).  ``pass_counts``
+        holds each pass's per-pair span counts, zero for the pairs it drops
+        (below its tile's level bound, or in a tile the pass does not
+        render), and ``tables`` the passes' pair tables stacked in pass
+        order, with opacities and colours at each pass's levels
+        (``op_mat``/``de_mat``: every level's tables, stacked).
+        """
+        rows = self.rows
+        lv, tiles = np.nonzero(missing)
+        rank = (np.cumsum(missing, axis=0) - 1)[lv, tiles]
+        levels = np.zeros((rank.max() + 1, missing.shape[1]), dtype=np.int64)
+        levels[rank, tiles] = lv + 1
         pair_levels = levels.take(rows.seg.pair_tiles, axis=1)  # (P, K)
-        keep = (pair_levels > 0) & (pair_bounds >= pair_levels)
+        keep = (pair_levels > 0) & (self.pair_bounds >= pair_levels)
         tables = rows.tables
         if len(levels) > 1:
             tables = {name: np.concatenate([t] * len(levels)) for name, t in tables.items()}
         opacities, colors = _level_tables(tables, op_mat, de_mat, pair_levels.reshape(-1))
-        return cls(
-            levels=levels,
-            pass_counts=[np.where(k, rows.counts, 0) for k in keep],
-            tables=dict(tables, opacities=opacities, colors=colors),
+        return (
+            levels,
+            [np.where(k, rows.counts, 0) for k in keep],
+            dict(tables, opacities=opacities, colors=colors),
         )
-
-
-def _layer_of(levels: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """The pass rendering each tile at its ``need`` level, ``(T,)``
-    (``levels`` as in :class:`_LevelPasses`; 0 where ``need`` is 0)."""
-    return np.argmax(levels == need, axis=0)
 
 
 def _foveated_frame(
@@ -790,7 +874,8 @@ class PackedBackend:
         one compositing reduction over the sources' stacked pair tables.
         Returns ``(scattered, pass_spans, winners)``: per non-empty pass,
         ``(source, pass, flat pixel indices, colours as pixel elements)``
-        (:func:`_pixel_elements`); per pass,
+        (:func:`_pixel_elements`; the indices carry the source's
+        ``pass_offsets``); per pass,
         ``(source, pass, spans)``; and — given ``num_points`` — per pass
         ``(source, per-point Val_i winner counts)``.  All are fresh arrays,
         never workspace views.
@@ -802,7 +887,7 @@ class PackedBackend:
             # each pass at its offset into the stacked tables.
             for k, counts in enumerate(src.pass_counts):
                 passes.append(src.rows.expand(counts, r0, r1))
-                targets.append((src.index, k))
+                targets.append((src, k))
         batch = concat_spans(passes)
         pairs = _concat_tables([src.tables for src, _, _ in parts])
         bt = BatchTables.build(batch, pairs)
@@ -817,11 +902,13 @@ class PackedBackend:
         lanes = np.arange(ts, dtype=np.int64)
         elements = _pixel_elements(pixels)
         scattered = []
-        for v, (spans, (i, k)) in enumerate(zip(passes, targets)):
+        for v, (spans, (src, k)) in enumerate(zip(passes, targets)):
             if spans.num_spans:
                 idx, ok = _group_pixel_index(spans)
+                if src.pass_offsets is not None:
+                    idx += src.pass_offsets[k].take(spans.group_tile)[:, None]
                 at = classes.group_rank[batch.view_groups(v), None] * ts + lanes
-                scattered.append((i, k, idx[ok], elements.take(at[ok])))
+                scattered.append((src.index, k, idx[ok], elements.take(at[ok])))
         winners_out = []
         if num_points is not None:
             lane_ok = np.concatenate(
@@ -830,14 +917,14 @@ class PackedBackend:
             winners, has_any = batch_dominated_winners(
                 ws, weights, classes.groups, lane_ok, perm
             )
-            for v, (i, _) in enumerate(targets):
+            for v, (src, _) in enumerate(targets):
                 cols = classes.group_rank[batch.view_groups(v)]
                 sel = has_any[:, cols]
                 winner_pairs = bt.span_pair[winners[:, cols][sel]]
                 winners_out.append(
-                    (i, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
+                    (src.index, np.bincount(pairs["pids"][winner_pairs], minlength=num_points))
                 )
-        pass_spans = [(i, k, spans) for spans, (i, k) in zip(passes, targets)]
+        pass_spans = [(src.index, k, spans) for spans, (src, k) in zip(passes, targets)]
         return scattered, pass_spans, winners_out
 
     def _scan(
@@ -897,12 +984,16 @@ class PackedBackend:
 
         Frames of one view (one tile assignment object: the gaze samples of
         one pose) share every tile render.  The scans are group-local, so
-        a tile's pixels at level ``t`` depend only on the view,
-        the tile and ``t``: each (tile, level) pair the view's frames need
-        — every non-empty tile at its primary level, every tile holding
-        band pixels at its second level — is rendered once, in the view's
-        level passes (:class:`_LevelPasses`), and level filtering keeps
-        each render to the spans whose pair passes its quality bound.  The
+        a tile's pixels at level ``t`` depend only on the view, the tile
+        and ``t``: the view's renders live in its :class:`TileStore` (the
+        view's ``tile_store`` when it has one, as a
+        :class:`~repro.splat.renderer.ViewCache` entry does, else a store
+        for this call).  Of the (tile, level) pairs the frames need —
+        every non-empty tile at its primary level, every tile holding band
+        pixels at its second level — the call renders only those the store
+        lacks, in level passes (:meth:`TileStore.passes`), and level
+        filtering keeps each render to the spans whose pair passes its
+        quality bound.  The
         views' bands stream into pieces of at most
         :func:`span_chunk_budget` *scanned* (post-filter) spans, exactly
         like :meth:`forward_batch`; a piece carries every pass of its tile
@@ -920,107 +1011,145 @@ class PackedBackend:
         if len(sizes) > 1:
             raise ValueError(f"views must share one tile size, got {sorted(sizes)}")
         n_levels = len(level_opacity)
-        op_mat = np.stack([level_opacity[t] for t in range(1, n_levels + 1)])  # (L, N)
-        de_mat = np.stack([level_delta[t] for t in range(1, n_levels + 1)])  # (L, N, 3)
+        levels = range(1, n_levels + 1)
+        tables = (
+            bounds, *(level_opacity[t] for t in levels), *(level_delta[t] for t in levels),
+            background,
+        )
         budget = span_chunk_budget()
+
+        @functools.cache
+        def level_mats() -> tuple[np.ndarray, np.ndarray]:
+            # Built only by a call with pairs to render.
+            return (
+                np.stack([level_opacity[t] for t in levels]),  # (L, N)
+                np.stack([level_delta[t] for t in levels]),  # (L, N, 3)
+            )
 
         members: dict[int, list[int]] = {}
         for f, (_, assignment) in enumerate(views):
             members.setdefault(id(assignment), []).append(f)
         groups = list(members.values())
         plans: list[Any] = [None] * len(views)
-        # Per view group: its pair segments and pass level tables (None
-        # without intersections).
-        layouts: list[tuple[PackedSegments, np.ndarray] | None] = [None] * len(groups)
+        # Per view group: its store, the (L, T) pairs this call renders into
+        # it, and its passes' (P, T) level tables (None: no pass).
+        stores: list[TileStore] = []
+        missing: list[np.ndarray] = []
+        pass_levels: list[np.ndarray | None] = []
+        held: list[TileStore] = []
+        work: dict[str, int] = {"frames": len(views), "tiles_rendered": 0, "tiles_reused": 0}
 
         def sources():
-            # One source per view: its pair rows, gather tables and level
-            # passes are built once and dropped with the source (the pieces
-            # in flight hold what they still need).
+            # One source per view with pairs to render; its pass tables are
+            # dropped with the source (the pieces in flight hold what they
+            # still need).
             for g, frames in enumerate(groups):
-                projected, assignment = views[frames[0]]
-                rows = pair_bounds = tile_pairs = None
-                if assignment.num_intersections:
-                    rows = _ViewRows.build(projected, assignment)
-                    pair_bounds = bounds[projected.point_ids[rows.seg.pair_splats]]
-                    tile_pairs = _tile_bound_counts(rows.seg, pair_bounds, n_levels)
+                view = views[frames[0]]
+                store = getattr(view, "tile_store", None)
+                if store is not None and store.lock.acquire(blocking=False):
+                    held.append(store)
+                else:
+                    store = TileStore()
+                store.bind(view[0], view[1], tables, n_levels)
+                need = np.zeros_like(store.rendered)
                 for f in frames:
-                    plans[f] = _frame_plan(maps_list[f], assignment.grid, rows, tile_pairs)
-                if rows is None:
+                    plans[f] = _frame_plan(maps_list[f], view[1].grid, store.rows, store.tile_pairs)
+                    plans[f].mark_needs(need)
+                new = need & ~store.rendered
+                work["tiles_rendered"] += int(new.sum())
+                work["tiles_reused"] += int(need.sum()) - int(new.sum())
+                stores.append(store)
+                missing.append(new)
+                pass_levels.append(None)
+                if not new.any():
                     continue
-                passes = _LevelPasses.build(
-                    rows, [plans[f] for f in frames], pair_bounds, op_mat, de_mat
-                )
-                layouts[g] = (rows.seg, passes.levels)
-                sizes = sum(rows.band_sizes(counts) for counts in passes.pass_counts)
-                yield _Source(g, rows, passes.pass_counts, passes.tables), sizes
+                pass_levels[g], counts, pass_tables = store.passes(new, *level_mats())
+                sizes = sum(store.rows.band_sizes(c) for c in counts)
+                grid = view[1].grid
+                offsets = list(np.maximum(pass_levels[g] - 1, 0) * (grid.height * grid.width))
+                yield _Source(g, store.rows, counts, pass_tables, offsets), sizes
 
         def run(parts):
             # Each pass's spans die here, reduced to their per-tile work.
             scattered, pass_spans, _ = self._piece(parts, background)
             return scattered, [(g, k, TileWork.of(spans)) for g, k, spans in pass_spans]
 
-        work: dict[str, int] = {"frames": len(views)}
-        with backend_span("alpha-scan", args=work):
-            results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
-        # Work counters: spans the passes scan (``spans``) vs. spans the
-        # frames built before level filtering (the compaction and reuse
-        # saving).
-        work["built"] = sum(plan.built for plan in plans)
+        try:
+            with backend_span("alpha-scan", args=work):
+                results = _run_pieces(_band_pieces(sources(), budget), run, work, budget)
+            # Work counters: spans the passes scan (``spans``) vs. spans the
+            # frames built before level filtering (the compaction and reuse
+            # saving).
+            work["built"] = sum(plan.built for plan in plans)
+            return self._assemble_frames(
+                views, groups, plans, stores, missing, pass_levels, results, background
+            )
+        finally:
+            for store in held:
+                store.lock.release()
 
+    def _assemble_frames(
+        self, views, groups, plans, stores, missing, pass_levels, results, background
+    ) -> list[FoveatedFrame]:
+        """Scatter a foveated call's renders into its stores, then assemble
+        and blend every frame from the stores' planes."""
         composite_args = {"frames": len(views), "clipped_layers": 0, "blend_pixels": 0}
         with backend_span("composite", args=composite_args):
-            # Layer k of a group holds its pass-k tile renders, and row k
-            # of its work tables the pass's spans and sort work per tile.
-            layers: dict[int, np.ndarray] = {}
-            tile_work: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for g, layout in enumerate(layouts):
-                if layout is not None:
-                    frame = _background_frame(layout[0].grid, background)
-                    layers[g] = np.repeat(frame[None], len(layout[1]), axis=0)
-                    shape = layout[1].shape
-                    tile_work[g] = (np.zeros(shape, np.int64), np.zeros(shape))
+            # A pass's pixel indices point into the planes of its tiles'
+            # levels.
+            planes = [
+                None if levels is None else _pixel_elements(store.fill(new.any(axis=1)))
+                for store, new, levels in zip(stores, missing, pass_levels)
+            ]
             for scattered, pass_work in results:
                 for g, k, idx, values in scattered:
-                    _pixel_elements(layers[g][k])[idx] = values
+                    planes[g][idx] = values
                 for g, k, w in pass_work:
-                    tile_work[g][0][k] += w.grid_spans
-                    tile_work[g][1][k] += w.grid_sort_work
+                    # A pass's work is zero outside its tiles, so the tiles
+                    # it does not render may add theirs to any level.
+                    at = (np.maximum(pass_levels[g][k] - 1, 0), np.arange(len(w.grid_spans)))
+                    stores[g].spans[at] += w.grid_spans
+                    stores[g].sort_work[at] += w.grid_sort_work
+            for store, new in zip(stores, missing):
+                store.rendered |= new
 
             out: list[Any] = [None] * len(views)
-            for g, frames in enumerate(groups):
-                if layouts[g] is None:
+            for frames, store in zip(groups, stores):
+                if store.rows is None:
                     for f in frames:
                         grid = views[f][1].grid
                         image = _background_frame(grid, background)
                         np.clip(image, 0.0, 1.0, out=image)
                         out[f] = _foveated_frame(plans[f], image)
                     continue
-                seg, levels = layouts[g]
-                spans_table, sort_table = tile_work[g]
-                tile_ids = np.arange(seg.grid.num_tiles)
-                # Pass 0 holds every tile's primary level in the view's
-                # first frame, so each frame starts from pass 0 clipped
+                grid = store.rows.seg.grid
+                tile_ids = np.arange(grid.num_tiles)
+                nonempty = store.rows.seg.tile_last_pair >= 0
+                # Every frame starts from the view's first frame, clipped
                 # once per view (the last frame takes it, the others copy
-                # it) and copies in the few tiles whose primary level lies
-                # in another pass.  A lone frame is pass 0 clipped.  The
-                # blend reads the unclipped layers and clips its band
+                # it): the plane most of its tiles read, clipped, with its
+                # other tiles copied in.  A frame then copies in only the
+                # tiles whose primary level differs from the first frame's.
+                # The blend reads the unclipped planes and clips its band
                 # pixels alone.
-                base = np.clip(layers[g][0], 0.0, 1.0)
+                first = plans[frames[0]].maps.tile_level
+                base_level = int(np.argmax(np.bincount(first[nonempty])))
+                base = np.clip(store.planes[base_level - 1], 0.0, 1.0)
                 composite_args["clipped_layers"] += 1
+                _assemble(base, store.planes, grid, first - 1, nonempty & (first != base_level))
                 for i, f in enumerate(frames):
                     plan = plans[f]
-                    primary = _layer_of(levels, plan.primary)
+                    tl = plan.maps.tile_level
                     image = base if i == len(frames) - 1 else base.copy()
-                    _assemble(image, layers[g], seg.grid, primary)
+                    _assemble(image, store.planes, grid, tl - 1, nonempty & (tl != first))
                     if plan.blend_pixels:
                         plan.band.blend(
-                            plan.maps, image, layers[g], primary,
-                            _layer_of(levels, plan.second),
+                            plan.maps, image, store.planes, tl - 1,
+                            np.maximum(plan.second - 1, 0),
                         )
                         composite_args["blend_pixels"] += plan.blend_pixels
-                    at = (primary, tile_ids)
-                    frame_work = TileWork(spans_table[at], sort_table[at], seg.grid.tile_size)
+                    at = (tl - 1, tile_ids)
+                    frame_work = TileWork(store.spans[at], store.sort_work[at], grid.tile_size)
                     out[f] = _foveated_frame(plan, image, frame_work)
         return out
 

@@ -57,15 +57,17 @@ def _words(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array).reshape(-1).view(np.uint8)
 
 
-def _same_bytes(array: np.ndarray, snapshot: np.ndarray) -> bool:
+def same_bytes(array: np.ndarray, other: np.ndarray) -> bool:
+    """Whether two arrays have the same shape, dtype and bits."""
     return (
-        array.shape == snapshot.shape
-        and array.dtype == snapshot.dtype
-        and np.array_equal(_words(array), _words(snapshot))
+        array.shape == other.shape
+        and array.dtype == other.dtype
+        and np.array_equal(_words(array), _words(other))
     )
 
 
-def _snapshot(array: np.ndarray) -> np.ndarray:
+def snapshot(array: np.ndarray) -> np.ndarray:
+    """A private, read-only, C-contiguous copy of ``array``."""
     copy = np.array(array, copy=True, order="C")
     copy.setflags(write=False)
     return copy
@@ -108,10 +110,10 @@ class ContentMemo:
             if entry is not None:
                 self._entries[slot] = entry
         if entry is not None and all(
-            _same_bytes(a, s) for a, s in zip(arrays, entry[0])
+            same_bytes(a, s) for a, s in zip(arrays, entry[0])
         ):
             return entry[1]
-        snapshots = tuple(_snapshot(a) for a in arrays)
+        snapshots = tuple(snapshot(a) for a in arrays)
         value = build(*snapshots)
         with self._lock:
             self._entries.pop(slot, None)

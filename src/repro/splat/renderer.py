@@ -21,6 +21,7 @@ import numpy as np
 
 from ..obs.metrics import Counter, MetricsRegistry
 from ..obs.trace import backend_span
+from .backends import TileStore
 from .cachekey import (
     camera_fingerprint,
     model_fingerprint,
@@ -76,10 +77,18 @@ class PreparedView:
     Iterates and indexes like the ``(projected, assignment)`` tuple
     :func:`prepare_view` used to return, so existing unpacking call sites
     keep working.
+
+    ``tile_store`` keeps the packed engine's foveated (tile, level) renders
+    of this view across calls (:class:`~repro.splat.backends.TileStore`).
+    :class:`ViewCache` entries carry one, so a foveated frame at a cached
+    pose renders only the tiles no earlier frame of the pose rendered at
+    its levels; a view from :func:`prepare_view` has none, and each
+    foveated call renders its own.
     """
 
     projected: ProjectedGaussians
     assignment: TileAssignment
+    tile_store: TileStore | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __iter__(self):
         return iter((self.projected, self.assignment))
@@ -121,6 +130,13 @@ def prepare_view(
 
 class ViewCache:
     """Memoizes :func:`prepare_view` per (model, pose, prepare-config).
+
+    Each entry carries a :class:`~repro.splat.backends.TileStore`, so a
+    pose's foveated tile renders outlive the call that made them: a
+    foveated miss at a cached pose scans only the (tile, level) pairs no
+    earlier frame of the pose rendered.  The stores bound the cache's
+    memory at ``maxsize × L × H × W × 24`` bytes of tile renders (``L``
+    quality levels), plus each view's pair tables.
 
     Keys are content fingerprints (:mod:`repro.splat.cachekey`, shared with
     the serve tier's :class:`repro.serve.FrameCache`) — the model's
@@ -204,6 +220,7 @@ class ViewCache:
             else:
                 self.misses += 1
                 view = prepare_view(model, camera, config)
+                view.tile_store = TileStore()
                 if len(self._entries) >= self.maxsize:
                     # Dict order is insertion order and every access
                     # re-inserts, so the first key is the LRU entry.

@@ -282,6 +282,28 @@ class TestPreparationSharing:
         )
         assert len(calls) == 1
 
+    def test_chunks_share_tile_renders_without_cache(self, fmodel, train_cameras):
+        # batch_size chunks of one pose scan each (tile, level) render once
+        # per call, as one unchunked call does.
+        gazes = [tuple(g) for g in gaze_trajectory(96, 64, 8, seed=6)]
+        config = RenderConfig(backend="packed")
+        spans = {}
+        for batch_size in (None, 3):
+            tracer = Tracer()
+            prev = set_active_tracer(tracer)
+            try:
+                render_foveated_batch(
+                    fmodel, train_cameras[0], gazes=gazes, batch_size=batch_size,
+                    config=config,
+                )
+            finally:
+                set_active_tracer(prev)
+            spans[batch_size] = sum(
+                args["spans"] for name, _, _, _, _, _, args in tracer.spans()
+                if name == "alpha-scan" and "frames" in args
+            )
+        assert spans[3] == spans[None] > 0
+
     def test_cache_hashes_model_once_per_chunk(
         self, fmodel, train_cameras, monkeypatch
     ):
@@ -316,6 +338,63 @@ class TestPreparationSharing:
 
     def test_empty_input(self, fmodel):
         assert render_foveated_batch(fmodel, []) == []
+
+
+class TestTileStoreValidity:
+    """A cached view's stored tile renders are never served against other
+    tables: a model sharing ``base`` with edited level parameters, another
+    background, or in-place edits of the bounds and colour versions each
+    render frames equal to their own lone renders."""
+
+    GAZES = [None, (20.0, 16.0)]
+
+    def _render(self, fm, camera, config, cache):
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            got = render_foveated_batch(fm, camera, self.GAZES, config=config, cache=cache)
+        finally:
+            set_active_tracer(prev)
+        for gaze, res in zip(self.GAZES, got, strict=True):
+            assert_frames_equal(render_foveated(fm, camera, gaze=gaze, config=config), res)
+        (work,) = [
+            args for name, _, _, _, _, _, args in tracer.spans()
+            if name == "alpha-scan" and "frames" in args
+        ]
+        return work["tiles_reused"]
+
+    def test_edited_levels_and_background_render_their_own_frames(
+        self, fmodel, train_cameras
+    ):
+        camera = train_cameras[0]
+        edited = dataclasses.replace(
+            fmodel, mv_opacity_logits=fmodel.mv_opacity_logits - 1.5
+        )
+        black = RenderConfig(backend="packed")
+        grey = RenderConfig(backend="packed", background=(0.2, 0.5, 0.9))
+        cache = ViewCache()
+        runs = [(fmodel, black), (edited, black), (fmodel, grey), (edited, grey), (fmodel, black)]
+        assert [self._render(fm, camera, config, cache) for fm, config in runs] == [0] * 5
+        # One prepared view served every run, and its store is live: the
+        # same tables again render nothing new.
+        assert cache.misses == 1
+        assert self._render(fmodel, camera, black, cache) > 0
+
+    def test_in_place_edits_render_their_own_frames(self, fmodel, train_cameras):
+        camera = train_cameras[0]
+        fm = dataclasses.replace(
+            fmodel,
+            quality_bounds=fmodel.quality_bounds.copy(),
+            mv_sh_dc=fmodel.mv_sh_dc.copy(),
+        )
+        config = RenderConfig(backend="packed")
+        cache = ViewCache()
+        assert self._render(fm, camera, config, cache) == 0
+        fm.quality_bounds[::3] = 1
+        assert self._render(fm, camera, config, cache) == 0
+        fm.mv_sh_dc[:, 1:] += 0.25
+        assert self._render(fm, camera, config, cache) == 0
+        assert self._render(fm, camera, config, cache) > 0
 
 
 GAZES = [None, (20.0, 16.0), (-50.0, 500.0)]  # centre, mid-periphery, off-screen

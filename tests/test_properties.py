@@ -55,7 +55,7 @@ from repro.splat.backends.segments import (
 )
 from repro.splat.camera import Camera
 from repro.splat.rasterizer import TRANSMITTANCE_EPS, _transmittance_weights, composite
-from repro.splat.renderer import RenderConfig, prepare_view, render, render_batch
+from repro.splat.renderer import RenderConfig, ViewCache, prepare_view, render, render_batch
 from repro.splat.sh import sh_basis
 from repro.splat.tiling import (
     RADIX_KEY_RANGE,
@@ -568,6 +568,91 @@ class TestTileRenderReuseProperties:
             assert np.array_equal(a.image[pixels], b.image[pixels]), t
 
 
+def _assert_same_foveated(got, ref):
+    """Bitwise the same image, stats and ``level_spans`` work arrays."""
+    assert np.array_equal(got.image, ref.image)
+    for name in (
+        "sort_intersections_per_tile", "raster_intersections_per_tile", "tile_levels",
+    ):
+        assert np.array_equal(getattr(got.stats, name), getattr(ref.stats, name))
+    assert got.stats.blend_pixels == ref.stats.blend_pixels
+    assert got.stats.num_projected == ref.stats.num_projected
+    assert got.level_spans.keys() == ref.level_spans.keys()
+    for t, work in got.level_spans.items():
+        assert np.array_equal(work.spans, ref.level_spans[t].spans)
+        assert np.array_equal(work.sort_work, ref.level_spans[t].sort_work)
+
+
+def _foveated_scans(tracer):
+    return [
+        args for name, _, _, _, _, _, args in tracer.spans()
+        if name == "alpha-scan" and "frames" in args
+    ]
+
+
+class TestTileStoreProperties:
+    """A pose's tile renders outlive the call: through one ``ViewCache``,
+    gazes at a pose arriving in any order and grouping (lone, batched,
+    chunked, interleaved with another pose) give every frame bitwise its
+    cache-less lone render, and a call whose (tile, level) pairs are all
+    stored scans nothing."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        order=st.permutations(range(8)),
+        cuts=st.sets(st.integers(1, 7)),
+        batch_size=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_any_order_and_grouping_equals_lone(self, seed, order, cuts, batch_size):
+        _, fmodel, frames, views = _batch_invariance_inputs()
+        pose, other = frames[0][0], frames[1][0]
+        rng = np.random.default_rng(seed)
+        size = np.array([pose.width, pose.height])
+        items = [
+            (pose if i < 6 else other, tuple(map(float, rng.uniform(-0.25, 1.25, 2) * size)))
+            for i in range(8)
+        ]
+        items = [items[i] for i in order]
+        config = RenderConfig(backend="packed")
+        lone = [render_foveated(fmodel, c, gaze=g, config=config) for c, g in items]
+
+        cache = ViewCache()
+        got = []
+        for part in _partition(items, cuts):
+            got += render_foveated_batch(
+                fmodel, [c for c, _ in part], gazes=[g for _, g in part],
+                config=config, batch_size=batch_size, cache=cache,
+            )
+        for res, ref in zip(got, lone, strict=True):
+            _assert_same_foveated(res, ref)
+
+        # Every pair these gazes need is stored now: rendering them again,
+        # lone or batched, scans no span.
+        tracer = Tracer()
+        prev = set_active_tracer(tracer)
+        try:
+            again = [
+                render_foveated(
+                    fmodel, c, gaze=g, config=config, prepared=cache.get(fmodel.base, c)
+                )
+                for c, g in items[:2]
+            ]
+            again += render_foveated_batch(
+                fmodel, [c for c, _ in items], gazes=[g for _, g in items],
+                config=config, cache=cache,
+            )
+        finally:
+            set_active_tracer(prev)
+        for res, ref in zip(again, lone[:2] + lone, strict=True):
+            _assert_same_foveated(res, ref)
+        scans = _foveated_scans(tracer)
+        assert len(scans) == 3
+        for work in scans:
+            assert work["spans"] == 0 and work["tiles_rendered"] == 0
+            assert work["tiles_reused"] > 0
+
+
 class TestBandPieceProperties:
     """Band pieces: the thread count never moves a bit, and no scanned
     piece holds more than the span budget or one band."""
@@ -637,17 +722,25 @@ class TestBandPieceProperties:
             # Spans the two foveated passes scan: kept pairs' spans.
             maps = compute_region_maps(camera, assignment.grid, fmodel.layout, gaze)
             levels = range(1, fmodel.num_levels + 1)
-            rows = packed._ViewRows.build(projected, assignment)
-            pair_bounds = fmodel.quality_bounds[projected.point_ids[rows.seg.pair_splats]]
-            tile_pairs = packed._tile_bound_counts(rows.seg, pair_bounds, fmodel.num_levels)
-            plan = packed._frame_plan(maps, assignment.grid, rows, tile_pairs)
-            passes = packed._LevelPasses.build(
-                rows, [plan], pair_bounds,
-                np.stack([fmodel.level_opacities(t) for t in levels]),
-                np.stack([fmodel.level_color_delta(t) for t in levels]),
+            level_opacity = {t: fmodel.level_opacities(t) for t in levels}
+            level_delta = {t: fmodel.level_color_delta(t) for t in levels}
+            store = packed.TileStore()
+            store.bind(
+                projected, assignment,
+                (fmodel.quality_bounds, *level_opacity.values(), *level_delta.values(),
+                 np.zeros(3)),
+                fmodel.num_levels,
+            )
+            plan = packed._frame_plan(maps, assignment.grid, store.rows, store.tile_pairs)
+            need = np.zeros_like(store.rendered)
+            plan.mark_needs(need)
+            _, pass_counts, _ = store.passes(
+                need,
+                np.stack(list(level_opacity.values())),
+                np.stack(list(level_delta.values())),
             )
             return sum(
-                (counts > 0)[spans.span_pair].astype(np.int64) for counts in passes.pass_counts
+                (counts > 0)[spans.span_pair].astype(np.int64) for counts in pass_counts
             )
 
         full_bands, fov_bands = bands(scene), bands(fmodel.base, scanned)

@@ -21,7 +21,7 @@ from repro.serve import (
     quantize_gaze,
 )
 from repro.serve.scheduler import _Pending, _TwoClassQueue
-from repro.splat import RenderConfig, random_model
+from repro.splat import RenderConfig, ViewCache, random_model
 
 WIDTH, HEIGHT = 64, 48
 
@@ -232,6 +232,36 @@ class TestBatchingAndCaching:
             ServeConfig(exact_frames=False)
         with pytest.raises(TypeError):
             RenderWorkerPool(fmodel, config, workers=1, exact_frames=True)
+
+    def test_view_cache_sized_by_knob_and_keeps_tile_renders(
+        self, fmodel, cameras, monkeypatch
+    ):
+        # The inline loop's ViewCache is sized like a worker's, a caller's
+        # cache is used even while empty, and a miss at a cached pose
+        # renders only the tiles an earlier miss did not.
+        monkeypatch.setenv("REPRO_WORKER_VIEWCACHE", "3")
+        assert ServeLoop(fmodel).view_cache.maxsize == 3
+        cache = ViewCache(maxsize=5)
+        tracer = Tracer()
+        gazes = [(5.0, 5.0), (60.0, 45.0)]
+        config = RenderConfig(backend="packed")  # the engine with tile stores
+
+        async def scenario():
+            async with ServeLoop(fmodel, config, view_cache=cache, tracer=tracer) as loop:
+                assert loop.view_cache is cache
+                return [await loop.submit(FrameRequest(0, cameras[0], g)) for g in gazes]
+
+        responses = run(scenario())
+        for gaze, response in zip(gazes, responses):
+            assert not response.cache_hit
+            ref = render_foveated(fmodel, cameras[0], gaze=gaze, config=config)
+            assert np.array_equal(ref.image, response.result.image)
+        scans = [
+            args for name, _, _, _, _, _, args in tracer.spans()
+            if name == "alpha-scan" and "frames" in args
+        ]
+        assert [s["tiles_reused"] > 0 for s in scans] == [False, True]
+        assert cache.misses == 1
 
     def test_pose_change_misses(self, fmodel, cameras):
         async def scenario():
